@@ -22,8 +22,6 @@ from .model import (
     Guard,
     VarDecl,
     Violation,
-    enabled,
-    net_change,
     normalize,
     validate,
 )
@@ -48,11 +46,7 @@ from .paths import (
     PathContext,
     PathSummary,
     boxminus,
-    build_dec_vars,
-    build_inc_vars,
-    cycle_paths,
-    node_paths,
-    through_paths,
+    var_sets,
 )
 from .policyio import PolicyFormatError, load_policy, parse_policy, save_policy, serialize_policy
 

@@ -24,10 +24,7 @@ from .paths import (
     NodeVarSets,
     PathCapExceeded,
     PathContext,
-    boxminus,
-    build_dec_vars,
-    build_inc_vars,
-    subtree_pdv,
+    var_sets,
 )
 
 TERMINATING = "terminating"
@@ -169,11 +166,10 @@ def hsieve_once(
             per_root = []
             per_tree_candidates = []
             for tree in forest.trees:
-                iv, zv = build_inc_vars(tree, ctx)
-                pdv = subtree_pdv(tree, ctx)
-                dv = build_dec_vars(tree, iv, ctx)
-                per_root.append(NodeVarSets(iv=iv, zv=zv, pdv=pdv, dv=dv))
-                cands = frozenset(set().union(*pdv) - iv - zv) if pdv else frozenset()
+                sets = var_sets(tree, ctx)
+                per_root.append(sets)
+                cands = (frozenset(set().union(*sets.pdv) - sets.iv - sets.zv)
+                         if sets.pdv else frozenset())
                 per_tree_candidates.append(cands)
         except PathCapExceeded:
             iterations.append(

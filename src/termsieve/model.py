@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping
 
 Effect = Mapping[str, int]
 Interval = tuple[int, int | None]  # inclusive min, inclusive max (None = unbounded)
@@ -31,13 +31,6 @@ class Guard:
     """
 
     conjuncts: Mapping[str, Interval] = field(default_factory=dict)
-
-    def satisfied(self, values: Mapping[str, int]) -> bool:
-        for var, (lo, hi) in self.conjuncts.items():
-            v = values[var]
-            if v < lo or (hi is not None and v > hi):
-                return False
-        return True
 
 
 @dataclass(frozen=True)
@@ -264,50 +257,15 @@ def normalize(fmp: Fmp, log: list[str] | None = None) -> Fmp:
     )
 
 
-def net_change(edges: Sequence[Edge]) -> dict[str, int]:
-    """Summed effect of a contiguous edge sequence.
-
-    A key appears iff some edge moves that variable (nonzero delta); a key
-    mapped to 0 records opposing moves that cancel. Raises ValueError when
-    consecutive edges do not share a control state.
-    """
-    for a, b in zip(edges, edges[1:]):
-        if a.dst != b.src:
-            raise ValueError(
-                f"non-contiguous edge sequence: {a.id} ends at {a.dst}, "
-                f"{b.id} starts at {b.src}"
-            )
-    net: dict[str, int] = {}
-    for e in edges:
-        for var, delta in e.effect.items():
-            if delta:
-                net[var] = net.get(var, 0) + delta
-    return net
-
-
 def accumulate(net: dict[str, int], effect: Effect) -> None:
-    """In-place variant of net_change's accumulation step."""
+    """Add an effect into a running net change, in place.
+
+    A key appears iff some added effect moves that variable (nonzero delta);
+    a key mapped to 0 records opposing moves that cancel.
+    """
     for var, delta in effect.items():
         if delta:
             net[var] = net.get(var, 0) + delta
-
-
-def enabled(edge: Edge, state: ConcreteState) -> bool:
-    """True iff the guard holds and the post-state respects all lower bounds."""
-    if not edge.guard.satisfied(state.values):
-        return False
-    for var, delta in edge.effect.items():
-        if state.values[var] + delta < state.bounds[var]:
-            return False
-    return True
-
-
-def apply_edge(edge: Edge, state: ConcreteState) -> ConcreteState:
-    """The state after taking the edge (caller checks enabled() first)."""
-    vals = dict(state.values)
-    for var, delta in edge.effect.items():
-        vals[var] = vals[var] + delta
-    return ConcreteState(values=vals, bounds=state.bounds)
 
 
 def effect_str(effect: Effect) -> str:

@@ -48,7 +48,6 @@ class PathSummary:
     mapped to 0 records moves that cancel along the path.
     """
 
-    node: DetNode
     kind: str  # "cycle" | "through"
     edge_ids: tuple[str, ...]
     net: Mapping[str, int]
@@ -127,12 +126,12 @@ def _reverse_reachable(g: DiGraph, targets: Iterable[str]) -> set[str]:
     return seen
 
 
-def _summary(node: DetNode, kind: str, edge_ids: list[str],
+def _summary(kind: str, edge_ids: list[str],
              effects: Mapping[str, Effect]) -> PathSummary:
     net: dict[str, int] = {}
     for eid in edge_ids:
         accumulate(net, effects[eid])
-    return PathSummary(node=node, kind=kind, edge_ids=tuple(edge_ids), net=net)
+    return PathSummary(kind=kind, edge_ids=tuple(edge_ids), net=net)
 
 
 def _enumerate_node(node: DetNode, ctx: PathContext) -> tuple[PathSummary, ...]:
@@ -142,7 +141,7 @@ def _enumerate_node(node: DetNode, ctx: PathContext) -> tuple[PathSummary, ...]:
     def emit(kind: str, arcs: list[str]) -> None:
         if len(out) >= ctx.path_cap:
             raise PathCapExceeded(node, ctx.path_cap)
-        out.append(_summary(node, kind, arcs, ctx.effects))
+        out.append(_summary(kind, arcs, ctx.effects))
 
     q = ctx.quotient(node).graph
     _emit_cycles(q, node.elim, emit)
@@ -201,21 +200,6 @@ def _emit_through(sub: DiGraph, entries: frozenset[str],
             dfs(start, {start}, [])
 
 
-def cycle_paths(node: DetNode, ctx: PathContext) -> tuple[PathSummary, ...]:
-    """Elim-to-elim paths of the node's quotient (elim visited exactly twice)."""
-    return tuple(p for p in ctx.paths(node) if p.kind == "cycle")
-
-
-def through_paths(node: DetNode, ctx: PathContext) -> tuple[PathSummary, ...]:
-    """Simple entry-to-exit paths of the induced subgraph on the node's vertices."""
-    return tuple(p for p in ctx.paths(node) if p.kind == "through")
-
-
-def node_paths(node: DetNode, ctx: PathContext) -> tuple[PathSummary, ...]:
-    """Both path families of one node (enumerated once, cached)."""
-    return ctx.paths(node)
-
-
 def boxminus(family: Iterable[Iterable[str]], iv: Iterable[str]) -> VarSetFamily:
     """Element-wise set difference over a family of variable sets.
 
@@ -226,51 +210,27 @@ def boxminus(family: Iterable[Iterable[str]], iv: Iterable[str]) -> VarSetFamily
     return frozenset(frozenset(s) - ivs for s in family)
 
 
-def build_inc_vars(
-    node: DetNode, ctx: PathContext
-) -> tuple[frozenset[str], frozenset[str]]:
-    """Subtree-increase and subtree-zero variable sets for a node.
+def var_sets(node: DetNode, ctx: PathContext) -> NodeVarSets:
+    """Aggregated variable sets over the subtree rooted at `node`.
 
-    A variable joins the first set when some path of the subtree nets it
-    strictly positive, and the second when some path touches it with net
-    exactly zero.
+    A variable joins `iv` when some path of the subtree nets it strictly
+    positive, and `zv` when some path touches it with net exactly zero.
+    `pdv` holds each path's strict-decrease set, and `dv` is `pdv` with `iv`
+    removed from every member.
     """
     iv: set[str] = set()
     zv: set[str] = set()
-    for p in ctx.paths(node):
-        for var, delta in p.net.items():
-            if delta > 0:
-                iv.add(var)
-            elif delta == 0:
-                zv.add(var)
-    for child in node.children:
-        civ, czv = build_inc_vars(child, ctx)
-        iv |= civ
-        zv |= czv
-    return frozenset(iv), frozenset(zv)
-
-
-def build_dec_vars(
-    node: DetNode, iv_effective: frozenset[str], ctx: PathContext
-) -> VarSetFamily:
-    """Per-path strict-decrease sets of the subtree, minus `iv_effective`.
-
-    The subtraction is element-wise and idempotent, so applying it at every
-    recursion level equals applying it once to the collected family.
-    """
     pdv: set[frozenset[str]] = set()
-    for p in ctx.paths(node):
-        pdv.add(frozenset(v for v, d in p.net.items() if d < 0))
-    for child in node.children:
-        pdv |= build_dec_vars(child, iv_effective, ctx)
-    return boxminus(pdv, iv_effective)
-
-
-def subtree_pdv(node: DetNode, ctx: PathContext) -> VarSetFamily:
-    """The raw (pre-subtraction) decrease-set family over a whole subtree."""
-    pdv: set[frozenset[str]] = set()
-    for p in ctx.paths(node):
-        pdv.add(frozenset(v for v, d in p.net.items() if d < 0))
-    for child in node.children:
-        pdv |= subtree_pdv(child, ctx)
-    return frozenset(pdv)
+    for n in node.walk():
+        for p in ctx.paths(n):
+            dec = []
+            for var, delta in p.net.items():
+                if delta > 0:
+                    iv.add(var)
+                elif delta < 0:
+                    dec.append(var)
+                else:
+                    zv.add(var)
+            pdv.add(frozenset(dec))
+    return NodeVarSets(iv=frozenset(iv), zv=frozenset(zv), pdv=frozenset(pdv),
+                       dv=boxminus(pdv, iv))

@@ -27,7 +27,7 @@ import os
 import tempfile
 from typing import Any
 
-from .model import Edge, Fmp, Guard, VarDecl
+from .model import Edge, Fmp, Guard, VarDecl, _is_int
 
 FORMAT_VERSION = 1
 
@@ -42,10 +42,6 @@ class PolicyFormatError(ValueError):
         if message:
             text += f" ({message})"
         super().__init__(text)
-
-
-def _is_int(x: object) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
 
 
 def _need(obj: dict, key: str, where: str) -> Any:

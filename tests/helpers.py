@@ -6,12 +6,15 @@ library internals: they may only use the public data types.
 """
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import pathlib
 import random
 
 from termsieve.graphs import Arc, DiGraph
-from termsieve.model import Edge, Fmp, Guard, VarDecl
+from termsieve.model import ConcreteState, Edge, Fmp, Guard, VarDecl
+from termsieve.oracle import Configuration
+from termsieve.paths import NodeVarSets
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 TEST_FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -102,6 +105,45 @@ def brute_through_paths(sub: DiGraph, entries: frozenset[str],
     return out
 
 
+def brute_var_sets(g: DiGraph, effects, q0, node) -> NodeVarSets:
+    """iv/zv/pdv/dv of the subtree at `node`, from the brute path oracles.
+
+    Collapses each child into one vertex and takes the node's boundary
+    directly from the arcs of `g`, then sums every path's effects naively.
+    """
+    iv: set[str] = set()
+    zv: set[str] = set()
+    pdv: set[frozenset[str]] = set()
+    stack = [node]
+    while stack:
+        n = stack.pop()
+        stack.extend(n.children)
+        vs = n.vertices
+        comp = {v: c.vertices for c in n.children for v in c.vertices}
+        inner = [a for a in g.arcs if a[1] in vs and a[2] in vs]
+        q_arcs = [(aid, comp.get(s, s), comp.get(d, d)) for aid, s, d in inner
+                  if not (s in comp and comp[s] == comp.get(d))]
+        q = DiGraph(frozenset(comp.get(v, v) for v in vs), tuple(q_arcs))
+        entries = {d for _, s, d in g.arcs if d in vs and s not in vs}
+        if q0 in vs:
+            entries.add(q0)
+        exits = frozenset(s for _, s, d in g.arcs if s in vs and d not in vs)
+        sub = DiGraph(vs, tuple(inner))
+        seqs = (brute_cycle_paths(q, n.elim)
+                | brute_through_paths(sub, frozenset(entries), exits))
+        for seq in seqs:
+            net: dict[str, int] = {}
+            for aid in seq:
+                for var, delta in effects[aid].items():
+                    if delta:
+                        net[var] = net.get(var, 0) + delta
+            iv.update(v for v, d in net.items() if d > 0)
+            zv.update(v for v, d in net.items() if d == 0)
+            pdv.add(frozenset(v for v, d in net.items() if d < 0))
+    return NodeVarSets(iv=frozenset(iv), zv=frozenset(zv), pdv=frozenset(pdv),
+                       dv=frozenset(s - iv for s in pdv))
+
+
 # -------------------------------------------------------------- policies
 
 def chain_policy() -> Fmp:
@@ -176,14 +218,42 @@ def iter_nodes(forest):
         yield from tree.walk()
 
 
-def replay_lasso(fmp: Fmp, witness) -> None:
-    """Check a lasso witness step by step against the transition relation."""
-    from termsieve.oracle import step
+# ------------------------------------------------- reference interpreter
 
+def enabled(edge: Edge, state: ConcreteState) -> bool:
+    """True iff the guard holds and the post-state respects all lower bounds."""
+    for var, (lo, hi) in edge.guard.conjuncts.items():
+        v = state.values[var]
+        if v < lo or (hi is not None and v > hi):
+            return False
+    for var, delta in edge.effect.items():
+        if state.values[var] + delta < state.bounds[var]:
+            return False
+    return True
+
+
+def apply_edge(edge: Edge, state: ConcreteState) -> ConcreteState:
+    """The state after taking the edge (caller checks enabled() first)."""
+    vals = dict(state.values)
+    for var, delta in edge.effect.items():
+        vals[var] = vals[var] + delta
+    return ConcreteState(values=vals, bounds=state.bounds)
+
+
+def replay_lasso(fmp: Fmp, witness) -> None:
+    """Check a lasso witness step by step with the reference interpreter."""
     cfg = witness.start
     for eid, nxt in witness.steps:
-        succs = step(fmp, cfg)
-        assert (eid, nxt) in succs, f"step {eid} not enabled at {cfg}"
+        options = [
+            dataclasses.replace(e, actions=(action,))
+            for e in fmp.edges_from[cfg.qstate] if e.id == eid
+            for action in e.actions
+        ]
+        assert any(
+            enabled(e, cfg.state)
+            and Configuration(e.dst, apply_edge(e, cfg.state)) == nxt
+            for e in options
+        ), f"step {eid} not enabled at {cfg}"
         cfg = nxt
     cfgs = witness.configurations()
     assert 0 <= witness.cycle_start < len(cfgs) - 1

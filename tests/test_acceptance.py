@@ -18,7 +18,7 @@ from termsieve.graphs import boundary, induced, policy_graph, scc_decompose
 from termsieve.model import normalize
 from termsieve.oracle import ALL_HALT, INCONCLUSIVE, LASSO_FOUND, explore, explore_grid
 from termsieve.paths import (
-    PathCapExceeded, PathContext, boxminus, build_dec_vars, build_inc_vars,
+    PathCapExceeded, PathContext, boxminus, var_sets,
 )
 from termsieve.policyio import load_policy, parse_policy, serialize_policy
 
@@ -287,7 +287,7 @@ def _c_iv_covers_positive_walks(target):
         ctx = PathContext(g, {e.id: e.effect for e in fmp.edges}, fmp.initial)
         try:
             for node in iter_nodes(forest):
-                iv, _ = build_inc_vars(node, ctx)
+                iv = var_sets(node, ctx).iv
                 entries, exits = boundary(g, node.vertices, fmp.initial)
                 if not entries or not exits:
                     continue
@@ -321,8 +321,7 @@ def _c_dv_forces_decrease(target):
         ctx = PathContext(g, {e.id: e.effect for e in fmp.edges}, fmp.initial)
         try:
             for node in iter_nodes(forest):
-                iv, _ = build_inc_vars(node, ctx)
-                dv = build_dec_vars(node, iv, ctx)
+                dv = var_sets(node, ctx).dv
                 if frozenset() in dv:
                     continue
                 entries, exits = boundary(g, node.vertices, fmp.initial)

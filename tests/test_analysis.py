@@ -19,10 +19,11 @@ from termsieve.decomposition import build_def
 from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import DiGraph
 from termsieve.model import Edge, Fmp, VarDecl
-from termsieve.paths import PathContext, build_dec_vars, build_inc_vars, subtree_pdv
 from termsieve.policyio import load_policy
 
-from helpers import FIXTURES, TEST_FIXTURES, chain_policy, up_loop_policy
+from helpers import (
+    FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, up_loop_policy,
+)
 
 
 def fixture(name):
@@ -257,16 +258,13 @@ class TestReplayInvariants:
                     arcs=tuple((e.id, e.src, e.dst) for e in edges.values()),
                 )
                 assert build_def(g, it.def_seed) == it.forest
-                ctx = PathContext(g, {eid: e.effect for eid, e in edges.items()},
-                                  fmp.initial)
+                effects = {eid: e.effect for eid, e in edges.items()}
                 merged = set()
                 removable = set()
                 for tree, sets in zip(it.forest.trees, it.per_root):
-                    iv, zv = build_inc_vars(tree, ctx)
-                    assert (iv, zv) == (sets.iv, sets.zv)
-                    assert subtree_pdv(tree, ctx) == sets.pdv
-                    assert build_dec_vars(tree, iv, ctx) == sets.dv
-                    cands = set().union(*sets.pdv) - iv - zv if sets.pdv else set()
+                    assert brute_var_sets(g, effects, fmp.initial, tree) == sets
+                    cands = (set().union(*sets.pdv) - sets.iv - sets.zv
+                             if sets.pdv else set())
                     merged |= cands
                     for e in edges.values():
                         if e.src in tree.vertices and e.dst in tree.vertices:

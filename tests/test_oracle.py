@@ -1,7 +1,7 @@
 """Exhaustive exploration, lasso certificates, and random simulation."""
 import random
 
-from termsieve.model import Edge, Fmp, Guard, VarDecl, apply_edge, enabled
+from termsieve.model import Edge, Fmp, Guard, VarDecl
 from termsieve.oracle import (
     ALL_HALT,
     INCONCLUSIVE,
@@ -18,7 +18,9 @@ from termsieve.oracle import (
 from termsieve.generate import GenSpec, generate_random
 from termsieve.policyio import load_policy
 
-from helpers import FIXTURES, chain_policy, replay_lasso, up_loop_policy
+from helpers import (
+    FIXTURES, apply_edge, chain_policy, enabled, replay_lasso, up_loop_policy,
+)
 
 
 def fixture(name):
@@ -229,7 +231,7 @@ class TestRunRandom:
         tr = run_random(f, f.state({"x": 3, "y": 3}), seed=5)
         assert tr.halted
         assert tr.steps
-        # replay the whole trace through the model-level semantics
+        # replay the whole trace through the reference interpreter
         by_id = {e.id: e for e in f.edges}
         cur = cfg_of(f, "q0", x=3, y=3)
         for eid, nxt in tr.steps:

@@ -11,12 +11,7 @@ from termsieve.paths import (
     PathCapExceeded,
     PathContext,
     boxminus,
-    build_dec_vars,
-    build_inc_vars,
-    cycle_paths,
-    node_paths,
-    subtree_pdv,
-    through_paths,
+    var_sets,
 )
 from termsieve.policyio import load_policy
 
@@ -24,6 +19,7 @@ from helpers import (
     FIXTURES,
     brute_cycle_paths,
     brute_through_paths,
+    brute_var_sets,
     iter_nodes,
     random_digraph,
 )
@@ -48,6 +44,14 @@ def ctx_for(fmp, path_cap=100_000):
 
 def ids(paths):
     return {p.edge_ids for p in paths}
+
+
+def cycles(node, ctx):
+    return tuple(p for p in ctx.paths(node) if p.kind == "cycle")
+
+
+def throughs(node, ctx):
+    return tuple(p for p in ctx.paths(node) if p.kind == "through")
 
 
 def fz(*sets):
@@ -89,7 +93,7 @@ class TestCyclePaths:
     def test_two_self_loops(self):
         f = load_policy(FIXTURES / "f2.fmp.json")
         node = DetNode(frozenset({"q0"}), "q0", ())
-        ps = cycle_paths(node, ctx_for(f))
+        ps = cycles(node, ctx_for(f))
         assert ids(ps) == {("e1",), ("e2",)}
         nets = {p.edge_ids: dict(p.net) for p in ps}
         assert nets[("e1",)] == {"x": -1}
@@ -99,13 +103,13 @@ class TestCyclePaths:
         g = g_of(("1", "v", "a"), ("2", "a", "v"), ("3", "a", "v"))
         node = DetNode(frozenset({"v", "a"}), "v", ())
         ctx = PathContext(g, {x: {} for x in "123"}, None)
-        assert ids(cycle_paths(node, ctx)) == {("1", "2"), ("1", "3")}
+        assert ids(cycles(node, ctx)) == {("1", "2"), ("1", "3")}
 
     def test_rotation_depends_on_elim(self):
         g = g_of(("ab", "a", "b"), ("ba", "b", "a"))
         ctx = PathContext(g, {"ab": {}, "ba": {}}, None)
-        at_a = cycle_paths(DetNode(frozenset({"a", "b"}), "a", ()), ctx)
-        at_b = cycle_paths(DetNode(frozenset({"a", "b"}), "b", ()), ctx)
+        at_a = cycles(DetNode(frozenset({"a", "b"}), "a", ()), ctx)
+        at_b = cycles(DetNode(frozenset({"a", "b"}), "b", ()), ctx)
         assert ids(at_a) == {("ab", "ba")}
         assert ids(at_b) == {("ba", "ab")}
 
@@ -116,7 +120,7 @@ class TestCyclePaths:
         child = DetNode(frozenset({"b", "c"}), "b", ())
         root = DetNode(frozenset({"a", "b", "c"}), "a", (child,))
         ctx = PathContext(g, {x: {} for x in ("ab", "ba", "bc", "cb")}, None)
-        assert ids(cycle_paths(root, ctx)) == {("ab", "ba")}
+        assert ids(cycles(root, ctx)) == {("ab", "ba")}
 
 
 class TestThroughPaths:
@@ -126,7 +130,7 @@ class TestThroughPaths:
                  ("out", "w", "t"))
         node = DetNode(frozenset({"v", "w"}), "v", ())
         ctx = PathContext(g, {x: {} for x in ("in", "vw", "wv", "out")}, None)
-        assert ids(through_paths(node, ctx)) == {("vw",)}
+        assert ids(throughs(node, ctx)) == {("vw",)}
 
     def test_zero_length_excluded(self):
         # entry and exit are the same vertex: no nonempty simple path back
@@ -134,7 +138,7 @@ class TestThroughPaths:
                  ("out", "v", "t"))
         node = DetNode(frozenset({"v", "w"}), "v", ())
         ctx = PathContext(g, {x: {} for x in ("in", "vw", "wv", "out")}, None)
-        assert through_paths(node, ctx) == ()
+        assert throughs(node, ctx) == ()
 
     def test_initial_qstate_counts_as_entry(self):
         g = g_of(("1", "q0", "w"), ("2", "w", "q0"), ("3", "w", "t"))
@@ -142,8 +146,8 @@ class TestThroughPaths:
         effects = {x: {} for x in "123"}
         with_q0 = PathContext(g, effects, "q0")
         without = PathContext(g, effects, None)
-        assert ids(through_paths(node, with_q0)) == {("1",)}
-        assert through_paths(node, without) == ()
+        assert ids(throughs(node, with_q0)) == {("1",)}
+        assert throughs(node, without) == ()
 
     def test_prefix_exits_also_emitted(self):
         # both w and u are exits; the path through w keeps extending to u
@@ -152,7 +156,7 @@ class TestThroughPaths:
         node = DetNode(frozenset({"v", "w", "u"}), "v", ())
         ctx = PathContext(g, {x: {} for x in ("in", "a", "b", "c", "o1", "o2")},
                           None)
-        assert ids(through_paths(node, ctx)) == {("a",), ("a", "b")}
+        assert ids(throughs(node, ctx)) == {("a",), ("a", "b")}
 
 
 class TestHubNode:
@@ -175,7 +179,7 @@ class TestHubNode:
 
     def test_root_has_three_cycle_paths(self):
         ctx = self.ctx()
-        ps = node_paths(self.root(), ctx)
+        ps = ctx.paths(self.root())
         c1 = "c:q0_q1"
         c2 = "c:q4_q5_q6_q7"
         assert ids(p for p in ps if p.kind == "cycle") == {
@@ -188,14 +192,14 @@ class TestHubNode:
     def test_loop_child(self):
         ctx = self.ctx()
         c2 = DetNode(frozenset({"q4", "q5", "q6", "q7"}), "q4", ())
-        assert ids(cycle_paths(c2, ctx)) == {("a4", "a5", "a6", "a7")}
-        assert ids(through_paths(c2, ctx)) == {("a4", "a5")}
+        assert ids(cycles(c2, ctx)) == {("a4", "a5", "a6", "a7")}
+        assert ids(throughs(c2, ctx)) == {("a4", "a5")}
 
     def test_pair_child_entry_is_initial_and_boundary(self):
         ctx = self.ctx()
         c1 = DetNode(frozenset({"q0", "q1"}), "q0", ())
-        assert ids(cycle_paths(c1, ctx)) == {("a10", "a11")}
-        assert ids(through_paths(c1, ctx)) == {("a10",)}
+        assert ids(cycles(c1, ctx)) == {("a10", "a11")}
+        assert ids(throughs(c1, ctx)) == {("a10",)}
 
 
 class TestVarSetRecursions:
@@ -203,11 +207,11 @@ class TestVarSetRecursions:
         f = load_policy(FIXTURES / "f2.fmp.json")
         ctx = ctx_for(f)
         tree = build_def(ctx.graph, 0).trees[0]
-        iv, zv = build_inc_vars(tree, ctx)
-        assert iv == frozenset({"x"})
-        assert zv == frozenset()
-        assert subtree_pdv(tree, ctx) == fz({"x"}, {"y"})
-        assert build_dec_vars(tree, iv, ctx) == fz((), {"y"})
+        sets = var_sets(tree, ctx)
+        assert sets.iv == frozenset({"x"})
+        assert sets.zv == frozenset()
+        assert sets.pdv == fz({"x"}, {"y"})
+        assert sets.dv == fz((), {"y"})
 
     def test_pump_and_drain_policy(self):
         # the 2-cycle nets zero on x, so x lands in zv and the empty
@@ -216,10 +220,10 @@ class TestVarSetRecursions:
         ctx = ctx_for(f)
         for seed in range(6):
             tree = build_def(ctx.graph, seed).trees[0]
-            iv, zv = build_inc_vars(tree, ctx)
-            assert iv == frozenset()
-            assert zv == frozenset({"x"})
-            assert build_dec_vars(tree, iv, ctx) == fz((), {"x"})
+            sets = var_sets(tree, ctx)
+            assert sets.iv == frozenset()
+            assert sets.zv == frozenset({"x"})
+            assert sets.dv == fz((), {"x"})
 
     def test_pump_and_drain_deep_shape(self):
         # eliminating q1 first leaves the self-loop SCC {q0} as a child
@@ -227,22 +231,22 @@ class TestVarSetRecursions:
         ctx = ctx_for(f)
         child = DetNode(frozenset({"q0"}), "q0", ())
         root = DetNode(frozenset({"q0", "q1"}), "q1", (child,))
-        assert ids(cycle_paths(root, ctx)) == {("e3", "e2")}
-        assert through_paths(child, ctx) == ()
-        assert ids(cycle_paths(child, ctx)) == {("e1",)}
-        iv, zv = build_inc_vars(root, ctx)
-        assert (iv, zv) == (frozenset(), frozenset({"x"}))
-        assert build_dec_vars(root, iv, ctx) == fz((), {"x"})
+        assert ids(cycles(root, ctx)) == {("e3", "e2")}
+        assert throughs(child, ctx) == ()
+        assert ids(cycles(child, ctx)) == {("e1",)}
+        sets = var_sets(root, ctx)
+        assert (sets.iv, sets.zv) == (frozenset(), frozenset({"x"}))
+        assert sets.dv == fz((), {"x"})
 
     def test_staged_policy(self):
         f = load_policy(FIXTURES / "f8prime.fmp.json")
         ctx = ctx_for(f)
         for seed in range(6):
             tree = build_def(ctx.graph, seed).trees[0]
-            iv, zv = build_inc_vars(tree, ctx)
-            assert iv == frozenset({"x0", "x1"})
-            assert zv == frozenset()
-            assert build_dec_vars(tree, iv, ctx) == fz((), {"x2", "x3"})
+            sets = var_sets(tree, ctx)
+            assert sets.iv == frozenset({"x0", "x1"})
+            assert sets.zv == frozenset()
+            assert sets.dv == fz((), {"x2", "x3"})
 
 
 class TestCapsAndErrors:
@@ -251,7 +255,7 @@ class TestCapsAndErrors:
         ctx = ctx_for(f, path_cap=1)
         node = DetNode(frozenset({"q0"}), "q0", ())
         with pytest.raises(PathCapExceeded) as ei:
-            node_paths(node, ctx)
+            ctx.paths(node)
         assert ei.value.node == node
         assert ei.value.cap == 1
 
@@ -259,23 +263,23 @@ class TestCapsAndErrors:
         f = load_policy(FIXTURES / "f2.fmp.json")
         ctx = ctx_for(f, path_cap=2)
         node = DetNode(frozenset({"q0"}), "q0", ())
-        assert len(node_paths(node, ctx)) == 2
+        assert len(ctx.paths(node)) == 2
 
     def test_empty_node_rejected(self):
         f = load_policy(FIXTURES / "f2.fmp.json")
         with pytest.raises(InvalidNodeError):
-            node_paths(DetNode(frozenset(), "q0", ()), ctx_for(f))
+            ctx_for(f).paths(DetNode(frozenset(), "q0", ()))
 
     def test_foreign_elim_rejected(self):
         f = load_policy(FIXTURES / "f2.fmp.json")
         with pytest.raises(InvalidNodeError):
-            node_paths(DetNode(frozenset({"q0"}), "zz", ()), ctx_for(f))
+            ctx_for(f).paths(DetNode(frozenset({"q0"}), "zz", ()))
 
     def test_paths_cached_per_context(self):
         f = load_policy(FIXTURES / "f2.fmp.json")
         ctx = ctx_for(f)
         node = DetNode(frozenset({"q0"}), "q0", ())
-        assert node_paths(node, ctx) is node_paths(node, ctx)
+        assert ctx.paths(node) is ctx.paths(node)
 
 
 class TestAgainstBruteForce:
@@ -291,11 +295,12 @@ class TestAgainstBruteForce:
             for node in iter_nodes(forest):
                 q = quotient(g, node).graph
                 want_c = brute_cycle_paths(q, node.elim)
-                assert ids(cycle_paths(node, ctx)) == want_c
+                assert ids(cycles(node, ctx)) == want_c
                 entries, exits = boundary(g, node.vertices, q0)
                 sub = induced(g, node.vertices)
                 want_t = brute_through_paths(sub, entries, exits)
-                assert ids(through_paths(node, ctx)) == want_t
+                assert ids(throughs(node, ctx)) == want_t
+                assert var_sets(node, ctx) == brute_var_sets(g, effects, q0, node)
                 checked += 1
         assert checked >= 200
 
@@ -309,7 +314,7 @@ class TestAgainstBruteForce:
             }
             ctx = PathContext(g, effects, None)
             for node in iter_nodes(build_def(g, 1)):
-                for p in node_paths(node, ctx):
+                for p in ctx.paths(node):
                     want = Counter()
                     for eid in p.edge_ids:
                         for var, d in effects[eid].items():

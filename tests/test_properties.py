@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 from termsieve.decomposition import build_def, check_det
 from termsieve.graphs import DiGraph, is_acyclic, policy_graph, scc_decompose
 from termsieve.model import (
-    Edge, Fmp, Guard, VarDecl, accumulate, net_change, normalize, validate,
+    Edge, Fmp, Guard, VarDecl, accumulate, normalize, validate,
 )
 from termsieve.oracle import ExploreCaps, explore
 from termsieve.paths import boxminus
@@ -108,21 +108,28 @@ class TestBoxminus:
 
 # ---------------------------------------------------------------- net change
 
+def net_of(edges):
+    net = {}
+    for e in edges:
+        accumulate(net, e.effect)
+    return net
+
+
 class TestNetChange:
     @given(effect_paths(), st.integers(0, 6))
     def test_split_plus_accumulate_agrees(self, edges, cut):
         cut = min(cut, len(edges))
-        running = net_change(edges[:cut])
-        for e in edges[cut:]:
+        running = net_of(edges[cut:])
+        for e in edges[:cut]:
             accumulate(running, e.effect)
-        assert running == net_change(edges)
+        assert running == net_of(edges)
 
     @given(effect_paths())
     def test_matches_counter_sum(self, edges):
         c = Counter()
         for e in edges:
             c.update(e.effect)
-        net = net_change(edges)
+        net = net_of(edges)
         assert {k: v for k, v in net.items() if v} == {
             k: v for k, v in c.items() if v}
         # touched-but-cancelled keys stay present, pinned to zero
