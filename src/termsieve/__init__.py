@@ -12,7 +12,7 @@ from .analysis import (
     hsieve_once,
     progress_sieve,
 )
-from .decomposition import DefForest, DetNode, QuotientGraph, build_def, check_det, quotient
+from .decomposition import DefForest, DetNode, build_def, check_det, quotient
 from .generate import GenError, GenSpec, generate_random
 from .graphs import DiGraph, SccPartition, boundary, induced, is_acyclic, policy_graph, scc_decompose
 from .model import (

@@ -11,7 +11,6 @@ component, and that component's own path sets are the ones that matter.
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field, replace
 from typing import Mapping
@@ -279,13 +278,3 @@ def progress_sieve(fmp: Fmp) -> Verdict:
         return Verdict(TERMINATING, "progress")
     return Verdict(NONTERMINATING_QUALITATIVE, "no-progress-variable")
 
-
-def path_cap_from_env(default: int = DEFAULT_PATH_CAP) -> int:
-    """The per-node path cap, honoring the HSIEVE_PATH_CAP env var."""
-    raw = os.environ.get("HSIEVE_PATH_CAP")
-    if raw is None:
-        return default
-    try:
-        return int(raw)
-    except ValueError:
-        raise ValueError(f"HSIEVE_PATH_CAP must be an integer, got {raw!r}")

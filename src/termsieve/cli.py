@@ -17,7 +17,6 @@ from .analysis import (
     TERMINATING,
     UNKNOWN,
     hsieve,
-    path_cap_from_env,
     progress_sieve,
 )
 from .dot import export_def_dot, export_dot
@@ -34,6 +33,7 @@ from .oracle import (
     grid_states,
     run_random,
 )
+from .paths import DEFAULT_PATH_CAP
 from .policyio import (
     PolicyFormatError,
     atomic_write,
@@ -66,7 +66,7 @@ def _build_parser() -> _Parser:
     c = policy_cmd("analyze", "hierarchical termination analysis")
     c.add_argument("--seed", type=int, default=0)
     c.add_argument("--def-samples", type=int, default=1)
-    c.add_argument("--path-cap", type=int, default=None)
+    c.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
     c.add_argument("--trace", metavar="OUT", default=None)
     c.add_argument("--emit-dot", metavar="DIR", default=None)
     c.add_argument("--strict", action="store_true")
@@ -136,9 +136,8 @@ def _cmd_check(args) -> int:
 
 def _cmd_analyze(args) -> int:
     fmp = _load_valid(args.file)
-    cap = args.path_cap if args.path_cap is not None else path_cap_from_env()
     cfg = AnalysisConfig(
-        def_samples=args.def_samples, base_seed=args.seed, path_cap=cap
+        def_samples=args.def_samples, base_seed=args.seed, path_cap=args.path_cap
     )
     report = hsieve(fmp, cfg)
     trace = report.to_trace_dict()

@@ -4,14 +4,15 @@ An elimination tree node pairs a vertex set with one elimination vertex; its
 children are the nontrivial SCCs left after deleting that vertex. A forest
 holds one tree per nontrivial SCC of the input graph. Elimination vertices
 are drawn uniformly at random from a seeded generator, so one integer seed
-fixes the whole forest.
+fixes the whole forest. A node's quotient graph collapses each child onto the
+child's own elimination vertex, so every quotient vertex is a real qstate and
+distinct children never share a vertex.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Mapping
 
 from .graphs import DiGraph, induced, is_acyclic, scc_decompose
 
@@ -36,22 +37,6 @@ class DefForest:
     seed: int
 
 
-@dataclass(frozen=True)
-class QuotientGraph:
-    """A node's graph with each child SCC collapsed to a component vertex.
-
-    `component_map` sends each component vertex name to the child vertex set
-    it stands for.
-    """
-
-    graph: DiGraph
-    component_map: Mapping[str, frozenset[str]]
-
-
-def component_name(vertices: frozenset[str]) -> str:
-    return "c:" + "_".join(sorted(vertices))
-
-
 def _build_node(g: DiGraph, vs: frozenset[str], rng: random.Random) -> DetNode:
     elim = rng.choice(sorted(vs))
     rest = induced(g, vs - {elim})
@@ -70,38 +55,29 @@ def build_def(g: DiGraph, seed: int) -> DefForest:
     return DefForest(trees=trees, seed=seed)
 
 
-def quotient(g: DiGraph, node: DetNode) -> QuotientGraph:
-    """Collapse `node`'s children inside the induced subgraph on its vertices.
+def quotient(g: DiGraph, node: DetNode) -> DiGraph:
+    """Collapse each child of `node` onto the child's own elim vertex.
 
-    Arcs internal to one child are dropped; every other arc survives under
-    its original id, with endpoints redirected to component vertices. Arc
+    Works inside the induced subgraph on the node's vertices. Arcs internal
+    to one child are dropped; every other arc survives under its original id,
+    with endpoints inside a child redirected to that child's elim. Arc
     multiplicity is preserved.
     """
-    comp_of: dict[str, str] = {}
-    component_map: dict[str, frozenset[str]] = {}
+    rep: dict[str, str] = {}
     for child in node.children:
-        cname = component_name(child.vertices)
-        component_map[cname] = child.vertices
         for v in child.vertices:
-            comp_of[v] = cname
-
-    vertices = set(component_map)
-    vertices.update(v for v in node.vertices if v not in comp_of)
-
+            rep[v] = child.elim
     arcs = []
     for aid, src, dst in g.arcs:
         if src not in node.vertices or dst not in node.vertices:
             continue
-        s2 = comp_of.get(src, src)
-        d2 = comp_of.get(dst, dst)
-        if s2 == d2 and s2 in component_map:
+        s2 = rep.get(src, src)
+        d2 = rep.get(dst, dst)
+        if s2 == d2 and src in rep:
             continue  # internal to one child
         arcs.append((aid, s2, d2))
-
-    return QuotientGraph(
-        graph=DiGraph(vertices=frozenset(vertices), arcs=tuple(arcs)),
-        component_map=component_map,
-    )
+    return DiGraph(vertices=frozenset(rep.get(v, v) for v in node.vertices),
+                   arcs=tuple(arcs))
 
 
 def check_det(forest: DefForest, g: DiGraph) -> list[str]:
@@ -129,7 +105,7 @@ def check_det(forest: DefForest, g: DiGraph) -> list[str]:
         actual = {c.vertices for c in node.children}
         if actual != expected:
             out.append(f"children-mismatch: {where}")
-        q = quotient(g, node).graph
+        q = quotient(g, node)
         minus_elim = induced(q, q.vertices - {node.elim})
         if not is_acyclic(minus_elim):
             out.append(f"quotient-not-acyclic: {where}")

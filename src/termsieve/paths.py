@@ -1,12 +1,15 @@
 """Path-set summaries over elimination tree nodes.
 
-Two families of paths are summarized per node. Cycle paths live in the node's
-quotient graph: they start and end at the elimination vertex (visiting it
-exactly twice) and repeat no other quotient vertex. Through paths live in the
-induced subgraph on the node's original vertices: they are vertex-simple
-walks from an entry boundary vertex to an exit boundary vertex with at least
-one edge. Parallel arcs yield distinct paths; component vertices contribute
-zero effect (their internal arcs are not traversed at all).
+Two families of paths are summarized per node, both found by one iterative
+simple-path DFS. Cycle paths live in the node's quotient graph, where each
+child is collapsed onto its own elimination vertex: they start and end at the
+node's elimination vertex (visiting it exactly twice) and repeat no other
+quotient vertex. Through paths live in the induced subgraph on the node's
+original vertices: they are vertex-simple walks from an entry boundary vertex
+to an exit boundary vertex with at least one edge. Parallel arcs yield
+distinct paths; a collapsed child contributes zero effect (its internal arcs
+are not traversed at all). Nothing is cached: each `PathContext.paths` call
+enumerates its node afresh.
 
 Per-node enumeration is capped; blowing the cap raises PathCapExceeded, which
 callers convert into a resource-cap verdict rather than an unsound answer.
@@ -15,9 +18,9 @@ callers convert into a resource-cap verdict rather than an unsound answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping
+from typing import AbstractSet, Iterable, Iterator, Mapping
 
-from .decomposition import DetNode, QuotientGraph, quotient
+from .decomposition import DetNode, quotient
 from .graphs import DiGraph, boundary, induced
 from .model import Effect, accumulate
 
@@ -68,8 +71,6 @@ class PathContext:
 
     Holds the current (possibly pruned) policy graph, the effect of every
     edge id, the policy's initial qstate, and the per-node summary cap.
-    Quotients and path sets are cached per node, so a node is enumerated at
-    most once per context no matter how many recursions visit it.
     """
 
     def __init__(
@@ -83,22 +84,32 @@ class PathContext:
         self.effects = effects
         self.q0 = q0
         self.path_cap = path_cap
-        self._quotients: dict[DetNode, QuotientGraph] = {}
-        self._paths: dict[DetNode, tuple[PathSummary, ...]] = {}
-
-    def quotient(self, node: DetNode) -> QuotientGraph:
-        q = self._quotients.get(node)
-        if q is None:
-            q = quotient(self.graph, node)
-            self._quotients[node] = q
-        return q
 
     def paths(self, node: DetNode) -> tuple[PathSummary, ...]:
-        ps = self._paths.get(node)
-        if ps is None:
-            ps = _enumerate_node(node, self)
-            self._paths[node] = ps
-        return ps
+        """Every cycle path, then every through path, of one node."""
+        _check_node(node)
+        out: list[PathSummary] = []
+
+        def add(kind: str, arcs: list[str]) -> None:
+            if len(out) >= self.path_cap:
+                raise PathCapExceeded(node, self.path_cap)
+            out.append(_summary(kind, arcs, self.effects))
+
+        q = quotient(self.graph, node)
+        to_elim = _reverse_reachable(q, (node.elim,))
+        for arcs in _simple_paths(q.adjacency(), node.elim, {node.elim},
+                                  to_elim - {node.elim}):
+            add("cycle", arcs)
+
+        entries, exits = boundary(self.graph, node.vertices, self.q0)
+        if entries and exits:
+            sub = induced(self.graph, node.vertices)
+            adj = sub.adjacency()
+            to_exit = _reverse_reachable(sub, exits)
+            for start in sorted(entries):
+                for arcs in _simple_paths(adj, start, exits, to_exit):
+                    add("through", arcs)
+        return tuple(out)
 
 
 def _check_node(node: DetNode) -> None:
@@ -134,70 +145,39 @@ def _summary(kind: str, edge_ids: list[str],
     return PathSummary(kind=kind, edge_ids=tuple(edge_ids), net=net)
 
 
-def _enumerate_node(node: DetNode, ctx: PathContext) -> tuple[PathSummary, ...]:
-    _check_node(node)
-    out: list[PathSummary] = []
+def _simple_paths(adj: Mapping[str, list[tuple[str, str]]], start: str,
+                  targets: AbstractSet[str],
+                  passable: AbstractSet[str]) -> Iterator[list[str]]:
+    """Iterative DFS over the arc sequences that leave `start`, step only
+    onto vertices not yet on the path, and end on a `targets` vertex.
 
-    def emit(kind: str, arcs: list[str]) -> None:
-        if len(out) >= ctx.path_cap:
-            raise PathCapExceeded(node, ctx.path_cap)
-        out.append(_summary(kind, arcs, ctx.effects))
-
-    q = ctx.quotient(node).graph
-    _emit_cycles(q, node.elim, emit)
-
-    entries, exits = boundary(ctx.graph, node.vertices, ctx.q0)
-    if entries and exits:
-        sub = induced(ctx.graph, node.vertices)
-        _emit_through(sub, entries, exits, emit)
-
-    return tuple(out)
-
-
-def _emit_cycles(q: DiGraph, elim: str, emit) -> None:
-    """DFS all elim-to-elim paths of `q` repeating no other vertex."""
-    adj = q.adjacency()
-    to_elim = _reverse_reachable(q, (elim,))
-    visited: set[str] = set()
+    The walk continues past a vertex only when it is `passable`, so prefixes
+    that end on a target are yielded too. `start` is on the path from the
+    outset when it is passable; a start outside `passable` may be stepped
+    onto once more, which is how a cycle path closes on its elim. Each
+    yielded list is the live path and changes once the caller resumes.
+    """
+    on_path = {start} if start in passable else set()
     arcs: list[str] = []
-
-    def dfs(v: str) -> None:
-        for aid, w in adj[v]:
-            if w == elim:
-                arcs.append(aid)
-                emit("cycle", arcs)
-                arcs.pop()
-            elif w not in visited and w in to_elim:
-                visited.add(w)
-                arcs.append(aid)
-                dfs(w)
-                arcs.pop()
-                visited.discard(w)
-
-    dfs(elim)
-
-
-def _emit_through(sub: DiGraph, entries: frozenset[str],
-                  exits: frozenset[str], emit) -> None:
-    """DFS all vertex-simple entry-to-exit paths of `sub` (>= 1 edge each)."""
-    adj = sub.adjacency()
-    to_exit = _reverse_reachable(sub, exits)
-
-    def dfs(v: str, visited: set[str], arcs: list[str]) -> None:
-        for aid, w in adj[v]:
-            if w in visited or w not in to_exit:
+    stack = [(start, iter(adj[start]))]
+    while stack:
+        v, out = stack[-1]
+        for aid, w in out:
+            if w in on_path:
                 continue
-            visited.add(w)
             arcs.append(aid)
-            if w in exits:
-                emit("through", arcs)
-            dfs(w, visited, arcs)
+            if w in targets:
+                yield arcs
+            if w in passable:
+                on_path.add(w)
+                stack.append((w, iter(adj[w])))
+                break
             arcs.pop()
-            visited.discard(w)
-
-    for start in sorted(entries):
-        if start in to_exit:
-            dfs(start, {start}, [])
+        else:
+            stack.pop()
+            if stack:  # v was entered by the last arc
+                arcs.pop()
+                on_path.discard(v)
 
 
 def boxminus(family: Iterable[Iterable[str]], iv: Iterable[str]) -> VarSetFamily:

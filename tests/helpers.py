@@ -166,6 +166,44 @@ def up_loop_policy() -> Fmp:
     )
 
 
+def ring_policy(n: int) -> Fmp:
+    """An n-qstate ring q0 -> q1 -> ... -> q0 whose first edge decrements x."""
+    qs = tuple(f"q{i}" for i in range(n))
+    edges = tuple(
+        Edge.single(f"e{i}", qs[i], qs[(i + 1) % n],
+                    effect={"x": -1} if i == 0 else {})
+        for i in range(n)
+    )
+    return Fmp(variables=(VarDecl("x"),), qstates=qs, initial="q0",
+               edges=edges)
+
+
+def two_pair_lasso_policy(names=("e", "a_b", "c", "a", "b_c")) -> Fmp:
+    """A policy with a real lasso whose two 2-cycles share no qstate.
+
+    From `e` with x=1, y=1 the run e -> ab -> c -> a -> bc -> e returns to
+    its start (x: -1 then +1; y: -1, +2, -1). With the default names the two
+    2-cycles {ab, c} and {a, bc} have vertex names whose sorted "_"-joins are
+    both "a_b_c": a quotient that named collapsed children that way would
+    merge the two and drop the arcs between them as internal.
+    """
+    e, ab, c, a, bc = names
+    return Fmp(
+        variables=(VarDecl("x"), VarDecl("y")),
+        qstates=names,
+        initial=e,
+        edges=(
+            Edge.single("e1", e, ab, effect={"x": -1}),
+            Edge.single("e2", ab, c, effect={"y": -1}),
+            Edge.single("e3", c, ab, effect={"y": -1}),
+            Edge.single("e4", c, a, effect={"x": 1, "y": 2}),
+            Edge.single("e5", a, bc, effect={"y": -1}),
+            Edge.single("e6", bc, a, effect={"y": -1}),
+            Edge.single("e7", bc, e, effect={}),
+        ),
+    )
+
+
 def random_small_policy(rng: random.Random, max_q: int = 4,
                         max_vars: int = 3) -> Fmp:
     """Hand-rolled random policy with optional guards, used where the

@@ -12,7 +12,7 @@ import pytest
 from termsieve.analysis import (
     TERMINATING, UNKNOWN, AnalysisConfig, hsieve, hsieve_once, progress_sieve,
 )
-from termsieve.decomposition import build_def, check_det
+from termsieve.decomposition import build_def, check_det, quotient
 from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import boundary, induced, policy_graph, scc_decompose
 from termsieve.model import normalize
@@ -239,7 +239,7 @@ def _c_path_shapes(target):
             except PathCapExceeded:
                 continue
             q_by_id = {a[0]: (a[1], a[2])
-                       for a in ctx.quotient(node).graph.arcs}
+                       for a in quotient(g, node).arcs}
             s_by_id = {a[0]: (a[1], a[2])
                        for a in induced(g, node.vertices).arcs}
             entries, exits = boundary(g, node.vertices, q0)

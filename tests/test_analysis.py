@@ -12,17 +12,19 @@ from termsieve.analysis import (
     def_seed_for,
     hsieve,
     hsieve_once,
-    path_cap_from_env,
     progress_sieve,
 )
 from termsieve.decomposition import build_def
 from termsieve.generate import GenSpec, generate_random
-from termsieve.graphs import DiGraph
+from termsieve.graphs import DiGraph, policy_graph
 from termsieve.model import Edge, Fmp, VarDecl
+from termsieve.oracle import LASSO_FOUND, explore
+from termsieve.paths import PathContext, var_sets
 from termsieve.policyio import load_policy
 
 from helpers import (
-    FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, up_loop_policy,
+    FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, iter_nodes,
+    replay_lasso, ring_policy, two_pair_lasso_policy, up_loop_policy,
 )
 
 
@@ -89,6 +91,36 @@ class TestPumpAndDrain:
         assert without_wall(rep.to_trace_dict()) == want
 
 
+class TestChildrenWithCollidingNames:
+    """Two sibling 2-cycles whose vertex names join to the same string.
+
+    A real lasso runs through both, so no sample may prove termination, and
+    renaming the qstates must not change the verdict.
+    """
+
+    def test_not_terminating(self):
+        for names in (("e", "a_b", "c", "a", "b_c"), ("e", "p", "q", "r", "s")):
+            rep = hsieve(two_pair_lasso_policy(names),
+                         AnalysisConfig(def_samples=20))
+            assert rep.verdict == Verdict(UNKNOWN, "empty-set-persists")
+
+    def test_lasso_replays(self):
+        f = two_pair_lasso_policy()
+        res = explore(f, f.state({"x": 1, "y": 1}))
+        assert res.kind == LASSO_FOUND
+        replay_lasso(f, res.witness)
+
+    def test_var_sets_match_brute_force(self):
+        f = two_pair_lasso_policy()
+        g = policy_graph(f)
+        effects = {e.id: e.effect for e in f.edges}
+        ctx = PathContext(g, effects, f.initial)
+        for seed in range(20):
+            for node in iter_nodes(build_def(g, seed)):
+                assert var_sets(node, ctx) == brute_var_sets(
+                    g, effects, f.initial, node)
+
+
 class TestThreeStateLoop:
     """example1: deterministic runs halt, yet no progress variable exists."""
 
@@ -146,6 +178,11 @@ class TestDegenerateGraphs:
     def test_pure_increase_loop(self):
         rep = hsieve_once(up_loop_policy(), seed=0)
         assert rep.verdict == Verdict(UNKNOWN, "empty-set-persists")
+
+    def test_long_ring(self):
+        # one cycle longer than Python's recursion limit
+        rep = hsieve(ring_policy(1500))
+        assert rep.verdict == Verdict(TERMINATING, "no-empty-dv")
 
     def test_rejects_unnormalized(self):
         e = Edge(id="e1", src="q0", dst="q0", actions=({"x": 1}, {"x": -1}))
@@ -277,18 +314,3 @@ class TestReplayInvariants:
                 count += 1
         assert count >= 50
 
-
-class TestEnvCap:
-    def test_default(self, monkeypatch):
-        monkeypatch.delenv("HSIEVE_PATH_CAP", raising=False)
-        assert path_cap_from_env() == 100_000
-        assert path_cap_from_env(default=5) == 5
-
-    def test_env_value(self, monkeypatch):
-        monkeypatch.setenv("HSIEVE_PATH_CAP", "123")
-        assert path_cap_from_env() == 123
-
-    def test_bad_value(self, monkeypatch):
-        monkeypatch.setenv("HSIEVE_PATH_CAP", "lots")
-        with pytest.raises(ValueError):
-            path_cap_from_env()

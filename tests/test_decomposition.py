@@ -6,7 +6,6 @@ from termsieve.decomposition import (
     DetNode,
     build_def,
     check_det,
-    component_name,
     quotient,
 )
 from termsieve.graphs import graph, induced, is_acyclic, scc_decompose
@@ -43,10 +42,6 @@ def find_seed(g, want_elim, tries=500):
         if forest.trees and forest.trees[0].elim == want_elim:
             return seed, forest
     raise AssertionError(f"no seed under {tries} eliminates {want_elim} first")
-
-
-def test_component_name():
-    assert component_name(frozenset({"q4", "q1"})) == "c:q1_q4"
 
 
 def test_same_seed_same_forest():
@@ -96,17 +91,14 @@ class TestChainOfCycles:
         child = DetNode(frozenset({"b", "c"}), "b", ())
         root = DetNode(frozenset({"a", "b", "c"}), "a", (child,))
         q = quotient(CHAIN_OF_CYCLES, root)
-        cname = component_name(frozenset({"b", "c"}))
-        assert q.graph.vertices == frozenset({"a", cname})
-        assert set(q.graph.arcs) == {("ab", "a", cname), ("ba", cname, "a")}
-        assert q.component_map == {cname: frozenset({"b", "c"})}
+        assert q.vertices == frozenset({"a", "b"})
+        assert set(q.arcs) == {("ab", "a", "b"), ("ba", "b", "a")}
 
     def test_child_quotient_is_plain_subgraph(self):
         child = DetNode(frozenset({"b", "c"}), "b", ())
         q = quotient(CHAIN_OF_CYCLES, child)
-        assert q.graph.vertices == frozenset({"b", "c"})
-        assert set(q.graph.arcs) == {("bc", "b", "c"), ("cb", "c", "b")}
-        assert q.component_map == {}
+        assert q.vertices == frozenset({"b", "c"})
+        assert set(q.arcs) == {("bc", "b", "c"), ("cb", "c", "b")}
 
 
 class TestHub:
@@ -124,20 +116,19 @@ class TestHub:
         _, forest = find_seed(HUB, "q2")
         root = forest.trees[0]
         q = quotient(HUB, root)
-        c1 = component_name(frozenset({"q0", "q1"}))
-        c2 = component_name(frozenset({"q4", "q5", "q6", "q7"}))
-        assert q.graph.vertices == frozenset({"q2", "q3", c1, c2})
-        assert set(q.graph.arcs) == {
+        assert {c.elim for c in root.children} == {"q0", "q6"}
+        assert q.vertices == frozenset({"q2", "q3", "q0", "q6"})
+        assert set(q.arcs) == {
             ("a1", "q2", "q3"), ("a2", "q3", "q2"),
-            ("a3", "q2", c2), ("a8", c2, "q2"),
-            ("a9", "q2", c1), ("a12", c1, "q2"),
+            ("a3", "q2", "q6"), ("a8", "q6", "q2"),
+            ("a9", "q2", "q0"), ("a12", "q0", "q2"),
         }
 
     def test_quotient_minus_elim_acyclic(self):
         for seed in range(10):
             forest = build_def(HUB, seed)
             for node in iter_nodes(forest):
-                qg = quotient(HUB, node).graph
+                qg = quotient(HUB, node)
                 rest = induced(qg, qg.vertices - {node.elim})
                 assert is_acyclic(rest)
 
