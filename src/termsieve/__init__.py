@@ -35,7 +35,6 @@ from .oracle import (
     LassoWitness,
     explore,
     explore_grid,
-    is_deterministic,
     run_random,
     step,
 )

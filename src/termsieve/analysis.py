@@ -12,8 +12,7 @@ component, and that component's own path sets are the ones that matter.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
-from typing import Mapping
+from dataclasses import dataclass
 
 from .decomposition import DefForest, DetNode, build_def
 from .graphs import DiGraph, induced, policy_graph, scc_decompose
@@ -81,10 +80,8 @@ class AnalysisReport:
                         "seed": it.def_seed,
                         "trees": [_tree_dict(t) for t in it.forest.trees],
                     },
-                    "iv": sorted(set().union(*(s.iv for s in it.per_root))
-                                 if it.per_root else set()),
-                    "zv": sorted(set().union(*(s.zv for s in it.per_root))
-                                 if it.per_root else set()),
+                    "iv": sorted(set().union(*(s.iv for s in it.per_root))),
+                    "zv": sorted(set().union(*(s.zv for s in it.per_root))),
                     "dv": sorted(sorted(s) for s in dv),
                     "candidates": sorted(it.candidates),
                     "removed_edges": list(it.removed_edges),
@@ -107,15 +104,6 @@ def _tree_dict(node: DetNode) -> dict:
     }
 
 
-def _require_normalized(fmp: Fmp) -> None:
-    for e in fmp.edges:
-        if len(e.actions) != 1:
-            raise ValueError(
-                f"edge {e.id} carries {len(e.actions)} actions; "
-                "normalize the policy before analysis"
-            )
-
-
 def def_seed_for(base_seed: int, iteration: int) -> int:
     """Seed of the forest built at one loop iteration."""
     return base_seed * _SEED_STRIDE + iteration
@@ -125,10 +113,10 @@ def hsieve_once(
     fmp: Fmp, seed: int, config: AnalysisConfig | None = None
 ) -> AnalysisReport:
     """One full analysis run with a single elimination-seed stream."""
-    _require_normalized(fmp)
     cfg = config if config is not None else AnalysisConfig()
     start = time.perf_counter()
 
+    effects = {e.id: e.effect for e in fmp.edges}  # raises unless normalized
     edges: dict[str, Edge] = {e.id: e for e in fmp.edges}
     iterations: list[IterationTrace] = []
 
@@ -157,7 +145,7 @@ def hsieve_once(
 
         ctx = PathContext(
             graph=graph,
-            effects={eid: e.effect for eid, e in edges.items()},
+            effects=effects,
             q0=fmp.initial,
             path_cap=cfg.path_cap,
         )
@@ -167,9 +155,8 @@ def hsieve_once(
             for tree in forest.trees:
                 sets = var_sets(tree, ctx)
                 per_root.append(sets)
-                cands = (frozenset(set().union(*sets.pdv) - sets.iv - sets.zv)
-                         if sets.pdv else frozenset())
-                per_tree_candidates.append(cands)
+                per_tree_candidates.append(
+                    frozenset(set().union(*sets.pdv) - sets.iv - sets.zv))
         except PathCapExceeded:
             iterations.append(
                 IterationTrace(dseed, forest, (), frozenset(), ())
@@ -182,7 +169,7 @@ def hsieve_once(
                 continue
             for eid, e in edges.items():
                 if e.src in tree.vertices and e.dst in tree.vertices:
-                    if any(e.effect.get(x, 0) < 0 for x in cands):
+                    if any(effects[eid].get(x, 0) < 0 for x in cands):
                         removed.add(eid)
 
         all_candidates = frozenset().union(*per_tree_candidates)
@@ -242,9 +229,8 @@ def progress_sieve(fmp: Fmp) -> Verdict:
     a progress variable are removed and the remainder is re-decomposed. Any
     component with no removable edge refutes qualitative termination.
     """
-    _require_normalized(fmp)
+    effects = {e.id: e.effect for e in fmp.edges}  # raises unless normalized
     g = policy_graph(fmp)
-    effects = {e.id: e.effect for e in fmp.edges}
 
     def melts(sub: DiGraph) -> bool:
         parts = scc_decompose(sub)

@@ -51,6 +51,17 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
+def _positive_int(text: str) -> int:
+    """argparse type for counts and caps: an integer of at least 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        value = 0
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+    return value
+
+
 def _build_parser() -> _Parser:
     p = _Parser(prog="termsieve", description=__doc__)
     sub = p.add_subparsers(dest="command", required=True)
@@ -65,8 +76,8 @@ def _build_parser() -> _Parser:
 
     c = policy_cmd("analyze", "hierarchical termination analysis")
     c.add_argument("--seed", type=int, default=0)
-    c.add_argument("--def-samples", type=int, default=1)
-    c.add_argument("--path-cap", type=int, default=DEFAULT_PATH_CAP)
+    c.add_argument("--def-samples", type=_positive_int, default=1)
+    c.add_argument("--path-cap", type=_positive_int, default=DEFAULT_PATH_CAP)
     c.add_argument("--trace", metavar="OUT", default=None)
     c.add_argument("--emit-dot", metavar="DIR", default=None)
     c.add_argument("--strict", action="store_true")
@@ -81,7 +92,7 @@ def _build_parser() -> _Parser:
 
     c = policy_cmd("oracle", "bounded-exhaustive exploration over a start grid")
     c.add_argument("--grid-max", type=int, required=True)
-    c.add_argument("--max-configs", type=int, default=None)
+    c.add_argument("--max-configs", type=_positive_int, default=None)
     c.add_argument("--max-value", type=int, default=None)
     c.add_argument("--strict", action="store_true")
 

@@ -59,15 +59,13 @@ class SccPartition:
 
 
 def scc_decompose(g: DiGraph) -> SccPartition:
-    """Tarjan's algorithm, iterative; components sorted canonically."""
+    """Iterative Tarjan; the final sort, not the visit order, fixes the output."""
     adj: dict[str, list[str]] = {v: [] for v in g.vertices}
     self_loop: set[str] = set()
     for _, src, dst in g.arcs:
         adj[src].append(dst)
         if src == dst:
             self_loop.add(src)
-    for lst in adj.values():
-        lst.sort()
 
     index: dict[str, int] = {}
     low: dict[str, int] = {}
@@ -76,7 +74,7 @@ def scc_decompose(g: DiGraph) -> SccPartition:
     comps: list[frozenset[str]] = []
     counter = 0
 
-    for root in sorted(g.vertices):
+    for root in g.vertices:
         if root in index:
             continue
         work: list[tuple[str, int]] = [(root, 0)]

@@ -12,11 +12,11 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping, Sequence
+from typing import Iterator, Mapping
 
 from .model import ConcreteState, Fmp
 
-_WHITE, _GRAY, _BLACK_CLEAN, _BLACK_CAPPED = 0, 1, 2, 3
+_DONE = -1  # depth marker of a configuration whose subtree is explored
 
 ALL_HALT = "all_halt"
 LASSO_FOUND = "lasso_found"
@@ -172,9 +172,9 @@ def explore(
         else _derived_max_value(c, start_key[1])
     )
 
-    color: dict[tuple, int] = {}
-    gray_depth: dict[tuple, int] = {}
-    # frame: [key, edge_in, successors, next_index, capped]
+    # depth on the current path while a key is on it, then _DONE
+    depth: dict[tuple, int] = {}
+    # frame: [key, edge_in, successors, next_index]
     path: list[list] = []
     stats = {
         "expanded": 0,
@@ -185,8 +185,7 @@ def explore(
     goal_hits = 0
 
     def push(key: tuple, edge_in: str | None) -> None:
-        color[key] = _GRAY
-        gray_depth[key] = len(path)
+        depth[key] = len(path)
         stats["expanded"] += 1
         succ = c.successors(key)
         if not succ:
@@ -194,54 +193,39 @@ def explore(
             if c.goal is not None and c.satisfies_goal(key):
                 nonlocal goal_hits
                 goal_hits += 1
-        path.append([key, edge_in, succ, 0, False])
+        path.append([key, edge_in, succ, 0])
 
     push(start_key, None)
-    witness: LassoWitness | None = None
 
     while path:
         frame = path[-1]
-        key, _, succ, i, capped = frame
+        key, _, succ, i = frame
         if i < len(succ):
             frame[3] = i + 1
             eid, nkey = succ[i]
             if max(nkey[1], default=0) > max_value:
-                frame[4] = True
                 stats["value_cap_hits"] += 1
                 continue
-            st = color.get(nkey, _WHITE)
-            if st == _GRAY:
-                steps = [
-                    (f[1], c.config(f[0]))
-                    for f in path[gray_depth[nkey] + 1 :]
-                ]
+            d = depth.get(nkey)
+            if d == _DONE:
+                continue
+            if d is not None:
+                steps = [(f[1], c.config(f[0])) for f in path[1:]]
                 steps.append((eid, c.config(nkey)))
-                prefix = [
-                    (f[1], c.config(f[0])) for f in path[1 : gray_depth[nkey] + 1]
-                ]
-                witness = LassoWitness(
-                    start=c.config(path[0][0]),
-                    steps=tuple(prefix + steps),
-                    cycle_start=gray_depth[nkey],
-                )
+                witness = LassoWitness(start=c.config(path[0][0]),
+                                       steps=tuple(steps), cycle_start=d)
                 return ExploreResult(LASSO_FOUND, witness, stats)
-            if st == _BLACK_CAPPED:
-                frame[4] = True
-                continue
-            if st == _BLACK_CLEAN:
-                continue
             if stats["expanded"] >= caps.max_configs:
                 stats["config_cap"] = 1
                 return ExploreResult(INCONCLUSIVE, None, stats)
             push(nkey, eid)
         else:
             path.pop()
-            color[key] = _BLACK_CAPPED if capped else _BLACK_CLEAN
-            del gray_depth[key]
-            if path and capped:
-                path[-1][4] = True
+            depth[key] = _DONE
 
-    if color[start_key] == _BLACK_CAPPED:
+    # Every configuration descends from the start, so any value-cap hit
+    # leaves a branch unexplored below it.
+    if stats["value_cap_hits"]:
         return ExploreResult(INCONCLUSIVE, None, stats)
     goal_report = None
     if c.goal is not None:
@@ -291,40 +275,3 @@ def run_random(
         eid, key = rng.choice(succ)
         steps.append((eid, c.config(key)))
     return SimTrace(steps=tuple(steps), halted=not c.successors(key))
-
-
-def is_deterministic(fmp: Fmp) -> bool:
-    """True iff no state can ever enable two distinct outgoing edges.
-
-    Uses effective guards: the declared intervals tightened by the lower
-    bounds the edge's own effect imposes (taking the edge requires
-    x >= lower_bound - delta for every decreasing delta).
-    """
-    c = _Compiled(fmp)
-    for q in fmp.qstates:
-        entries = c.table[q]
-        effective = []
-        for _, guards, deltas, _ in entries:
-            iv: dict[int, tuple[int, int | None]] = {}
-            for i in range(len(c.order)):
-                iv[i] = (c.lbs[i], None)
-            for i, lo, hi in guards:
-                cur_lo, cur_hi = iv[i]
-                iv[i] = (max(cur_lo, lo), hi if cur_hi is None else min(cur_hi, hi))
-            for i, d in deltas:
-                if d < 0:
-                    cur_lo, cur_hi = iv[i]
-                    iv[i] = (max(cur_lo, c.lbs[i] - d), cur_hi)
-            effective.append(iv)
-        for a, b in itertools.combinations(effective, 2):
-            disjoint = False
-            for i in range(len(c.order)):
-                lo = max(a[i][0], b[i][0])
-                his = [h for h in (a[i][1], b[i][1]) if h is not None]
-                hi = min(his) if his else None
-                if hi is not None and lo > hi:
-                    disjoint = True
-                    break
-            if not disjoint:
-                return False
-    return True

@@ -96,18 +96,16 @@ class PathContext:
             out.append(_summary(kind, arcs, self.effects))
 
         q = quotient(self.graph, node)
-        to_elim = _reverse_reachable(q, (node.elim,))
         for arcs in _simple_paths(q.adjacency(), node.elim, {node.elim},
-                                  to_elim - {node.elim}):
+                                  q.vertices - {node.elim}):
             add("cycle", arcs)
 
         entries, exits = boundary(self.graph, node.vertices, self.q0)
         if entries and exits:
             sub = induced(self.graph, node.vertices)
             adj = sub.adjacency()
-            to_exit = _reverse_reachable(sub, exits)
             for start in sorted(entries):
-                for arcs in _simple_paths(adj, start, exits, to_exit):
+                for arcs in _simple_paths(adj, start, exits, sub.vertices):
                     add("through", arcs)
         return tuple(out)
 
@@ -119,22 +117,6 @@ def _check_node(node: DetNode) -> None:
         raise InvalidNodeError(
             f"invalid-node: elim {node.elim} outside vertex set"
         )
-
-
-def _reverse_reachable(g: DiGraph, targets: Iterable[str]) -> set[str]:
-    """Vertices with a (possibly empty) path into `targets`."""
-    radj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for _, src, dst in g.arcs:
-        radj[dst].append(src)
-    seen = set(targets)
-    stack = list(seen)
-    while stack:
-        v = stack.pop()
-        for u in radj[v]:
-            if u not in seen:
-                seen.add(u)
-                stack.append(u)
-    return seen
 
 
 def _summary(kind: str, edge_ids: list[str],

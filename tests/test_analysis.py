@@ -185,13 +185,17 @@ class TestDegenerateGraphs:
         assert rep.verdict == Verdict(TERMINATING, "no-empty-dv")
 
     def test_rejects_unnormalized(self):
-        e = Edge(id="e1", src="q0", dst="q0", actions=({"x": 1}, {"x": -1}))
-        f = Fmp(variables=(VarDecl("x"),), qstates=("q0",), initial="q0",
-                edges=(e,))
-        with pytest.raises(ValueError):
-            hsieve_once(f, 0)
-        with pytest.raises(ValueError):
-            progress_sieve(f)
+        # the q0 -> q1 policy is acyclic, so hsieve_once must reject it
+        # before it returns `graph-acyclic`
+        for qstates, dst in [(("q0",), "q0"), (("q0", "q1"), "q1")]:
+            e = Edge(id="e1", src="q0", dst=dst,
+                     actions=({"x": 1}, {"x": -1}))
+            f = Fmp(variables=(VarDecl("x"),), qstates=qstates,
+                    initial="q0", edges=(e,))
+            with pytest.raises(ValueError):
+                hsieve_once(f, 0)
+            with pytest.raises(ValueError):
+                progress_sieve(f)
 
 
 class TestResourceCap:

@@ -124,6 +124,18 @@ class TestAnalyze:
         assert code == 0
         assert "detail=resource-cap" in out
 
+    @pytest.mark.parametrize("argv", [
+        ("analyze", "--path-cap", "0"),
+        ("analyze", "--path-cap", "-3"),
+        ("analyze", "--def-samples", "0"),
+        ("oracle", "--grid-max", "1", "--max-configs", "0"),
+    ])
+    def test_counts_below_one_are_usage_errors(self, capsys, argv):
+        code, out, err = run(capsys, *argv, EXAMPLE1)
+        assert code == 2
+        assert err.startswith("error:")
+        assert out == ""
+
     def test_long_ring(self, capsys, tmp_path):
         p = str(tmp_path / "ring.json")
         save_policy(p, ring_policy(1500))
@@ -303,6 +315,14 @@ class TestDispatch:
 
     def test_unknown_command(self, capsys):
         assert run(capsys, "frobnicate")[0] == 2
+
+    def test_python_m(self, tmp_path):
+        r = subprocess.run(
+            [sys.executable, "-m", "termsieve", "check", EXAMPLE1],
+            capture_output=True, text=True, cwd=tmp_path,
+            env={**os.environ, "PYTHONPATH": str(FIXTURES.parent / "src")})
+        assert r.returncode == 0, r.stderr
+        assert r.stdout == "valid=true\n"
 
     @pytest.mark.skipif(importlib.util.find_spec("tomllib") is None,
                         reason="the build needs tomli before Python 3.11, "

@@ -11,7 +11,6 @@ from termsieve.oracle import (
     explore,
     explore_grid,
     grid_states,
-    is_deterministic,
     run_random,
     step,
 )
@@ -257,53 +256,3 @@ class TestRunRandom:
         a = run_random(f, f.state({"x": 4, "y": 4}), seed=9)
         b = run_random(f, f.state({"x": 4, "y": 4}), seed=9)
         assert a == b
-
-
-class TestIsDeterministic:
-    def test_single_edge_chain(self):
-        assert is_deterministic(chain_policy())
-        assert is_deterministic(fixture("example1"))
-
-    def test_overlapping_self_loops(self):
-        assert not is_deterministic(fixture("f2"))
-        assert not is_deterministic(fixture("f3"))
-
-    def test_parallel_unguarded_loops(self):
-        f = Fmp(
-            variables=(VarDecl("x"),),
-            qstates=("q0",),
-            initial="q0",
-            edges=(
-                Edge.single("a", "q0", "q0", effect={"x": 1}),
-                Edge.single("b", "q0", "q0", effect={"x": 1}),
-            ),
-        )
-        assert not is_deterministic(f)
-
-    def test_bound_tightening_separates(self):
-        # the decrement implicitly needs x >= 1, the other edge needs x == 0
-        f = Fmp(
-            variables=(VarDecl("x"),),
-            qstates=("q0",),
-            initial="q0",
-            edges=(
-                Edge.single("dec", "q0", "q0", effect={"x": -1}),
-                Edge.single("reset", "q0", "q0", effect={"x": 2},
-                            guard=Guard({"x": (0, 0)})),
-            ),
-        )
-        assert is_deterministic(f)
-
-    def test_disjoint_guards(self):
-        f = Fmp(
-            variables=(VarDecl("x"),),
-            qstates=("q0",),
-            initial="q0",
-            edges=(
-                Edge.single("lo", "q0", "q0", effect={"x": 1},
-                            guard=Guard({"x": (0, 4)})),
-                Edge.single("hi", "q0", "q0", effect={"x": -1},
-                            guard=Guard({"x": (5, None)})),
-            ),
-        )
-        assert is_deterministic(f)

@@ -277,6 +277,9 @@ class TestCapsAndErrors:
 class TestAgainstBruteForce:
     def test_random_graphs(self):
         rng = random.Random(240110)
+        # childless nodes on arbitrary vertex subsets, which need not be
+        # strongly connected, drawn from their own stream
+        pick = random.Random(7)
         checked = 0
         for _ in range(300):
             g = random_digraph(rng, max_vertices=5, max_arcs=9)
@@ -284,7 +287,10 @@ class TestAgainstBruteForce:
             q0 = rng.choice(sorted(g.vertices)) if rng.random() < 0.7 else None
             ctx = PathContext(g, effects, q0)
             forest = build_def(g, rng.randint(0, 10**6))
-            for node in iter_nodes(forest):
+            vs = sorted(g.vertices)
+            part = sorted(pick.sample(vs, pick.randint(1, len(vs))))
+            loose = DetNode(frozenset(part), pick.choice(part), ())
+            for node in [*iter_nodes(forest), loose]:
                 q = quotient(g, node)
                 want_c = brute_cycle_paths(q, node.elim)
                 assert ids(cycles(node, ctx)) == want_c
@@ -294,7 +300,7 @@ class TestAgainstBruteForce:
                 assert ids(throughs(node, ctx)) == want_t
                 assert var_sets(node, ctx) == brute_var_sets(g, effects, q0, node)
                 checked += 1
-        assert checked >= 200
+        assert checked >= 500
 
     def test_nets_match_plain_sum(self):
         rng = random.Random(9)
