@@ -18,6 +18,7 @@ from .graphs import DiGraph, SccPartition, boundary, induced, is_acyclic, policy
 from .model import (
     ConcreteState,
     Edge,
+    EffectCode,
     Fmp,
     Guard,
     VarDecl,

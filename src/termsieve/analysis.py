@@ -2,7 +2,7 @@
 
 The hierarchical analysis loops: build a fresh elimination forest over the
 current (pruned) control graph, aggregate per-tree variable sets from path
-summaries, declare termination when every root's decrease family is free of
+keys, declare termination when every root's decrease family is free of
 the empty set, and otherwise remove edges that strictly decrease a removal
 candidate of their own component. Each SCC is analyzed independently: the SCC
 condensation is a DAG, so an infinite execution eventually stays inside one
@@ -145,7 +145,7 @@ def hsieve_once(
 
         ctx = PathContext(
             graph=graph,
-            effects=effects,
+            code=fmp.effect_code,
             q0=fmp.initial,
             path_cap=cfg.path_cap,
         )

@@ -51,15 +51,25 @@ class _Parser(argparse.ArgumentParser):
         raise _UsageError(message)
 
 
-def _positive_int(text: str) -> int:
-    """argparse type for counts and caps: an integer of at least 1."""
+def _int_at_least(text: str, low: int) -> int:
     try:
         value = int(text)
     except ValueError:
-        value = 0
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1, got {text!r}")
+        value = low - 1
+    if value < low:
+        raise argparse.ArgumentTypeError(
+            f"expected an integer >= {low}, got {text!r}")
     return value
+
+
+def _positive_int(text: str) -> int:
+    """argparse type for counts and caps: an integer of at least 1."""
+    return _int_at_least(text, 1)
+
+
+def _nonnegative_int(text: str) -> int:
+    """argparse type for value bounds: an integer of at least 0."""
+    return _int_at_least(text, 0)
 
 
 def _build_parser() -> _Parser:
@@ -87,13 +97,13 @@ def _build_parser() -> _Parser:
 
     c = policy_cmd("simulate", "one random execution")
     c.add_argument("--init", required=True, metavar="x=3,y=0")
-    c.add_argument("--max-steps", type=int, default=1000)
+    c.add_argument("--max-steps", type=_positive_int, default=1000)
     c.add_argument("--seed", type=int, default=0)
 
     c = policy_cmd("oracle", "bounded-exhaustive exploration over a start grid")
-    c.add_argument("--grid-max", type=int, required=True)
+    c.add_argument("--grid-max", type=_nonnegative_int, required=True)
     c.add_argument("--max-configs", type=_positive_int, default=None)
-    c.add_argument("--max-value", type=int, default=None)
+    c.add_argument("--max-value", type=_nonnegative_int, default=None)
     c.add_argument("--strict", action="store_true")
 
     c = sub.add_parser("generate", help="random policy")
@@ -219,8 +229,6 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     fmp = _load_valid(args.file)
-    if args.grid_max < 0:
-        raise _UsageError("--grid-max must be >= 0")
     caps = ExploreCaps(
         max_configs=args.max_configs if args.max_configs is not None else 1_000_000,
         max_value=args.max_value,

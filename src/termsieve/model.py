@@ -79,6 +79,51 @@ class Edge:
         return self.actions[0]
 
 
+class EffectCode:
+    """Edge effects as integer weights whose sums are path effects.
+
+    A variable some edge moves gets two balanced base-`base` digits: the net
+    change, and the number of moves. The weight of an edge is
+    `sum(delta_i * base**(2i) + base**(2i+1))` over the variables it moves,
+    so the sum of the weights along a path of at most `max_len` edges is a
+    key from which `net` reads the path's net effect back. `base` is chosen
+    so that no digit of such a sum overflows into the next.
+    """
+
+    def __init__(self, effects: Mapping[str, Effect], max_len: int):
+        moved = sorted({var for eff in effects.values()
+                        for var, delta in eff.items() if delta})
+        top = max((abs(delta) for eff in effects.values()
+                   for delta in eff.values()), default=0)
+        self.variables = tuple(moved)
+        self.base = base = 2 * max_len * (top + 1) + 1
+        unit = {var: base ** (2 * i) for i, var in enumerate(moved)}
+        self.weight = {
+            eid: sum((delta + base) * unit[var]
+                     for var, delta in eff.items() if delta)
+            for eid, eff in effects.items()
+        }
+
+    def net(self, key: int) -> dict[str, int]:
+        """Net change per variable for a sum of weights.
+
+        A variable appears iff some summed edge moves it; a variable mapped
+        to 0 records moves that cancel.
+        """
+        base, half = self.base, self.base // 2
+        out: dict[str, int] = {}
+        for var in self.variables:
+            delta = key % base
+            key //= base
+            if delta > half:
+                delta -= base
+                key += 1
+            if key % base:
+                out[var] = delta
+            key //= base
+        return out
+
+
 @dataclass(frozen=True)
 class ConcreteState:
     """A full valuation of the declared variables plus their lower bounds."""
@@ -110,6 +155,12 @@ class Fmp:
     @cached_property
     def var_names(self) -> tuple[str, ...]:
         return tuple(v.name for v in self.variables)
+
+    @cached_property
+    def effect_code(self) -> EffectCode:
+        """The edge effects as integer weights; raises unless normalized."""
+        return EffectCode({e.id: e.effect for e in self.edges},
+                          len(self.qstates))
 
     @cached_property
     def edges_from(self) -> dict[str, tuple[Edge, ...]]:
@@ -255,17 +306,6 @@ def normalize(fmp: Fmp, log: list[str] | None = None) -> Fmp:
         terminal=fmp.terminal,
         goal=fmp.goal,
     )
-
-
-def accumulate(net: dict[str, int], effect: Effect) -> None:
-    """Add an effect into a running net change, in place.
-
-    A key appears iff some added effect moves that variable (nonzero delta);
-    a key mapped to 0 records opposing moves that cancel.
-    """
-    for var, delta in effect.items():
-        if delta:
-            net[var] = net.get(var, 0) + delta
 
 
 def effect_str(effect: Effect) -> str:

@@ -12,9 +12,11 @@ import pathlib
 import random
 
 from termsieve.graphs import Arc, DiGraph
-from termsieve.model import ConcreteState, Edge, Fmp, Guard, VarDecl
+from termsieve.model import (
+    ConcreteState, Edge, Effect, EffectCode, Fmp, Guard, VarDecl,
+)
 from termsieve.oracle import Configuration
-from termsieve.paths import NodeVarSets
+from termsieve.paths import DEFAULT_PATH_CAP, NodeVarSets, PathContext
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 TEST_FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -63,6 +65,23 @@ def random_digraph(rng: random.Random, max_vertices: int = 6,
 
 
 # ----------------------------------------------------------- path oracles
+
+def accumulate(net: dict[str, int], effect: Effect) -> None:
+    """Add an effect into a running net change, in place.
+
+    A key appears iff some added effect moves that variable (nonzero delta);
+    a key mapped to 0 records opposing moves that cancel.
+    """
+    for var, delta in effect.items():
+        if delta:
+            net[var] = net.get(var, 0) + delta
+
+
+def path_ctx(g: DiGraph, effects, q0, path_cap: int = DEFAULT_PATH_CAP
+             ) -> PathContext:
+    """A PathContext on `g` with the effect code of `effects`."""
+    return PathContext(g, EffectCode(effects, len(g.vertices)), q0, path_cap)
+
 
 def brute_cycle_paths(q: DiGraph, elim: str) -> set[tuple[str, ...]]:
     """All arc sequences elim -> ... -> elim where elim appears exactly
@@ -134,9 +153,7 @@ def brute_var_sets(g: DiGraph, effects, q0, node) -> NodeVarSets:
         for seq in seqs:
             net: dict[str, int] = {}
             for aid in seq:
-                for var, delta in effects[aid].items():
-                    if delta:
-                        net[var] = net.get(var, 0) + delta
+                accumulate(net, effects[aid])
             iv.update(v for v, d in net.items() if d > 0)
             zv.update(v for v, d in net.items() if d == 0)
             pdv.add(frozenset(v for v, d in net.items() if d < 0))

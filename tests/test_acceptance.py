@@ -24,7 +24,7 @@ from termsieve.policyio import load_policy, parse_policy, serialize_policy
 
 from helpers import (
     FIXTURES, TEST_FIXTURES, brute_sccs, guard_free_walks, iter_nodes,
-    random_digraph, random_small_policy, replay_lasso,
+    path_ctx, random_digraph, random_small_policy, replay_lasso,
 )
 
 
@@ -232,7 +232,7 @@ def _c_path_shapes(target):
         }
         q0 = rng.choice(sorted(g.vertices)) if rng.random() < 0.5 else None
         forest = build_def(g, rng.randrange(1 << 16))
-        ctx = PathContext(g, effects, q0)
+        ctx = path_ctx(g, effects, q0)
         for node in iter_nodes(forest):
             try:
                 paths = ctx.paths(node)
@@ -284,7 +284,8 @@ def _c_iv_covers_positive_walks(target):
         fmp = normalize(random_small_policy(rng))
         g = policy_graph(fmp)
         forest = build_def(g, rng.randrange(1 << 16))
-        ctx = PathContext(g, {e.id: e.effect for e in fmp.edges}, fmp.initial)
+        effects = {e.id: e.effect for e in fmp.edges}
+        ctx = PathContext(g, fmp.effect_code, fmp.initial)
         try:
             for node in iter_nodes(forest):
                 iv = var_sets(node, ctx).iv
@@ -299,7 +300,7 @@ def _c_iv_covers_positive_walks(target):
                     cases += 1
                     net = {}
                     for aid, _dst in prefix:
-                        for v, dd in ctx.effects[aid].items():
+                        for v, dd in effects[aid].items():
                             net[v] = net.get(v, 0) + dd
                     gained = {v for v, dd in net.items() if dd > 0}
                     if not gained <= iv:
@@ -318,7 +319,8 @@ def _c_dv_forces_decrease(target):
         fmp = normalize(random_small_policy(rng))
         g = policy_graph(fmp)
         forest = build_def(g, rng.randrange(1 << 16))
-        ctx = PathContext(g, {e.id: e.effect for e in fmp.edges}, fmp.initial)
+        effects = {e.id: e.effect for e in fmp.edges}
+        ctx = PathContext(g, fmp.effect_code, fmp.initial)
         try:
             for node in iter_nodes(forest):
                 dv = var_sets(node, ctx).dv
@@ -335,7 +337,7 @@ def _c_dv_forces_decrease(target):
                     cases += 1
                     net = {}
                     for aid, _dst in prefix:
-                        for v, dd in ctx.effects[aid].items():
+                        for v, dd in effects[aid].items():
                             net[v] = net.get(v, 0) + dd
                     if not any(dd < 0 for dd in net.values()):
                         return cases, [

@@ -114,7 +114,7 @@ class TestChildrenWithCollidingNames:
         f = two_pair_lasso_policy()
         g = policy_graph(f)
         effects = {e.id: e.effect for e in f.edges}
-        ctx = PathContext(g, effects, f.initial)
+        ctx = PathContext(g, f.effect_code, f.initial)
         for seed in range(20):
             for node in iter_nodes(build_def(g, seed)):
                 assert var_sets(node, ctx) == brute_var_sets(

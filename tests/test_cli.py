@@ -129,6 +129,9 @@ class TestAnalyze:
         ("analyze", "--path-cap", "-3"),
         ("analyze", "--def-samples", "0"),
         ("oracle", "--grid-max", "1", "--max-configs", "0"),
+        ("simulate", "--init", "x=1", "--max-steps", "0"),
+        ("simulate", "--init", "x=1", "--max-steps", "-4"),
+        ("oracle", "--grid-max", "1", "--max-value", "-5"),
     ])
     def test_counts_below_one_are_usage_errors(self, capsys, argv):
         code, out, err = run(capsys, *argv, EXAMPLE1)
@@ -259,6 +262,12 @@ class TestOracle:
         code, _, err = run(capsys, "oracle", F2, "--grid-max", "-1")
         assert code == 2
         assert "grid-max" in err
+
+    def test_zero_max_value_is_valid(self, capsys):
+        code, out, _ = run(capsys, "oracle", EXAMPLE1, "--grid-max", "1",
+                           "--max-value", "0")
+        assert code == 0
+        assert out.startswith("oracle=all_halt starts=2")
 
 
 class TestGenerate:

@@ -9,14 +9,15 @@ from termsieve.model import (
     Fmp,
     Guard,
     VarDecl,
-    accumulate,
     effect_str,
     normalize,
     validate,
 )
 from termsieve.oracle import Configuration, ExploreCaps, explore, step
 
-from helpers import chain_policy, random_small_policy, up_loop_policy
+from helpers import (
+    accumulate, chain_policy, random_small_policy, up_loop_policy,
+)
 
 
 def mk(variables=None, qstates=("q0",), initial="q0", edges=(), terminal=(),

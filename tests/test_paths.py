@@ -17,10 +17,12 @@ from termsieve.policyio import load_policy
 
 from helpers import (
     FIXTURES,
+    accumulate,
     brute_cycle_paths,
     brute_through_paths,
     brute_var_sets,
     iter_nodes,
+    path_ctx,
     random_digraph,
 )
 
@@ -36,7 +38,7 @@ def g_of(*arcs, extra=()):
 def ctx_for(fmp, path_cap=100_000):
     return PathContext(
         graph=policy_graph(fmp),
-        effects={e.id: e.effect for e in fmp.edges},
+        code=fmp.effect_code,
         q0=fmp.initial,
         path_cap=path_cap,
     )
@@ -102,12 +104,12 @@ class TestCyclePaths:
     def test_parallel_returns_are_distinct(self):
         g = g_of(("1", "v", "a"), ("2", "a", "v"), ("3", "a", "v"))
         node = DetNode(frozenset({"v", "a"}), "v", ())
-        ctx = PathContext(g, {x: {} for x in "123"}, None)
+        ctx = path_ctx(g, {x: {} for x in "123"}, None)
         assert ids(cycles(node, ctx)) == {("1", "2"), ("1", "3")}
 
     def test_rotation_depends_on_elim(self):
         g = g_of(("ab", "a", "b"), ("ba", "b", "a"))
-        ctx = PathContext(g, {"ab": {}, "ba": {}}, None)
+        ctx = path_ctx(g, {"ab": {}, "ba": {}}, None)
         at_a = cycles(DetNode(frozenset({"a", "b"}), "a", ()), ctx)
         at_b = cycles(DetNode(frozenset({"a", "b"}), "b", ()), ctx)
         assert ids(at_a) == {("ab", "ba")}
@@ -119,7 +121,7 @@ class TestCyclePaths:
                  ("bc", "b", "c"), ("cb", "c", "b"))
         child = DetNode(frozenset({"b", "c"}), "b", ())
         root = DetNode(frozenset({"a", "b", "c"}), "a", (child,))
-        ctx = PathContext(g, {x: {} for x in ("ab", "ba", "bc", "cb")}, None)
+        ctx = path_ctx(g, {x: {} for x in ("ab", "ba", "bc", "cb")}, None)
         assert ids(cycles(root, ctx)) == {("ab", "ba")}
 
 
@@ -129,7 +131,7 @@ class TestThroughPaths:
         g = g_of(("in", "x", "v"), ("vw", "v", "w"), ("wv", "w", "v"),
                  ("out", "w", "t"))
         node = DetNode(frozenset({"v", "w"}), "v", ())
-        ctx = PathContext(g, {x: {} for x in ("in", "vw", "wv", "out")}, None)
+        ctx = path_ctx(g, {x: {} for x in ("in", "vw", "wv", "out")}, None)
         assert ids(throughs(node, ctx)) == {("vw",)}
 
     def test_zero_length_excluded(self):
@@ -137,15 +139,15 @@ class TestThroughPaths:
         g = g_of(("in", "x", "v"), ("vw", "v", "w"), ("wv", "w", "v"),
                  ("out", "v", "t"))
         node = DetNode(frozenset({"v", "w"}), "v", ())
-        ctx = PathContext(g, {x: {} for x in ("in", "vw", "wv", "out")}, None)
+        ctx = path_ctx(g, {x: {} for x in ("in", "vw", "wv", "out")}, None)
         assert throughs(node, ctx) == ()
 
     def test_initial_qstate_counts_as_entry(self):
         g = g_of(("1", "q0", "w"), ("2", "w", "q0"), ("3", "w", "t"))
         node = DetNode(frozenset({"q0", "w"}), "q0", ())
         effects = {x: {} for x in "123"}
-        with_q0 = PathContext(g, effects, "q0")
-        without = PathContext(g, effects, None)
+        with_q0 = path_ctx(g, effects, "q0")
+        without = path_ctx(g, effects, None)
         assert ids(throughs(node, with_q0)) == {("1",)}
         assert throughs(node, without) == ()
 
@@ -154,8 +156,8 @@ class TestThroughPaths:
         g = g_of(("in", "x", "v"), ("a", "v", "w"), ("b", "w", "u"),
                  ("c", "u", "v"), ("o1", "w", "t"), ("o2", "u", "t"))
         node = DetNode(frozenset({"v", "w", "u"}), "v", ())
-        ctx = PathContext(g, {x: {} for x in ("in", "a", "b", "c", "o1", "o2")},
-                          None)
+        ctx = path_ctx(g, {x: {} for x in ("in", "a", "b", "c", "o1", "o2")},
+                       None)
         assert ids(throughs(node, ctx)) == {("a",), ("a", "b")}
 
 
@@ -170,7 +172,7 @@ class TestHubNode:
 
     def ctx(self):
         effects = {f"a{i}": {} for i in range(1, 13)}
-        return PathContext(self.HUB, effects, "q0")
+        return path_ctx(self.HUB, effects, "q0")
 
     def root(self):
         c1 = DetNode(frozenset({"q0", "q1"}), "q0", ())
@@ -263,6 +265,18 @@ class TestCapsAndErrors:
         node = DetNode(frozenset({"q0"}), "q0", ())
         assert len(ctx.paths(node)) == 2
 
+    def test_cap_counts_paths_not_keys(self):
+        # n parallel arcs close n cycle paths that all share one key
+        n = 5
+        arcs = [(f"p{i}", "v", "a") for i in range(n)] + [("back", "a", "v")]
+        effects = {aid: {"x": -1} if aid == "back" else {} for aid, _, _ in arcs}
+        g = g_of(*arcs)
+        node = DetNode(frozenset({"v", "a"}), "v", ())
+        at_cap = var_sets(node, path_ctx(g, effects, None, path_cap=n))
+        assert at_cap.pdv == fz({"x"})
+        with pytest.raises(PathCapExceeded):
+            var_sets(node, path_ctx(g, effects, None, path_cap=n - 1))
+
     def test_empty_node_rejected(self):
         f = load_policy(FIXTURES / "f2.fmp.json")
         with pytest.raises(InvalidNodeError):
@@ -285,7 +299,7 @@ class TestAgainstBruteForce:
             g = random_digraph(rng, max_vertices=5, max_arcs=9)
             effects = {a[0]: {"x": rng.randint(-2, 2)} for a in g.arcs}
             q0 = rng.choice(sorted(g.vertices)) if rng.random() < 0.7 else None
-            ctx = PathContext(g, effects, q0)
+            ctx = path_ctx(g, effects, q0)
             forest = build_def(g, rng.randint(0, 10**6))
             vs = sorted(g.vertices)
             part = sorted(pick.sample(vs, pick.randint(1, len(vs))))
@@ -310,7 +324,7 @@ class TestAgainstBruteForce:
                 a[0]: {f"x{i}": rng.randint(-2, 2) for i in range(2)}
                 for a in g.arcs
             }
-            ctx = PathContext(g, effects, None)
+            ctx = path_ctx(g, effects, None)
             for node in iter_nodes(build_def(g, 1)):
                 for p in ctx.paths(node):
                     want = Counter()
@@ -319,3 +333,25 @@ class TestAgainstBruteForce:
                             if d:
                                 want[var] += d
                     assert dict(p.net) == dict(want)
+
+    def test_wide_deltas_do_not_carry(self):
+        # path sums up to |V| * 10**6 on up to 6 counters, with cancelling
+        # moves, must stay inside their own digits of the path key
+        rng = random.Random(606)
+        top = 10**6
+        for _ in range(150):
+            g = random_digraph(rng, max_vertices=6, max_arcs=10)
+            names = [f"x{i}" for i in range(rng.randint(1, 6))]
+            effects = {
+                a[0]: {v: rng.choice((-top, top, rng.randint(-top, top)))
+                       for v in rng.sample(names, rng.randint(0, len(names)))}
+                for a in g.arcs
+            }
+            q0 = rng.choice(sorted(g.vertices))
+            ctx = path_ctx(g, effects, q0)
+            for node in iter_nodes(build_def(g, rng.randint(0, 10**6))):
+                for p in ctx.paths(node):
+                    want: dict[str, int] = {}
+                    for eid in p.edge_ids:
+                        accumulate(want, effects[eid])
+                    assert dict(p.net) == want

@@ -6,13 +6,13 @@ from hypothesis import given, settings, strategies as st
 from termsieve.decomposition import build_def, check_det
 from termsieve.graphs import DiGraph, is_acyclic, policy_graph, scc_decompose
 from termsieve.model import (
-    Edge, Fmp, Guard, VarDecl, accumulate, normalize, validate,
+    Edge, Fmp, Guard, VarDecl, normalize, validate,
 )
 from termsieve.oracle import ExploreCaps, explore
 from termsieve.paths import boxminus
 from termsieve.policyio import parse_policy, serialize_policy
 
-from helpers import brute_sccs
+from helpers import accumulate, brute_sccs
 
 # ---------------------------------------------------------------- strategies
 
