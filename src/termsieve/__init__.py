@@ -44,6 +44,7 @@ from .paths import (
     NodeVarSets,
     PathCapExceeded,
     PathContext,
+    PathGraph,
     PathSummary,
     boxminus,
     var_sets,

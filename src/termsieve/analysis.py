@@ -22,6 +22,7 @@ from .paths import (
     NodeVarSets,
     PathCapExceeded,
     PathContext,
+    PathGraph,
     var_sets,
 )
 
@@ -144,8 +145,8 @@ def hsieve_once(
             return report(TERMINATING, "graph-acyclic")
 
         ctx = PathContext(
-            graph=graph,
-            code=fmp.effect_code,
+            graph=fmp.path_graph if len(edges) == len(fmp.edges)
+            else PathGraph(graph.vertices, graph.arcs, fmp.effect_code),
             q0=fmp.initial,
             path_cap=cfg.path_cap,
         )

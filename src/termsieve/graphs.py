@@ -22,15 +22,6 @@ class DiGraph:
             if src not in self.vertices or dst not in self.vertices:
                 raise ValueError(f"arc {aid}: endpoint outside vertex set")
 
-    def adjacency(self) -> dict[str, list[tuple[str, str]]]:
-        """src -> [(arc id, dst)], deterministically ordered."""
-        adj: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
-        for aid, src, dst in self.arcs:
-            adj[src].append((aid, dst))
-        for lst in adj.values():
-            lst.sort(key=lambda t: (t[1], t[0]))
-        return adj
-
 
 def graph(vertices: Iterable[str], arcs: Iterable[Arc]) -> DiGraph:
     return DiGraph(vertices=frozenset(vertices), arcs=tuple(arcs))

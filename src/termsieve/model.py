@@ -9,7 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Mapping
+from typing import TYPE_CHECKING, Mapping
+
+if TYPE_CHECKING:
+    from .paths import PathGraph
 
 Effect = Mapping[str, int]
 Interval = tuple[int, int | None]  # inclusive min, inclusive max (None = unbounded)
@@ -82,12 +85,15 @@ class Edge:
 class EffectCode:
     """Edge effects as integer weights whose sums are path effects.
 
-    A variable some edge moves gets two balanced base-`base` digits: the net
-    change, and the number of moves. The weight of an edge is
-    `sum(delta_i * base**(2i) + base**(2i+1))` over the variables it moves,
-    so the sum of the weights along a path of at most `max_len` edges is a
-    key from which `net` reads the path's net effect back. `base` is chosen
-    so that no digit of such a sum overflows into the next.
+    A variable some edge moves gets a field of two digits in base `base`, a
+    power of two. The weight of an edge is
+    `sum((delta_i + base) * base**(2i))` over the variables it moves, so in
+    a sum of weights the field of variable `i` holds `moves * base + net`:
+    zero exactly when no summed edge moves it, and never negative. For a
+    path of at most `max_len` edges `base` exceeds twice any |net| and the
+    number of moves, so the sum of its weights is a key in which no field
+    carries into the next; `net` reads the path's net effect back from the
+    low digits, each the net modulo `base`.
     """
 
     def __init__(self, effects: Mapping[str, Effect], max_len: int):
@@ -96,10 +102,11 @@ class EffectCode:
         top = max((abs(delta) for eff in effects.values()
                    for delta in eff.values()), default=0)
         self.variables = tuple(moved)
-        self.base = base = 2 * max_len * (top + 1) + 1
-        unit = {var: base ** (2 * i) for i, var in enumerate(moved)}
+        self.bits = (2 * max(max_len, 1) * (top + 1)).bit_length()
+        self.base = base = 1 << self.bits
+        shift = {var: 2 * self.bits * i for i, var in enumerate(moved)}
         self.weight = {
-            eid: sum((delta + base) * unit[var]
+            eid: sum((delta + base) << shift[var]
                      for var, delta in eff.items() if delta)
             for eid, eff in effects.items()
         }
@@ -110,18 +117,35 @@ class EffectCode:
         A variable appears iff some summed edge moves it; a variable mapped
         to 0 records moves that cancel.
         """
-        base, half = self.base, self.base // 2
+        base, half, width = self.base, self.base >> 1, 2 * self.bits
+        field, digit = (1 << width) - 1, base - 1
         out: dict[str, int] = {}
         for var in self.variables:
-            delta = key % base
-            key //= base
-            if delta > half:
-                delta -= base
-                key += 1
-            if key % base:
-                out[var] = delta
-            key //= base
+            if key & field:
+                delta = key & digit
+                out[var] = delta if delta < half else delta - base
+            key >>= width
         return out
+
+    def signs(self, key: int) -> tuple[int, int, int]:
+        """Bit masks over `variables` of the nets `net(key)` reads as
+        positive, zero and negative, in that order."""
+        half, width = self.base >> 1, 2 * self.bits
+        field, digit = (1 << width) - 1, self.base - 1
+        inc = zero = dec = 0
+        bit = 1
+        while key:
+            if key & field:
+                delta = key & digit
+                if not delta:
+                    zero |= bit
+                elif delta < half:
+                    inc |= bit
+                else:
+                    dec |= bit
+            key >>= width
+            bit <<= 1
+        return inc, zero, dec
 
 
 @dataclass(frozen=True)
@@ -161,6 +185,16 @@ class Fmp:
         """The edge effects as integer weights; raises unless normalized."""
         return EffectCode({e.id: e.effect for e in self.edges},
                           len(self.qstates))
+
+    @cached_property
+    def path_graph(self) -> "PathGraph":
+        """The control graph compiled for path search, with the edge
+        weights of `effect_code`; raises unless normalized."""
+        from .paths import PathGraph  # paths imports this module
+
+        return PathGraph(self.qstates,
+                         ((e.id, e.src, e.dst) for e in self.edges),
+                         self.effect_code)
 
     @cached_property
     def edges_from(self) -> dict[str, tuple[Edge, ...]]:

@@ -1,23 +1,38 @@
-"""Path keys over elimination tree nodes.
+"""Path keys over elimination tree nodes, searched on a compiled graph.
 
-Two families of paths are enumerated per node, both by one iterative
-simple-path DFS. Cycle paths live in the node's quotient graph, where each
-child is collapsed onto its own elimination vertex: they start and end at the
-node's elimination vertex (visiting it exactly twice) and repeat no other
-quotient vertex. Through paths live in the induced subgraph on the node's
-original vertices: they are vertex-simple walks from an entry boundary vertex
-to an exit boundary vertex with at least one edge. Parallel arcs yield
-distinct paths; a collapsed child contributes zero effect (its internal arcs
-are not traversed at all).
+Two families of paths are enumerated per node. Cycle paths live in the
+node's quotient graph, where each child is collapsed onto its own
+elimination vertex: they start and end at the node's elimination vertex
+(visiting it exactly twice) and repeat no other quotient vertex. Through
+paths live in the induced subgraph on the node's original vertices: they are
+vertex-simple walks from an entry boundary vertex to an exit boundary vertex
+with at least one edge. Parallel arcs yield distinct paths; a collapsed child
+contributes zero effect (its internal arcs are not traversed at all).
 
-Every edge carries an integer weight from the policy's `EffectCode`, and a
-path's effect is the sum of its arc weights: its key. Each DFS frame holds
-the key of the path that reached it, so a step costs one addition and a
-backtrack none. The
-variable sets need only each path's net signs, so `var_sets` folds the
-distinct keys of a tree and decodes each once; `PathContext.paths` decodes
-every path into a `PathSummary` for callers that want edge ids. Nothing is
-cached: each call enumerates its node afresh.
+`PathGraph` compiles one edge set once. Qstates become bits in sorted-name
+order, and each vertex gets its out-arcs as `(dst index, dst bit, weight,
+dst successor mask, arc id)` in `(dst, arc id)` order, the weight coming from
+the policy's `EffectCode`. A node then needs no graph of its own: the path is
+one int whose bits start out set on every vertex outside the node, and the
+boundary is read off the successor and predecessor masks. Only a node with
+children builds arcs, those of its quotient, for its cycle search. The
+compiled full graph of a policy is cached as `Fmp.path_graph`, so every
+`hsieve` sample shares it; an iteration that follows an edge removal
+compiles its own.
+
+One iterative DFS serves both families. Each frame holds the key of the path
+that reached it, the sum of its arc weights, so a step costs one addition and
+a backtrack none. The DFS steps onto a vertex only when some target is still
+reachable from there while avoiding the path, which it checks by successor
+mask and then by a bitmask BFS: the blocking step of Johnson (SIAM J. Comput.
+1975), applied to st-paths as in Birmelé et al. (SODA 2013). A pruned branch
+would have emitted nothing, so the paths and their order are those of the
+plain search. Every descent leads to an emitted path, so a node costs
+O(arcs * qstates) work per emitted path and the path cap bounds the run time.
+
+`var_sets` adds each path's key to a set and decodes every distinct key once,
+into sign bitmasks. `PathContext.paths` reads each path's arc ids off the DFS
+stack and decodes its key into a `PathSummary`.
 
 Per-node enumeration is capped by the number of paths emitted, not of
 distinct keys; blowing the cap raises PathCapExceeded, which callers convert
@@ -27,15 +42,17 @@ into a resource-cap verdict rather than an unsound answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import AbstractSet, Iterable, Iterator, Mapping
+from typing import Iterable, Mapping, Sequence
 
-from .decomposition import DetNode, quotient
-from .graphs import DiGraph, boundary, induced
+from .decomposition import DetNode
 from .model import EffectCode
 
 DEFAULT_PATH_CAP = 100_000
 
 VarSetFamily = frozenset[frozenset[str]]
+
+# (dst index, dst bit, weight, successors of dst other than itself, arc id)
+_Arc = tuple[int, int, int, int, str]
 
 
 class InvalidNodeError(ValueError):
@@ -75,105 +92,218 @@ class NodeVarSets:
     dv: VarSetFamily
 
 
+class PathGraph:
+    """One edge set compiled for path search: bits, masks and weighted arcs.
+
+    Vertex `i` is the `i`-th qstate in sorted-name order, with bit `1 << i`;
+    `succ[i]` and `pred[i]` are the bit masks of its successors and
+    predecessors, and `out[i]` its out-arcs (see the module docstring).
+    """
+
+    def __init__(self, vertices: Iterable[str],
+                 arcs: Iterable[tuple[str, str, str]], code: EffectCode):
+        names = sorted(set(vertices))
+        self.code = code
+        self.all = (1 << len(names)) - 1
+        self.index = index = {v: i for i, v in enumerate(names)}
+        outs: list[list[tuple[int, str]]] = [[] for _ in names]
+        self.succ = [0] * len(names)
+        self.pred = [0] * len(names)
+        for aid, src, dst in arcs:
+            s, d = index[src], index[dst]
+            outs[s].append((d, aid))
+            self.succ[s] |= 1 << d
+            self.pred[d] |= 1 << s
+        self.out = tuple(_arcs(out, code.weight, self.succ) for out in outs)
+
+    def mask(self, vertices: Iterable[str]) -> int:
+        m = 0
+        for v in vertices:
+            if v not in self.index:
+                raise InvalidNodeError(f"invalid-node: {v} outside the graph")
+            m |= 1 << self.index[v]
+        return m
+
+    def quotient(self, node: DetNode, mask: int
+                 ) -> tuple[dict[int, Sequence[_Arc]], dict[int, int], int]:
+        """Out-arcs, successor masks and vertex mask of the node's quotient.
+
+        Each child collapses onto its own elim vertex; arcs internal to one
+        child are dropped, and every other arc inside the node keeps its id
+        and weight with its endpoints redirected.
+        """
+        index = self.index
+        rep: dict[int, int] = {}
+        for child in node.children:
+            for v in child.vertices:
+                rep[index[v]] = index[child.elim]
+        kept: dict[int, list[tuple[int, str]]] = {}
+        succ: dict[int, int] = {}
+        for v in _indices(mask):
+            s = rep.get(v, v)
+            out = kept.setdefault(s, [])
+            succ.setdefault(s, 0)
+            for d, dbit, _, _, aid in self.out[v]:
+                if dbit & mask:
+                    d = rep.get(d, d)
+                    if d != s or v not in rep:
+                        out.append((d, aid))
+                        succ[s] |= 1 << d
+        weight = self.code.weight
+        return ({s: _arcs(out, weight, succ) for s, out in kept.items()}, succ,
+                sum(1 << s for s in kept))
+
+
+def _arcs(out: list[tuple[int, str]], weight: Mapping[str, int],
+          succ: Sequence[int] | Mapping[int, int]) -> tuple[_Arc, ...]:
+    """Compiled out-arcs from `(dst, arc id)` pairs, in that order."""
+    return tuple((d, 1 << d, weight[aid], succ[d] & ~(1 << d), aid)
+                 for d, aid in sorted(out))
+
+
+def _indices(mask: int) -> Iterable[int]:
+    """Set bit positions of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def _reaches(succ: Sequence[int] | Mapping[int, int], frontier: int,
+             blocked: int, targets: int) -> bool:
+    """True iff a `targets` vertex is reachable from `frontier` by way of
+    vertices outside `blocked` (`frontier` itself holds no target)."""
+    seen = blocked | frontier
+    while frontier:
+        nxt = 0
+        while frontier:
+            low = frontier & -frontier
+            nxt |= succ[low.bit_length() - 1]
+            frontier ^= low
+        frontier = nxt & ~seen
+        if frontier & targets:
+            return True
+        seen |= frontier
+    return False
+
+
+def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
+          succ: Sequence[int] | Mapping[int, int], start: int, path: int,
+          targets: int, left: int, keys: set[int],
+          found: list[tuple[int, tuple[str, ...]]] | None) -> int:
+    """Emit every simple path from `start` that ends on a `targets` vertex.
+
+    A step goes onto a vertex outside `path`, and a path is emitted each
+    time a step lands on a target, so prefixes that end on a target are
+    emitted too. The walk never continues past `start`, so with `start`
+    left out of `path` a path can close on it, as a cycle path does on its
+    elim. Each path's key is added to `keys`, or, when `found` is a list,
+    appended to it with the path's arc ids.
+
+    Returns how many of the `left` paths allowed are left, or -1 when one
+    more path was found.
+    """
+    sbit = 1 << start
+    add = keys.add
+    stack: list[tuple[int, Iterable[_Arc], int, str]] = [
+        (sbit, iter(out[start]), 0, "")]
+    while stack:
+        bit, arcs, key, _ = stack[-1]
+        for w, wbit, weight, wsucc, aid in arcs:
+            if path & wbit:
+                continue
+            if wbit & targets:
+                if not left:
+                    return -1
+                left -= 1
+                if found is None:
+                    add(key + weight)
+                else:
+                    found.append((key + weight, tuple(
+                        f[3] for f in stack[1:]) + (aid,)))
+                if wbit == sbit:
+                    continue
+            free = wsucc & ~path
+            if not free or not (free & targets or _reaches(
+                    succ, free, path | wbit, targets)):
+                continue
+            path |= wbit
+            stack.append((wbit, iter(out[w]), key + weight, aid))
+            break
+        else:
+            stack.pop()
+            path ^= bit
+    return left
+
+
 class PathContext:
     """Enumeration context for one graph version.
 
-    Holds the current (possibly pruned) policy graph, the effect code of the
-    policy's edges, the policy's initial qstate, and the per-node path cap.
-    The DFS sums each path's arc weights into one integer key as it goes;
-    `code.net` reads a key back as the path's net effect.
+    Holds the current (possibly pruned) policy graph in compiled form, the
+    policy's initial qstate, and the per-node path cap. The compiled graph
+    is the one cache: `hsieve` passes `Fmp.path_graph` until an iteration
+    removes edges, so every sample of a policy shares one compilation.
+    Nothing per node is kept; each call enumerates its node afresh, and its
+    searches step onto a vertex only when a target is still reachable from
+    there, so the cap on emitted paths also bounds their work.
     """
 
-    def __init__(
-        self,
-        graph: DiGraph,
-        code: EffectCode,
-        q0: str | None,
-        path_cap: int = DEFAULT_PATH_CAP,
-    ):
+    def __init__(self, graph: PathGraph, q0: str | None,
+                 path_cap: int = DEFAULT_PATH_CAP):
         self.graph = graph
-        self.code = code
         self.q0 = q0
         self.path_cap = path_cap
 
     def paths(self, node: DetNode) -> tuple[PathSummary, ...]:
         """Every cycle path, then every through path, of one node."""
-        net = self.code.net
-        return tuple(PathSummary(kind, tuple(arcs), net(key))
-                     for kind, key, arcs in self._emit(node))
+        net = self.graph.code.net
+        found: list[tuple[int, tuple[str, ...]]] = []
+        cycles = self._enumerate(node, set(), found)
+        return tuple(
+            PathSummary("cycle" if i < cycles else "through", arcs, net(key))
+            for i, (key, arcs) in enumerate(found))
 
-    def _emit(self, node: DetNode) -> Iterator[tuple[str, int, list[str]]]:
-        """(kind, key, live arcs) per path of one node, in `paths` order.
+    def _enumerate(self, node: DetNode, keys: set[int],
+                   found: list[tuple[int, tuple[str, ...]]] | None) -> int:
+        """Run the node's searches: its cycle paths, then its through paths
+        from each entry in name order. Keys go to `keys`, or, with arc ids,
+        to `found` when given; returns how many of `found` are cycle paths.
 
         Raises PathCapExceeded on the first path past the cap, however
         many of the paths before it share a key.
         """
-        _check_node(node)
-        weight = self.code.weight
-        q = quotient(self.graph, node)
-        searches = [("cycle", _simple_paths(q.adjacency(), weight, node.elim,
-                                            {node.elim},
-                                            q.vertices - {node.elim}))]
-        entries, exits = boundary(self.graph, node.vertices, self.q0)
-        if entries and exits:
-            sub = induced(self.graph, node.vertices)
-            adj = sub.adjacency()
-            searches += [("through", _simple_paths(adj, weight, start, exits,
-                                                   sub.vertices))
-                         for start in sorted(entries)]
-        left = self.path_cap
-        for kind, found in searches:
-            for key, arcs in found:
-                if not left:
-                    raise PathCapExceeded(node, self.path_cap)
-                left -= 1
-                yield kind, key, arcs
-
-
-def _check_node(node: DetNode) -> None:
-    if not node.vertices:
-        raise InvalidNodeError("invalid-node: empty vertex set")
-    if node.elim not in node.vertices:
-        raise InvalidNodeError(
-            f"invalid-node: elim {node.elim} outside vertex set"
-        )
-
-
-def _simple_paths(adj: Mapping[str, list[tuple[str, str]]],
-                  weight: Mapping[str, int], start: str,
-                  targets: AbstractSet[str],
-                  passable: AbstractSet[str]) -> Iterator[tuple[int, list[str]]]:
-    """Iterative DFS over the arc sequences that leave `start`, step only
-    onto vertices not yet on the path, and end on a `targets` vertex.
-
-    The walk continues past a vertex only when it is `passable`, so prefixes
-    that end on a target are yielded too. `start` is on the path from the
-    outset when it is passable; a start outside `passable` may be stepped
-    onto once more, which is how a cycle path closes on its elim. Each
-    path is yielded as the sum of its arcs' `weight` and the live arc list,
-    which changes once the caller resumes.
-    """
-    on_path = {start} if start in passable else set()
-    arcs: list[str] = []
-    stack = [(start, iter(adj[start]), 0)]
-    while stack:
-        v, out, key = stack[-1]
-        for aid, w in out:
-            if w in on_path:
-                continue
-            arcs.append(aid)
-            if w in targets:
-                yield key + weight[aid], arcs
-            if w in passable:
-                on_path.add(w)
-                stack.append((w, iter(adj[w]), key + weight[aid]))
-                break
-            arcs.pop()
-        else:
-            stack.pop()
-            if stack:  # v was entered by the last arc
-                arcs.pop()
-                on_path.discard(v)
+        g = self.graph
+        if not node.vertices:
+            raise InvalidNodeError("invalid-node: empty vertex set")
+        if node.elim not in node.vertices:
+            raise InvalidNodeError(
+                f"invalid-node: elim {node.elim} outside vertex set"
+            )
+        mask = g.mask(node.vertices)
+        outside = g.all ^ mask
+        elim = g.index[node.elim]
+        out, succ, qmask = (g.quotient(node, mask) if node.children
+                            else (g.out, g.succ, mask))
+        left = _walk(out, succ, elim, g.all ^ qmask, 1 << elim,
+                     self.path_cap, keys, found)
+        cycles = len(found) if found is not None else 0
+        exits = entries = 0
+        for v in _indices(mask):
+            if g.succ[v] & outside:
+                exits |= 1 << v
+            if g.pred[v] & outside:
+                entries |= 1 << v
+        if self.q0 in node.vertices:
+            entries |= 1 << g.index[self.q0]
+        if exits:
+            for start in _indices(entries):
+                if left < 0:
+                    break
+                left = _walk(g.out, g.succ, start, outside | 1 << start,
+                             exits, left, keys, found)
+        if left < 0:
+            raise PathCapExceeded(node, self.path_cap)
+        return cycles
 
 
 def boxminus(family: Iterable[Iterable[str]], iv: Iterable[str]) -> VarSetFamily:
@@ -193,23 +323,26 @@ def var_sets(node: DetNode, ctx: PathContext) -> NodeVarSets:
     positive, and `zv` when some path touches it with net exactly zero.
     `pdv` holds each path's strict-decrease set, and `dv` is `pdv` with `iv`
     removed from every member. Paths with one key share these sets, so
-    each distinct key is decoded once.
+    each distinct key is decoded once, and each distinct decrease mask
+    becomes a set once.
     """
     keys: set[int] = set()
     for n in node.walk():
-        keys.update(key for _, key, _ in ctx._emit(n))
-    iv: set[str] = set()
-    zv: set[str] = set()
-    pdv: set[frozenset[str]] = set()
+        ctx._enumerate(n, keys, None)
+    code = ctx.graph.code
+    signs = code.signs
+    inc = zero = 0
+    decs: set[int] = set()
     for key in keys:
-        dec = []
-        for var, delta in ctx.code.net(key).items():
-            if delta > 0:
-                iv.add(var)
-            elif delta < 0:
-                dec.append(var)
-            else:
-                zv.add(var)
-        pdv.add(frozenset(dec))
-    return NodeVarSets(iv=frozenset(iv), zv=frozenset(zv), pdv=frozenset(pdv),
-                       dv=boxminus(pdv, iv))
+        i, z, d = signs(key)
+        inc |= i
+        zero |= z
+        decs.add(d)
+    names = code.variables
+
+    def members(m: int) -> frozenset[str]:
+        return frozenset(names[i] for i in _indices(m))
+
+    iv = members(inc)
+    pdv = frozenset(members(d) for d in decs)
+    return NodeVarSets(iv=iv, zv=members(zero), pdv=pdv, dv=boxminus(pdv, iv))

@@ -16,7 +16,7 @@ from termsieve.model import (
     ConcreteState, Edge, Effect, EffectCode, Fmp, Guard, VarDecl,
 )
 from termsieve.oracle import Configuration
-from termsieve.paths import DEFAULT_PATH_CAP, NodeVarSets, PathContext
+from termsieve.paths import DEFAULT_PATH_CAP, NodeVarSets, PathContext, PathGraph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 TEST_FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -80,7 +80,8 @@ def accumulate(net: dict[str, int], effect: Effect) -> None:
 def path_ctx(g: DiGraph, effects, q0, path_cap: int = DEFAULT_PATH_CAP
              ) -> PathContext:
     """A PathContext on `g` with the effect code of `effects`."""
-    return PathContext(g, EffectCode(effects, len(g.vertices)), q0, path_cap)
+    code = EffectCode(effects, len(g.vertices))
+    return PathContext(PathGraph(g.vertices, g.arcs, code), q0, path_cap)
 
 
 def brute_cycle_paths(q: DiGraph, elim: str) -> set[tuple[str, ...]]:
@@ -121,6 +122,38 @@ def brute_through_paths(sub: DiGraph, entries: frozenset[str],
         for (aid, src, dst) in sub.arcs:
             if src == cur and dst not in seen:
                 frontier.append((seq + (aid,), seen | {dst}, dst))
+    return out
+
+
+def plain_dfs_paths(g: DiGraph, node, q0) -> list[tuple[str, tuple[str, ...]]]:
+    """(kind, arc ids) of every path of `node`, in the order a plain
+    recursive DFS with no pruning emits them: cycle paths of the quotient
+    (each child collapsed onto its own elim), then through paths from each
+    entry in name order; out-arcs are taken in (dst, arc id) order."""
+    vs = node.vertices
+    rep = {v: c.elim for c in node.children for v in c.vertices}
+    inner = [a for a in g.arcs if a[1] in vs and a[2] in vs]
+    q_arcs = [(aid, rep.get(s, s), rep.get(d, d)) for aid, s, d in inner
+              if not (s in rep and rep[s] == rep.get(d))]
+    out: list[tuple[str, tuple[str, ...]]] = []
+
+    def dfs(arcs, kind, v, seq, seen, targets, start):
+        for aid, s, d in sorted(arcs, key=lambda a: (a[2], a[0])):
+            if s != v or d in seen:
+                continue
+            if d in targets:
+                out.append((kind, seq + (aid,)))
+            if d != start:
+                dfs(arcs, kind, d, seq + (aid,), seen | {d}, targets, start)
+
+    dfs(q_arcs, "cycle", node.elim, (), frozenset(), {node.elim}, node.elim)
+    entries = {d for _, s, d in g.arcs if d in vs and s not in vs}
+    if q0 in vs:
+        entries.add(q0)
+    exits = {s for _, s, d in g.arcs if s in vs and d not in vs}
+    if exits:
+        for start in sorted(entries):
+            dfs(inner, "through", start, (), frozenset({start}), exits, start)
     return out
 
 
@@ -190,6 +223,23 @@ def ring_policy(n: int) -> Fmp:
         Edge.single(f"e{i}", qs[i], qs[(i + 1) % n],
                     effect={"x": -1} if i == 0 else {})
         for i in range(n)
+    )
+    return Fmp(variables=(VarDecl("x"),), qstates=qs, initial="q0",
+               edges=edges)
+
+
+def chord_ring_policy(n: int) -> Fmp:
+    """An n-qstate ring with chords: q_i -> q_{i+1} and q_i -> q_{i+2}
+    (indices mod n), every edge decrementing x.
+
+    Removing a few qstates leaves gaps that a walk can jump only one at a
+    time, so most simple walks from an entry stall before any exit: a path
+    search that does not look ahead spends exponential time on them.
+    """
+    qs = tuple(f"q{i}" for i in range(n))
+    edges = tuple(
+        Edge.single(f"e{i}_{k}", qs[i], qs[(i + k) % n], effect={"x": -1})
+        for i in range(n) for k in (1, 2)
     )
     return Fmp(variables=(VarDecl("x"),), qstates=qs, initial="q0",
                edges=edges)

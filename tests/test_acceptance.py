@@ -285,7 +285,7 @@ def _c_iv_covers_positive_walks(target):
         g = policy_graph(fmp)
         forest = build_def(g, rng.randrange(1 << 16))
         effects = {e.id: e.effect for e in fmp.edges}
-        ctx = PathContext(g, fmp.effect_code, fmp.initial)
+        ctx = PathContext(fmp.path_graph, fmp.initial)
         try:
             for node in iter_nodes(forest):
                 iv = var_sets(node, ctx).iv
@@ -320,7 +320,7 @@ def _c_dv_forces_decrease(target):
         g = policy_graph(fmp)
         forest = build_def(g, rng.randrange(1 << 16))
         effects = {e.id: e.effect for e in fmp.edges}
-        ctx = PathContext(g, fmp.effect_code, fmp.initial)
+        ctx = PathContext(fmp.path_graph, fmp.initial)
         try:
             for node in iter_nodes(forest):
                 dv = var_sets(node, ctx).dv

@@ -1,5 +1,6 @@
 """The iterative analysis loop, its trace reports, and the baseline sieve."""
 import json
+import time
 
 import pytest
 
@@ -23,8 +24,9 @@ from termsieve.paths import PathContext, var_sets
 from termsieve.policyio import load_policy
 
 from helpers import (
-    FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, iter_nodes,
-    replay_lasso, ring_policy, two_pair_lasso_policy, up_loop_policy,
+    FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, chord_ring_policy,
+    iter_nodes, replay_lasso, ring_policy, two_pair_lasso_policy,
+    up_loop_policy,
 )
 
 
@@ -114,7 +116,7 @@ class TestChildrenWithCollidingNames:
         f = two_pair_lasso_policy()
         g = policy_graph(f)
         effects = {e.id: e.effect for e in f.edges}
-        ctx = PathContext(g, f.effect_code, f.initial)
+        ctx = PathContext(f.path_graph, f.initial)
         for seed in range(20):
             for node in iter_nodes(build_def(g, seed)):
                 assert var_sets(node, ctx) == brute_var_sets(
@@ -183,6 +185,14 @@ class TestDegenerateGraphs:
         # one cycle longer than Python's recursion limit
         rep = hsieve(ring_policy(1500))
         assert rep.verdict == Verdict(TERMINATING, "no-empty-dv")
+
+    def test_chorded_ring_cap_bounds_time(self):
+        # exponentially many dead-end walks; the cap counts only emitted
+        # paths, so the search must not descend into them
+        start = time.perf_counter()
+        rep = hsieve(chord_ring_policy(80), AnalysisConfig(path_cap=1000))
+        assert rep.verdict == Verdict(UNKNOWN, "resource-cap")
+        assert time.perf_counter() - start < 5.0
 
     def test_rejects_unnormalized(self):
         # the q0 -> q1 policy is acyclic, so hsieve_once must reject it

@@ -9,13 +9,14 @@ import sys
 
 import pytest
 
+from termsieve.analysis import AnalysisConfig, hsieve
 from termsieve.cli import cli_dispatch
 from termsieve.dot import export_def_dot, export_dot
 from termsieve.decomposition import build_def
 from termsieve.graphs import policy_graph
 from termsieve.policyio import load_policy, parse_policy, save_policy
 
-from helpers import FIXTURES, TEST_FIXTURES, ring_policy
+from helpers import FIXTURES, TEST_FIXTURES, chord_ring_policy, ring_policy
 
 EXAMPLE1 = str(FIXTURES / "example1.fmp.json")
 F2 = str(FIXTURES / "f2.fmp.json")
@@ -145,6 +146,17 @@ class TestAnalyze:
         code, out, _ = run(capsys, "analyze", p)
         assert code == 0
         assert out.startswith("verdict=terminating")
+
+    def test_chorded_ring_reaches_cap(self, capsys, tmp_path):
+        p = str(tmp_path / "chords.json")
+        save_policy(p, chord_ring_policy(80))
+        code, out, _ = run(capsys, "analyze", "--path-cap", "1000", p)
+        assert code == 0
+        rep = hsieve(load_policy(p), AnalysisConfig(path_cap=1000))
+        assert str(rep.verdict) == "unknown(resource-cap)"
+        assert out.startswith(
+            f"verdict=unknown iterations={len(rep.iterations)} "
+            "detail=resource-cap samples=1 wall_ms=")
 
     def test_action_sets_normalized_on_load(self, capsys, tmp_path):
         p = write_doc(tmp_path, "multi.json", edges=[

@@ -41,13 +41,6 @@ def test_policy_graph_mirrors_edges():
     assert g.arcs == (("e1", "q0", "q1"),)
 
 
-def test_adjacency_sorted_and_complete():
-    g = g_of(("b", "v", "w"), ("a", "v", "u"), ("c", "v", "u"))
-    adj = g.adjacency()
-    assert adj["v"] == [("a", "u"), ("c", "u"), ("b", "w")]
-    assert adj["w"] == []
-
-
 class TestScc:
     def test_two_cycles_and_tail(self):
         g = g_of(("1", "a", "b"), ("2", "b", "a"), ("3", "b", "c"),

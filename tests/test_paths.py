@@ -23,6 +23,7 @@ from helpers import (
     brute_var_sets,
     iter_nodes,
     path_ctx,
+    plain_dfs_paths,
     random_digraph,
 )
 
@@ -36,12 +37,7 @@ def g_of(*arcs, extra=()):
 
 
 def ctx_for(fmp, path_cap=100_000):
-    return PathContext(
-        graph=policy_graph(fmp),
-        code=fmp.effect_code,
-        q0=fmp.initial,
-        path_cap=path_cap,
-    )
+    return PathContext(fmp.path_graph, fmp.initial, path_cap)
 
 
 def ids(paths):
@@ -89,6 +85,18 @@ class TestBoxminus:
             iv = frozenset(rng.sample(vars_, rng.randint(0, 3)))
             once = boxminus(fam, iv)
             assert boxminus(once, iv) == once
+
+
+class TestPathGraph:
+    def test_out_arcs_sorted_and_complete(self):
+        g = g_of(("b", "v", "w"), ("a", "v", "u"), ("c", "v", "u"))
+        pg = path_ctx(g, {"a": {"x": 1}, "b": {}, "c": {"x": -1}}, None).graph
+        u, v, w = (pg.index[x] for x in "uvw")
+        assert [(pg.out[v][k][0], pg.out[v][k][4]) for k in range(3)] == [
+            (u, "a"), (u, "c"), (w, "b")]
+        assert pg.out[w] == ()
+        assert pg.succ[v] == 1 << u | 1 << w
+        assert pg.pred[u] == 1 << v
 
 
 class TestCyclePaths:
@@ -186,7 +194,7 @@ class TestHubNode:
             ("a1", "a2"), ("a3", "a8"), ("a9", "a12")
         }
         assert [p for p in ps if p.kind == "through"] == []
-        q = quotient(ctx.graph, self.root())
+        q = quotient(self.HUB, self.root())
         assert q.vertices == frozenset({"q2", "q3", "q0", "q4"})
 
     def test_loop_child(self):
@@ -206,7 +214,7 @@ class TestVarSetRecursions:
     def test_two_self_loops_policy(self):
         f = load_policy(FIXTURES / "f2.fmp.json")
         ctx = ctx_for(f)
-        tree = build_def(ctx.graph, 0).trees[0]
+        tree = build_def(policy_graph(f), 0).trees[0]
         sets = var_sets(tree, ctx)
         assert sets.iv == frozenset({"x"})
         assert sets.zv == frozenset()
@@ -219,7 +227,7 @@ class TestVarSetRecursions:
         f = load_policy(FIXTURES / "f3.fmp.json")
         ctx = ctx_for(f)
         for seed in range(6):
-            tree = build_def(ctx.graph, seed).trees[0]
+            tree = build_def(policy_graph(f), seed).trees[0]
             sets = var_sets(tree, ctx)
             assert sets.iv == frozenset()
             assert sets.zv == frozenset({"x"})
@@ -242,7 +250,7 @@ class TestVarSetRecursions:
         f = load_policy(FIXTURES / "f8prime.fmp.json")
         ctx = ctx_for(f)
         for seed in range(6):
-            tree = build_def(ctx.graph, seed).trees[0]
+            tree = build_def(policy_graph(f), seed).trees[0]
             sets = var_sets(tree, ctx)
             assert sets.iv == frozenset({"x0", "x1"})
             assert sets.zv == frozenset()
@@ -288,7 +296,113 @@ class TestCapsAndErrors:
             ctx_for(f).paths(DetNode(frozenset({"q0"}), "zz", ()))
 
 
+def chorded_ring_with_exits(rng, n):
+    """Ring r0..r(n-1) with chords r_i -> r_(i+2), plus an outside vertex t
+    that feeds some ring vertices and drains others. Walks that pass the
+    last exit before closing on their start are dead ends."""
+    rs = [f"r{i}" for i in range(n)]
+    arcs = [(f"a{i}_{k}", rs[i], rs[(i + k) % n])
+            for i in range(n) for k in (1, 2)]
+    for j, v in enumerate(rng.sample(rs, rng.randint(1, 2))):
+        arcs.append((f"in{j}", "t", v))
+    for j, v in enumerate(rng.sample(rs, rng.randint(1, 2))):
+        arcs.append((f"out{j}", v, "t"))
+    return g_of(*arcs)
+
+
+def pocket_graph(rng):
+    """A random graph on v0..v4 fed and drained through t, plus a pocket
+    p0..p2 that the v's enter but that leads back only to the entries, so a
+    walk that enters it once the entries are on the path is a dead end."""
+    g = random_digraph(rng, max_vertices=5, max_arcs=9)
+    vs = sorted(g.vertices)
+    arcs = list(g.arcs)
+    entries = rng.sample(vs, rng.randint(1, min(2, len(vs))))
+    arcs += [(f"in{j}", "t", v) for j, v in enumerate(entries)]
+    arcs += [(f"out{j}", v, "t")
+             for j, v in enumerate(rng.sample(vs, rng.randint(1, len(vs))))]
+    ps = [f"p{i}" for i in range(rng.randint(1, 3))]
+    for k in range(rng.randint(2, 8)):
+        src = rng.choice(vs + ps)
+        arcs.append((f"k{k}", src, rng.choice(ps if src in vs else ps + entries)))
+    return g_of(*arcs, extra=ps)
+
+
+def check_against_referees(g, effects, q0, node, ctx):
+    got = ctx.paths(node)
+    assert [(p.kind, p.edge_ids) for p in got] == plain_dfs_paths(g, node, q0)
+    q = quotient(g, node)
+    assert ids(p for p in got if p.kind == "cycle") == brute_cycle_paths(
+        q, node.elim)
+    entries, exits = boundary(g, node.vertices, q0)
+    sub = induced(g, node.vertices)
+    assert ids(p for p in got if p.kind == "through") == brute_through_paths(
+        sub, entries, exits)
+    assert var_sets(node, ctx) == brute_var_sets(g, effects, q0, node)
+    return len(got)
+
+
 class TestAgainstBruteForce:
+    def test_chorded_rings_with_exits(self):
+        rng = random.Random(8080)
+        checked = 0
+        for n in range(4, 10):
+            for _ in range(6):
+                g = chorded_ring_with_exits(rng, n)
+                effects = {a[0]: {"x": rng.randint(-2, 2), "y": rng.randint(-1, 1)}
+                           for a in g.arcs}
+                q0 = rng.choice(["r0", None])
+                ctx = path_ctx(g, effects, q0)
+                ring = frozenset(g.vertices - {"t"})
+                gapped = ring - {f"r{rng.randrange(n)}"}
+                loose = [DetNode(ring, rng.choice(sorted(ring)), ()),
+                         DetNode(gapped, rng.choice(sorted(gapped)), ())]
+                forest = build_def(g, rng.randint(0, 10**6))
+                for node in [*iter_nodes(forest), *loose]:
+                    check_against_referees(g, effects, q0, node, ctx)
+                    checked += 1
+        assert checked >= 150
+
+    def test_pockets_that_reach_no_exit(self):
+        rng = random.Random(4242)
+        checked = 0
+        for _ in range(200):
+            g = pocket_graph(rng)
+            effects = {a[0]: {"x": rng.randint(-2, 2)} for a in g.arcs}
+            q0 = rng.choice(sorted(g.vertices - {"t"}))
+            ctx = path_ctx(g, effects, q0)
+            inside = frozenset(g.vertices - {"t"})
+            loose = DetNode(inside, rng.choice(sorted(inside)), ())
+            for node in [*iter_nodes(build_def(g, rng.randint(0, 10**6))),
+                         loose]:
+                check_against_referees(g, effects, q0, node, ctx)
+                checked += 1
+        assert checked >= 300
+
+    def test_cap_boundary_with_dead_ends(self):
+        # entry r0, single exit r2: every walk past r2 dies before r0
+        n = 9
+        rs = [f"r{i}" for i in range(n)]
+        arcs = [(f"a{i}_{k}", rs[i], rs[(i + k) % n])
+                for i in range(n) for k in (1, 2)]
+        arcs += [("in", "t", "r0"), ("out", "r2", "t")]
+        g = g_of(*arcs)
+        effects = {a[0]: {"x": -1} for a in arcs}
+        node = DetNode(frozenset(rs), "r4", ())
+        count = check_against_referees(
+            g, effects, None, node, path_ctx(g, effects, None))
+        throughs_ = [p for p in path_ctx(g, effects, None).paths(node)
+                     if p.kind == "through"]
+        assert ids(throughs_) == {("a0_1", "a1_1"), ("a0_2",)}
+        assert len(path_ctx(g, effects, None, path_cap=count).paths(node)) \
+            == count
+        assert var_sets(node, path_ctx(g, effects, None, path_cap=count)) \
+            == brute_var_sets(g, effects, None, node)
+        with pytest.raises(PathCapExceeded):
+            path_ctx(g, effects, None, path_cap=count - 1).paths(node)
+        with pytest.raises(PathCapExceeded):
+            var_sets(node, path_ctx(g, effects, None, path_cap=count - 1))
+
     def test_random_graphs(self):
         rng = random.Random(240110)
         # childless nodes on arbitrary vertex subsets, which need not be
@@ -349,9 +463,23 @@ class TestAgainstBruteForce:
             }
             q0 = rng.choice(sorted(g.vertices))
             ctx = path_ctx(g, effects, q0)
+            code = ctx.graph.code
             for node in iter_nodes(build_def(g, rng.randint(0, 10**6))):
                 for p in ctx.paths(node):
                     want: dict[str, int] = {}
                     for eid in p.edge_ids:
                         accumulate(want, effects[eid])
                     assert dict(p.net) == want
+                    # the sign decode var_sets reads agrees with `net`,
+                    # cancelled moves landing in the zero mask
+                    key = sum(code.weight[eid] for eid in p.edge_ids)
+                    assert code.net(key) == want
+                    masks = code.signs(key)
+                    for sign, mask in zip((1, 0, -1), masks):
+                        assert {v for i, v in enumerate(code.variables)
+                                if mask >> i & 1} == {
+                            v for v, d in want.items()
+                            if (d > 0) - (d < 0) == sign}
+                    assert not (masks[0] & masks[1] or masks[0] & masks[2]
+                                or masks[1] & masks[2])
+                    assert max(masks) < 1 << len(code.variables)
