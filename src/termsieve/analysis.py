@@ -164,27 +164,23 @@ def hsieve_once(
             )
             return report(UNKNOWN, "resource-cap")
 
-        removed: set[str] = set()
-        for tree, cands in zip(forest.trees, per_tree_candidates):
-            if not cands:
-                continue
-            for eid, e in edges.items():
-                if e.src in tree.vertices and e.dst in tree.vertices:
-                    if any(effects[eid].get(x, 0) < 0 for x in cands):
-                        removed.add(eid)
-
         all_candidates = frozenset().union(*per_tree_candidates)
         empty_free = all(frozenset() not in sets.dv for sets in per_root)
-        removed_now = () if empty_free else tuple(sorted(removed))
+        # a proof removes nothing; trees are disjoint, so no edge comes twice
+        removed = () if empty_free else tuple(sorted(
+            eid for tree, cands in zip(forest.trees, per_tree_candidates)
+            if cands for eid, e in edges.items()
+            if e.src in tree.vertices and e.dst in tree.vertices
+            and any(effects[eid].get(x, 0) < 0 for x in cands)))
         iterations.append(
             IterationTrace(dseed, forest, tuple(per_root),
-                           all_candidates, removed_now)
+                           all_candidates, removed)
         )
         if empty_free:
             return report(TERMINATING, "no-empty-dv")
-        if not removed_now:
+        if not removed:
             return report(UNKNOWN, "empty-set-persists")
-        for eid in removed_now:
+        for eid in removed:
             del edges[eid]
 
     raise AssertionError("iteration cap exceeded despite strict edge removal")

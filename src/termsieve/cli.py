@@ -126,12 +126,8 @@ def _fail(message: str) -> int:
     return 2
 
 
-def _load(path: str) -> Fmp:
-    return load_policy(path)
-
-
 def _load_valid(path: str) -> Fmp:
-    fmp = _load(path)
+    fmp = load_policy(path)
     violations = validate(fmp)
     if violations:
         for v in violations:
@@ -145,7 +141,7 @@ def _values_str(fmp: Fmp, values) -> str:
 
 
 def _cmd_check(args) -> int:
-    fmp = _load(args.file)
+    fmp = load_policy(args.file)
     violations = validate(fmp)
     for v in violations:
         print(f"violation code={v.code} where={v.where}")
@@ -193,6 +189,7 @@ def _cmd_sieve(args) -> int:
 
 def _parse_init(fmp: Fmp, text: str) -> dict[str, int]:
     values = dict(fmp.bounds)
+    given: set[str] = set()
     if text.strip():
         for item in text.split(","):
             if "=" not in item:
@@ -201,6 +198,9 @@ def _parse_init(fmp: Fmp, text: str) -> dict[str, int]:
             var = var.strip()
             if var not in values:
                 raise _UsageError(f"unknown variable in --init: {var!r}")
+            if var in given:
+                raise _UsageError(f"repeated variable in --init: {var!r}")
+            given.add(var)
             try:
                 values[var] = int(raw)
             except ValueError:

@@ -22,13 +22,19 @@ compiles its own.
 
 One iterative DFS serves both families. Each frame holds the key of the path
 that reached it, the sum of its arc weights, so a step costs one addition and
-a backtrack none. The DFS steps onto a vertex only when some target is still
-reachable from there while avoiding the path, which it checks by successor
-mask and then by a bitmask BFS: the blocking step of Johnson (SIAM J. Comput.
-1975), applied to st-paths as in Birmelé et al. (SODA 2013). A pruned branch
-would have emitted nothing, so the paths and their order are those of the
-plain search. Every descent leads to an emitted path, so a node costs
-O(arcs * qstates) work per emitted path and the path cap bounds the run time.
+a backtrack none. The DFS steps onto a vertex only when a target is still
+reachable from there off the path: at once when a successor is live (sure to
+reach a target whatever the path), else by a bitmask BFS, the blocking step
+of Johnson (SIAM J. Comput. 1975) applied to st-paths as in Birmelé et al.
+(SODA 2013). Only through searches run the BFS; their exits are live. In a
+cycle search the whole node is live: its steps land only on quotient
+vertices, and on an elimination-forest node (strongly connected, with
+children the SCCs of the node minus its elim) the quotient minus the elim is
+acyclic and reaches the elim. A pruned branch would have emitted nothing, so
+the paths and their order are those of the plain search on any node. On the
+forest nodes, the only ones `hsieve` and the CLI enumerate, every descent
+leads to an emitted path, so a node costs O(arcs * qstates) per emitted path
+and the path cap bounds the run time.
 
 `var_sets` adds each path's key to a set and decodes every distinct key once,
 into sign bitmasks. `PathContext.paths` reads each path's arc ids off the DFS
@@ -124,9 +130,8 @@ class PathGraph:
             m |= 1 << self.index[v]
         return m
 
-    def quotient(self, node: DetNode, mask: int
-                 ) -> tuple[dict[int, Sequence[_Arc]], dict[int, int], int]:
-        """Out-arcs, successor masks and vertex mask of the node's quotient.
+    def quotient(self, node: DetNode, mask: int) -> dict[int, Sequence[_Arc]]:
+        """Out-arcs of the node's quotient, by source vertex.
 
         Each child collapses onto its own elim vertex; arcs internal to one
         child are dropped, and every other arc inside the node keeps its id
@@ -150,8 +155,7 @@ class PathGraph:
                         out.append((d, aid))
                         succ[s] |= 1 << d
         weight = self.code.weight
-        return ({s: _arcs(out, weight, succ) for s, out in kept.items()}, succ,
-                sum(1 << s for s in kept))
+        return {s: _arcs(out, weight, succ) for s, out in kept.items()}
 
 
 def _arcs(out: list[tuple[int, str]], weight: Mapping[str, int],
@@ -169,8 +173,8 @@ def _indices(mask: int) -> Iterable[int]:
         mask ^= low
 
 
-def _reaches(succ: Sequence[int] | Mapping[int, int], frontier: int,
-             blocked: int, targets: int) -> bool:
+def _reaches(succ: Sequence[int], frontier: int, blocked: int,
+             targets: int) -> bool:
     """True iff a `targets` vertex is reachable from `frontier` by way of
     vertices outside `blocked` (`frontier` itself holds no target)."""
     seen = blocked | frontier
@@ -188,8 +192,8 @@ def _reaches(succ: Sequence[int] | Mapping[int, int], frontier: int,
 
 
 def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
-          succ: Sequence[int] | Mapping[int, int], start: int, path: int,
-          targets: int, left: int, keys: set[int],
+          succ: Sequence[int], start: int, path: int, targets: int,
+          live: int, left: int, keys: set[int],
           found: list[tuple[int, tuple[str, ...]]] | None) -> int:
     """Emit every simple path from `start` that ends on a `targets` vertex.
 
@@ -199,6 +203,9 @@ def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
     left out of `path` a path can close on it, as a cycle path does on its
     elim. Each path's key is added to `keys`, or, when `found` is a list,
     appended to it with the path's arc ids.
+
+    A step onto `w` is taken when a successor of `w` off the path is in
+    `live`, or when `_reaches` finds a target from them over `succ`.
 
     Returns how many of the `left` paths allowed are left, or -1 when one
     more path was found.
@@ -224,7 +231,7 @@ def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
                 if wbit == sbit:
                     continue
             free = wsucc & ~path
-            if not free or not (free & targets or _reaches(
+            if not free or not (free & live or _reaches(
                     succ, free, path | wbit, targets)):
                 continue
             path |= wbit
@@ -243,9 +250,10 @@ class PathContext:
     policy's initial qstate, and the per-node path cap. The compiled graph
     is the one cache: `hsieve` passes `Fmp.path_graph` until an iteration
     removes edges, so every sample of a policy shares one compilation.
-    Nothing per node is kept; each call enumerates its node afresh, and its
-    searches step onto a vertex only when a target is still reachable from
-    there, so the cap on emitted paths also bounds their work.
+    Nothing per node is kept; each call enumerates its node afresh. Only a
+    through search runs the reachability BFS, and on elimination-forest
+    nodes, the only ones `hsieve` and the CLI enumerate, the cap on emitted
+    paths also bounds the work.
     """
 
     def __init__(self, graph: PathGraph, q0: str | None,
@@ -282,9 +290,8 @@ class PathContext:
         mask = g.mask(node.vertices)
         outside = g.all ^ mask
         elim = g.index[node.elim]
-        out, succ, qmask = (g.quotient(node, mask) if node.children
-                            else (g.out, g.succ, mask))
-        left = _walk(out, succ, elim, g.all ^ qmask, 1 << elim,
+        out = g.quotient(node, mask) if node.children else g.out
+        left = _walk(out, g.succ, elim, outside, 1 << elim, mask,
                      self.path_cap, keys, found)
         cycles = len(found) if found is not None else 0
         exits = entries = 0
@@ -300,7 +307,7 @@ class PathContext:
                 if left < 0:
                     break
                 left = _walk(g.out, g.succ, start, outside | 1 << start,
-                             exits, left, keys, found)
+                             exits, exits, left, keys, found)
         if left < 0:
             raise PathCapExceeded(node, self.path_cap)
         return cycles

@@ -126,7 +126,7 @@ def parse_policy(text: str) -> Fmp:
     """Parse a policy document; PolicyFormatError pinpoints any defect."""
     try:
         doc = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is one
         raise PolicyFormatError("bad-json", "$", str(exc)) from exc
     top = _as_obj(doc, "$")
     _check_keys(
@@ -222,8 +222,12 @@ def serialize_policy(fmp: Fmp) -> str:
 
 
 def load_policy(path: str) -> Fmp:
-    with open(path, "r", encoding="utf-8") as fh:
-        return parse_policy(fh.read())
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            text = fh.read()
+    except UnicodeDecodeError as exc:
+        raise PolicyFormatError("bad-encoding", "$", str(exc)) from exc
+    return parse_policy(text)
 
 
 def atomic_write(path: str, text: str) -> None:

@@ -182,9 +182,13 @@ class TestDegenerateGraphs:
         assert rep.verdict == Verdict(UNKNOWN, "empty-set-persists")
 
     def test_long_ring(self):
-        # one cycle longer than Python's recursion limit
-        rep = hsieve(ring_policy(1500))
+        # one cycle longer than Python's recursion limit; a cycle search
+        # runs no reachability BFS, so the ring costs linear time
+        f = ring_policy(1500)
+        start = time.perf_counter()
+        rep = hsieve(f)
         assert rep.verdict == Verdict(TERMINATING, "no-empty-dv")
+        assert time.perf_counter() - start < 0.5
 
     def test_chorded_ring_cap_bounds_time(self):
         # exponentially many dead-end walks; the cap counts only emitted

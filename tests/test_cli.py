@@ -74,6 +74,24 @@ class TestCheck:
         assert code == 2
         assert "bad-json" in err
 
+    @pytest.mark.parametrize("argv", [
+        ("check",), ("check", "--strict"), ("analyze",), ("sieve",),
+        ("simulate", "--init", "x=0"), ("oracle", "--grid-max", "0"),
+        ("export-dot",),
+    ])
+    @pytest.mark.parametrize("content", [
+        b"\xff\xfe{}",
+        b"[" * 100_000 + b"]" * 100_000,
+        b"[" + b"9" * 5000 + b"]",
+    ], ids=["undecodable", "deeply-nested", "oversized-integer"])
+    def test_unreadable_document(self, capsys, tmp_path, argv, content):
+        p = tmp_path / "doc.json"
+        p.write_bytes(content)
+        code, out, err = run(capsys, argv[0], str(p), *argv[1:])
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1 and err.startswith("error:")
+
 
 class TestAnalyze:
     def test_terminating_line(self, capsys):
@@ -228,10 +246,11 @@ class TestSimulate:
         assert "x=0" in out
 
     def test_bad_inits(self, capsys):
-        for init in ("zz=1", "x=wat", "x:3", "x=-5"):
-            code, _, err = run(capsys, "simulate", F2, "--init", init)
+        for init in ("zz=1", "x=wat", "x:3", "x=-5", "x=5,x=0", "x=1,y=2,x=1"):
+            code, out, err = run(capsys, "simulate", F2, "--init", init)
             assert code == 2, init
             assert err.startswith("error:")
+            assert out == ""
 
 
 class TestOracle:

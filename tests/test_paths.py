@@ -4,6 +4,8 @@ from collections import Counter
 
 import pytest
 
+from termsieve import paths
+from termsieve.analysis import AnalysisConfig, hsieve
 from termsieve.decomposition import DetNode, build_def, quotient
 from termsieve.graphs import boundary, graph, induced, policy_graph
 from termsieve.paths import (
@@ -21,10 +23,12 @@ from helpers import (
     brute_cycle_paths,
     brute_through_paths,
     brute_var_sets,
+    chord_ring_policy,
     iter_nodes,
     path_ctx,
     plain_dfs_paths,
     random_digraph,
+    ring_policy,
 )
 
 
@@ -483,3 +487,45 @@ class TestAgainstBruteForce:
                     assert not (masks[0] & masks[1] or masks[0] & masks[2]
                                 or masks[1] & masks[2])
                     assert max(masks) < 1 << len(code.variables)
+
+
+class TestReachabilityChecks:
+    def test_only_through_searches_run_the_bfs(self, monkeypatch):
+        # on elimination-forest nodes a cycle search cannot dead-end, so a
+        # node without exits must enumerate without one reachability check
+        calls = []
+        real = paths._reaches
+
+        def reaches(*args):
+            calls.append(args)
+            return real(*args)
+
+        monkeypatch.setattr(paths, "_reaches", reaches)
+        f = ring_policy(1500)
+        found = ctx_for(f).paths(build_def(policy_graph(f), 0).trees[0])
+        assert [(p.kind, len(p.edge_ids)) for p in found] == [("cycle", 1500)]
+        assert calls == []
+
+        rng = random.Random(31337)
+        graphs = [chorded_ring_with_exits(rng, n)
+                  for n in range(4, 10) for _ in range(6)]
+        graphs += [pocket_graph(rng) for _ in range(200)]
+        graphs += [random_digraph(rng, max_vertices=5, max_arcs=9)
+                   for _ in range(300)]
+        checked = 0
+        for g in graphs:
+            q0 = rng.choice([None, *sorted(g.vertices)])
+            ctx = path_ctx(g, {a[0]: {"x": -1} for a in g.arcs}, q0)
+            for node in iter_nodes(build_def(g, rng.randint(0, 10**6))):
+                if boundary(g, node.vertices, q0)[1]:
+                    continue
+                found = ctx.paths(node)
+                assert found and all(p.kind == "cycle" for p in found)
+                assert calls == []
+                checked += 1
+        assert checked >= 300
+
+        # the through-search prune still runs on the chorded ring's dead ends
+        rep = hsieve(chord_ring_policy(80), AnalysisConfig(path_cap=1000))
+        assert str(rep.verdict) == "unknown(resource-cap)"
+        assert calls

@@ -111,9 +111,20 @@ class TestSerializedShape:
 
 class TestParseErrors:
     def test_bad_json(self):
-        e = err("{nope")
-        assert e.code == "bad-json"
-        assert e.where == "$"
+        # a syntax error, nesting too deep for the parser's recursion, and
+        # an integer past Python's digit limit for str -> int conversion
+        for text in ("{nope", "[" * 100_000 + "]" * 100_000,
+                     doc().replace("-1", "-" + "9" * 5000)):
+            e = err(text)
+            assert e.code == "bad-json"
+            assert e.where == "$"
+
+    def test_undecodable_file(self, tmp_path):
+        p = tmp_path / "utf16.json"
+        p.write_bytes(b"\xff\xfe" + doc().encode("utf-16-le"))
+        with pytest.raises(PolicyFormatError) as ei:
+            load_policy(str(p))
+        assert (ei.value.code, ei.value.where) == ("bad-encoding", "$")
 
     def test_top_level_must_be_object(self):
         assert err("[]").code == "expected-object"
