@@ -14,7 +14,7 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 
-from .decomposition import DefForest, DetNode, build_def
+from .decomposition import DefForest, DetNode, Splits, build_def
 from .graphs import DiGraph, induced, policy_graph, scc_decompose
 from .model import Edge, Fmp
 from .paths import (
@@ -23,7 +23,6 @@ from .paths import (
     PathCapExceeded,
     PathContext,
     PathGraph,
-    var_sets,
 )
 
 TERMINATING = "terminating"
@@ -110,14 +109,65 @@ def def_seed_for(base_seed: int, iteration: int) -> int:
     return base_seed * _SEED_STRIDE + iteration
 
 
+class _Shared:
+    """Work that the samples of one `hsieve` call share.
+
+    The edge effects, and for each set of remaining edge ids: the graph on
+    them, the SCC splits `build_def` made on it, and its PathContext, which
+    compiles the graph once and keeps each tree's variable sets. Each
+    sample still draws its own forest from its own seed.
+    """
+
+    def __init__(self, fmp: Fmp, path_cap: int):
+        self.fmp = fmp
+        self.path_cap = path_cap
+        # raises unless normalized
+        self.effects = {e.id: e.effect for e in fmp.edges}
+        self.graphs: dict[frozenset[str], tuple[DiGraph, Splits]] = {}
+        self.contexts: dict[frozenset[str], PathContext] = {}
+
+    def graph(self, edge_ids: frozenset[str]) -> tuple[DiGraph, Splits]:
+        got = self.graphs.get(edge_ids)
+        if got is None:
+            fmp = self.fmp
+            graph = DiGraph(
+                vertices=frozenset(fmp.qstates),
+                arcs=tuple((e.id, e.src, e.dst) for e in fmp.edges
+                           if e.id in edge_ids),
+            )
+            got = self.graphs[edge_ids] = (graph, {})
+        return got
+
+    def context(self, edge_ids: frozenset[str]) -> PathContext:
+        ctx = self.contexts.get(edge_ids)
+        if ctx is None:
+            fmp = self.fmp
+            graph = self.graphs[edge_ids][0]
+            ctx = self.contexts[edge_ids] = PathContext(
+                graph=fmp.path_graph if len(edge_ids) == len(fmp.edges)
+                else PathGraph(graph.vertices, graph.arcs, fmp.effect_code),
+                q0=fmp.initial,
+                path_cap=self.path_cap,
+            )
+        return ctx
+
+
 def hsieve_once(
-    fmp: Fmp, seed: int, config: AnalysisConfig | None = None
+    fmp: Fmp, seed: int, config: AnalysisConfig | None = None,
+    *, shared: _Shared | None = None,
 ) -> AnalysisReport:
-    """One full analysis run with a single elimination-seed stream."""
+    """One full analysis run with a single elimination-seed stream.
+
+    `shared` carries what earlier samples of one `hsieve` call computed;
+    without it the run starts from nothing. The report is the same either
+    way.
+    """
     cfg = config if config is not None else AnalysisConfig()
     start = time.perf_counter()
+    if shared is None:
+        shared = _Shared(fmp, cfg.path_cap)
 
-    effects = {e.id: e.effect for e in fmp.edges}  # raises unless normalized
+    effects = shared.effects
     edges: dict[str, Edge] = {e.id: e for e in fmp.edges}
     iterations: list[IterationTrace] = []
 
@@ -132,29 +182,22 @@ def hsieve_once(
 
     max_iterations = len(fmp.edges) + 1
     for i in range(max_iterations + 1):
-        graph = DiGraph(
-            vertices=frozenset(fmp.qstates),
-            arcs=tuple((e.id, e.src, e.dst) for e in edges.values()),
-        )
+        edge_ids = frozenset(edges)
+        graph, splits = shared.graph(edge_ids)
         dseed = def_seed_for(seed, i)
-        forest = build_def(graph, dseed)
+        forest = build_def(graph, dseed, splits)
         if not forest.trees:
             iterations.append(
                 IterationTrace(dseed, forest, (), frozenset(), ())
             )
             return report(TERMINATING, "graph-acyclic")
 
-        ctx = PathContext(
-            graph=fmp.path_graph if len(edges) == len(fmp.edges)
-            else PathGraph(graph.vertices, graph.arcs, fmp.effect_code),
-            q0=fmp.initial,
-            path_cap=cfg.path_cap,
-        )
+        ctx = shared.context(edge_ids)
         try:
             per_root = []
             per_tree_candidates = []
             for tree in forest.trees:
-                sets = var_sets(tree, ctx)
+                sets = ctx.tree_sets(tree)
                 per_root.append(sets)
                 per_tree_candidates.append(
                     frozenset(set().union(*sets.pdv) - sets.iv - sets.zv))
@@ -189,19 +232,23 @@ def hsieve_once(
 def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
     """Multi-sample driver: try def_samples seed streams, first success wins.
 
-    Sample k runs hsieve_once with seed base_seed + k. The returned report
-    carries every seed tried; when no sample proves termination, the first
-    sample's verdict and trace are reported.
+    Sample k runs hsieve_once with seed base_seed + k. The samples share
+    graphs, SCC splits, compiled path graphs and per-tree variable sets for
+    each edge set they reach, so a forest drawn again costs no new search;
+    the reports are those of separate runs. The returned report carries
+    every seed tried; when no sample proves termination, the first sample's
+    verdict and trace are reported.
     """
     cfg = config if config is not None else AnalysisConfig()
     start = time.perf_counter()
+    shared = _Shared(fmp, cfg.path_cap)
     seeds: list[int] = []
     first: AnalysisReport | None = None
     winner: AnalysisReport | None = None
     for k in range(max(1, cfg.def_samples)):
         sample_seed = cfg.base_seed + k
         seeds.append(sample_seed)
-        rep = hsieve_once(fmp, sample_seed, cfg)
+        rep = hsieve_once(fmp, sample_seed, cfg, shared=shared)
         if first is None:
             first = rep
         if rep.verdict.kind == TERMINATING:

@@ -46,6 +46,10 @@ class _UsageError(Exception):
     pass
 
 
+class _Unprintable(Exception):
+    """A counter value past Python's digit limit for int-to-str conversion."""
+
+
 class _Parser(argparse.ArgumentParser):
     def error(self, message: str) -> None:  # type: ignore[override]
         raise _UsageError(message)
@@ -137,7 +141,15 @@ def _load_valid(path: str) -> Fmp:
 
 
 def _values_str(fmp: Fmp, values) -> str:
-    return " ".join(f"{x}={values[x]}" for x in fmp.var_names)
+    parts = []
+    for x in fmp.var_names:
+        try:
+            parts.append(f"{x}={values[x]}")
+        except ValueError:
+            raise _Unprintable(
+                f"value of {x} has more than {sys.get_int_max_str_digits()} "
+                "digits, too many to print") from None
+    return " ".join(parts)
 
 
 def _cmd_check(args) -> int:
@@ -321,9 +333,7 @@ def cli_dispatch(argv: list[str]) -> int:
         if exc.code == "invalid-policy":
             return 2  # violations already printed
         return _fail(str(exc))
-    except GenError as exc:
-        return _fail(str(exc))
-    except OSError as exc:
+    except (GenError, OSError, _Unprintable) as exc:
         return _fail(str(exc))
 
 

@@ -37,20 +37,42 @@ class DefForest:
     seed: int
 
 
-def _build_node(g: DiGraph, vs: frozenset[str], rng: random.Random) -> DetNode:
+# (vertex set, elim) -> nontrivial SCCs of the graph on the set minus the
+# elim; the whole graph's own SCCs sit under (its vertex set, None)
+Splits = dict[tuple[frozenset[str], str | None], tuple[frozenset[str], ...]]
+
+
+def _split(g: DiGraph, vs: frozenset[str], elim: str | None,
+           splits: Splits) -> tuple[frozenset[str], ...]:
+    parts = splits.get((vs, elim))
+    if parts is None:
+        rest = g if elim is None else induced(g, vs - {elim})
+        parts = splits[vs, elim] = scc_decompose(rest).nontrivial()
+    return parts
+
+
+def _build_node(g: DiGraph, vs: frozenset[str], rng: random.Random,
+                splits: Splits) -> DetNode:
     elim = rng.choice(sorted(vs))
-    rest = induced(g, vs - {elim})
     children = tuple(
-        _build_node(g, c, rng) for c in scc_decompose(rest).nontrivial()
+        _build_node(g, c, rng, splits) for c in _split(g, vs, elim, splits)
     )
     return DetNode(vertices=vs, elim=elim, children=children)
 
 
-def build_def(g: DiGraph, seed: int) -> DefForest:
-    """One elimination tree per nontrivial SCC of `g`, in canonical order."""
+def build_def(g: DiGraph, seed: int,
+              splits: Splits | None = None) -> DefForest:
+    """One elimination tree per nontrivial SCC of `g`, in canonical order.
+
+    `splits` holds the SCC splits already made on `g` and takes the new
+    ones, so the forests of one graph split each (vertex set, elim) once;
+    the seed alone still fixes the forest.
+    """
+    splits = {} if splits is None else splits
     rng = random.Random(seed)
     trees = tuple(
-        _build_node(g, c, rng) for c in scc_decompose(g).nontrivial()
+        _build_node(g, c, rng, splits)
+        for c in _split(g, g.vertices, None, splits)
     )
     return DefForest(trees=trees, seed=seed)
 

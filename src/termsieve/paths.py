@@ -16,9 +16,9 @@ the policy's `EffectCode`. A node then needs no graph of its own: the path is
 one int whose bits start out set on every vertex outside the node, and the
 boundary is read off the successor and predecessor masks. Only a node with
 children builds arcs, those of its quotient, for its cycle search. The
-compiled full graph of a policy is cached as `Fmp.path_graph`, so every
-`hsieve` sample shares it; an iteration that follows an edge removal
-compiles its own.
+compiled full graph of a policy is cached as `Fmp.path_graph`; an
+iteration that follows an edge removal compiles its own, once per `hsieve`
+call for each set of remaining edges.
 
 One iterative DFS serves both families. Each frame holds the key of the path
 that reached it, the sum of its arc weights, so a step costs one addition and
@@ -37,8 +37,9 @@ leads to an emitted path, so a node costs O(arcs * qstates) per emitted path
 and the path cap bounds the run time.
 
 `var_sets` adds each path's key to a set and decodes every distinct key once,
-into sign bitmasks. `PathContext.paths` reads each path's arc ids off the DFS
-stack and decodes its key into a `PathSummary`.
+into sign bitmasks; `PathContext.tree_sets` keeps its answer for each tree.
+`PathContext.paths` reads each path's arc ids off the DFS stack and decodes
+its key into a `PathSummary`.
 
 Per-node enumeration is capped by the number of paths emitted, not of
 distinct keys; blowing the cap raises PathCapExceeded, which callers convert
@@ -247,13 +248,13 @@ class PathContext:
     """Enumeration context for one graph version.
 
     Holds the current (possibly pruned) policy graph in compiled form, the
-    policy's initial qstate, and the per-node path cap. The compiled graph
-    is the one cache: `hsieve` passes `Fmp.path_graph` until an iteration
-    removes edges, so every sample of a policy shares one compilation.
-    Nothing per node is kept; each call enumerates its node afresh. Only a
-    through search runs the reachability BFS, and on elimination-forest
-    nodes, the only ones `hsieve` and the CLI enumerate, the cap on emitted
-    paths also bounds the work.
+    policy's initial qstate, and the per-node path cap. `hsieve` keeps one
+    context per set of remaining edges for all its samples, and
+    `tree_sets` keeps each tree's variable sets, or the cap it hit, so a
+    tree that a later sample draws again is not enumerated again. Nothing
+    per node is kept. Only a through search runs the reachability BFS, and
+    on elimination-forest nodes, the only ones `hsieve` and the CLI
+    enumerate, the cap on emitted paths also bounds the work.
     """
 
     def __init__(self, graph: PathGraph, q0: str | None,
@@ -261,6 +262,21 @@ class PathContext:
         self.graph = graph
         self.q0 = q0
         self.path_cap = path_cap
+        self._trees: dict[DetNode, NodeVarSets | PathCapExceeded] = {}
+
+    def tree_sets(self, tree: DetNode) -> NodeVarSets:
+        """`var_sets(tree, self)`, computed once per tree; a tree that hit
+        the path cap raises its PathCapExceeded again."""
+        sets = self._trees.get(tree)
+        if sets is None:
+            try:
+                sets = var_sets(tree, self)
+            except PathCapExceeded as exc:
+                sets = exc
+            self._trees[tree] = sets
+        if isinstance(sets, PathCapExceeded):
+            raise sets.with_traceback(None)
+        return sets
 
     def paths(self, node: DetNode) -> tuple[PathSummary, ...]:
         """Every cycle path, then every through path, of one node."""

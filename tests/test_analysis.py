@@ -1,9 +1,11 @@
 """The iterative analysis loop, its trace reports, and the baseline sieve."""
 import json
 import time
+from collections import Counter
 
 import pytest
 
+from termsieve import decomposition
 from termsieve.analysis import (
     NONTERMINATING_QUALITATIVE,
     TERMINATING,
@@ -20,7 +22,7 @@ from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import DiGraph, policy_graph
 from termsieve.model import Edge, Fmp, VarDecl
 from termsieve.oracle import LASSO_FOUND, explore
-from termsieve.paths import PathContext, var_sets
+from termsieve.paths import DEFAULT_PATH_CAP, PathContext, var_sets
 from termsieve.policyio import load_policy
 
 from helpers import (
@@ -261,6 +263,107 @@ class TestMultiSample:
         rep = hsieve(f, AnalysisConfig(def_samples=2, base_seed=3))
         assert rep.seeds == (3,)
         assert rep.verdict.kind == TERMINATING
+
+
+def separate_runs(fmp, cfg):
+    """What hsieve answers, from one hsieve_once run per seed, none sharing
+    anything: (the reported sample, the seeds tried, every sample's report)."""
+    seeds, reports = [], []
+    for k in range(max(1, cfg.def_samples)):
+        seeds.append(cfg.base_seed + k)
+        reports.append(hsieve_once(fmp, seeds[-1], cfg))
+        if reports[-1].verdict.kind == TERMINATING:
+            return reports[-1], seeds, reports
+    return reports[0], seeds, reports
+
+
+def all_unknown_policy():
+    # 5 qstates, 3 counters, 10 edges: all 20 samples end
+    # unknown(empty-set-persists), most after one round of edge removals
+    return generate_random(GenSpec(n_qstates=5, n_vars=3, edge_density=0.4,
+                                   max_abs_delta=2, seed=113))
+
+
+class TestSharedSamples:
+    """hsieve's samples share work per edge set; separate runs referee it."""
+
+    def test_matches_separate_runs(self):
+        removals = mixed_caps = 0
+        for i in range(300):
+            fmp = generate_random(GenSpec(
+                n_qstates=2 + i % 7, n_vars=1 + i % 3, edge_density=0.4,
+                max_abs_delta=2, seed=i))
+            cfg = AnalysisConfig(
+                def_samples=20, base_seed=i % 3,
+                path_cap=12 if i % 2 else DEFAULT_PATH_CAP)
+            chosen, seeds, reports = separate_runs(fmp, cfg)
+            rep = hsieve(fmp, cfg)
+            assert rep.verdict == chosen.verdict, i
+            assert rep.seeds == tuple(seeds), i
+            expected = without_wall(chosen.to_trace_dict())
+            expected["seeds"] = seeds
+            assert without_wall(rep.to_trace_dict()) == expected, i
+            removals += any(len(r.iterations) >= 2 for r in reports)
+            capped = {r.verdict.detail == "resource-cap" for r in reports}
+            mixed_caps += capped == {True, False}
+        # the corpus reaches edge sets past a removal, and calls where the
+        # cap stops some samples but not others
+        assert removals >= 30
+        assert mixed_caps >= 10
+
+    def test_nothing_kept_between_calls(self):
+        fmp = all_unknown_policy()
+        cfg = AnalysisConfig(def_samples=20)
+        before = hsieve_once(fmp, 4, cfg)
+        cached = set(vars(fmp))
+        first = hsieve(fmp, cfg)
+        assert set(vars(fmp)) == cached
+        after = hsieve_once(fmp, 4, cfg)
+        assert after.verdict == before.verdict
+        assert without_wall(after.to_trace_dict()) == without_wall(
+            before.to_trace_dict())
+        second = hsieve(fmp, cfg)
+        assert without_wall(second.to_trace_dict()) == without_wall(
+            first.to_trace_dict())
+
+    def test_each_split_and_tree_worked_once(self, monkeypatch):
+        fmp = all_unknown_policy()
+        cfg = AnalysisConfig(def_samples=20)
+        _, _, reports = separate_runs(fmp, cfg)
+        assert len(reports) == 20
+        assert {r.verdict for r in reports} == {
+            Verdict(UNKNOWN, "empty-set-persists")}
+        qstates = frozenset(fmp.qstates)
+        splits, trees = set(), set()
+        for r in reports:
+            edges = frozenset(e.id for e in fmp.edges)
+            for it in r.iterations:
+                splits.add((edges, qstates, None))
+                for tree in it.forest.trees:
+                    trees.add((edges, tree))
+                    splits.update((edges, n.vertices, n.elim)
+                                  for n in tree.walk())
+                edges -= set(it.removed_edges)
+        assert len({edges for edges, _ in trees}) >= 2
+
+        counts = Counter()
+
+        def counted(name, fn):
+            def wrapper(*args, **kwargs):
+                counts[name] += 1
+                return fn(*args, **kwargs)
+            return wrapper
+
+        monkeypatch.setattr(decomposition, "scc_decompose",
+                            counted("split", decomposition.scc_decompose))
+        monkeypatch.setattr(PathContext, "_enumerate",
+                            counted("enumerate", PathContext._enumerate))
+        rep = hsieve(fmp, cfg)
+        assert rep.seeds == tuple(range(20))
+        # one SCC split per (edge set, vertex set, elim), and one
+        # enumeration per node of each distinct (edge set, tree)
+        assert counts["split"] == len(splits)
+        assert counts["enumerate"] == sum(len(t.walk()) for _, t in trees)
 
 
 class TestDeterminism:

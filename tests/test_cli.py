@@ -252,6 +252,20 @@ class TestSimulate:
             assert err.startswith("error:")
             assert out == ""
 
+    def test_value_past_digit_limit(self, capsys, tmp_path):
+        # each step adds a 4299-digit number; a few steps pass the
+        # 4300-digit limit of int-to-str conversion
+        p = write_doc(tmp_path, "huge.json", edges=[
+            {"id": "e1", "from": "q0", "to": "q0",
+             "effects": {"x": 10**4299 - 1}},
+        ])
+        code, out, err = run(capsys, "simulate", p, "--init", "x=0",
+                             "--max-steps", "20")
+        assert code == 2
+        assert out.startswith("step=1 edge=e1 qstate=q0 x=9")
+        assert "halted=" not in out
+        assert err.count("\n") == 1 and err.startswith("error:")
+
 
 class TestOracle:
     def test_all_halt(self, capsys):
@@ -299,6 +313,23 @@ class TestOracle:
                            "--max-value", "0")
         assert code == 0
         assert out.startswith("oracle=all_halt starts=2")
+
+    def test_witness_value_past_digit_limit(self, capsys, tmp_path):
+        # `up` climbs to the value cap, 64 times the 4299-digit delta; then
+        # a -> b -> a closes a lasso whose witness holds the top value
+        p = write_doc(tmp_path, "huge.json", qstates=["a", "b"], initial="a",
+                      edges=[
+                          {"id": "up", "from": "a", "to": "a",
+                           "effects": {"x": 10**4299 - 1}},
+                          {"id": "go", "from": "a", "to": "b", "effects": {}},
+                          {"id": "back", "from": "b", "to": "a",
+                           "effects": {}},
+                      ])
+        code, out, err = run(capsys, "oracle", p, "--grid-max", "0")
+        assert code == 2
+        assert out.startswith("oracle=lasso_found starts=1")
+        assert "witness cycle_start" not in out
+        assert err.count("\n") == 1 and err.startswith("error:")
 
 
 class TestGenerate:
