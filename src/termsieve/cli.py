@@ -29,8 +29,7 @@ from .oracle import (
     ExploreCaps,
     INCONCLUSIVE,
     LASSO_FOUND,
-    explore,
-    grid_states,
+    explore_grid,
     run_random,
 )
 from .paths import DEFAULT_PATH_CAP
@@ -245,34 +244,27 @@ def _cmd_oracle(args) -> int:
         max_configs=args.max_configs if args.max_configs is not None else 1_000_000,
         max_value=args.max_value,
     )
+    results = explore_grid(fmp, args.grid_max, caps, stop_on_lasso=False)
     counts = {ALL_HALT: 0, LASSO_FOUND: 0, INCONCLUSIVE: 0}
-    witness = None
-    witness_start = None
-    goal_hits = 0.0
-    goal_runs = 0
-    starts = 0
-    for s0 in grid_states(fmp, args.grid_max):
-        res = explore(fmp, s0, caps)
-        starts += 1
+    for _, res in results:
         counts[res.kind] += 1
-        if res.kind == LASSO_FOUND and witness is None:
-            witness = res.witness
-            witness_start = s0
-        if res.goal_report is not None:
-            goal_hits += res.goal_report
-            goal_runs += 1
+    lasso = next(((s0, res.witness) for s0, res in results
+                  if res.kind == LASSO_FOUND), None)
+    goals = [res.goal_report for _, res in results
+             if res.goal_report is not None]
     overall = (
         LASSO_FOUND if counts[LASSO_FOUND]
         else (INCONCLUSIVE if counts[INCONCLUSIVE] else ALL_HALT)
     )
     line = (
-        f"oracle={overall} starts={starts} all_halt={counts[ALL_HALT]} "
+        f"oracle={overall} starts={len(results)} all_halt={counts[ALL_HALT]} "
         f"lasso={counts[LASSO_FOUND]} inconclusive={counts[INCONCLUSIVE]}"
     )
-    if goal_runs:
-        line += f" goal_fraction={goal_hits / goal_runs:.4f}"
+    if goals:
+        line += f" goal_fraction={sum(goals) / len(goals):.4f}"
     print(line)
-    if witness is not None and witness_start is not None:
+    if lasso is not None:
+        witness_start, witness = lasso
         print(f"witness start qstate={fmp.initial} "
               f"{_values_str(fmp, witness_start.values)}")
         for eid, cfg in witness.steps:

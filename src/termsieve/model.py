@@ -12,6 +12,7 @@ from functools import cached_property
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
+    from .oracle import OracleCode
     from .paths import PathGraph
 
 Effect = Mapping[str, int]
@@ -195,6 +196,14 @@ class Fmp:
         return PathGraph(self.qstates,
                          ((e.id, e.src, e.dst) for e in self.edges),
                          self.effect_code)
+
+    @cached_property
+    def oracle_code(self) -> "OracleCode":
+        """The policy compiled for the oracle's integer configurations;
+        action sets need not be normalized."""
+        from .oracle import OracleCode  # oracle imports this module
+
+        return OracleCode(self)
 
     @cached_property
     def edges_from(self) -> dict[str, tuple[Edge, ...]]:

@@ -15,7 +15,10 @@ from termsieve.graphs import Arc, DiGraph
 from termsieve.model import (
     ConcreteState, Edge, Effect, EffectCode, Fmp, Guard, VarDecl,
 )
-from termsieve.oracle import Configuration
+from termsieve.oracle import (
+    ALL_HALT, INCONCLUSIVE, LASSO_FOUND, Configuration, ExploreCaps,
+    ExploreResult, LassoWitness, SimTrace,
+)
 from termsieve.paths import DEFAULT_PATH_CAP, NodeVarSets, PathContext, PathGraph
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
@@ -363,3 +366,102 @@ def replay_lasso(fmp: Fmp, witness) -> None:
     cfgs = witness.configurations()
     assert 0 <= witness.cycle_start < len(cfgs) - 1
     assert cfg == cfgs[witness.cycle_start], "cycle does not close"
+
+
+def referee_successors(fmp: Fmp, cfg: Configuration
+                       ) -> list[tuple[str, Configuration]]:
+    """Enabled (edge id, successor) pairs, one per action, in edge
+    declaration order then action order."""
+    out = []
+    for e in fmp.edges_from[cfg.qstate]:
+        for action in e.actions:
+            one = dataclasses.replace(e, actions=(action,))
+            if enabled(one, cfg.state):
+                out.append((e.id, Configuration(e.dst,
+                                                apply_edge(one, cfg.state))))
+    return out
+
+
+def referee_explore(fmp: Fmp, s0: ConcreteState,
+                    caps: ExploreCaps | None = None) -> ExploreResult:
+    """The oracle's DFS re-done on `referee_successors`, with
+    configurations keyed by (qstate, sorted values)."""
+    caps = caps if caps is not None else ExploreCaps()
+    max_value = caps.max_value
+    if max_value is None:
+        top_delta = max((abs(d) for e in fmp.edges for a in e.actions
+                         for d in a.values()), default=0)
+        top = max(s0.values.values(), default=0)
+        max_value = max(64, 64 * (top + top_delta))
+
+    def key(cfg):
+        return cfg.qstate, tuple(sorted(cfg.state.values.items()))
+
+    def in_goal(cfg):
+        return all(lo <= cfg.state.values[x] and (hi is None
+                                                  or cfg.state.values[x] <= hi)
+                   for x, (lo, hi) in fmp.goal.items())
+
+    stats = {"expanded": 0, "halting": 0, "value_cap_hits": 0,
+             "config_cap": 0}
+    on_path: dict = {}  # key -> index on the path
+    done: set = set()
+    path: list = []  # [configuration, edge in, successors, next index]
+    goal_hits = 0
+
+    def expand(cfg, edge_in):
+        nonlocal goal_hits
+        on_path[key(cfg)] = len(path)
+        stats["expanded"] += 1
+        succ = referee_successors(fmp, cfg)
+        if not succ:
+            stats["halting"] += 1
+            goal_hits += fmp.goal is not None and in_goal(cfg)
+        path.append([cfg, edge_in, succ, 0])
+
+    expand(Configuration(fmp.initial, s0), None)
+    while path:
+        frame = path[-1]
+        cfg, _, succ, i = frame
+        if i == len(succ):
+            path.pop()
+            del on_path[key(cfg)]
+            done.add(key(cfg))
+            continue
+        frame[3] += 1
+        eid, nxt = succ[i]
+        if max(nxt.state.values.values(), default=0) > max_value:
+            stats["value_cap_hits"] += 1
+            continue
+        k = key(nxt)
+        if k in done:
+            continue
+        if k in on_path:
+            steps = [(f[1], f[0]) for f in path[1:]] + [(eid, nxt)]
+            witness = LassoWitness(path[0][0], tuple(steps), on_path[k])
+            return ExploreResult(LASSO_FOUND, witness, stats)
+        if stats["expanded"] >= caps.max_configs:
+            stats["config_cap"] = 1
+            return ExploreResult(INCONCLUSIVE, None, stats)
+        expand(nxt, eid)
+    if stats["value_cap_hits"]:
+        return ExploreResult(INCONCLUSIVE, None, stats)
+    report = None
+    if fmp.goal is not None:
+        report = goal_hits / stats["halting"] if stats["halting"] else 0.0
+    return ExploreResult(ALL_HALT, None, stats, report)
+
+
+def referee_run_random(fmp: Fmp, s0: ConcreteState, max_steps: int,
+                       seed: int) -> SimTrace:
+    """run_random on `referee_successors`: the same choices per seed."""
+    rng = random.Random(seed)
+    cfg = Configuration(fmp.initial, s0)
+    steps = []
+    for _ in range(max_steps):
+        succ = referee_successors(fmp, cfg)
+        if not succ:
+            return SimTrace(tuple(steps), True)
+        eid, cfg = rng.choice(succ)
+        steps.append((eid, cfg))
+    return SimTrace(tuple(steps), not referee_successors(fmp, cfg))

@@ -284,6 +284,29 @@ class TestOracle:
             "witness cycle_start=0",
         ]
 
+    def test_lasso_at_a_later_start(self, capsys, tmp_path):
+        # x=0 halts in the goal, x=1 spins on e2, x=2 halts outside the
+        # goal and x=3 drains to 0: every start is explored and counted
+        p = write_doc(
+            tmp_path, "later.json",
+            edges=[
+                {"id": "e1", "from": "q0", "to": "q0",
+                 "guard": [{"var": "x", "min": 3}], "effects": {"x": -3}},
+                {"id": "e2", "from": "q0", "to": "q0",
+                 "guard": [{"var": "x", "min": 1, "max": 1}], "effects": {}},
+            ],
+            goal={"x": [0, 0]},
+        )
+        code, out, _ = run(capsys, "oracle", p, "--grid-max", "3", "--strict")
+        assert code == 0
+        assert out.splitlines() == [
+            "oracle=lasso_found starts=4 all_halt=3 lasso=1 inconclusive=0 "
+            "goal_fraction=0.6667",
+            "witness start qstate=q0 x=1",
+            "witness step edge=e2 qstate=q0 x=1",
+            "witness cycle_start=0",
+        ]
+
     def test_goal_fraction(self, capsys, tmp_path):
         p = write_doc(
             tmp_path, "goal.json",

@@ -1,6 +1,9 @@
 """Exhaustive exploration, lasso certificates, and random simulation."""
 import random
 
+import pytest
+
+from termsieve import oracle
 from termsieve.model import Edge, Fmp, Guard, VarDecl
 from termsieve.oracle import (
     ALL_HALT,
@@ -18,7 +21,9 @@ from termsieve.generate import GenSpec, generate_random
 from termsieve.policyio import load_policy
 
 from helpers import (
-    FIXTURES, apply_edge, chain_policy, enabled, replay_lasso, up_loop_policy,
+    FIXTURES, apply_edge, chain_policy, enabled, random_small_policy,
+    referee_explore, referee_run_random, referee_successors, replay_lasso,
+    up_loop_policy,
 )
 
 
@@ -222,6 +227,8 @@ class TestGrid:
         results = explore_grid(f, 2)
         assert len(results) == 1
         assert results[0][1].kind == LASSO_FOUND
+        results = explore_grid(f, 2, stop_on_lasso=False)
+        assert [res.kind for _, res in results] == [LASSO_FOUND] * 3
 
 
 class TestRunRandom:
@@ -256,3 +263,162 @@ class TestRunRandom:
         a = run_random(f, f.state({"x": 4, "y": 4}), seed=9)
         b = run_random(f, f.state({"x": 4, "y": 4}), seed=9)
         assert a == b
+
+
+def _policy(variables, edges, **kw):
+    qstates = sorted({q for e in edges for q in (e.src, e.dst)} | {"q0"})
+    return Fmp(variables=tuple(variables), qstates=tuple(qstates),
+               initial="q0", edges=tuple(edges), **kw)
+
+
+HUGE = 10**4299 - 1  # a 4299-digit delta
+
+# name -> (policy, start values, caps)
+HAND_BUILT = {
+    "interval-guards": (
+        _policy([VarDecl("x"), VarDecl("y")], [
+            Edge.single("in", "q0", "q1", {"y": 2}, Guard({"x": (2, 4)})),
+            Edge.single("low", "q0", "q0", {"x": 1}, Guard({"x": (0, 3)})),
+            Edge.single("back", "q1", "q0", {"x": -1, "y": -1},
+                        Guard({"y": (1, 6), "x": (1, None)})),
+            Edge.single("over", "q1", "q1", {"y": 1}, Guard({"y": (7, None)})),
+        ]),
+        {"x": 0, "y": 0}, ExploreCaps()),
+    "lower-bounds": (
+        _policy([VarDecl("x", -3), VarDecl("y", 2)], [
+            Edge.single("dx", "q0", "q0", {"x": -1}),
+            Edge.single("dy", "q0", "q1", {"y": -2, "x": 1}),
+            Edge.single("up", "q1", "q0", {"y": 1}, Guard({"x": (-1, 0)})),
+        ]),
+        {"x": -1, "y": 5}, ExploreCaps(max_value=9)),
+    "action-sets": (
+        _policy([VarDecl("x"), VarDecl("y")], [
+            Edge("pick", "q0", "q0", Guard({"x": (1, None)}),
+                 ({"x": -1, "y": 1}, {"x": -2}, {})),
+            Edge("none", "q0", "q1", Guard(), ()),
+            Edge("drain", "q0", "q1", Guard(), ({"y": -3}, {"y": -1})),
+        ]),
+        {"x": 3, "y": 1}, ExploreCaps()),
+    "goal": (
+        _policy([VarDecl("x"), VarDecl("y", 1)], [
+            Edge.single("m2", "q0", "q0", {"x": -2}),
+            Edge.single("m3", "q0", "q1", {"x": -3, "y": 1}),
+        ], goal={"x": (0, 1), "y": (1, None)}),
+        {"x": 9, "y": 1}, ExploreCaps()),
+    "no-variables": (
+        _policy([], [Edge.single("go", "q0", "q1"),
+                     Edge.single("spin", "q1", "q1")]),
+        {}, ExploreCaps()),
+    "no-variables-goal": (
+        _policy([], [Edge.single("go", "q0", "q1")], goal={}),
+        {}, ExploreCaps()),
+    "no-variables-negative-cap": (
+        _policy([], [Edge.single("go", "q0", "q1")], goal={}),
+        {}, ExploreCaps(max_value=-1)),
+    "cap-below-lower-bound": (
+        _policy([VarDecl("x", 5)], [
+            Edge.single("dec", "q0", "q0", {"x": -1}),
+            Edge.single("stay", "q0", "q1"),
+        ]),
+        {"x": 7}, ExploreCaps(max_value=3)),
+    "start-above-cap": (
+        _policy([VarDecl("x"), VarDecl("y")], [
+            Edge.single("dec", "q0", "q0", {"x": -1}),
+            Edge.single("drop", "q0", "q0", {"x": -10}),
+            Edge.single("swap", "q0", "q1", {"y": 5}),
+            Edge.single("ret", "q1", "q0", {"y": -5}),
+        ]),
+        {"x": 25, "y": 0}, ExploreCaps(max_value=20)),
+    "huge-deltas": (
+        _policy([VarDecl("x"), VarDecl("y", -HUGE)], [
+            Edge.single("up", "q0", "q0", {"x": HUGE, "y": -HUGE}),
+            Edge.single("go", "q0", "q1", {"y": HUGE}, Guard({"x": (HUGE, None)})),
+            Edge.single("back", "q1", "q0", {"x": -HUGE}),
+        ]),
+        {"x": 0, "y": 0}, ExploreCaps()),
+}
+
+
+def _same(got, want):
+    assert got == want
+    assert list(got.stats.items()) == list(want.stats.items())
+
+
+class TestAgainstReferee:
+    """explore, step and run_random equal a DFS on the reference interpreter."""
+
+    @pytest.mark.parametrize("name", sorted(HAND_BUILT))
+    def test_hand_built(self, name):
+        f, values, caps = HAND_BUILT[name]
+        s0 = f.state(values)
+        _same(explore(f, s0, caps), referee_explore(f, s0, caps))
+        for q in f.qstates:
+            cfg = Configuration(q, s0)
+            assert step(f, cfg) == referee_successors(f, cfg)
+        for seed in range(3):
+            assert (run_random(f, s0, max_steps=40, seed=seed)
+                    == referee_run_random(f, s0, 40, seed))
+
+    def test_hand_built_cases_reach_every_outcome(self):
+        kinds = {name: explore(f, f.state(v), caps).kind
+                 for name, (f, v, caps) in HAND_BUILT.items()}
+        assert set(kinds.values()) == {ALL_HALT, LASSO_FOUND, INCONCLUSIVE}
+        assert kinds["huge-deltas"] == LASSO_FOUND
+
+    def test_generated_policies(self):
+        for i in range(60):
+            f = generate_random(GenSpec(2 + i % 6, 1 + i % 2, 0.5, 2,
+                                        seed=62_000 + i))
+            caps = ExploreCaps(max_configs=(300, 2000)[i % 2])
+            for s0 in grid_states(f, 1):
+                _same(explore(f, s0, caps), referee_explore(f, s0, caps))
+
+    def test_guarded_policies(self):
+        rng = random.Random(62_500)
+        seen = set()
+        for i in range(120):
+            f = random_small_policy(rng)
+            if i % 3 == 0:
+                f = Fmp(f.variables, f.qstates, f.initial, f.edges,
+                        goal={f.var_names[0]: (f.variables[0].lower_bound,
+                                               rng.choice([None, 0, 2]))})
+            caps = ExploreCaps(max_configs=rng.choice([20, 1000]),
+                               max_value=rng.choice([None, -3, 0, 4, 30]))
+            for s0 in grid_states(f, 2):
+                got = explore(f, s0, caps)
+                _same(got, referee_explore(f, s0, caps))
+                seen.add(got.kind)
+                cfg = Configuration(rng.choice(f.qstates), s0)
+                assert step(f, cfg) == referee_successors(f, cfg)
+                assert (run_random(f, s0, max_steps=25, seed=i)
+                        == referee_run_random(f, s0, 25, i))
+        assert seen == {ALL_HALT, LASSO_FOUND, INCONCLUSIVE}
+
+
+class TestCompiledOnce:
+    def test_grid_compiles_once_and_packs_once_per_width(self, monkeypatch):
+        compiled, widths = [], []
+        real_code, real_packing = oracle.OracleCode, oracle.Packing
+
+        def code(fmp):
+            compiled.append(fmp)
+            return real_code(fmp)
+
+        def packing(code, width):
+            widths.append(width)
+            return real_packing(code, width)
+
+        monkeypatch.setattr(oracle, "OracleCode", code)
+        monkeypatch.setattr(oracle, "Packing", packing)
+        f = _policy([VarDecl("x"), VarDecl("y"), VarDecl("z")], [
+            Edge.single("dx", "q0", "q0", {"x": -1}),
+            Edge.single("dy", "q0", "q0", {"y": -1, "z": 1}),
+            Edge.single("dz", "q0", "q0", {"z": -1}),
+        ])
+        results = explore_grid(f, 3)
+        assert len(results) == 64
+        assert all(res.kind == ALL_HALT for _, res in results)
+        assert len(compiled) == 1
+        # start maxima 0..3 derive the caps 64, 128, 192 and 256, which
+        # need fields of 7, 8, 8 and 9 bits
+        assert sorted(widths) == sorted(set(widths)) and len(widths) == 3
