@@ -45,7 +45,6 @@ from .paths import (
     PathCapExceeded,
     PathContext,
     PathGraph,
-    PathSummary,
     boxminus,
     var_sets,
 )

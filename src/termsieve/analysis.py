@@ -96,12 +96,20 @@ class AnalysisReport:
         }
 
 
-def _tree_dict(node: DetNode) -> dict:
-    return {
-        "vertices": sorted(node.vertices),
-        "elim": node.elim,
-        "children": [_tree_dict(c) for c in node.children],
-    }
+def _tree_dict(tree: DetNode) -> dict:
+    def shell(node: DetNode) -> dict:
+        return {"vertices": sorted(node.vertices), "elim": node.elim,
+                "children": []}
+
+    out = shell(tree)
+    stack = [(tree, out)]
+    while stack:
+        node, d = stack.pop()
+        for c in node.children:
+            child = shell(c)
+            d["children"].append(child)
+            stack.append((c, child))
+    return out
 
 
 def def_seed_for(base_seed: int, iteration: int) -> int:
@@ -276,9 +284,15 @@ def progress_sieve(fmp: Fmp) -> Verdict:
     effects = {e.id: e.effect for e in fmp.edges}  # raises unless normalized
     g = policy_graph(fmp)
 
-    def melts(sub: DiGraph) -> bool:
-        parts = scc_decompose(sub)
-        for comp in parts.nontrivial():
+    def melts() -> bool:
+        # frames: a graph and its nontrivial SCCs left to melt
+        stack = [(g, iter(scc_decompose(g).nontrivial()))]
+        while stack:
+            sub, comps = stack[-1]
+            comp = next(comps, None)
+            if comp is None:
+                stack.pop()
+                continue
             inner = induced(sub, comp)
             decreased: set[str] = set()
             increased: set[str] = set()
@@ -300,11 +314,10 @@ def progress_sieve(fmp: Fmp) -> Verdict:
                 vertices=inner.vertices,
                 arcs=tuple(a for a in inner.arcs if a[0] not in removable),
             )
-            if not melts(rest):
-                return False
+            stack.append((rest, iter(scc_decompose(rest).nontrivial())))
         return True
 
-    if melts(g):
+    if melts():
         return Verdict(TERMINATING, "progress")
     return Verdict(NONTERMINATING_QUALITATIVE, "no-progress-variable")
 

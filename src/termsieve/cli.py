@@ -29,7 +29,8 @@ from .oracle import (
     ExploreCaps,
     INCONCLUSIVE,
     LASSO_FOUND,
-    explore_grid,
+    explore,
+    grid_states,
     run_random,
 )
 from .paths import DEFAULT_PATH_CAP
@@ -170,7 +171,11 @@ def _cmd_analyze(args) -> int:
     report = hsieve(fmp, cfg)
     trace = report.to_trace_dict()
     if args.trace:
-        atomic_write(args.trace, json.dumps(trace, indent=2, sort_keys=True) + "\n")
+        try:
+            text = json.dumps(trace, indent=2, sort_keys=True)
+        except RecursionError:
+            return _fail("the trace nests too deeply to write as JSON")
+        atomic_write(args.trace, text + "\n")
     if args.emit_dot:
         os.makedirs(args.emit_dot, exist_ok=True)
         atomic_write(os.path.join(args.emit_dot, "policy.dot"), export_dot(fmp))
@@ -244,20 +249,25 @@ def _cmd_oracle(args) -> int:
         max_configs=args.max_configs if args.max_configs is not None else 1_000_000,
         max_value=args.max_value,
     )
-    results = explore_grid(fmp, args.grid_max, caps, stop_on_lasso=False)
+    # one start at a time, keeping the first lasso's witness and no other
     counts = {ALL_HALT: 0, LASSO_FOUND: 0, INCONCLUSIVE: 0}
-    for _, res in results:
+    goals: list[float] = []
+    lasso = None
+    for s0 in grid_states(fmp, args.grid_max):
+        res = explore(fmp, s0, caps)
         counts[res.kind] += 1
-    lasso = next(((s0, res.witness) for s0, res in results
-                  if res.kind == LASSO_FOUND), None)
-    goals = [res.goal_report for _, res in results
-             if res.goal_report is not None]
+        if res.goal_report is not None:
+            goals.append(res.goal_report)
+        if lasso is None and res.kind == LASSO_FOUND:
+            lasso = s0, res.witness
+        del res  # so a later lasso's witness is gone before the next start
     overall = (
         LASSO_FOUND if counts[LASSO_FOUND]
         else (INCONCLUSIVE if counts[INCONCLUSIVE] else ALL_HALT)
     )
     line = (
-        f"oracle={overall} starts={len(results)} all_halt={counts[ALL_HALT]} "
+        f"oracle={overall} starts={sum(counts.values())} "
+        f"all_halt={counts[ALL_HALT]} "
         f"lasso={counts[LASSO_FOUND]} inconclusive={counts[INCONCLUSIVE]}"
     )
     if goals:

@@ -17,17 +17,54 @@ from dataclasses import dataclass
 from .graphs import DiGraph, induced, is_acyclic, scc_decompose
 
 
-@dataclass(frozen=True)
 class DetNode:
-    vertices: frozenset[str]
-    elim: str
-    children: tuple["DetNode", ...]
+    """A tree node: a vertex set, its elimination vertex and its children.
+
+    Treat it as immutable. A forest can be deeper than Python's recursion
+    limit, so the hash is computed once, from the children's, and equality
+    and every traversal use explicit stacks.
+    """
+
+    __slots__ = ("vertices", "elim", "children", "_hash")
+
+    def __init__(self, vertices: frozenset[str], elim: str,
+                 children: tuple["DetNode", ...]):
+        self.vertices = vertices
+        self.elim = elim
+        self.children = children
+        # a child's __hash__ returns its stored hash: no recursion here
+        self._hash = hash((vertices, elim, children))
+
+    def __repr__(self) -> str:
+        return (f"DetNode(vertices={self.vertices!r}, elim={self.elim!r}, "
+                f"children=<{len(self.children)}>)")
+
+    def __hash__(self) -> int:
+        return self._hash
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, DetNode):
+            return NotImplemented
+        pairs = [(self, other)]
+        for a, b in pairs:  # the loop also visits the pairs appended below
+            if a is not b:
+                if (a._hash != b._hash or a.elim != b.elim
+                        or a.vertices != b.vertices
+                        or len(a.children) != len(b.children)):
+                    return False
+                if a.children:
+                    pairs += zip(a.children, b.children)
+        return True
 
     def walk(self) -> list["DetNode"]:
         """Preorder traversal of the subtree rooted here."""
-        out = [self]
-        for c in self.children:
-            out.extend(c.walk())
+        out: list[DetNode] = []
+        stack = [self]
+        while stack:
+            node = stack.pop()
+            out.append(node)
+            if node.children:
+                stack += node.children[::-1]
         return out
 
 
@@ -53,11 +90,25 @@ def _split(g: DiGraph, vs: frozenset[str], elim: str | None,
 
 def _build_node(g: DiGraph, vs: frozenset[str], rng: random.Random,
                 splits: Splits) -> DetNode:
-    elim = rng.choice(sorted(vs))
-    children = tuple(
-        _build_node(g, c, rng, splits) for c in _split(g, vs, elim, splits)
-    )
-    return DetNode(vertices=vs, elim=elim, children=children)
+    """The tree on `vs`, its elims drawn from `rng` in preorder."""
+
+    def enter(part: frozenset[str]):
+        elim = rng.choice(sorted(part))
+        return part, elim, iter(_split(g, part, elim, splits)), []
+
+    # frames: vertex set, elim, child vertex sets left, children built
+    stack = [enter(vs)]
+    while True:
+        vs, elim, todo, built = stack[-1]
+        child = next(todo, None)
+        if child is not None:
+            stack.append(enter(child))
+            continue
+        stack.pop()
+        node = DetNode(vertices=vs, elim=elim, children=tuple(built))
+        if not stack:
+            return node
+        stack[-1][3].append(node)
 
 
 def build_def(g: DiGraph, seed: int,
@@ -114,26 +165,26 @@ def check_det(forest: DefForest, g: DiGraph) -> list[str]:
             f"{sorted(sorted(r) for r in expected_roots)}"
         )
 
-    def visit(node: DetNode, seen: set[frozenset[str]]) -> None:
-        where = f"({','.join(sorted(node.vertices))}, {node.elim})"
-        if node.vertices in seen:
-            out.append(f"duplicate-node: {where}")
-        seen.add(node.vertices)
-        if node.elim not in node.vertices:
-            out.append(f"elim-not-member: {where}")
-            return
-        rest = induced(g, node.vertices - {node.elim})
-        expected = set(scc_decompose(rest).nontrivial())
-        actual = {c.vertices for c in node.children}
-        if actual != expected:
-            out.append(f"children-mismatch: {where}")
-        q = quotient(g, node)
-        minus_elim = induced(q, q.vertices - {node.elim})
-        if not is_acyclic(minus_elim):
-            out.append(f"quotient-not-acyclic: {where}")
-        for c in node.children:
-            visit(c, seen)
-
     for tree in forest.trees:
-        visit(tree, set())
+        seen: set[frozenset[str]] = set()
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            where = f"({','.join(sorted(node.vertices))}, {node.elim})"
+            if node.vertices in seen:
+                out.append(f"duplicate-node: {where}")
+            seen.add(node.vertices)
+            if node.elim not in node.vertices:
+                out.append(f"elim-not-member: {where}")
+                continue
+            rest = induced(g, node.vertices - {node.elim})
+            expected = set(scc_decompose(rest).nontrivial())
+            actual = {c.vertices for c in node.children}
+            if actual != expected:
+                out.append(f"children-mismatch: {where}")
+            q = quotient(g, node)
+            minus_elim = induced(q, q.vertices - {node.elim})
+            if not is_acyclic(minus_elim):
+                out.append(f"quotient-not-acyclic: {where}")
+            stack.extend(reversed(node.children))
     return out

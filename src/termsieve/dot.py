@@ -45,19 +45,17 @@ def export_def_dot(forest: DefForest) -> str:
     """The forest as boxes labeled (vertex set, elimination vertex)."""
     lines = ["digraph def_forest {", "  node [shape=box];"]
     counter = 0
-
-    def visit(node: DetNode, parent: str | None) -> None:
-        nonlocal counter
+    # preorder, so boxes are numbered as a recursive visit numbers them
+    stack: list[tuple[DetNode, str | None]] = [
+        (tree, None) for tree in reversed(forest.trees)]
+    while stack:
+        node, parent = stack.pop()
         nid = f"d{counter}"
         counter += 1
         label = "({" + ",".join(sorted(node.vertices)) + "}, " + node.elim + ")"
         lines.append(f"  {nid} [label={_q(label)}];")
         if parent is not None:
             lines.append(f"  {parent} -> {nid};")
-        for c in node.children:
-            visit(c, nid)
-
-    for tree in forest.trees:
-        visit(tree, None)
+        stack.extend((c, nid) for c in reversed(node.children))
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -93,8 +93,8 @@ class EffectCode:
     zero exactly when no summed edge moves it, and never negative. For a
     path of at most `max_len` edges `base` exceeds twice any |net| and the
     number of moves, so the sum of its weights is a key in which no field
-    carries into the next; `net` reads the path's net effect back from the
-    low digits, each the net modulo `base`.
+    carries into the next, and the low digit of each field is the net
+    modulo `base`.
     """
 
     def __init__(self, effects: Mapping[str, Effect], max_len: int):
@@ -112,25 +112,9 @@ class EffectCode:
             for eid, eff in effects.items()
         }
 
-    def net(self, key: int) -> dict[str, int]:
-        """Net change per variable for a sum of weights.
-
-        A variable appears iff some summed edge moves it; a variable mapped
-        to 0 records moves that cancel.
-        """
-        base, half, width = self.base, self.base >> 1, 2 * self.bits
-        field, digit = (1 << width) - 1, base - 1
-        out: dict[str, int] = {}
-        for var in self.variables:
-            if key & field:
-                delta = key & digit
-                out[var] = delta if delta < half else delta - base
-            key >>= width
-        return out
-
     def signs(self, key: int) -> tuple[int, int, int]:
-        """Bit masks over `variables` of the nets `net(key)` reads as
-        positive, zero and negative, in that order."""
+        """Bit masks over `variables` of the moved variables whose net in
+        `key` is positive, zero and negative, in that order."""
         half, width = self.base >> 1, 2 * self.bits
         field, digit = (1 << width) - 1, self.base - 1
         inc = zero = dec = 0

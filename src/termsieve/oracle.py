@@ -305,16 +305,15 @@ def grid_states(fmp: Fmp, grid_max: int) -> Iterator[ConcreteState]:
 
 
 def explore_grid(
-    fmp: Fmp, grid_max: int, caps: ExploreCaps | None = None, *,
-    stop_on_lasso: bool = True,
+    fmp: Fmp, grid_max: int, caps: ExploreCaps | None = None,
 ) -> list[tuple[ConcreteState, ExploreResult]]:
-    """explore() over the start grid in order; with stop_on_lasso, only up
-    to the first start that finds a lasso."""
+    """explore() over the start grid in order, up to the first start that
+    finds a lasso."""
     out = []
     for s0 in grid_states(fmp, grid_max):
         res = explore(fmp, s0, caps)
         out.append((s0, res))
-        if stop_on_lasso and res.kind == LASSO_FOUND:
+        if res.kind == LASSO_FOUND:
             break
     return out
 

@@ -36,10 +36,10 @@ forest nodes, the only ones `hsieve` and the CLI enumerate, every descent
 leads to an emitted path, so a node costs O(arcs * qstates) per emitted path
 and the path cap bounds the run time.
 
-`var_sets` adds each path's key to a set and decodes every distinct key once,
-into sign bitmasks; `PathContext.tree_sets` keeps its answer for each tree.
-`PathContext.paths` reads each path's arc ids off the DFS stack and decodes
-its key into a `PathSummary`.
+`PathContext.paths` lists a node's path keys in that order; `var_sets` adds
+the keys of every node of a subtree to one set and decodes each distinct key
+once, into sign bitmasks. `PathContext.tree_sets` keeps its answer for each
+tree.
 
 Per-node enumeration is capped by the number of paths emitted, not of
 distinct keys; blowing the cap raises PathCapExceeded, which callers convert
@@ -74,19 +74,6 @@ class PathCapExceeded(Exception):
         )
         self.node = node
         self.cap = cap
-
-
-@dataclass(frozen=True)
-class PathSummary:
-    """One enumerated path: its kind, traversed edge ids, and net effect.
-
-    `net` keys are exactly the variables some traversed edge moves; a key
-    mapped to 0 records moves that cancel along the path.
-    """
-
-    kind: str  # "cycle" | "through"
-    edge_ids: tuple[str, ...]
-    net: Mapping[str, int]
 
 
 @dataclass(frozen=True)
@@ -194,16 +181,15 @@ def _reaches(succ: Sequence[int], frontier: int, blocked: int,
 
 def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
           succ: Sequence[int], start: int, path: int, targets: int,
-          live: int, left: int, keys: set[int],
-          found: list[tuple[int, tuple[str, ...]]] | None) -> int:
-    """Emit every simple path from `start` that ends on a `targets` vertex.
+          live: int, left: int, keys: list[int]) -> int:
+    """Append to `keys` the key of every simple path from `start` that ends
+    on a `targets` vertex.
 
     A step goes onto a vertex outside `path`, and a path is emitted each
     time a step lands on a target, so prefixes that end on a target are
     emitted too. The walk never continues past `start`, so with `start`
     left out of `path` a path can close on it, as a cycle path does on its
-    elim. Each path's key is added to `keys`, or, when `found` is a list,
-    appended to it with the path's arc ids.
+    elim.
 
     A step onto `w` is taken when a successor of `w` off the path is in
     `live`, or when `_reaches` finds a target from them over `succ`.
@@ -212,23 +198,18 @@ def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
     more path was found.
     """
     sbit = 1 << start
-    add = keys.add
-    stack: list[tuple[int, Iterable[_Arc], int, str]] = [
-        (sbit, iter(out[start]), 0, "")]
+    emit = keys.append
+    stack: list[tuple[int, Iterable[_Arc], int]] = [(sbit, iter(out[start]), 0)]
     while stack:
-        bit, arcs, key, _ = stack[-1]
-        for w, wbit, weight, wsucc, aid in arcs:
+        bit, arcs, key = stack[-1]
+        for w, wbit, weight, wsucc, _ in arcs:
             if path & wbit:
                 continue
             if wbit & targets:
                 if not left:
                     return -1
                 left -= 1
-                if found is None:
-                    add(key + weight)
-                else:
-                    found.append((key + weight, tuple(
-                        f[3] for f in stack[1:]) + (aid,)))
+                emit(key + weight)
                 if wbit == sbit:
                     continue
             free = wsucc & ~path
@@ -236,7 +217,7 @@ def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
                     succ, free, path | wbit, targets)):
                 continue
             path |= wbit
-            stack.append((wbit, iter(out[w]), key + weight, aid))
+            stack.append((wbit, iter(out[w]), key + weight))
             break
         else:
             stack.pop()
@@ -278,20 +259,10 @@ class PathContext:
             raise sets.with_traceback(None)
         return sets
 
-    def paths(self, node: DetNode) -> tuple[PathSummary, ...]:
-        """Every cycle path, then every through path, of one node."""
-        net = self.graph.code.net
-        found: list[tuple[int, tuple[str, ...]]] = []
-        cycles = self._enumerate(node, set(), found)
-        return tuple(
-            PathSummary("cycle" if i < cycles else "through", arcs, net(key))
-            for i, (key, arcs) in enumerate(found))
-
-    def _enumerate(self, node: DetNode, keys: set[int],
-                   found: list[tuple[int, tuple[str, ...]]] | None) -> int:
-        """Run the node's searches: its cycle paths, then its through paths
-        from each entry in name order. Keys go to `keys`, or, with arc ids,
-        to `found` when given; returns how many of `found` are cycle paths.
+    def paths(self, node: DetNode) -> list[int]:
+        """The key of every path of one node, one per path in DFS order:
+        its cycle paths, then its through paths from each entry in name
+        order.
 
         Raises PathCapExceeded on the first path past the cap, however
         many of the paths before it share a key.
@@ -307,9 +278,9 @@ class PathContext:
         outside = g.all ^ mask
         elim = g.index[node.elim]
         out = g.quotient(node, mask) if node.children else g.out
+        keys: list[int] = []
         left = _walk(out, g.succ, elim, outside, 1 << elim, mask,
-                     self.path_cap, keys, found)
-        cycles = len(found) if found is not None else 0
+                     self.path_cap, keys)
         exits = entries = 0
         for v in _indices(mask):
             if g.succ[v] & outside:
@@ -323,10 +294,10 @@ class PathContext:
                 if left < 0:
                     break
                 left = _walk(g.out, g.succ, start, outside | 1 << start,
-                             exits, exits, left, keys, found)
+                             exits, exits, left, keys)
         if left < 0:
             raise PathCapExceeded(node, self.path_cap)
-        return cycles
+        return keys
 
 
 def boxminus(family: Iterable[Iterable[str]], iv: Iterable[str]) -> VarSetFamily:
@@ -351,7 +322,7 @@ def var_sets(node: DetNode, ctx: PathContext) -> NodeVarSets:
     """
     keys: set[int] = set()
     for n in node.walk():
-        ctx._enumerate(n, keys, None)
+        keys.update(ctx.paths(n))
     code = ctx.graph.code
     signs = code.signs
     inc = zero = 0

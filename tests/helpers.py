@@ -6,10 +6,12 @@ library internals: they may only use the public data types.
 """
 from __future__ import annotations
 
+import contextlib
 import dataclasses
 import itertools
 import pathlib
 import random
+import sys
 
 from termsieve.graphs import Arc, DiGraph
 from termsieve.model import (
@@ -67,6 +69,22 @@ def random_digraph(rng: random.Random, max_vertices: int = 6,
     return DiGraph(frozenset(vs), tuple(arcs))
 
 
+@contextlib.contextmanager
+def recursion_room(frames: int = 100):
+    """Lower the recursion limit to `frames` frames above the caller's, and
+    restore it on exit, so a traversal that recurses once per tree level
+    fails on a tree deeper than that."""
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + frames)
+    try:
+        yield
+    finally:
+        sys.setrecursionlimit(limit)
+
+
 # ----------------------------------------------------------- path oracles
 
 def accumulate(net: dict[str, int], effect: Effect) -> None:
@@ -85,6 +103,101 @@ def path_ctx(g: DiGraph, effects, q0, path_cap: int = DEFAULT_PATH_CAP
     """A PathContext on `g` with the effect code of `effects`."""
     code = EffectCode(effects, len(g.vertices))
     return PathContext(PathGraph(g.vertices, g.arcs, code), q0, path_cap)
+
+
+def key_net(code: EffectCode, key: int) -> dict[str, int]:
+    """Net change per variable for a sum of `code` weights, read back from
+    the key's digits.
+
+    A variable appears iff some summed edge moves it; a variable mapped to
+    0 records moves that cancel.
+    """
+    base, half, width = code.base, code.base >> 1, 2 * code.bits
+    field, digit = (1 << width) - 1, base - 1
+    out: dict[str, int] = {}
+    for var in code.variables:
+        if key & field:
+            delta = key & digit
+            out[var] = delta if delta < half else delta - base
+        key >>= width
+    return out
+
+
+def _arc_keys(g: DiGraph, q0, node, path_cap: int) -> list[frozenset[str]]:
+    """The arc set of each path key of `node`, from a context with one
+    counter per arc moved by +1; a key that counts some arc other than once
+    gives the empty set."""
+    ctx = path_ctx(g, {aid: {aid: 1} for aid, _, _ in g.arcs}, q0, path_cap)
+    out = []
+    for key in ctx.paths(node):
+        net = key_net(ctx.graph.code, key)
+        out.append(frozenset(net) if set(net.values()) == {1}
+                   else frozenset())
+    return out
+
+
+def _walk_arcs(arcs: frozenset[str], ends: dict[str, tuple[str, str]],
+               start: str | None) -> tuple[str, ...] | None:
+    """The one walk from `start` that takes each of `arcs` once, leaving
+    each vertex by its only unused arc in the set, or None."""
+    if not arcs or start is None or not arcs <= ends.keys():
+        return None
+    unused = set(arcs)
+    seq: list[str] = []
+    v = start
+    while unused:
+        out = [aid for aid in unused if ends[aid][0] == v]
+        if len(out) != 1:
+            return None
+        seq.append(out[0])
+        unused.remove(out[0])
+        v = ends[out[0]][1]
+    return tuple(seq)
+
+
+def listed_paths(g: DiGraph, node, q0, path_cap: int = DEFAULT_PATH_CAP
+                 ) -> list[tuple[str, tuple[str, ...] | None]]:
+    """(kind, arc ids) of every path `PathContext.paths` emits for `node`,
+    in its order, decoded from the path keys alone.
+
+    Each key decodes to its path's arc set, and from the known start that
+    set fixes the path: a cycle path leaves the elim over the node's
+    quotient arcs (each child collapsed onto its own elim), a through path
+    leaves the one vertex its arcs leave but never enter. The first keys
+    are the cycle paths, as many as the node has on its own induced
+    subgraph, which has no boundary and so no through paths. A key that
+    does not decode to one walk lists None.
+    """
+    vs = node.vertices
+    inner = tuple(a for a in g.arcs if a[1] in vs and a[2] in vs)
+    n_cycles = len(_arc_keys(DiGraph(vs, inner), None, node, path_cap))
+    rep = {v: c.elim for c in node.children for v in c.vertices}
+    quotient_ends = {aid: (rep.get(s, s), rep.get(d, d))
+                     for aid, s, d in inner
+                     if not (s in rep and rep[s] == rep.get(d))}
+    through_ends = {aid: (s, d) for aid, s, d in inner}
+    out: list[tuple[str, tuple[str, ...] | None]] = []
+    for i, arcs in enumerate(_arc_keys(g, q0, node, path_cap)):
+        if i < n_cycles:
+            out.append(("cycle", _walk_arcs(arcs, quotient_ends, node.elim)))
+            continue
+        starts = ({through_ends[a][0] for a in arcs if a in through_ends}
+                  - {through_ends[a][1] for a in arcs if a in through_ends})
+        out.append(("through", _walk_arcs(
+            arcs, through_ends, starts.pop() if len(starts) == 1 else None)))
+    return out
+
+
+def path_keys(g: DiGraph, effects, q0, node, listed
+              ) -> tuple[EffectCode, list[int]]:
+    """The effect code of `effects` and the path keys of `node` under it,
+    checked against the arc ids of `listed` (as from listed_paths): the
+    i-th key must be the sum of the weights of the i-th path's arcs."""
+    ctx = path_ctx(g, effects, q0)
+    keys = ctx.paths(node)
+    weight = ctx.graph.code.weight
+    assert keys == [sum(weight[aid] for aid in seq or ()) for _, seq in listed]
+    return ctx.graph.code, keys
 
 
 def brute_cycle_paths(q: DiGraph, elim: str) -> set[tuple[str, ...]]:
@@ -243,6 +356,20 @@ def chord_ring_policy(n: int) -> Fmp:
     edges = tuple(
         Edge.single(f"e{i}_{k}", qs[i], qs[(i + k) % n], effect={"x": -1})
         for i in range(n) for k in (1, 2)
+    )
+    return Fmp(variables=(VarDecl("x"),), qstates=qs, initial="q0",
+               edges=edges)
+
+
+def circulant_policy(n: int, steps=(1, 2, 3, 4)) -> Fmp:
+    """An n-qstate circulant: q_i -> q_{i+s} and q_i -> q_{i-s} (indices
+    mod n) for each s in `steps`, every edge decrementing x. With steps 1
+    to 4 its elimination trees are deep: 134 levels at n=300, seed 0."""
+    qs = tuple(f"q{i}" for i in range(n))
+    edges = tuple(
+        Edge.single(f"e{i}_{sign}{s}", qs[i], qs[(i + sign * s) % n],
+                    effect={"x": -1})
+        for i in range(n) for s in steps for sign in (1, -1)
     )
     return Fmp(variables=(VarDecl("x"),), qstates=qs, initial="q0",
                edges=edges)

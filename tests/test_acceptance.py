@@ -24,7 +24,8 @@ from termsieve.policyio import load_policy, parse_policy, serialize_policy
 
 from helpers import (
     FIXTURES, TEST_FIXTURES, brute_sccs, guard_free_walks, iter_nodes,
-    path_ctx, random_digraph, random_small_policy, replay_lasso,
+    key_net, listed_paths, path_ctx, random_digraph, random_small_policy,
+    replay_lasso,
 )
 
 
@@ -184,9 +185,11 @@ def _c_def_structure(n):
     return n, []
 
 
-def _path_shape_problem(p, node, by_id, entries, exits, effects):
+def _path_shape_problem(kind, seq, node, by_id, entries, exits):
+    if seq is None:
+        return "path key does not decode to one nonempty walk from its start"
     verts = []
-    for eid in p.edge_ids:
+    for eid in seq:
         if eid not in by_id:
             return f"arc {eid} not in the enumeration graph"
         s, d = by_id[eid]
@@ -195,9 +198,7 @@ def _path_shape_problem(p, node, by_id, entries, exits, effects):
         elif verts[-1] != s:
             return f"discontiguous at {eid}"
         verts.append(d)
-    if not p.edge_ids:
-        return "zero-length path emitted"
-    if p.kind == "cycle":
+    if kind == "cycle":
         if verts[0] != node.elim or verts[-1] != node.elim:
             return "cycle path does not start and end at the eliminated vertex"
         if verts.count(node.elim) != 2:
@@ -210,17 +211,13 @@ def _path_shape_problem(p, node, by_id, entries, exits, effects):
             return "through path repeats a vertex"
         if verts[0] not in entries or verts[-1] not in exits:
             return "through path endpoints outside the boundary"
-    net = {}
-    for eid in p.edge_ids:
-        for v, dd in effects[eid].items():
-            if dd:
-                net[v] = net.get(v, 0) + dd
-    if net != p.net:
-        return f"net drift: {p.net} vs recomputed {net}"
     return None
 
 
 def _c_path_shapes(target):
+    """Each path is read back from its keys alone: the arc set from a
+    context with one counter per arc, and the net from a second context
+    over the case's effects."""
     rng = random.Random(71002)
     cases = 0
     while cases < target:
@@ -233,21 +230,36 @@ def _c_path_shapes(target):
         q0 = rng.choice(sorted(g.vertices)) if rng.random() < 0.5 else None
         forest = build_def(g, rng.randrange(1 << 16))
         ctx = path_ctx(g, effects, q0)
+        code = ctx.graph.code
         for node in iter_nodes(forest):
             try:
-                paths = ctx.paths(node)
+                paths = listed_paths(g, node, q0)
+                keys = ctx.paths(node)
             except PathCapExceeded:
                 continue
+            if len(keys) != len(paths):
+                return cases, [f"path shape case {cases}: {len(keys)} keys "
+                               f"for {len(paths)} paths"]
             q_by_id = {a[0]: (a[1], a[2])
                        for a in quotient(g, node).arcs}
             s_by_id = {a[0]: (a[1], a[2])
                        for a in induced(g, node.vertices).arcs}
             entries, exits = boundary(g, node.vertices, q0)
-            for p in paths:
+            for (kind, seq), key in zip(paths, keys):
                 cases += 1
                 msg = _path_shape_problem(
-                    p, node, q_by_id if p.kind == "cycle" else s_by_id,
-                    entries, exits, effects)
+                    kind, seq, node, q_by_id if kind == "cycle" else s_by_id,
+                    entries, exits)
+                if msg is None:
+                    net = {}
+                    for eid in seq:
+                        for v, dd in effects[eid].items():
+                            if dd:
+                                net[v] = net.get(v, 0) + dd
+                    if key != sum(code.weight[eid] for eid in seq) \
+                            or key_net(code, key) != net:
+                        msg = (f"net drift: {key_net(code, key)} vs "
+                               f"recomputed {net}")
                 if msg:
                     return cases, [f"path shape case {cases}: {msg}"]
     return cases, []

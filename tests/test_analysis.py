@@ -27,8 +27,8 @@ from termsieve.policyio import load_policy
 
 from helpers import (
     FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, chord_ring_policy,
-    iter_nodes, replay_lasso, ring_policy, two_pair_lasso_policy,
-    up_loop_policy,
+    iter_nodes, recursion_room, replay_lasso, ring_policy,
+    two_pair_lasso_policy, up_loop_policy,
 )
 
 
@@ -356,8 +356,8 @@ class TestSharedSamples:
 
         monkeypatch.setattr(decomposition, "scc_decompose",
                             counted("split", decomposition.scc_decompose))
-        monkeypatch.setattr(PathContext, "_enumerate",
-                            counted("enumerate", PathContext._enumerate))
+        monkeypatch.setattr(PathContext, "paths",
+                            counted("enumerate", PathContext.paths))
         rep = hsieve(fmp, cfg)
         assert rep.seeds == tuple(range(20))
         # one SCC split per (edge set, vertex set, elim), and one
@@ -397,6 +397,31 @@ class TestProgressSieve:
 
     def test_staged(self):
         assert progress_sieve(fixture("f8prime")).kind == TERMINATING
+
+    @staticmethod
+    def staircase(k, spin):
+        """q0 .. qk, each step up moving the counter below it up and each
+        step down moving its own counter down: every round of melting
+        removes only the top step down, so the melting goes k rounds deep.
+        With `spin`, q0 also loops on itself, moving x0 up."""
+        edges = [Edge.single("spin", "q0", "q0", effect={"x0": 1})] \
+            if spin else []
+        for i in range(1, k + 1):
+            edges.append(Edge.single(f"up{i}", f"q{i - 1}", f"q{i}",
+                                     effect={f"x{i - 1}": 1}))
+            edges.append(Edge.single(f"down{i}", f"q{i}", f"q{i - 1}",
+                                     effect={f"x{i}": -1}))
+        return Fmp(variables=tuple(VarDecl(f"x{i}") for i in range(k + 1)),
+                   qstates=tuple(f"q{i}" for i in range(k + 1)),
+                   initial="q0", edges=tuple(edges))
+
+    def test_melting_deeper_than_the_recursion_limit(self):
+        with recursion_room(100):
+            drains = progress_sieve(self.staircase(300, spin=False))
+            spins = progress_sieve(self.staircase(300, spin=True))
+        assert drains == Verdict(TERMINATING, "progress")
+        assert spins == Verdict(NONTERMINATING_QUALITATIVE,
+                                "no-progress-variable")
 
 
 class TestReplayInvariants:

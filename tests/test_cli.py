@@ -6,9 +6,11 @@ import re
 import shutil
 import subprocess
 import sys
+import weakref
 
 import pytest
 
+from termsieve import cli, oracle
 from termsieve.analysis import AnalysisConfig, hsieve
 from termsieve.cli import cli_dispatch
 from termsieve.dot import export_def_dot, export_dot
@@ -16,7 +18,10 @@ from termsieve.decomposition import build_def
 from termsieve.graphs import policy_graph
 from termsieve.policyio import load_policy, parse_policy, save_policy
 
-from helpers import FIXTURES, TEST_FIXTURES, chord_ring_policy, ring_policy
+from helpers import (
+    FIXTURES, TEST_FIXTURES, chord_ring_policy, circulant_policy,
+    recursion_room, ring_policy,
+)
 
 EXAMPLE1 = str(FIXTURES / "example1.fmp.json")
 F2 = str(FIXTURES / "f2.fmp.json")
@@ -165,6 +170,30 @@ class TestAnalyze:
         assert code == 0
         assert out.startswith("verdict=terminating")
 
+    def test_forest_deeper_than_the_recursion_limit(self, capsys, tmp_path):
+        # the circulant's trees are 134 levels deep, and the limit allows
+        # 100 frames above this one: nothing may recurse once per level
+        p = str(tmp_path / "circulant.json")
+        save_policy(p, circulant_policy(300))
+        dots, trace = tmp_path / "dots", tmp_path / "trace.json"
+        with recursion_room(100):
+            plain = run(capsys, "analyze", "--path-cap", "100",
+                        "--emit-dot", str(dots), p)
+            traced = run(capsys, "analyze", "--path-cap", "100",
+                         "--trace", str(trace), p)
+        code, out, err = plain
+        assert code == 0, err
+        assert out.startswith("verdict=unknown iterations=1 "
+                              "detail=resource-cap")
+        assert (dots / "def_000.dot").read_text().count("->") > 130
+        # a trace too deep for json is either written or refused cleanly
+        code, out, err = traced
+        if code == 0:
+            assert json.loads(trace.read_text())["detail"] == "resource-cap"
+        else:
+            assert code == 2 and out == "" and not trace.exists()
+            assert err.count("\n") == 1 and err.startswith("error:")
+
     def test_chorded_ring_reaches_cap(self, capsys, tmp_path):
         p = str(tmp_path / "chords.json")
         save_policy(p, chord_ring_policy(80))
@@ -283,6 +312,38 @@ class TestOracle:
             "witness step edge=e3 qstate=q0 x=0",
             "witness cycle_start=0",
         ]
+
+    def test_every_lasso_start_counted(self, capsys):
+        code, out, _ = run(capsys, "oracle", F3, "--grid-max", "2")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "oracle=lasso_found starts=3 all_halt=0 lasso=3 inconclusive=0")
+
+    def test_keeps_one_witness(self, capsys, monkeypatch, tmp_path):
+        # every start of `spin` closes a lasso; while a start runs, at most
+        # one witness of an earlier start (the first, to be printed) lives
+        p = write_doc(tmp_path, "spin.json", edges=[
+            {"id": "e1", "from": "q0", "to": "q0", "effects": {}}])
+        alive = []
+        peak = 0
+
+        def explore(*args, **kwargs):
+            nonlocal peak
+            peak = max(peak, sum(ref() is not None for ref in alive))
+            res = real(*args, **kwargs)
+            if res.witness is not None:
+                alive.append(weakref.ref(res.witness))
+            return res
+
+        real = oracle.explore
+        monkeypatch.setattr(oracle, "explore", explore)
+        monkeypatch.setattr(cli, "explore", explore)
+        code, out, _ = run(capsys, "oracle", p, "--grid-max", "5")
+        assert code == 0
+        assert out.splitlines()[0] == (
+            "oracle=lasso_found starts=6 all_halt=0 lasso=6 inconclusive=0")
+        assert len(alive) == 6
+        assert peak == 1
 
     def test_lasso_at_a_later_start(self, capsys, tmp_path):
         # x=0 halts in the goal, x=1 spins on e2, x=2 halts outside the

@@ -8,9 +8,13 @@ from termsieve.decomposition import (
     check_det,
     quotient,
 )
-from termsieve.graphs import graph, induced, is_acyclic, scc_decompose
+from termsieve.graphs import (
+    graph, induced, is_acyclic, policy_graph, scc_decompose,
+)
 
-from helpers import iter_nodes, random_digraph
+from helpers import (
+    circulant_policy, iter_nodes, random_digraph, recursion_room,
+)
 
 
 def g_of(*arcs, extra=()):
@@ -172,3 +176,33 @@ def test_walk_is_preorder():
 
 def test_forest_records_seed():
     assert build_def(CHAIN_OF_CYCLES, 42).seed == 42
+
+
+def chain(bottom, levels=1500):
+    node = DetNode(frozenset({bottom}), bottom, ())
+    for i in range(levels):
+        node = DetNode(frozenset({f"v{i}"}), f"v{i}", (node,))
+    return node
+
+
+def test_deep_chain_hashes_compares_and_walks():
+    # 1,500 levels: past the default recursion limit
+    a, b, c = chain("b"), chain("b"), chain("c")
+    assert hash(a) == hash(b)
+    assert a == b and a != c
+    assert {a: 1}[b] == 1
+    assert [n.elim for n in a.walk()] == [f"v{i}" for i in range(1499, -1, -1)] + ["b"]
+
+
+def test_deep_forest_builds_and_checks():
+    g = policy_graph(circulant_policy(300))
+    with recursion_room(100):
+        forest = build_def(g, 0)
+        assert check_det(forest, g) == []
+        assert forest == build_def(g, 0)
+    depth, stack = 0, [(forest.trees[0], 1)]
+    while stack:
+        node, level = stack.pop()
+        depth = max(depth, level)
+        stack.extend((c, level + 1) for c in node.children)
+    assert depth == 134

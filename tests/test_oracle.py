@@ -227,8 +227,6 @@ class TestGrid:
         results = explore_grid(f, 2)
         assert len(results) == 1
         assert results[0][1].kind == LASSO_FOUND
-        results = explore_grid(f, 2, stop_on_lasso=False)
-        assert [res.kind for _, res in results] == [LASSO_FOUND] * 3
 
 
 class TestRunRandom:

@@ -25,7 +25,10 @@ from helpers import (
     brute_var_sets,
     chord_ring_policy,
     iter_nodes,
+    key_net,
+    listed_paths,
     path_ctx,
+    path_keys,
     plain_dfs_paths,
     random_digraph,
     ring_policy,
@@ -44,16 +47,12 @@ def ctx_for(fmp, path_cap=100_000):
     return PathContext(fmp.path_graph, fmp.initial, path_cap)
 
 
-def ids(paths):
-    return {p.edge_ids for p in paths}
+def cycles(g, node, q0=None):
+    return {seq for kind, seq in listed_paths(g, node, q0) if kind == "cycle"}
 
 
-def cycles(node, ctx):
-    return tuple(p for p in ctx.paths(node) if p.kind == "cycle")
-
-
-def throughs(node, ctx):
-    return tuple(p for p in ctx.paths(node) if p.kind == "through")
+def throughs(g, node, q0=None):
+    return {seq for kind, seq in listed_paths(g, node, q0) if kind == "through"}
 
 
 def fz(*sets):
@@ -106,26 +105,28 @@ class TestPathGraph:
 class TestCyclePaths:
     def test_two_self_loops(self):
         f = load_policy(FIXTURES / "f2.fmp.json")
+        g = policy_graph(f)
         node = DetNode(frozenset({"q0"}), "q0", ())
-        ps = cycles(node, ctx_for(f))
-        assert ids(ps) == {("e1",), ("e2",)}
-        nets = {p.edge_ids: dict(p.net) for p in ps}
+        listed = listed_paths(g, node, f.initial)
+        assert [kind for kind, _ in listed] == ["cycle", "cycle"]
+        assert {seq for _, seq in listed} == {("e1",), ("e2",)}
+        code, keys = path_keys(g, {e.id: e.effect for e in f.edges},
+                               f.initial, node, listed)
+        nets = {seq: key_net(code, key) for (_, seq), key in zip(listed, keys)}
         assert nets[("e1",)] == {"x": -1}
         assert nets[("e2",)] == {"x": 2, "y": -1}
 
     def test_parallel_returns_are_distinct(self):
         g = g_of(("1", "v", "a"), ("2", "a", "v"), ("3", "a", "v"))
         node = DetNode(frozenset({"v", "a"}), "v", ())
-        ctx = path_ctx(g, {x: {} for x in "123"}, None)
-        assert ids(cycles(node, ctx)) == {("1", "2"), ("1", "3")}
+        assert cycles(g, node) == {("1", "2"), ("1", "3")}
 
     def test_rotation_depends_on_elim(self):
         g = g_of(("ab", "a", "b"), ("ba", "b", "a"))
-        ctx = path_ctx(g, {"ab": {}, "ba": {}}, None)
-        at_a = cycles(DetNode(frozenset({"a", "b"}), "a", ()), ctx)
-        at_b = cycles(DetNode(frozenset({"a", "b"}), "b", ()), ctx)
-        assert ids(at_a) == {("ab", "ba")}
-        assert ids(at_b) == {("ba", "ab")}
+        at_a = cycles(g, DetNode(frozenset({"a", "b"}), "a", ()))
+        at_b = cycles(g, DetNode(frozenset({"a", "b"}), "b", ()))
+        assert at_a == {("ab", "ba")}
+        assert at_b == {("ba", "ab")}
 
     def test_component_vertices_collapse_inner_cycle(self):
         # child SCC {b, c} becomes one vertex; its internal arcs vanish
@@ -133,8 +134,7 @@ class TestCyclePaths:
                  ("bc", "b", "c"), ("cb", "c", "b"))
         child = DetNode(frozenset({"b", "c"}), "b", ())
         root = DetNode(frozenset({"a", "b", "c"}), "a", (child,))
-        ctx = path_ctx(g, {x: {} for x in ("ab", "ba", "bc", "cb")}, None)
-        assert ids(cycles(root, ctx)) == {("ab", "ba")}
+        assert cycles(g, root) == {("ab", "ba")}
 
 
 class TestThroughPaths:
@@ -143,34 +143,27 @@ class TestThroughPaths:
         g = g_of(("in", "x", "v"), ("vw", "v", "w"), ("wv", "w", "v"),
                  ("out", "w", "t"))
         node = DetNode(frozenset({"v", "w"}), "v", ())
-        ctx = path_ctx(g, {x: {} for x in ("in", "vw", "wv", "out")}, None)
-        assert ids(throughs(node, ctx)) == {("vw",)}
+        assert throughs(g, node) == {("vw",)}
 
     def test_zero_length_excluded(self):
         # entry and exit are the same vertex: no nonempty simple path back
         g = g_of(("in", "x", "v"), ("vw", "v", "w"), ("wv", "w", "v"),
                  ("out", "v", "t"))
         node = DetNode(frozenset({"v", "w"}), "v", ())
-        ctx = path_ctx(g, {x: {} for x in ("in", "vw", "wv", "out")}, None)
-        assert throughs(node, ctx) == ()
+        assert throughs(g, node) == set()
 
     def test_initial_qstate_counts_as_entry(self):
         g = g_of(("1", "q0", "w"), ("2", "w", "q0"), ("3", "w", "t"))
         node = DetNode(frozenset({"q0", "w"}), "q0", ())
-        effects = {x: {} for x in "123"}
-        with_q0 = path_ctx(g, effects, "q0")
-        without = path_ctx(g, effects, None)
-        assert ids(throughs(node, with_q0)) == {("1",)}
-        assert throughs(node, without) == ()
+        assert throughs(g, node, "q0") == {("1",)}
+        assert throughs(g, node, None) == set()
 
     def test_prefix_exits_also_emitted(self):
         # both w and u are exits; the path through w keeps extending to u
         g = g_of(("in", "x", "v"), ("a", "v", "w"), ("b", "w", "u"),
                  ("c", "u", "v"), ("o1", "w", "t"), ("o2", "u", "t"))
         node = DetNode(frozenset({"v", "w", "u"}), "v", ())
-        ctx = path_ctx(g, {x: {} for x in ("in", "a", "b", "c", "o1", "o2")},
-                       None)
-        assert ids(throughs(node, ctx)) == {("a",), ("a", "b")}
+        assert throughs(g, node) == {("a",), ("a", "b")}
 
 
 class TestHubNode:
@@ -182,36 +175,29 @@ class TestHubNode:
         ("a12", "q1", "q2"),
     )
 
-    def ctx(self):
-        effects = {f"a{i}": {} for i in range(1, 13)}
-        return path_ctx(self.HUB, effects, "q0")
-
     def root(self):
         c1 = DetNode(frozenset({"q0", "q1"}), "q0", ())
         c2 = DetNode(frozenset({"q4", "q5", "q6", "q7"}), "q4", ())
         return DetNode(frozenset(f"q{i}" for i in range(8)), "q2", (c1, c2))
 
     def test_root_has_three_cycle_paths(self):
-        ctx = self.ctx()
-        ps = ctx.paths(self.root())
-        assert ids(p for p in ps if p.kind == "cycle") == {
+        ps = listed_paths(self.HUB, self.root(), "q0")
+        assert {seq for kind, seq in ps if kind == "cycle"} == {
             ("a1", "a2"), ("a3", "a8"), ("a9", "a12")
         }
-        assert [p for p in ps if p.kind == "through"] == []
+        assert [p for p in ps if p[0] == "through"] == []
         q = quotient(self.HUB, self.root())
         assert q.vertices == frozenset({"q2", "q3", "q0", "q4"})
 
     def test_loop_child(self):
-        ctx = self.ctx()
         c2 = DetNode(frozenset({"q4", "q5", "q6", "q7"}), "q4", ())
-        assert ids(cycles(c2, ctx)) == {("a4", "a5", "a6", "a7")}
-        assert ids(throughs(c2, ctx)) == {("a4", "a5")}
+        assert cycles(self.HUB, c2, "q0") == {("a4", "a5", "a6", "a7")}
+        assert throughs(self.HUB, c2, "q0") == {("a4", "a5")}
 
     def test_pair_child_entry_is_initial_and_boundary(self):
-        ctx = self.ctx()
         c1 = DetNode(frozenset({"q0", "q1"}), "q0", ())
-        assert ids(cycles(c1, ctx)) == {("a10", "a11")}
-        assert ids(throughs(c1, ctx)) == {("a10",)}
+        assert cycles(self.HUB, c1, "q0") == {("a10", "a11")}
+        assert throughs(self.HUB, c1, "q0") == {("a10",)}
 
 
 class TestVarSetRecursions:
@@ -241,11 +227,12 @@ class TestVarSetRecursions:
         # eliminating q1 first leaves the self-loop SCC {q0} as a child
         f = load_policy(FIXTURES / "f3.fmp.json")
         ctx = ctx_for(f)
+        g = policy_graph(f)
         child = DetNode(frozenset({"q0"}), "q0", ())
         root = DetNode(frozenset({"q0", "q1"}), "q1", (child,))
-        assert ids(cycles(root, ctx)) == {("e3", "e2")}
-        assert throughs(child, ctx) == ()
-        assert ids(cycles(child, ctx)) == {("e1",)}
+        assert cycles(g, root, f.initial) == {("e3", "e2")}
+        assert throughs(g, child, f.initial) == set()
+        assert cycles(g, child, f.initial) == {("e1",)}
         sets = var_sets(root, ctx)
         assert (sets.iv, sets.zv) == (frozenset(), frozenset({"x"}))
         assert sets.dv == fz((), {"x"})
@@ -333,15 +320,16 @@ def pocket_graph(rng):
 
 
 def check_against_referees(g, effects, q0, node, ctx):
-    got = ctx.paths(node)
-    assert [(p.kind, p.edge_ids) for p in got] == plain_dfs_paths(g, node, q0)
+    got = listed_paths(g, node, q0)
+    assert got == plain_dfs_paths(g, node, q0)
     q = quotient(g, node)
-    assert ids(p for p in got if p.kind == "cycle") == brute_cycle_paths(
+    assert {seq for kind, seq in got if kind == "cycle"} == brute_cycle_paths(
         q, node.elim)
     entries, exits = boundary(g, node.vertices, q0)
     sub = induced(g, node.vertices)
-    assert ids(p for p in got if p.kind == "through") == brute_through_paths(
-        sub, entries, exits)
+    assert {seq for kind, seq in got if kind == "through"} == \
+        brute_through_paths(sub, entries, exits)
+    path_keys(g, effects, q0, node, got)
     assert var_sets(node, ctx) == brute_var_sets(g, effects, q0, node)
     return len(got)
 
@@ -395,9 +383,7 @@ class TestAgainstBruteForce:
         node = DetNode(frozenset(rs), "r4", ())
         count = check_against_referees(
             g, effects, None, node, path_ctx(g, effects, None))
-        throughs_ = [p for p in path_ctx(g, effects, None).paths(node)
-                     if p.kind == "through"]
-        assert ids(throughs_) == {("a0_1", "a1_1"), ("a0_2",)}
+        assert throughs(g, node) == {("a0_1", "a1_1"), ("a0_2",)}
         assert len(path_ctx(g, effects, None, path_cap=count).paths(node)) \
             == count
         assert var_sets(node, path_ctx(g, effects, None, path_cap=count)) \
@@ -423,13 +409,14 @@ class TestAgainstBruteForce:
             part = sorted(pick.sample(vs, pick.randint(1, len(vs))))
             loose = DetNode(frozenset(part), pick.choice(part), ())
             for node in [*iter_nodes(forest), loose]:
+                got = listed_paths(g, node, q0)
                 q = quotient(g, node)
                 want_c = brute_cycle_paths(q, node.elim)
-                assert ids(cycles(node, ctx)) == want_c
+                assert {seq for kind, seq in got if kind == "cycle"} == want_c
                 entries, exits = boundary(g, node.vertices, q0)
                 sub = induced(g, node.vertices)
                 want_t = brute_through_paths(sub, entries, exits)
-                assert ids(throughs(node, ctx)) == want_t
+                assert {seq for kind, seq in got if kind == "through"} == want_t
                 assert var_sets(node, ctx) == brute_var_sets(g, effects, q0, node)
                 checked += 1
         assert checked >= 500
@@ -442,15 +429,16 @@ class TestAgainstBruteForce:
                 a[0]: {f"x{i}": rng.randint(-2, 2) for i in range(2)}
                 for a in g.arcs
             }
-            ctx = path_ctx(g, effects, None)
             for node in iter_nodes(build_def(g, 1)):
-                for p in ctx.paths(node):
+                listed = listed_paths(g, node, None)
+                code, keys = path_keys(g, effects, None, node, listed)
+                for (_, seq), key in zip(listed, keys):
                     want = Counter()
-                    for eid in p.edge_ids:
+                    for eid in seq:
                         for var, d in effects[eid].items():
                             if d:
                                 want[var] += d
-                    assert dict(p.net) == dict(want)
+                    assert key_net(code, key) == dict(want)
 
     def test_wide_deltas_do_not_carry(self):
         # path sums up to |V| * 10**6 on up to 6 counters, with cancelling
@@ -466,18 +454,16 @@ class TestAgainstBruteForce:
                 for a in g.arcs
             }
             q0 = rng.choice(sorted(g.vertices))
-            ctx = path_ctx(g, effects, q0)
-            code = ctx.graph.code
             for node in iter_nodes(build_def(g, rng.randint(0, 10**6))):
-                for p in ctx.paths(node):
+                listed = listed_paths(g, node, q0)
+                code, keys = path_keys(g, effects, q0, node, listed)
+                for (_, seq), key in zip(listed, keys):
                     want: dict[str, int] = {}
-                    for eid in p.edge_ids:
+                    for eid in seq:
                         accumulate(want, effects[eid])
-                    assert dict(p.net) == want
-                    # the sign decode var_sets reads agrees with `net`,
-                    # cancelled moves landing in the zero mask
-                    key = sum(code.weight[eid] for eid in p.edge_ids)
-                    assert code.net(key) == want
+                    assert key_net(code, key) == want
+                    # the sign decode var_sets reads agrees with the exact
+                    # one, cancelled moves landing in the zero mask
                     masks = code.signs(key)
                     for sign, mask in zip((1, 0, -1), masks):
                         assert {v for i, v in enumerate(code.variables)
@@ -502,8 +488,9 @@ class TestReachabilityChecks:
 
         monkeypatch.setattr(paths, "_reaches", reaches)
         f = ring_policy(1500)
-        found = ctx_for(f).paths(build_def(policy_graph(f), 0).trees[0])
-        assert [(p.kind, len(p.edge_ids)) for p in found] == [("cycle", 1500)]
+        g = policy_graph(f)
+        found = listed_paths(g, build_def(g, 0).trees[0], f.initial)
+        assert [(kind, len(seq)) for kind, seq in found] == [("cycle", 1500)]
         assert calls == []
 
         rng = random.Random(31337)
@@ -515,12 +502,12 @@ class TestReachabilityChecks:
         checked = 0
         for g in graphs:
             q0 = rng.choice([None, *sorted(g.vertices)])
-            ctx = path_ctx(g, {a[0]: {"x": -1} for a in g.arcs}, q0)
             for node in iter_nodes(build_def(g, rng.randint(0, 10**6))):
                 if boundary(g, node.vertices, q0)[1]:
                     continue
-                found = ctx.paths(node)
-                assert found and all(p.kind == "cycle" for p in found)
+                found = listed_paths(g, node, q0)
+                assert found and all(kind == "cycle" and seq
+                                     for kind, seq in found)
                 assert calls == []
                 checked += 1
         assert checked >= 300
