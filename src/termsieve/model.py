@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Mapping
+from typing import TYPE_CHECKING, Collection, Mapping
 
 if TYPE_CHECKING:
     from .oracle import OracleCode
@@ -94,7 +94,9 @@ class EffectCode:
     path of at most `max_len` edges `base` exceeds twice any |net| and the
     number of moves, so the sum of its weights is a key in which no field
     carries into the next, and the low digit of each field is the net
-    modulo `base`.
+    modulo `base`. Since `base > 2 * |net|`, that digit is below `base / 2`
+    exactly when the net is not negative: the top bit of a net digit is the
+    sign of the net.
     """
 
     def __init__(self, effects: Mapping[str, Effect], max_len: int):
@@ -105,31 +107,37 @@ class EffectCode:
         self.variables = tuple(moved)
         self.bits = (2 * max(max_len, 1) * (top + 1)).bit_length()
         self.base = base = 1 << self.bits
-        shift = {var: 2 * self.bits * i for i, var in enumerate(moved)}
+        width = 2 * self.bits
+        shift = {var: width * i for i, var in enumerate(moved)}
         self.weight = {
             eid: sum((delta + base) << shift[var]
                      for var, delta in eff.items() if delta)
             for eid, eff in effects.items()
         }
+        # each variable's field, net digit and sign bit, in place in a key
+        self._fields = tuple(
+            (var, (1 << width) - 1 << s, base - 1 << s, base >> 1 << s)
+            for var, s in shift.items())
+        self._sign_bits = sum(sign for *_, sign in self._fields)
 
-    def signs(self, key: int) -> tuple[int, int, int]:
-        """Bit masks over `variables` of the moved variables whose net in
-        `key` is positive, zero and negative, in that order."""
-        half, width = self.base >> 1, 2 * self.bits
-        field, digit = (1 << width) - 1, self.base - 1
-        inc = zero = dec = 0
-        bit = 1
-        while key:
-            if key & field:
-                delta = key & digit
-                if not delta:
-                    zero |= bit
-                elif delta < half:
-                    inc |= bit
-                else:
-                    dec |= bit
-            key >>= width
-            bit <<= 1
+    def sign_sets(self, keys: Collection[int]) -> tuple[
+            frozenset[str], frozenset[str], frozenset[frozenset[str]]]:
+        """Over a set of keys: the variables some key nets positive, those
+        some key moves with net zero, and the set of variables each key nets
+        negative.
+
+        The negative sets are read off the sign bits, one AND per key. The
+        other two scan the keys once per variable and stop at the first
+        key that puts it in.
+        """
+        inc = frozenset(var for var, _, digit, sign in self._fields
+                        if any(0 < k & digit < sign for k in keys))
+        zero = frozenset(var for var, field, digit, _ in self._fields
+                         if any(k & field and not k & digit for k in keys))
+        signs = self._sign_bits
+        dec = frozenset(
+            frozenset(var for var, *_, sign in self._fields if d & sign)
+            for d in {k & signs for k in keys})
         return inc, zero, dec
 
 

@@ -37,9 +37,11 @@ leads to an emitted path, so a node costs O(arcs * qstates) per emitted path
 and the path cap bounds the run time.
 
 `PathContext.paths` lists a node's path keys in that order; `var_sets` adds
-the keys of every node of a subtree to one set and decodes each distinct key
-once, into sign bitmasks. `PathContext.tree_sets` keeps its answer for each
-tree.
+the keys of every node of a subtree to one set and decodes the set as a
+whole with `EffectCode.sign_sets`: one AND per key for the decrease sets,
+and per variable one scan for `iv` and one for `zv`, each stopping at the
+first key that puts the variable in. `PathContext.tree_sets` keeps its
+answer for each tree.
 
 Per-node enumeration is capped by the number of paths emitted, not of
 distinct keys; blowing the cap raises PathCapExceeded, which callers convert
@@ -316,27 +318,12 @@ def var_sets(node: DetNode, ctx: PathContext) -> NodeVarSets:
     A variable joins `iv` when some path of the subtree nets it strictly
     positive, and `zv` when some path touches it with net exactly zero.
     `pdv` holds each path's strict-decrease set, and `dv` is `pdv` with `iv`
-    removed from every member. Paths with one key share these sets, so
-    each distinct key is decoded once, and each distinct decrease mask
-    becomes a set once.
+    removed from every member. Paths with one key share these sets, so the
+    distinct keys are collected first and decoded together by
+    `EffectCode.sign_sets`.
     """
     keys: set[int] = set()
     for n in node.walk():
         keys.update(ctx.paths(n))
-    code = ctx.graph.code
-    signs = code.signs
-    inc = zero = 0
-    decs: set[int] = set()
-    for key in keys:
-        i, z, d = signs(key)
-        inc |= i
-        zero |= z
-        decs.add(d)
-    names = code.variables
-
-    def members(m: int) -> frozenset[str]:
-        return frozenset(names[i] for i in _indices(m))
-
-    iv = members(inc)
-    pdv = frozenset(members(d) for d in decs)
-    return NodeVarSets(iv=iv, zv=members(zero), pdv=pdv, dv=boxminus(pdv, iv))
+    iv, zv, pdv = ctx.graph.code.sign_sets(keys)
+    return NodeVarSets(iv=iv, zv=zv, pdv=pdv, dv=boxminus(pdv, iv))

@@ -12,6 +12,7 @@ import itertools
 import pathlib
 import random
 import sys
+from typing import Iterable
 
 from termsieve.graphs import Arc, DiGraph
 from termsieve.model import (
@@ -279,9 +280,7 @@ def brute_var_sets(g: DiGraph, effects, q0, node) -> NodeVarSets:
     Collapses each child into one vertex and takes the node's boundary
     directly from the arcs of `g`, then sums every path's effects naively.
     """
-    iv: set[str] = set()
-    zv: set[str] = set()
-    pdv: set[frozenset[str]] = set()
+    nets: list[dict[str, int]] = []
     stack = [node]
     while stack:
         n = stack.pop()
@@ -303,9 +302,20 @@ def brute_var_sets(g: DiGraph, effects, q0, node) -> NodeVarSets:
             net: dict[str, int] = {}
             for aid in seq:
                 accumulate(net, effects[aid])
-            iv.update(v for v, d in net.items() if d > 0)
-            zv.update(v for v, d in net.items() if d == 0)
-            pdv.add(frozenset(v for v, d in net.items() if d < 0))
+            nets.append(net)
+    return nets_var_sets(nets)
+
+
+def nets_var_sets(nets: Iterable[dict[str, int]]) -> NodeVarSets:
+    """iv/zv/pdv/dv aggregated naively over per-path net changes (as from
+    accumulate or key_net)."""
+    iv: set[str] = set()
+    zv: set[str] = set()
+    pdv: set[frozenset[str]] = set()
+    for net in nets:
+        iv.update(v for v, d in net.items() if d > 0)
+        zv.update(v for v, d in net.items() if d == 0)
+        pdv.add(frozenset(v for v, d in net.items() if d < 0))
     return NodeVarSets(iv=frozenset(iv), zv=frozenset(zv), pdv=frozenset(pdv),
                        dv=frozenset(s - iv for s in pdv))
 

@@ -7,7 +7,9 @@ import pytest
 from termsieve import paths
 from termsieve.analysis import AnalysisConfig, hsieve
 from termsieve.decomposition import DetNode, build_def, quotient
+from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import boundary, graph, induced, policy_graph
+from termsieve.model import EffectCode
 from termsieve.paths import (
     InvalidNodeError,
     PathCapExceeded,
@@ -27,6 +29,7 @@ from helpers import (
     iter_nodes,
     key_net,
     listed_paths,
+    nets_var_sets,
     path_ctx,
     path_keys,
     plain_dfs_paths,
@@ -463,16 +466,103 @@ class TestAgainstBruteForce:
                         accumulate(want, effects[eid])
                     assert key_net(code, key) == want
                     # the sign decode var_sets reads agrees with the exact
-                    # one, cancelled moves landing in the zero mask
-                    masks = code.signs(key)
-                    for sign, mask in zip((1, 0, -1), masks):
-                        assert {v for i, v in enumerate(code.variables)
-                                if mask >> i & 1} == {
-                            v for v, d in want.items()
-                            if (d > 0) - (d < 0) == sign}
-                    assert not (masks[0] & masks[1] or masks[0] & masks[2]
-                                or masks[1] & masks[2])
-                    assert max(masks) < 1 << len(code.variables)
+                    # one, cancelled moves landing in the zero set
+                    inc, zero, (dec,) = code.sign_sets({key})
+                    for sign, got in zip((1, 0, -1), (inc, zero, dec)):
+                        assert got == {v for v, d in want.items()
+                                       if (d > 0) - (d < 0) == sign}
+                    assert not (inc & zero or inc & dec or zero & dec)
+                    assert inc | zero | dec <= set(code.variables)
+
+
+def referee_signs(code, keys):
+    """`sign_sets` of `keys`, aggregated from the exact per-key decode."""
+    sets = nets_var_sets(key_net(code, key) for key in keys)
+    return sets.iv, sets.zv, sets.pdv
+
+
+class TestSignSets:
+    CODE = EffectCode({"up": {"x": 1}, "down": {"x": -1}, "y": {"y": -2},
+                       "both": {"x": 2, "y": 2}}, 4)
+
+    def keys(self, *paths):
+        w = self.CODE.weight
+        return {sum(w[e] for e in path) for path in paths}
+
+    def test_empty_key_set(self):
+        assert self.CODE.sign_sets(set()) == (frozenset(), frozenset(),
+                                              frozenset())
+        assert referee_signs(self.CODE, set()) == self.CODE.sign_sets(set())
+
+    def test_no_moved_variable(self):
+        code = EffectCode({"a": {}, "b": {"x": 0}}, 3)
+        assert code.variables == () and set(code.weight.values()) == {0}
+        assert code.sign_sets({0}) == (frozenset(), frozenset(), fz(()))
+        g = g_of(("a", "q0", "q0"), ("b", "q0", "q1"), ("c", "q1", "q0"))
+        ctx = path_ctx(g, {"a": {}, "b": {"x": 0}, "c": {}}, "q0")
+        sets = var_sets(build_def(g, 0).trees[0], ctx)
+        assert (sets.iv, sets.zv, sets.pdv, sets.dv) == (
+            frozenset(), frozenset(), fz(()), fz(()))
+
+    def test_cancelling_moves_land_in_zv(self):
+        keys = self.keys(("up", "down"), ("y",))
+        assert self.CODE.sign_sets(keys) == (
+            frozenset(), frozenset({"x"}), fz((), {"y"}))
+        keys = self.keys(("up", "down", "both", "y"), ("down",))
+        assert self.CODE.sign_sets(keys) == (
+            frozenset({"x"}), frozenset({"y"}), fz((), {"x"}))
+        for keys in (self.keys(("up", "down")),
+                     self.keys(("up", "down"), ("up",), ("y", "both"))):
+            assert self.CODE.sign_sets(keys) == referee_signs(self.CODE, keys)
+
+    def test_wide_deltas_on_many_counters(self):
+        rng = random.Random(1606)
+        top = 10**6
+        for _ in range(300):
+            names = [f"x{i}" for i in range(rng.randint(1, 6))]
+            effects = {
+                f"e{j}": {v: rng.choice((-top, top, rng.randint(-top, top)))
+                          for v in rng.sample(names, rng.randint(0, len(names)))}
+                for j in range(rng.randint(1, 8))
+            }
+            max_len = rng.randint(1, 6)
+            code = EffectCode(effects, max_len)
+            keys = {sum(code.weight[e] for e in rng.sample(
+                        sorted(effects), rng.randint(0, min(max_len, len(effects)))))
+                    for _ in range(rng.randint(0, 12))}
+            assert code.sign_sets(keys) == referee_signs(code, keys)
+
+    def test_lone_key_anywhere_in_the_scan(self):
+        # x is positive, and y moved with net zero, on one key only; the
+        # scans that stop early must still reach it wherever it sits
+        code = EffectCode({"dn": {"x": -1, "y": -1}, "up": {"x": 1, "y": 1},
+                           "x+": {"x": 1}, "y-": {"y": -1}}, 8)
+        w = code.weight
+        lone = w["dn"] + w["up"] + w["x+"]  # x +1, y 0
+        rest = [w["dn"] * n + w["y-"] for n in range(1, 6)]  # x < 0, y < 0
+        for at in (0, len(rest) // 2, len(rest)):
+            keys = rest[:at] + [lone] + rest[at:]
+            assert code.sign_sets(keys) == referee_signs(code, keys) == (
+                frozenset({"x"}), frozenset({"y"}), fz((), {"x", "y"}))
+        assert code.sign_sets(rest) == (
+            frozenset(), frozenset(), fz({"x", "y"}))
+
+    def test_bench_scale_trees_match_key_net(self):
+        # 9-11 qstates and 4 counters, where a tree holds thousands of keys
+        # and most scans stop early; brute_var_sets cannot reach this size
+        checked = 0
+        for seed in range(20):
+            f = generate_random(GenSpec(n_qstates=9 + seed % 3, n_vars=4,
+                                        edge_density=0.4, max_abs_delta=2,
+                                        seed=seed))
+            ctx = ctx_for(f)
+            code = ctx.graph.code
+            for tree in build_def(policy_graph(f), seed).trees:
+                keys = [k for n in tree.walk() for k in ctx.paths(n)]
+                want = nets_var_sets(key_net(code, k) for k in keys)
+                assert var_sets(tree, ctx) == want
+                checked += len(keys)
+        assert checked >= 10_000
 
 
 class TestReachabilityChecks:
