@@ -12,13 +12,12 @@ from .analysis import (
     hsieve_once,
     progress_sieve,
 )
-from .decomposition import DefForest, DetNode, build_def, check_det, quotient
+from .decomposition import DefForest, DetNode, build_def, quotient
 from .generate import GenError, GenSpec, generate_random
-from .graphs import DiGraph, SccPartition, boundary, induced, is_acyclic, policy_graph, scc_decompose
+from .graphs import DiGraph, SccPartition, boundary, induced, policy_graph, scc_decompose
 from .model import (
     ConcreteState,
     Edge,
-    EffectCode,
     Fmp,
     Guard,
     VarDecl,
@@ -41,6 +40,7 @@ from .oracle import (
 )
 from .paths import (
     DEFAULT_PATH_CAP,
+    EffectCode,
     NodeVarSets,
     PathCapExceeded,
     PathContext,

@@ -19,6 +19,7 @@ from .graphs import DiGraph, induced, policy_graph, scc_decompose
 from .model import Edge, Fmp
 from .paths import (
     DEFAULT_PATH_CAP,
+    EffectCode,
     NodeVarSets,
     PathCapExceeded,
     PathContext,
@@ -52,7 +53,6 @@ class AnalysisConfig:
 class IterationTrace:
     """One loop iteration: the forest used, per-root sets, and removals."""
 
-    def_seed: int
     forest: DefForest
     per_root: tuple[NodeVarSets, ...]  # aligned with forest.trees
     candidates: frozenset[str]
@@ -64,7 +64,6 @@ class AnalysisReport:
     verdict: Verdict
     iterations: tuple[IterationTrace, ...]
     wall_time: float
-    config: AnalysisConfig
     seeds: tuple[int, ...]  # hsieve_once seeds tried, in order
 
     def to_trace_dict(self) -> dict:
@@ -77,7 +76,7 @@ class AnalysisReport:
             its.append(
                 {
                     "def": {
-                        "seed": it.def_seed,
+                        "seed": it.forest.seed,
                         "trees": [_tree_dict(t) for t in it.forest.trees],
                     },
                     "iv": sorted(set().union(*(s.iv for s in it.per_root))),
@@ -120,10 +119,10 @@ def def_seed_for(base_seed: int, iteration: int) -> int:
 class _Shared:
     """Work that the samples of one `hsieve` call share.
 
-    The edge effects, and for each set of remaining edge ids: the graph on
-    them, the SCC splits `build_def` made on it, and its PathContext, which
-    compiles the graph once and keeps each tree's variable sets. Each
-    sample still draws its own forest from its own seed.
+    The edge effects and their `EffectCode`, and for each set of remaining
+    edge ids: the graph on them, the SCC splits `build_def` made on it, and
+    its PathContext, which compiles the graph once and keeps each tree's
+    variable sets. Each sample still draws its own forest from its own seed.
     """
 
     def __init__(self, fmp: Fmp, path_cap: int):
@@ -131,6 +130,7 @@ class _Shared:
         self.path_cap = path_cap
         # raises unless normalized
         self.effects = {e.id: e.effect for e in fmp.edges}
+        self.code = EffectCode(self.effects, len(fmp.qstates))
         self.graphs: dict[frozenset[str], tuple[DiGraph, Splits]] = {}
         self.contexts: dict[frozenset[str], PathContext] = {}
 
@@ -149,12 +149,10 @@ class _Shared:
     def context(self, edge_ids: frozenset[str]) -> PathContext:
         ctx = self.contexts.get(edge_ids)
         if ctx is None:
-            fmp = self.fmp
             graph = self.graphs[edge_ids][0]
             ctx = self.contexts[edge_ids] = PathContext(
-                graph=fmp.path_graph if len(edge_ids) == len(fmp.edges)
-                else PathGraph(graph.vertices, graph.arcs, fmp.effect_code),
-                q0=fmp.initial,
+                graph=PathGraph(graph.vertices, graph.arcs, self.code),
+                q0=self.fmp.initial,
                 path_cap=self.path_cap,
             )
         return ctx
@@ -184,7 +182,6 @@ def hsieve_once(
             verdict=Verdict(kind, detail),
             iterations=tuple(iterations),
             wall_time=time.perf_counter() - start,
-            config=cfg,
             seeds=(seed,),
         )
 
@@ -192,12 +189,9 @@ def hsieve_once(
     for i in range(max_iterations + 1):
         edge_ids = frozenset(edges)
         graph, splits = shared.graph(edge_ids)
-        dseed = def_seed_for(seed, i)
-        forest = build_def(graph, dseed, splits)
+        forest = build_def(graph, def_seed_for(seed, i), splits)
         if not forest.trees:
-            iterations.append(
-                IterationTrace(dseed, forest, (), frozenset(), ())
-            )
+            iterations.append(IterationTrace(forest, (), frozenset(), ()))
             return report(TERMINATING, "graph-acyclic")
 
         ctx = shared.context(edge_ids)
@@ -210,9 +204,7 @@ def hsieve_once(
                 per_tree_candidates.append(
                     frozenset(set().union(*sets.pdv) - sets.iv - sets.zv))
         except PathCapExceeded:
-            iterations.append(
-                IterationTrace(dseed, forest, (), frozenset(), ())
-            )
+            iterations.append(IterationTrace(forest, (), frozenset(), ()))
             return report(UNKNOWN, "resource-cap")
 
         all_candidates = frozenset().union(*per_tree_candidates)
@@ -224,8 +216,7 @@ def hsieve_once(
             if e.src in tree.vertices and e.dst in tree.vertices
             and any(effects[eid].get(x, 0) < 0 for x in cands)))
         iterations.append(
-            IterationTrace(dseed, forest, tuple(per_root),
-                           all_candidates, removed)
+            IterationTrace(forest, tuple(per_root), all_candidates, removed)
         )
         if empty_free:
             return report(TERMINATING, "no-empty-dv")
@@ -268,7 +259,6 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
         verdict=chosen.verdict,
         iterations=chosen.iterations,
         wall_time=time.perf_counter() - start,
-        config=cfg,
         seeds=tuple(seeds),
     )
 

@@ -14,7 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 
-from .graphs import DiGraph, induced, is_acyclic, scc_decompose
+from .graphs import DiGraph, induced, scc_decompose
 
 
 class DetNode:
@@ -152,39 +152,3 @@ def quotient(g: DiGraph, node: DetNode) -> DiGraph:
     return DiGraph(vertices=frozenset(rep.get(v, v) for v in node.vertices),
                    arcs=tuple(arcs))
 
-
-def check_det(forest: DefForest, g: DiGraph) -> list[str]:
-    """Validity violations of a forest against its graph (empty = valid)."""
-    out: list[str] = []
-    roots = {t.vertices for t in forest.trees}
-    expected_roots = set(scc_decompose(g).nontrivial())
-    if roots != expected_roots:
-        out.append(
-            "roots-mismatch: trees "
-            f"{sorted(sorted(r) for r in roots)} vs SCCs "
-            f"{sorted(sorted(r) for r in expected_roots)}"
-        )
-
-    for tree in forest.trees:
-        seen: set[frozenset[str]] = set()
-        stack = [tree]
-        while stack:
-            node = stack.pop()
-            where = f"({','.join(sorted(node.vertices))}, {node.elim})"
-            if node.vertices in seen:
-                out.append(f"duplicate-node: {where}")
-            seen.add(node.vertices)
-            if node.elim not in node.vertices:
-                out.append(f"elim-not-member: {where}")
-                continue
-            rest = induced(g, node.vertices - {node.elim})
-            expected = set(scc_decompose(rest).nontrivial())
-            actual = {c.vertices for c in node.children}
-            if actual != expected:
-                out.append(f"children-mismatch: {where}")
-            q = quotient(g, node)
-            minus_elim = induced(q, q.vertices - {node.elim})
-            if not is_acyclic(minus_elim):
-                out.append(f"quotient-not-acyclic: {where}")
-            stack.extend(reversed(node.children))
-    return out

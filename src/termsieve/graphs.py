@@ -140,23 +140,3 @@ def boundary(
         entries.add(q0)
     return frozenset(entries), frozenset(exits)
 
-
-def is_acyclic(g: DiGraph) -> bool:
-    """Kahn's algorithm; a self-loop counts as a cycle."""
-    indeg: dict[str, int] = {v: 0 for v in g.vertices}
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    for _, src, dst in g.arcs:
-        if src == dst:
-            return False
-        indeg[dst] += 1
-        adj[src].append(dst)
-    queue = [v for v, d in indeg.items() if d == 0]
-    seen = 0
-    while queue:
-        v = queue.pop()
-        seen += 1
-        for w in adj[v]:
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return seen == len(g.vertices)

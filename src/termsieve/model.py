@@ -9,11 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import TYPE_CHECKING, Collection, Mapping
+from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
     from .oracle import OracleCode
-    from .paths import PathGraph
 
 Effect = Mapping[str, int]
 Interval = tuple[int, int | None]  # inclusive min, inclusive max (None = unbounded)
@@ -83,64 +82,6 @@ class Edge:
         return self.actions[0]
 
 
-class EffectCode:
-    """Edge effects as integer weights whose sums are path effects.
-
-    A variable some edge moves gets a field of two digits in base `base`, a
-    power of two. The weight of an edge is
-    `sum((delta_i + base) * base**(2i))` over the variables it moves, so in
-    a sum of weights the field of variable `i` holds `moves * base + net`:
-    zero exactly when no summed edge moves it, and never negative. For a
-    path of at most `max_len` edges `base` exceeds twice any |net| and the
-    number of moves, so the sum of its weights is a key in which no field
-    carries into the next, and the low digit of each field is the net
-    modulo `base`. Since `base > 2 * |net|`, that digit is below `base / 2`
-    exactly when the net is not negative: the top bit of a net digit is the
-    sign of the net.
-    """
-
-    def __init__(self, effects: Mapping[str, Effect], max_len: int):
-        moved = sorted({var for eff in effects.values()
-                        for var, delta in eff.items() if delta})
-        top = max((abs(delta) for eff in effects.values()
-                   for delta in eff.values()), default=0)
-        self.variables = tuple(moved)
-        self.bits = (2 * max(max_len, 1) * (top + 1)).bit_length()
-        self.base = base = 1 << self.bits
-        width = 2 * self.bits
-        shift = {var: width * i for i, var in enumerate(moved)}
-        self.weight = {
-            eid: sum((delta + base) << shift[var]
-                     for var, delta in eff.items() if delta)
-            for eid, eff in effects.items()
-        }
-        # each variable's field, net digit and sign bit, in place in a key
-        self._fields = tuple(
-            (var, (1 << width) - 1 << s, base - 1 << s, base >> 1 << s)
-            for var, s in shift.items())
-        self._sign_bits = sum(sign for *_, sign in self._fields)
-
-    def sign_sets(self, keys: Collection[int]) -> tuple[
-            frozenset[str], frozenset[str], frozenset[frozenset[str]]]:
-        """Over a set of keys: the variables some key nets positive, those
-        some key moves with net zero, and the set of variables each key nets
-        negative.
-
-        The negative sets are read off the sign bits, one AND per key. The
-        other two scan the keys once per variable and stop at the first
-        key that puts it in.
-        """
-        inc = frozenset(var for var, _, digit, sign in self._fields
-                        if any(0 < k & digit < sign for k in keys))
-        zero = frozenset(var for var, field, digit, _ in self._fields
-                         if any(k & field and not k & digit for k in keys))
-        signs = self._sign_bits
-        dec = frozenset(
-            frozenset(var for var, *_, sign in self._fields if d & sign)
-            for d in {k & signs for k in keys})
-        return inc, zero, dec
-
-
 @dataclass(frozen=True)
 class ConcreteState:
     """A full valuation of the declared variables plus their lower bounds."""
@@ -174,36 +115,12 @@ class Fmp:
         return tuple(v.name for v in self.variables)
 
     @cached_property
-    def effect_code(self) -> EffectCode:
-        """The edge effects as integer weights; raises unless normalized."""
-        return EffectCode({e.id: e.effect for e in self.edges},
-                          len(self.qstates))
-
-    @cached_property
-    def path_graph(self) -> "PathGraph":
-        """The control graph compiled for path search, with the edge
-        weights of `effect_code`; raises unless normalized."""
-        from .paths import PathGraph  # paths imports this module
-
-        return PathGraph(self.qstates,
-                         ((e.id, e.src, e.dst) for e in self.edges),
-                         self.effect_code)
-
-    @cached_property
     def oracle_code(self) -> "OracleCode":
         """The policy compiled for the oracle's integer configurations;
         action sets need not be normalized."""
         from .oracle import OracleCode  # oracle imports this module
 
         return OracleCode(self)
-
-    @cached_property
-    def edges_from(self) -> dict[str, tuple[Edge, ...]]:
-        out: dict[str, list[Edge]] = {q: [] for q in self.qstates}
-        for e in self.edges:
-            if e.src in out:
-                out[e.src].append(e)
-        return {q: tuple(es) for q, es in out.items()}
 
     def state(self, values: Mapping[str, int]) -> ConcreteState:
         """Build a well-formed state; raises ValueError on bound violations."""

@@ -17,7 +17,7 @@ import random
 from dataclasses import dataclass
 from typing import Iterator, Mapping
 
-from .model import ConcreteState, Fmp, Interval
+from .model import ConcreteState, Edge, Fmp, Interval
 
 _DONE = -1  # depth marker of a configuration whose subtree is explored
 
@@ -85,12 +85,16 @@ class OracleCode:
             return tuple((vindex[v], lo, hi)
                          for v, (lo, hi) in sorted(intervals.items()))
 
+        edges_from: dict[str, list[Edge]] = {q: [] for q in fmp.qstates}
+        for e in fmp.edges:
+            if e.src in edges_from:
+                edges_from[e.src].append(e)
         # per qstate index: (edge id, src, dst, ((var, delta), ...), guard)
         self.actions = [
             [(e.id, src, qindex[e.dst],
               tuple((vindex[v], d) for v, d in action.items() if d),
               conjuncts(e.guard.conjuncts))
-             for e in fmp.edges_from[q] for action in e.actions]
+             for e in edges_from[q] for action in e.actions]
             for src, q in enumerate(fmp.qstates)
         ]
         self.max_abs_delta = max(

@@ -15,10 +15,8 @@ dst successor mask, arc id)` in `(dst, arc id)` order, the weight coming from
 the policy's `EffectCode`. A node then needs no graph of its own: the path is
 one int whose bits start out set on every vertex outside the node, and the
 boundary is read off the successor and predecessor masks. Only a node with
-children builds arcs, those of its quotient, for its cycle search. The
-compiled full graph of a policy is cached as `Fmp.path_graph`; an
-iteration that follows an edge removal compiles its own, once per `hsieve`
-call for each set of remaining edges.
+children builds arcs, those of its quotient, for its cycle search. An
+`hsieve` call compiles one graph for each set of remaining edges.
 
 One iterative DFS serves both families. Each frame holds the key of the path
 that reached it, the sum of its arc weights, so a step costs one addition and
@@ -51,10 +49,10 @@ into a resource-cap verdict rather than an unsound answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Collection, Iterable, Mapping, Sequence
 
 from .decomposition import DetNode
-from .model import EffectCode
+from .model import Effect
 
 DEFAULT_PATH_CAP = 100_000
 
@@ -86,6 +84,64 @@ class NodeVarSets:
     zv: frozenset[str]
     pdv: VarSetFamily
     dv: VarSetFamily
+
+
+class EffectCode:
+    """Edge effects as integer weights whose sums are path effects.
+
+    A variable some edge moves gets a field of two digits in base `base`, a
+    power of two. The weight of an edge is
+    `sum((delta_i + base) * base**(2i))` over the variables it moves, so in
+    a sum of weights the field of variable `i` holds `moves * base + net`:
+    zero exactly when no summed edge moves it, and never negative. For a
+    path of at most `max_len` edges `base` exceeds twice any |net| and the
+    number of moves, so the sum of its weights is a key in which no field
+    carries into the next, and the low digit of each field is the net
+    modulo `base`. Since `base > 2 * |net|`, that digit is below `base / 2`
+    exactly when the net is not negative: the top bit of a net digit is the
+    sign of the net.
+    """
+
+    def __init__(self, effects: Mapping[str, Effect], max_len: int):
+        moved = sorted({var for eff in effects.values()
+                        for var, delta in eff.items() if delta})
+        top = max((abs(delta) for eff in effects.values()
+                   for delta in eff.values()), default=0)
+        self.variables = tuple(moved)
+        self.bits = (2 * max(max_len, 1) * (top + 1)).bit_length()
+        self.base = base = 1 << self.bits
+        width = 2 * self.bits
+        shift = {var: width * i for i, var in enumerate(moved)}
+        self.weight = {
+            eid: sum((delta + base) << shift[var]
+                     for var, delta in eff.items() if delta)
+            for eid, eff in effects.items()
+        }
+        # each variable's field, net digit and sign bit, in place in a key
+        self._fields = tuple(
+            (var, (1 << width) - 1 << s, base - 1 << s, base >> 1 << s)
+            for var, s in shift.items())
+        self._sign_bits = sum(sign for *_, sign in self._fields)
+
+    def sign_sets(self, keys: Collection[int]
+                  ) -> tuple[frozenset[str], frozenset[str], VarSetFamily]:
+        """Over a set of keys: the variables some key nets positive, those
+        some key moves with net zero, and the set of variables each key nets
+        negative.
+
+        The negative sets are read off the sign bits, one AND per key. The
+        other two scan the keys once per variable and stop at the first
+        key that puts it in.
+        """
+        inc = frozenset(var for var, _, digit, sign in self._fields
+                        if any(0 < k & digit < sign for k in keys))
+        zero = frozenset(var for var, field, digit, _ in self._fields
+                         if any(k & field and not k & digit for k in keys))
+        signs = self._sign_bits
+        dec = frozenset(
+            frozenset(var for var, *_, sign in self._fields if d & sign)
+            for d in {k & signs for k in keys})
+        return inc, zero, dec
 
 
 class PathGraph:

@@ -2,7 +2,8 @@
 
 The brute-force functions here are deliberately naive re-implementations
 used to cross-check the real algorithms. Keep them independent of the
-library internals: they may only use the public data types.
+library internals: they may only use the public data types, except
+where a docstring says otherwise.
 """
 from __future__ import annotations
 
@@ -14,15 +15,16 @@ import random
 import sys
 from typing import Iterable
 
-from termsieve.graphs import Arc, DiGraph
-from termsieve.model import (
-    ConcreteState, Edge, Effect, EffectCode, Fmp, Guard, VarDecl,
-)
+from termsieve.decomposition import DefForest, quotient
+from termsieve.graphs import Arc, DiGraph, induced, scc_decompose
+from termsieve.model import ConcreteState, Edge, Effect, Fmp, Guard, VarDecl
 from termsieve.oracle import (
     ALL_HALT, INCONCLUSIVE, LASSO_FOUND, Configuration, ExploreCaps,
     ExploreResult, LassoWitness, SimTrace,
 )
-from termsieve.paths import DEFAULT_PATH_CAP, NodeVarSets, PathContext, PathGraph
+from termsieve.paths import (
+    DEFAULT_PATH_CAP, EffectCode, NodeVarSets, PathContext, PathGraph,
+)
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 TEST_FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -68,6 +70,68 @@ def random_digraph(rng: random.Random, max_vertices: int = 6,
     for k in range(m):
         arcs.append((f"a{k}", rng.choice(vs), rng.choice(vs)))
     return DiGraph(frozenset(vs), tuple(arcs))
+
+
+def is_acyclic(g: DiGraph) -> bool:
+    """Kahn's algorithm; a self-loop counts as a cycle."""
+    indeg: dict[str, int] = {v: 0 for v in g.vertices}
+    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
+    for _, src, dst in g.arcs:
+        if src == dst:
+            return False
+        indeg[dst] += 1
+        adj[src].append(dst)
+    queue = [v for v, d in indeg.items() if d == 0]
+    seen = 0
+    while queue:
+        v = queue.pop()
+        seen += 1
+        for w in adj[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    return seen == len(g.vertices)
+
+
+def check_det(forest: DefForest, g: DiGraph) -> list[str]:
+    """Validity violations of a forest against its graph (empty = valid).
+
+    The expected roots and children come from the library's
+    `scc_decompose`, which the graph tests check against `brute_sccs`.
+    """
+    out: list[str] = []
+    roots = {t.vertices for t in forest.trees}
+    expected_roots = set(scc_decompose(g).nontrivial())
+    if roots != expected_roots:
+        out.append(
+            "roots-mismatch: trees "
+            f"{sorted(sorted(r) for r in roots)} vs SCCs "
+            f"{sorted(sorted(r) for r in expected_roots)}"
+        )
+
+    for tree in forest.trees:
+        seen: set[frozenset[str]] = set()
+        stack = [tree]
+        while stack:
+            node = stack.pop()
+            where = f"({','.join(sorted(node.vertices))}, {node.elim})"
+            if node.vertices in seen:
+                out.append(f"duplicate-node: {where}")
+            seen.add(node.vertices)
+            if node.elim not in node.vertices:
+                out.append(f"elim-not-member: {where}")
+                continue
+            rest = induced(g, node.vertices - {node.elim})
+            expected = set(scc_decompose(rest).nontrivial())
+            actual = {c.vertices for c in node.children}
+            if actual != expected:
+                out.append(f"children-mismatch: {where}")
+            q = quotient(g, node)
+            minus_elim = induced(q, q.vertices - {node.elim})
+            if not is_acyclic(minus_elim):
+                out.append(f"quotient-not-acyclic: {where}")
+            stack.extend(reversed(node.children))
+    return out
 
 
 @contextlib.contextmanager
@@ -491,7 +555,7 @@ def replay_lasso(fmp: Fmp, witness) -> None:
     for eid, nxt in witness.steps:
         options = [
             dataclasses.replace(e, actions=(action,))
-            for e in fmp.edges_from[cfg.qstate] if e.id == eid
+            for e in fmp.edges if e.src == cfg.qstate and e.id == eid
             for action in e.actions
         ]
         assert any(
@@ -510,7 +574,9 @@ def referee_successors(fmp: Fmp, cfg: Configuration
     """Enabled (edge id, successor) pairs, one per action, in edge
     declaration order then action order."""
     out = []
-    for e in fmp.edges_from[cfg.qstate]:
+    for e in fmp.edges:
+        if e.src != cfg.qstate:
+            continue
         for action in e.actions:
             one = dataclasses.replace(e, actions=(action,))
             if enabled(one, cfg.state):

@@ -12,20 +12,20 @@ import pytest
 from termsieve.analysis import (
     TERMINATING, UNKNOWN, AnalysisConfig, hsieve, hsieve_once, progress_sieve,
 )
-from termsieve.decomposition import build_def, check_det, quotient
+from termsieve.decomposition import build_def, quotient
 from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import boundary, induced, policy_graph, scc_decompose
 from termsieve.model import normalize
 from termsieve.oracle import ALL_HALT, INCONCLUSIVE, LASSO_FOUND, explore, explore_grid
 from termsieve.paths import (
-    PathCapExceeded, PathContext, boxminus, var_sets,
+    PathCapExceeded, boxminus, var_sets,
 )
 from termsieve.policyio import load_policy, parse_policy, serialize_policy
 
 from helpers import (
-    FIXTURES, TEST_FIXTURES, brute_sccs, guard_free_walks, iter_nodes,
-    key_net, listed_paths, path_ctx, random_digraph, random_small_policy,
-    replay_lasso,
+    FIXTURES, TEST_FIXTURES, brute_sccs, check_det, guard_free_walks,
+    iter_nodes, key_net, listed_paths, path_ctx, random_digraph,
+    random_small_policy, replay_lasso,
 )
 
 
@@ -297,7 +297,7 @@ def _c_iv_covers_positive_walks(target):
         g = policy_graph(fmp)
         forest = build_def(g, rng.randrange(1 << 16))
         effects = {e.id: e.effect for e in fmp.edges}
-        ctx = PathContext(fmp.path_graph, fmp.initial)
+        ctx = path_ctx(g, effects, fmp.initial)
         try:
             for node in iter_nodes(forest):
                 iv = var_sets(node, ctx).iv
@@ -332,7 +332,7 @@ def _c_dv_forces_decrease(target):
         g = policy_graph(fmp)
         forest = build_def(g, rng.randrange(1 << 16))
         effects = {e.id: e.effect for e in fmp.edges}
-        ctx = PathContext(fmp.path_graph, fmp.initial)
+        ctx = path_ctx(g, effects, fmp.initial)
         try:
             for node in iter_nodes(forest):
                 dv = var_sets(node, ctx).dv

@@ -1,4 +1,5 @@
 """The iterative analysis loop, its trace reports, and the baseline sieve."""
+import dataclasses
 import json
 import time
 from collections import Counter
@@ -27,7 +28,7 @@ from termsieve.policyio import load_policy
 
 from helpers import (
     FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, chord_ring_policy,
-    iter_nodes, recursion_room, replay_lasso, ring_policy,
+    iter_nodes, path_ctx, recursion_room, replay_lasso, ring_policy,
     two_pair_lasso_policy, up_loop_policy,
 )
 
@@ -55,7 +56,7 @@ class TestSeeds:
 
     def test_iteration_seeds_recorded(self):
         rep = hsieve_once(fixture("f2"), seed=7)
-        assert [it.def_seed for it in rep.iterations] == [
+        assert [it.forest.seed for it in rep.iterations] == [
             def_seed_for(7, 0), def_seed_for(7, 1)
         ]
 
@@ -118,7 +119,7 @@ class TestChildrenWithCollidingNames:
         f = two_pair_lasso_policy()
         g = policy_graph(f)
         effects = {e.id: e.effect for e in f.edges}
-        ctx = PathContext(f.path_graph, f.initial)
+        ctx = path_ctx(g, effects, f.initial)
         for seed in range(20):
             for node in iter_nodes(build_def(g, seed)):
                 assert var_sets(node, ctx) == brute_var_sets(
@@ -313,11 +314,12 @@ class TestSharedSamples:
 
     def test_nothing_kept_between_calls(self):
         fmp = all_unknown_policy()
+        fields = {f.name for f in dataclasses.fields(Fmp)}
         cfg = AnalysisConfig(def_samples=20)
         before = hsieve_once(fmp, 4, cfg)
-        cached = set(vars(fmp))
+        assert set(vars(fmp)) == fields
         first = hsieve(fmp, cfg)
-        assert set(vars(fmp)) == cached
+        assert set(vars(fmp)) == fields
         after = hsieve_once(fmp, 4, cfg)
         assert after.verdict == before.verdict
         assert without_wall(after.to_trace_dict()) == without_wall(
@@ -440,7 +442,7 @@ class TestReplayInvariants:
                     vertices=frozenset(fmp.qstates),
                     arcs=tuple((e.id, e.src, e.dst) for e in edges.values()),
                 )
-                assert build_def(g, it.def_seed) == it.forest
+                assert build_def(g, it.forest.seed) == it.forest
                 effects = {eid: e.effect for eid, e in edges.items()}
                 merged = set()
                 removable = set()

@@ -5,15 +5,15 @@ from termsieve.decomposition import (
     DefForest,
     DetNode,
     build_def,
-    check_det,
     quotient,
 )
 from termsieve.graphs import (
-    graph, induced, is_acyclic, policy_graph, scc_decompose,
+    graph, induced, policy_graph, scc_decompose,
 )
 
 from helpers import (
-    circulant_policy, iter_nodes, random_digraph, recursion_room,
+    check_det, circulant_policy, is_acyclic, iter_nodes, random_digraph,
+    recursion_room,
 )
 
 

@@ -8,7 +8,6 @@ from termsieve.graphs import (
     boundary,
     graph,
     induced,
-    is_acyclic,
     policy_graph,
     scc_decompose,
 )
@@ -17,6 +16,7 @@ from helpers import (
     brute_is_nontrivial,
     brute_sccs,
     chain_policy,
+    is_acyclic,
     random_digraph,
 )
 

@@ -261,12 +261,6 @@ class TestEnablement:
         assert not ConcreteState({"x": 0}, {"x": 0, "y": 0}).well_formed()
 
 
-def test_edges_from_groups_by_source():
-    f = chain_policy()
-    assert [e.id for e in f.edges_from["q0"]] == ["e1"]
-    assert f.edges_from["q1"] == ()
-
-
 def test_up_loop_never_blocks():
     f = up_loop_policy()
     succ = step(f, Configuration("q0", f.state({"x": 0})))

@@ -51,8 +51,8 @@ class TestStep:
             cfg = Configuration(rng.choice(f.qstates), f.state(vals))
             got = step(f, cfg)
             want = []
-            for e in f.edges_from[cfg.qstate]:
-                if enabled(e, cfg.state):
+            for e in f.edges:
+                if e.src == cfg.qstate and enabled(e, cfg.state):
                     want.append((e.id, Configuration(e.dst, apply_edge(e, cfg.state))))
             assert got == want
 

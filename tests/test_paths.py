@@ -9,11 +9,10 @@ from termsieve.analysis import AnalysisConfig, hsieve
 from termsieve.decomposition import DetNode, build_def, quotient
 from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import boundary, graph, induced, policy_graph
-from termsieve.model import EffectCode
 from termsieve.paths import (
+    EffectCode,
     InvalidNodeError,
     PathCapExceeded,
-    PathContext,
     boxminus,
     var_sets,
 )
@@ -47,7 +46,8 @@ def g_of(*arcs, extra=()):
 
 
 def ctx_for(fmp, path_cap=100_000):
-    return PathContext(fmp.path_graph, fmp.initial, path_cap)
+    return path_ctx(policy_graph(fmp), {e.id: e.effect for e in fmp.edges},
+                    fmp.initial, path_cap)
 
 
 def cycles(g, node, q0=None):

@@ -3,8 +3,8 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from termsieve.decomposition import build_def, check_det
-from termsieve.graphs import DiGraph, is_acyclic, policy_graph, scc_decompose
+from termsieve.decomposition import build_def
+from termsieve.graphs import DiGraph, policy_graph, scc_decompose
 from termsieve.model import (
     Edge, Fmp, Guard, VarDecl, normalize, validate,
 )
@@ -12,7 +12,7 @@ from termsieve.oracle import ExploreCaps, explore
 from termsieve.paths import boxminus
 from termsieve.policyio import parse_policy, serialize_policy
 
-from helpers import accumulate, brute_sccs
+from helpers import accumulate, brute_sccs, check_det, is_acyclic
 
 # ---------------------------------------------------------------- strategies
 
