@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 from .decomposition import DefForest, DetNode, Splits, build_def
 from .graphs import DiGraph, induced, policy_graph, scc_decompose
-from .model import Edge, Fmp
+from .model import Fmp
 from .paths import (
     DEFAULT_PATH_CAP,
     EffectCode,
@@ -116,13 +116,27 @@ def def_seed_for(base_seed: int, iteration: int) -> int:
     return base_seed * _SEED_STRIDE + iteration
 
 
+# per-root sets, candidates, removed edges, and the verdict (None: the loop
+# goes on without the removed edges)
+_Outcome = tuple[tuple[NodeVarSets, ...], frozenset[str], tuple[str, ...],
+                 Verdict | None]
+
+
 class _Shared:
     """Work that the samples of one `hsieve` call share.
 
     The edge effects and their `EffectCode`, and for each set of remaining
-    edge ids: the graph on them, the SCC splits `build_def` made on it, and
-    its PathContext, which compiles the graph once and keeps each tree's
-    variable sets. Each sample still draws its own forest from its own seed.
+    edge ids:
+    - the graph on them, compiled once as a `PathGraph` for both SCC splits
+      and path search;
+    - its `Splits`: each (vertex set, elim) split once, and every tree node
+      built once, so that equal trees are one object;
+    - its PathContext, which keeps each tree's variable sets;
+    - for each forest drawn on it, by its trees, the iteration's outcome:
+      per-root sets, candidates and removed edges, or the path cap.
+
+    Each sample still draws its own forest from its own seed, so a forest
+    drawn again costs its draw and its own IterationTrace.
     """
 
     def __init__(self, fmp: Fmp, path_cap: int):
@@ -131,10 +145,14 @@ class _Shared:
         # raises unless normalized
         self.effects = {e.id: e.effect for e in fmp.edges}
         self.code = EffectCode(self.effects, len(fmp.qstates))
-        self.graphs: dict[frozenset[str], tuple[DiGraph, Splits]] = {}
-        self.contexts: dict[frozenset[str], PathContext] = {}
+        self.edge_ids = frozenset(self.effects)
+        self.graphs: dict[frozenset[str],
+                          tuple[DiGraph, Splits, PathContext]] = {}
+        self.outcomes: dict[tuple[frozenset[str], tuple[DetNode, ...]],
+                            _Outcome] = {}
 
-    def graph(self, edge_ids: frozenset[str]) -> tuple[DiGraph, Splits]:
+    def graph(self, edge_ids: frozenset[str]
+              ) -> tuple[DiGraph, Splits, PathContext]:
         got = self.graphs.get(edge_ids)
         if got is None:
             fmp = self.fmp
@@ -143,19 +161,48 @@ class _Shared:
                 arcs=tuple((e.id, e.src, e.dst) for e in fmp.edges
                            if e.id in edge_ids),
             )
-            got = self.graphs[edge_ids] = (graph, {})
+            compiled = PathGraph(graph.vertices, graph.arcs, self.code)
+            got = self.graphs[edge_ids] = (
+                graph, Splits(compiled),
+                PathContext(compiled, fmp.initial, self.path_cap))
         return got
 
-    def context(self, edge_ids: frozenset[str]) -> PathContext:
-        ctx = self.contexts.get(edge_ids)
-        if ctx is None:
-            graph = self.graphs[edge_ids][0]
-            ctx = self.contexts[edge_ids] = PathContext(
-                graph=PathGraph(graph.vertices, graph.arcs, self.code),
-                q0=self.fmp.initial,
-                path_cap=self.path_cap,
-            )
-        return ctx
+    def outcome(self, edge_ids: frozenset[str],
+                trees: tuple[DetNode, ...]) -> _Outcome:
+        """The outcome of an iteration on `edge_ids` that drew `trees`."""
+        key = (edge_ids, trees)
+        got = self.outcomes.get(key)
+        if got is None:
+            got = self.outcomes[key] = self._iterate(edge_ids, trees)
+        return got
+
+    def _iterate(self, edge_ids: frozenset[str],
+                 trees: tuple[DetNode, ...]) -> _Outcome:
+        if not trees:
+            return (), frozenset(), (), Verdict(TERMINATING, "graph-acyclic")
+        ctx = self.graphs[edge_ids][2]
+        try:
+            per_root = tuple(ctx.tree_sets(tree) for tree in trees)
+        except PathCapExceeded:
+            return (), frozenset(), (), Verdict(UNKNOWN, "resource-cap")
+        per_tree_candidates = [
+            frozenset(set().union(*sets.pdv) - sets.iv - sets.zv)
+            for sets in per_root]
+        candidates = frozenset().union(*per_tree_candidates)
+        if all(frozenset() not in sets.dv for sets in per_root):
+            # a proof removes nothing
+            return (per_root, candidates, (),
+                    Verdict(TERMINATING, "no-empty-dv"))
+        # trees are disjoint, so no edge comes twice
+        effects = self.effects
+        removed = tuple(sorted(
+            e.id for tree, cands in zip(trees, per_tree_candidates)
+            if cands for e in self.fmp.edges
+            if e.id in edge_ids
+            and e.src in tree.vertices and e.dst in tree.vertices
+            and any(effects[e.id].get(x, 0) < 0 for x in cands)))
+        verdict = None if removed else Verdict(UNKNOWN, "empty-set-persists")
+        return per_root, candidates, removed, verdict
 
 
 def hsieve_once(
@@ -173,57 +220,24 @@ def hsieve_once(
     if shared is None:
         shared = _Shared(fmp, cfg.path_cap)
 
-    effects = shared.effects
-    edges: dict[str, Edge] = {e.id: e for e in fmp.edges}
+    edge_ids = shared.edge_ids
     iterations: list[IterationTrace] = []
-
-    def report(kind: str, detail: str) -> AnalysisReport:
-        return AnalysisReport(
-            verdict=Verdict(kind, detail),
-            iterations=tuple(iterations),
-            wall_time=time.perf_counter() - start,
-            seeds=(seed,),
-        )
-
-    max_iterations = len(fmp.edges) + 1
-    for i in range(max_iterations + 1):
-        edge_ids = frozenset(edges)
-        graph, splits = shared.graph(edge_ids)
+    # each iteration but the last removes an edge
+    for i in range(len(fmp.edges) + 2):
+        graph, splits, _ = shared.graph(edge_ids)
         forest = build_def(graph, def_seed_for(seed, i), splits)
-        if not forest.trees:
-            iterations.append(IterationTrace(forest, (), frozenset(), ()))
-            return report(TERMINATING, "graph-acyclic")
-
-        ctx = shared.context(edge_ids)
-        try:
-            per_root = []
-            per_tree_candidates = []
-            for tree in forest.trees:
-                sets = ctx.tree_sets(tree)
-                per_root.append(sets)
-                per_tree_candidates.append(
-                    frozenset(set().union(*sets.pdv) - sets.iv - sets.zv))
-        except PathCapExceeded:
-            iterations.append(IterationTrace(forest, (), frozenset(), ()))
-            return report(UNKNOWN, "resource-cap")
-
-        all_candidates = frozenset().union(*per_tree_candidates)
-        empty_free = all(frozenset() not in sets.dv for sets in per_root)
-        # a proof removes nothing; trees are disjoint, so no edge comes twice
-        removed = () if empty_free else tuple(sorted(
-            eid for tree, cands in zip(forest.trees, per_tree_candidates)
-            if cands for eid, e in edges.items()
-            if e.src in tree.vertices and e.dst in tree.vertices
-            and any(effects[eid].get(x, 0) < 0 for x in cands)))
+        per_root, candidates, removed, verdict = shared.outcome(
+            edge_ids, forest.trees)
         iterations.append(
-            IterationTrace(forest, tuple(per_root), all_candidates, removed)
-        )
-        if empty_free:
-            return report(TERMINATING, "no-empty-dv")
-        if not removed:
-            return report(UNKNOWN, "empty-set-persists")
-        for eid in removed:
-            del edges[eid]
+            IterationTrace(forest, per_root, candidates, removed))
+        if verdict is not None:
+            return AnalysisReport(
+                verdict=verdict,
+                iterations=tuple(iterations),
+                wall_time=time.perf_counter() - start,
+                seeds=(seed,),
+            )
+        edge_ids = edge_ids.difference(removed)
 
     raise AssertionError("iteration cap exceeded despite strict edge removal")
 
@@ -232,9 +246,9 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
     """Multi-sample driver: try def_samples seed streams, first success wins.
 
     Sample k runs hsieve_once with seed base_seed + k. The samples share
-    graphs, SCC splits, compiled path graphs and per-tree variable sets for
-    each edge set they reach, so a forest drawn again costs no new search;
-    the reports are those of separate runs. The returned report carries
+    what `_Shared` keeps for each edge set they reach, so a forest drawn
+    again costs its draw and no new split, search or removal scan; the
+    reports are those of separate runs. The returned report carries
     every seed tried; when no sample proves termination, the first sample's
     verdict and trace are reported.
     """

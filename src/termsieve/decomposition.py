@@ -2,19 +2,27 @@
 
 An elimination tree node pairs a vertex set with one elimination vertex; its
 children are the nontrivial SCCs left after deleting that vertex. A forest
-holds one tree per nontrivial SCC of the input graph. Elimination vertices
-are drawn uniformly at random from a seeded generator, so one integer seed
-fixes the whole forest. A node's quotient graph collapses each child onto the
-child's own elimination vertex, so every quotient vertex is a real qstate and
-distinct children never share a vertex.
+holds one tree per nontrivial SCC of the input graph. A node's quotient
+graph collapses each child onto the child's own elimination vertex, so every
+quotient vertex is a real qstate and distinct children never share a vertex.
+
+Elimination vertices are drawn in preorder by one `random.Random(seed)`,
+each by `choice` from the node's vertices in name order, so one integer
+seed fixes the whole forest.
+
+`Splits` holds what the forests of one graph share: the graph compiled to
+bit masks (`graphs.SccGraph`), the nontrivial SCCs left by each (vertex
+set, elim) split once, and each node built once, so that equal trees drawn
+on the graph are one object.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from typing import Iterator
 
-from .graphs import DiGraph, induced, scc_decompose
+from .graphs import DiGraph, SccGraph
 
 
 class DetNode:
@@ -74,58 +82,110 @@ class DefForest:
     seed: int
 
 
-# (vertex set, elim) -> nontrivial SCCs of the graph on the set minus the
-# elim; the whole graph's own SCCs sit under (its vertex set, None)
-Splits = dict[tuple[frozenset[str], str | None], tuple[frozenset[str], ...]]
+class _Part:
+    """A vertex set some node of a forest holds, with what its elims give."""
+
+    __slots__ = ("mask", "vertices", "places", "splits", "nodes")
+
+    def __init__(self, sg: SccGraph, mask: int):
+        self.mask = mask
+        # copied from a set, the frozenset's table is sized for its
+        # entries: up to half that of one grown from the names one by one
+        self.vertices = frozenset(set(sg.vertices(mask)))
+        # what `choice` draws from: the place of the elim in name order
+        self.places = range(len(self.vertices))
+        # elim place -> the elim and the nontrivial SCCs left without it
+        self.splits: dict[int, tuple[str, tuple[_Part, ...]]] = {}
+        # (elim, children) -> the node
+        self.nodes: dict[tuple[str, tuple[DetNode, ...]], DetNode] = {}
+
+    def node(self, elim: str, children: tuple[DetNode, ...]) -> DetNode:
+        """The node on this set with this elim and these children."""
+        key = (elim, children)
+        node = self.nodes.get(key)
+        if node is None:
+            node = self.nodes[key] = DetNode(
+                vertices=self.vertices, elim=elim, children=children)
+        return node
 
 
-def _split(g: DiGraph, vs: frozenset[str], elim: str | None,
-           splits: Splits) -> tuple[frozenset[str], ...]:
-    parts = splits.get((vs, elim))
-    if parts is None:
-        rest = g if elim is None else induced(g, vs - {elim})
-        parts = splits[vs, elim] = scc_decompose(rest).nontrivial()
-    return parts
+class Splits:
+    """What the forests drawn on one compiled graph share.
 
+    The nontrivial SCCs left by each (vertex set, elim) a forest has drawn,
+    split once, and every node built, so that equal trees are one object
+    and compare and hash at once.
+    """
 
-def _build_node(g: DiGraph, vs: frozenset[str], rng: random.Random,
-                splits: Splits) -> DetNode:
-    """The tree on `vs`, its elims drawn from `rng` in preorder."""
+    def __init__(self, sg: SccGraph):
+        self._sg = sg
+        self._parts: dict[int, _Part] = {}
+        self._roots = self._split(sg.all)
 
-    def enter(part: frozenset[str]):
-        elim = rng.choice(sorted(part))
-        return part, elim, iter(_split(g, part, elim, splits)), []
+    def _split(self, mask: int) -> tuple[_Part, ...]:
+        """The nontrivial SCCs of the subgraph on `mask`, in canonical order."""
+        sg, parts = self._sg, self._parts
+        out = []
+        for comp in sg.sccs(mask):
+            if sg.cyclic(comp):
+                part = parts.get(comp)
+                if part is None:
+                    part = parts[comp] = _Part(sg, comp)
+                out.append(part)
+        return tuple(out)
 
-    # frames: vertex set, elim, child vertex sets left, children built
-    stack = [enter(vs)]
-    while True:
-        vs, elim, todo, built = stack[-1]
-        child = next(todo, None)
-        if child is not None:
-            stack.append(enter(child))
-            continue
-        stack.pop()
-        node = DetNode(vertices=vs, elim=elim, children=tuple(built))
-        if not stack:
-            return node
-        stack[-1][3].append(node)
+    def _cut(self, part: _Part, j: int) -> tuple[str, tuple[_Part, ...]]:
+        """The `j`-th vertex of `part` in name order, and the nontrivial
+        SCCs left without it."""
+        sg = self._sg
+        elim = sg.vertices(part.mask)[j]
+        return elim, self._split(part.mask ^ 1 << sg.index[elim])
+
+    def draw(self, seed: int) -> tuple[DetNode, ...]:
+        """The trees of the forest that `seed` draws, in canonical order."""
+        choice = random.Random(seed).choice
+        trees = []
+        for part in self._roots:
+            # frames: vertex set, elim, child sets left, children built
+            stack: list[tuple[_Part, str, Iterator[_Part], list[DetNode]]] = []
+            while True:  # enter `part`: draw its elim, then its children
+                j = choice(part.places)
+                got = part.splits.get(j)
+                if got is None:
+                    got = part.splits[j] = self._cut(part, j)
+                elim, kids = got
+                if kids:
+                    todo = iter(kids)
+                    stack.append((part, elim, todo, []))
+                    part = next(todo)
+                    continue
+                node = part.node(elim, ())
+                # close the frames whose children are all built, and go on
+                # with the next child left, or end the tree
+                while stack:
+                    parent, up, todo, built = stack[-1]
+                    built.append(node)
+                    part = next(todo, None)
+                    if part is not None:
+                        break
+                    stack.pop()
+                    node = parent.node(up, tuple(built))
+                else:
+                    trees.append(node)
+                    break
+        return tuple(trees)
 
 
 def build_def(g: DiGraph, seed: int,
               splits: Splits | None = None) -> DefForest:
     """One elimination tree per nontrivial SCC of `g`, in canonical order.
 
-    `splits` holds the SCC splits already made on `g` and takes the new
-    ones, so the forests of one graph split each (vertex set, elim) once;
-    the seed alone still fixes the forest.
+    `splits`, made on `g` compiled, holds what earlier forests of `g` split
+    and built; the seed alone still fixes the forest.
     """
-    splits = {} if splits is None else splits
-    rng = random.Random(seed)
-    trees = tuple(
-        _build_node(g, c, rng, splits)
-        for c in _split(g, g.vertices, None, splits)
-    )
-    return DefForest(trees=trees, seed=seed)
+    if splits is None:
+        splits = Splits(SccGraph(g.vertices, g.arcs))
+    return DefForest(trees=splits.draw(seed), seed=seed)
 
 
 def quotient(g: DiGraph, node: DetNode) -> DiGraph:

@@ -49,63 +49,112 @@ class SccPartition:
         return tuple(c for c, t in zip(self.components, self.trivial) if not t)
 
 
-def scc_decompose(g: DiGraph) -> SccPartition:
-    """Iterative Tarjan; the final sort, not the visit order, fixes the output."""
-    adj: dict[str, list[str]] = {v: [] for v in g.vertices}
-    self_loop: set[str] = set()
-    for _, src, dst in g.arcs:
-        adj[src].append(dst)
-        if src == dst:
-            self_loop.add(src)
+class SccGraph:
+    """One edge set compiled to bit masks, for the SCCs of its induced
+    subgraphs; `paths.PathGraph` extends it for path search.
 
-    index: dict[str, int] = {}
-    low: dict[str, int] = {}
-    onstack: set[str] = set()
-    stack: list[str] = []
-    comps: list[frozenset[str]] = []
-    counter = 0
+    Vertex `i` is the `i`-th vertex in sorted-name order, with bit `1 << i`,
+    and `index` maps a name to its `i`; a vertex set is the mask of its
+    bits. `succ[i]` is the mask of the successors of `i`, itself included
+    when it has a self-loop, and `loops` the mask of the vertices with a
+    self-loop. Parallel arcs compile to one bit.
+    """
 
-    for root in g.vertices:
-        if root in index:
-            continue
-        work: list[tuple[str, int]] = [(root, 0)]
-        index[root] = low[root] = counter
-        counter += 1
-        stack.append(root)
-        onstack.add(root)
-        while work:
-            v, i = work[-1]
-            if i < len(adj[v]):
-                work[-1] = (v, i + 1)
-                w = adj[v][i]
-                if w not in index:
-                    index[w] = low[w] = counter
-                    counter += 1
-                    stack.append(w)
-                    onstack.add(w)
-                    work.append((w, 0))
-                elif w in onstack:
-                    if index[w] < low[v]:
-                        low[v] = index[w]
-            else:
+    def __init__(self, vertices: Iterable[str], arcs: Iterable[Arc]):
+        self.names = names = tuple(sorted(set(vertices)))
+        self.all = (1 << len(names)) - 1
+        self.index = index = {v: i for i, v in enumerate(names)}
+        self.succ = succ = [0] * len(names)
+        loops = 0
+        for _, src, dst in arcs:
+            s, d = index[src], index[dst]
+            succ[s] |= 1 << d
+            if s == d:
+                loops |= 1 << s
+        self.loops = loops
+
+    def sccs(self, mask: int) -> list[int]:
+        """The SCCs of the subgraph induced on `mask`, as masks, ordered by
+        their lowest vertex: iterative Tarjan, one frame per open vertex.
+        A self-loop leads back to its own frame and lowers nothing."""
+        succ = self.succ
+        num: dict[int, int] = {}
+        low: dict[int, int] = {}
+        stack: list[int] = []
+        onstack = 0
+        unseen = mask
+        comps: list[int] = []
+        while unseen:
+            root = (unseen & -unseen).bit_length() - 1
+            unseen ^= 1 << root
+            onstack |= 1 << root
+            num[root] = low[root] = len(num)
+            stack.append(root)
+            # frames: a vertex and its successors in `mask` not yet scanned
+            work = [(root, succ[root] & mask)]
+            while work:
+                v, rest = work[-1]
+                if rest:
+                    wbit = rest & -rest
+                    work[-1] = (v, rest ^ wbit)
+                    w = wbit.bit_length() - 1
+                    if wbit & unseen:
+                        unseen ^= wbit
+                        onstack |= wbit
+                        num[w] = low[w] = len(num)
+                        stack.append(w)
+                        work.append((w, succ[w] & mask))
+                    elif wbit & onstack and num[w] < low[v]:
+                        low[v] = num[w]
+                    continue
                 work.pop()
                 if work:
                     u = work[-1][0]
                     if low[v] < low[u]:
                         low[u] = low[v]
-                if low[v] == index[v]:
-                    comp = set()
+                if low[v] == num[v]:
+                    comp = 0
                     while True:
                         w = stack.pop()
-                        onstack.discard(w)
-                        comp.add(w)
+                        comp |= 1 << w
                         if w == v:
                             break
-                    comps.append(frozenset(comp))
+                    onstack ^= comp
+                    comps.append(comp)
+        comps.sort(key=lambda c: c & -c)
+        return comps
 
-    comps.sort(key=lambda c: tuple(sorted(c)))
-    trivial = tuple(len(c) == 1 and next(iter(c)) not in self_loop for c in comps)
-    return SccPartition(components=tuple(comps), trivial=trivial)
+    def cyclic(self, comp: int) -> bool:
+        """True iff the component `comp` holds a cycle: two or more
+        vertices, or one with a self-loop."""
+        return bool(comp & (comp - 1) or comp & self.loops)
+
+    def vertices(self, mask: int) -> tuple[str, ...]:
+        """The names of the vertices in `mask`, in sorted order."""
+        names = self.names
+        return tuple(names[i] for i in bit_indices(mask))
+
+
+def bit_indices(mask: int) -> Iterable[int]:
+    """Set bit positions of `mask`, lowest first."""
+    while mask:
+        low = mask & -mask
+        yield low.bit_length() - 1
+        mask ^= low
+
+
+def scc_decompose(g: DiGraph) -> SccPartition:
+    """The SCCs of `g` in canonical order: by their sorted vertex names.
+
+    Disjoint sets in that order are in the order of their least name, which
+    is how `SccGraph.sccs` orders them.
+    """
+    sg = SccGraph(g.vertices, g.arcs)
+    comps = sg.sccs(sg.all)
+    return SccPartition(
+        components=tuple(frozenset(sg.vertices(c)) for c in comps),
+        trivial=tuple(not sg.cyclic(c) for c in comps),
+    )
 
 
 def induced(g: DiGraph, vs: Iterable[str]) -> DiGraph:

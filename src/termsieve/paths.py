@@ -9,10 +9,12 @@ vertex-simple walks from an entry boundary vertex to an exit boundary vertex
 with at least one edge. Parallel arcs yield distinct paths; a collapsed child
 contributes zero effect (its internal arcs are not traversed at all).
 
-`PathGraph` compiles one edge set once. Qstates become bits in sorted-name
-order, and each vertex gets its out-arcs as `(dst index, dst bit, weight,
-dst successor mask, arc id)` in `(dst, arc id)` order, the weight coming from
-the policy's `EffectCode`. A node then needs no graph of its own: the path is
+`PathGraph` compiles one edge set once, for the forest's SCC splits and for
+path search: it is a `graphs.SccGraph` (qstates as bits in sorted-name
+order, successor masks) with predecessor masks added, and each vertex gets
+its out-arcs as `(dst index, dst bit, weight, dst successor mask, arc id)`
+in `(dst, arc id)` order, the weight coming from the policy's
+`EffectCode`. A node then needs no graph of its own: the path is
 one int whose bits start out set on every vertex outside the node, and the
 boundary is read off the successor and predecessor masks. Only a node with
 children builds arcs, those of its quotient, for its cycle search. An
@@ -52,6 +54,7 @@ from dataclasses import dataclass
 from typing import Collection, Iterable, Mapping, Sequence
 
 from .decomposition import DetNode
+from .graphs import SccGraph, bit_indices
 from .model import Effect
 
 DEFAULT_PATH_CAP = 100_000
@@ -144,27 +147,25 @@ class EffectCode:
         return inc, zero, dec
 
 
-class PathGraph:
-    """One edge set compiled for path search: bits, masks and weighted arcs.
+class PathGraph(SccGraph):
+    """One edge set compiled for SCC splits and path search.
 
-    Vertex `i` is the `i`-th qstate in sorted-name order, with bit `1 << i`;
-    `succ[i]` and `pred[i]` are the bit masks of its successors and
-    predecessors, and `out[i]` its out-arcs (see the module docstring).
+    On top of `graphs.SccGraph`'s bits, `index` and successor masks,
+    `pred[i]` is the mask of the predecessors of vertex `i` and `out[i]`
+    its out-arcs (see the module docstring).
     """
 
     def __init__(self, vertices: Iterable[str],
                  arcs: Iterable[tuple[str, str, str]], code: EffectCode):
-        names = sorted(set(vertices))
+        arcs = tuple(arcs)
+        super().__init__(vertices, arcs)
         self.code = code
-        self.all = (1 << len(names)) - 1
-        self.index = index = {v: i for i, v in enumerate(names)}
-        outs: list[list[tuple[int, str]]] = [[] for _ in names]
-        self.succ = [0] * len(names)
-        self.pred = [0] * len(names)
+        index = self.index
+        outs: list[list[tuple[int, str]]] = [[] for _ in self.names]
+        self.pred = [0] * len(self.names)
         for aid, src, dst in arcs:
             s, d = index[src], index[dst]
             outs[s].append((d, aid))
-            self.succ[s] |= 1 << d
             self.pred[d] |= 1 << s
         self.out = tuple(_arcs(out, code.weight, self.succ) for out in outs)
 
@@ -190,7 +191,7 @@ class PathGraph:
                 rep[index[v]] = index[child.elim]
         kept: dict[int, list[tuple[int, str]]] = {}
         succ: dict[int, int] = {}
-        for v in _indices(mask):
+        for v in bit_indices(mask):
             s = rep.get(v, v)
             out = kept.setdefault(s, [])
             succ.setdefault(s, 0)
@@ -209,14 +210,6 @@ def _arcs(out: list[tuple[int, str]], weight: Mapping[str, int],
     """Compiled out-arcs from `(dst, arc id)` pairs, in that order."""
     return tuple((d, 1 << d, weight[aid], succ[d] & ~(1 << d), aid)
                  for d, aid in sorted(out))
-
-
-def _indices(mask: int) -> Iterable[int]:
-    """Set bit positions of `mask`, lowest first."""
-    while mask:
-        low = mask & -mask
-        yield low.bit_length() - 1
-        mask ^= low
 
 
 def _reaches(succ: Sequence[int], frontier: int, blocked: int,
@@ -340,7 +333,7 @@ class PathContext:
         left = _walk(out, g.succ, elim, outside, 1 << elim, mask,
                      self.path_cap, keys)
         exits = entries = 0
-        for v in _indices(mask):
+        for v in bit_indices(mask):
             if g.succ[v] & outside:
                 exits |= 1 << v
             if g.pred[v] & outside:
@@ -348,7 +341,7 @@ class PathContext:
         if self.q0 in node.vertices:
             entries |= 1 << g.index[self.q0]
         if exits:
-            for start in _indices(entries):
+            for start in bit_indices(entries):
                 if left < 0:
                     break
                 left = _walk(g.out, g.succ, start, outside | 1 << start,

@@ -16,7 +16,7 @@ import sys
 from typing import Iterable
 
 from termsieve.decomposition import DefForest, quotient
-from termsieve.graphs import Arc, DiGraph, induced, scc_decompose
+from termsieve.graphs import Arc, DiGraph, induced
 from termsieve.model import ConcreteState, Edge, Effect, Fmp, Guard, VarDecl
 from termsieve.oracle import (
     ALL_HALT, INCONCLUSIVE, LASSO_FOUND, Configuration, ExploreCaps,
@@ -45,12 +45,31 @@ def brute_reachable(g: DiGraph, start: str) -> frozenset[str]:
 
 
 def brute_sccs(g: DiGraph) -> set[frozenset[str]]:
-    """Components via pairwise mutual reachability. O(V * E), fine for tests."""
-    reach = {v: brute_reachable(g, v) for v in g.vertices}
+    """Components via mutual reachability: the component of a vertex not
+    yet placed is what it reaches and what reaches it. O(V * (V + E)),
+    fine for tests; shares no code with the library's Tarjan."""
+    succ: dict[str, set[str]] = {v: set() for v in g.vertices}
+    pred: dict[str, set[str]] = {v: set() for v in g.vertices}
+    for (_, src, dst) in g.arcs:
+        succ[src].add(dst)
+        pred[dst].add(src)
+
+    def reach(start: str, nbrs: dict[str, set[str]]) -> set[str]:
+        seen = {start}
+        frontier = [start]
+        while frontier:
+            for w in nbrs[frontier.pop()] - seen:
+                seen.add(w)
+                frontier.append(w)
+        return seen
+
     out = set()
-    for v in g.vertices:
-        comp = frozenset(w for w in g.vertices if w in reach[v] and v in reach[w])
+    left = set(g.vertices)
+    while left:
+        v = left.pop()
+        comp = frozenset(reach(v, succ) & reach(v, pred))
         out.add(comp)
+        left -= comp
     return out
 
 
@@ -59,6 +78,10 @@ def brute_is_nontrivial(g: DiGraph, comp: frozenset[str]) -> bool:
         return True
     (v,) = comp
     return any(src == v and dst == v for (_, src, dst) in g.arcs)
+
+
+def brute_nontrivial_sccs(g: DiGraph) -> set[frozenset[str]]:
+    return {c for c in brute_sccs(g) if brute_is_nontrivial(g, c)}
 
 
 def random_digraph(rng: random.Random, max_vertices: int = 6,
@@ -96,12 +119,12 @@ def is_acyclic(g: DiGraph) -> bool:
 def check_det(forest: DefForest, g: DiGraph) -> list[str]:
     """Validity violations of a forest against its graph (empty = valid).
 
-    The expected roots and children come from the library's
-    `scc_decompose`, which the graph tests check against `brute_sccs`.
+    The expected roots and children come from `brute_sccs`, not from the
+    SCC routine that builds the forest.
     """
     out: list[str] = []
     roots = {t.vertices for t in forest.trees}
-    expected_roots = set(scc_decompose(g).nontrivial())
+    expected_roots = brute_nontrivial_sccs(g)
     if roots != expected_roots:
         out.append(
             "roots-mismatch: trees "
@@ -121,8 +144,8 @@ def check_det(forest: DefForest, g: DiGraph) -> list[str]:
             if node.elim not in node.vertices:
                 out.append(f"elim-not-member: {where}")
                 continue
-            rest = induced(g, node.vertices - {node.elim})
-            expected = set(scc_decompose(rest).nontrivial())
+            expected = brute_nontrivial_sccs(
+                induced(g, node.vertices - {node.elim}))
             actual = {c.vertices for c in node.children}
             if actual != expected:
                 out.append(f"children-mismatch: {where}")

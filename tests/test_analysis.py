@@ -6,12 +6,12 @@ from collections import Counter
 
 import pytest
 
-from termsieve import decomposition
 from termsieve.analysis import (
     NONTERMINATING_QUALITATIVE,
     TERMINATING,
     UNKNOWN,
     AnalysisConfig,
+    _Shared,
     Verdict,
     def_seed_for,
     hsieve,
@@ -20,7 +20,7 @@ from termsieve.analysis import (
 )
 from termsieve.decomposition import build_def
 from termsieve.generate import GenSpec, generate_random
-from termsieve.graphs import DiGraph, policy_graph
+from termsieve.graphs import DiGraph, SccGraph, policy_graph
 from termsieve.model import Edge, Fmp, VarDecl
 from termsieve.oracle import LASSO_FOUND, explore
 from termsieve.paths import DEFAULT_PATH_CAP, PathContext, var_sets
@@ -336,17 +336,20 @@ class TestSharedSamples:
         assert {r.verdict for r in reports} == {
             Verdict(UNKNOWN, "empty-set-persists")}
         qstates = frozenset(fmp.qstates)
-        splits, trees = set(), set()
+        splits, trees, forests = set(), set(), set()
         for r in reports:
             edges = frozenset(e.id for e in fmp.edges)
             for it in r.iterations:
                 splits.add((edges, qstates, None))
+                forests.add((edges, it.forest.trees))
                 for tree in it.forest.trees:
                     trees.add((edges, tree))
                     splits.update((edges, n.vertices, n.elim)
                                   for n in tree.walk())
                 edges -= set(it.removed_edges)
         assert len({edges for edges, _ in trees}) >= 2
+        # some sample draws a forest that an earlier one drew
+        assert len(forests) < sum(len(r.iterations) for r in reports)
 
         counts = Counter()
 
@@ -356,16 +359,23 @@ class TestSharedSamples:
                 return fn(*args, **kwargs)
             return wrapper
 
-        monkeypatch.setattr(decomposition, "scc_decompose",
-                            counted("split", decomposition.scc_decompose))
+        monkeypatch.setattr(SccGraph, "__init__",
+                            counted("compile", SccGraph.__init__))
+        monkeypatch.setattr(SccGraph, "sccs", counted("split", SccGraph.sccs))
         monkeypatch.setattr(PathContext, "paths",
                             counted("enumerate", PathContext.paths))
+        monkeypatch.setattr(_Shared, "_iterate",
+                            counted("iterate", _Shared._iterate))
         rep = hsieve(fmp, cfg)
         assert rep.seeds == tuple(range(20))
-        # one SCC split per (edge set, vertex set, elim), and one
-        # enumeration per node of each distinct (edge set, tree)
+        # one compiled graph per edge set, for splits and paths alike, one
+        # SCC split per (edge set, vertex set, elim), one enumeration per
+        # node of each distinct (edge set, tree), and one candidate and
+        # removal scan per distinct (edge set, forest)
+        assert counts["compile"] == len({edges for edges, _ in forests})
         assert counts["split"] == len(splits)
         assert counts["enumerate"] == sum(len(t.walk()) for _, t in trees)
+        assert counts["iterate"] == len(forests)
 
 
 class TestDeterminism:

@@ -8,12 +8,12 @@ from termsieve.decomposition import (
     quotient,
 )
 from termsieve.graphs import (
-    graph, induced, policy_graph, scc_decompose,
+    SccGraph, graph, induced, policy_graph,
 )
 
 from helpers import (
-    check_det, circulant_policy, is_acyclic, iter_nodes, random_digraph,
-    recursion_room,
+    brute_is_nontrivial, brute_sccs, check_det, circulant_policy, is_acyclic,
+    iter_nodes, random_digraph, recursion_room,
 )
 
 
@@ -206,3 +206,41 @@ def test_deep_forest_builds_and_checks():
         depth = max(depth, level)
         stack.extend((c, level + 1) for c in node.children)
     assert depth == 134
+
+
+def test_compiled_splits_match_brute_force():
+    # every (vertex set, elim) a forest draws, and the whole graph, on
+    # random digraphs that get extra parallel arcs and self-loops
+    rng = random.Random(2017)
+    loops = parallel = splits = 0
+    for _ in range(300):
+        g = random_digraph(rng, max_vertices=8, max_arcs=16)
+        names = sorted(g.vertices)
+        arcs = list(g.arcs)
+        for k in range(rng.randint(0, 3)):
+            if arcs and rng.random() < 0.5:
+                _, src, dst = rng.choice(arcs)
+            else:
+                src = dst = rng.choice(names)
+            arcs.append((f"x{k}", src, dst))
+        g = graph(g.vertices, arcs)
+        ends = [(src, dst) for _, src, dst in g.arcs]
+        loops += any(src == dst for src, dst in ends)
+        parallel += len(set(ends)) < len(ends)
+        sg = SccGraph(g.vertices, g.arcs)
+        for seed in rng.sample(range(10**6), 3):
+            cuts = {(frozenset(names), None)} | {
+                (n.vertices, n.elim) for n in iter_nodes(build_def(g, seed))}
+            for vs, elim in cuts:
+                rest = vs - {elim}
+                got = sg.sccs(sum(1 << names.index(v) for v in rest))
+                comps = [frozenset(sg.vertices(c)) for c in got]
+                sub = induced(g, rest)
+                assert set(comps) == brute_sccs(sub)
+                assert len(comps) == len(set(comps))
+                assert comps == sorted(comps, key=min)
+                assert [sg.cyclic(c) for c in got] == [
+                    brute_is_nontrivial(sub, c) for c in comps]
+                splits += 1
+    assert loops >= 100 and parallel >= 100 and splits >= 2500
+
