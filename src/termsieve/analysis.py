@@ -7,6 +7,11 @@ the empty set, and otherwise remove edges that strictly decrease a removal
 candidate of their own component. Each SCC is analyzed independently: the SCC
 condensation is a DAG, so an infinite execution eventually stays inside one
 component, and that component's own path sets are the ones that matter.
+
+The progress baseline melts in rounds, each on one `SccGraph` of the arcs
+left: an arc between two components lies on no cycle and drops out, a
+cyclic component with no progress variable refutes termination, and the
+others lose their arcs that decrease one.
 """
 
 from __future__ import annotations
@@ -15,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .decomposition import DefForest, DetNode, Splits, build_def
-from .graphs import DiGraph, induced, policy_graph, scc_decompose
+from .graphs import DiGraph, SccGraph
 from .model import Fmp
 from .paths import (
     DEFAULT_PATH_CAP,
@@ -280,48 +285,38 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
 def progress_sieve(fmp: Fmp) -> Verdict:
     """Progress-variable baseline under qualitative (adversarial) semantics.
 
-    Within each nontrivial SCC, a progress variable is decreased by at least
-    one component edge and increased by none; all component edges decreasing
-    a progress variable are removed and the remainder is re-decomposed. Any
-    component with no removable edge refutes qualitative termination.
+    Melts the control graph round by round. A round compiles the arcs left
+    once and buckets them by SCC in one pass: an arc between two components
+    lies on no cycle, so it drops out. In each cyclic component, a progress
+    variable is decreased by at least one of the component's arcs and
+    increased by none. A component without one refutes qualitative
+    termination; otherwise its arcs that decrease a progress variable are
+    removed and the rest go to the next round. No arc left proves it.
     """
     effects = {e.id: e.effect for e in fmp.edges}  # raises unless normalized
-    g = policy_graph(fmp)
-
-    def melts() -> bool:
-        # frames: a graph and its nontrivial SCCs left to melt
-        stack = [(g, iter(scc_decompose(g).nontrivial()))]
-        while stack:
-            sub, comps = stack[-1]
-            comp = next(comps, None)
-            if comp is None:
-                stack.pop()
-                continue
-            inner = induced(sub, comp)
-            decreased: set[str] = set()
+    arcs = [(e.id, e.src, e.dst) for e in fmp.edges]
+    while arcs:
+        g = SccGraph({v for _, src, dst in arcs for v in (src, dst)}, arcs)
+        comp_of = {v: c for c in g.sccs(g.all) for v in g.vertices(c)}
+        inner: dict[int, list[tuple[str, str, str]]] = {}
+        for arc in arcs:
+            comp = comp_of[arc[1]]
+            if comp == comp_of[arc[2]]:
+                inner.setdefault(comp, []).append(arc)
+        arcs = []
+        for comp_arcs in inner.values():
+            decreases: list[tuple[str, str]] = []  # (variable, arc id)
             increased: set[str] = set()
-            for aid, _, _ in inner.arcs:
+            for aid, _, _ in comp_arcs:
                 for var, delta in effects[aid].items():
                     if delta < 0:
-                        decreased.add(var)
+                        decreases.append((var, aid))
                     elif delta > 0:
                         increased.add(var)
-            progress = decreased - increased
-            removable = {
-                aid
-                for aid, _, _ in inner.arcs
-                if any(effects[aid].get(x, 0) < 0 for x in progress)
-            }
-            if not removable:
-                return False
-            rest = DiGraph(
-                vertices=inner.vertices,
-                arcs=tuple(a for a in inner.arcs if a[0] not in removable),
-            )
-            stack.append((rest, iter(scc_decompose(rest).nontrivial())))
-        return True
-
-    if melts():
-        return Verdict(TERMINATING, "progress")
-    return Verdict(NONTERMINATING_QUALITATIVE, "no-progress-variable")
-
+            # the arcs that decrease a progress variable
+            removed = {aid for var, aid in decreases if var not in increased}
+            if not removed:
+                return Verdict(NONTERMINATING_QUALITATIVE,
+                               "no-progress-variable")
+            arcs += [a for a in comp_arcs if a[0] not in removed]
+    return Verdict(TERMINATING, "progress")

@@ -106,7 +106,8 @@ def _build_parser() -> _Parser:
 
     c = policy_cmd("oracle", "bounded-exhaustive exploration over a start grid")
     c.add_argument("--grid-max", type=_nonnegative_int, required=True)
-    c.add_argument("--max-configs", type=_positive_int, default=None)
+    c.add_argument("--max-configs", type=_positive_int,
+                   default=ExploreCaps.max_configs)
     c.add_argument("--max-value", type=_nonnegative_int, default=None)
     c.add_argument("--strict", action="store_true")
 
@@ -245,10 +246,7 @@ def _cmd_simulate(args) -> int:
 
 def _cmd_oracle(args) -> int:
     fmp = _load_valid(args.file)
-    caps = ExploreCaps(
-        max_configs=args.max_configs if args.max_configs is not None else 1_000_000,
-        max_value=args.max_value,
-    )
+    caps = ExploreCaps(max_configs=args.max_configs, max_value=args.max_value)
     # one start at a time, keeping the first lasso's witness and no other
     counts = {ALL_HALT: 0, LASSO_FOUND: 0, INCONCLUSIVE: 0}
     goals: list[float] = []

@@ -1,4 +1,10 @@
-"""Directed multigraph utilities: SCCs, induced subgraphs, boundaries."""
+"""Directed multigraph utilities: SCCs, induced subgraphs, boundaries.
+
+The engines compile an edge set once as an `SccGraph` and split vertex
+masks. `DiGraph` is the named form that `build_def` and the CLI take;
+`induced`, `boundary` and `scc_decompose` serve the tests and the bench
+tracer.
+"""
 
 from __future__ import annotations
 

@@ -15,6 +15,7 @@ import random
 import sys
 from typing import Iterable
 
+from termsieve.analysis import NONTERMINATING_QUALITATIVE, TERMINATING, Verdict
 from termsieve.decomposition import DefForest, quotient
 from termsieve.graphs import Arc, DiGraph, induced
 from termsieve.model import ConcreteState, Edge, Effect, Fmp, Guard, VarDecl
@@ -405,6 +406,37 @@ def nets_var_sets(nets: Iterable[dict[str, int]]) -> NodeVarSets:
         pdv.add(frozenset(v for v, d in net.items() if d < 0))
     return NodeVarSets(iv=frozenset(iv), zv=frozenset(zv), pdv=frozenset(pdv),
                        dv=frozenset(s - iv for s in pdv))
+
+
+def referee_progress_sieve(fmp: Fmp) -> Verdict:
+    """`progress_sieve`'s verdict, melting one component at a time: each
+    nontrivial SCC (from `brute_nontrivial_sccs`, so no SCC code is shared
+    with the library) loses its arcs that decrease a variable none of its
+    arcs increases, and what is left of it is split again."""
+    effects = {e.id: e.effect for e in fmp.edges}
+    stack = [DiGraph(frozenset(fmp.qstates),
+                     tuple((e.id, e.src, e.dst) for e in fmp.edges))]
+    while stack:
+        sub = stack.pop()
+        for comp in brute_nontrivial_sccs(sub):
+            inner = induced(sub, comp)
+            decreased: set[str] = set()
+            increased: set[str] = set()
+            for aid, _, _ in inner.arcs:
+                for var, delta in effects[aid].items():
+                    if delta < 0:
+                        decreased.add(var)
+                    elif delta > 0:
+                        increased.add(var)
+            progress = decreased - increased
+            removable = {aid for aid, _, _ in inner.arcs
+                         if any(effects[aid].get(x, 0) < 0 for x in progress)}
+            if not removable:
+                return Verdict(NONTERMINATING_QUALITATIVE,
+                               "no-progress-variable")
+            stack.append(DiGraph(inner.vertices, tuple(
+                a for a in inner.arcs if a[0] not in removable)))
+    return Verdict(TERMINATING, "progress")
 
 
 # -------------------------------------------------------------- policies

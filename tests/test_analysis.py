@@ -1,6 +1,7 @@
 """The iterative analysis loop, its trace reports, and the baseline sieve."""
 import dataclasses
 import json
+import random
 import time
 from collections import Counter
 
@@ -21,15 +22,16 @@ from termsieve.analysis import (
 from termsieve.decomposition import build_def
 from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import DiGraph, SccGraph, policy_graph
-from termsieve.model import Edge, Fmp, VarDecl
+from termsieve.model import Edge, Fmp, VarDecl, normalize
 from termsieve.oracle import LASSO_FOUND, explore
 from termsieve.paths import DEFAULT_PATH_CAP, PathContext, var_sets
 from termsieve.policyio import load_policy
 
 from helpers import (
     FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, chord_ring_policy,
-    iter_nodes, path_ctx, recursion_room, replay_lasso, ring_policy,
-    two_pair_lasso_policy, up_loop_policy,
+    iter_nodes, path_ctx, random_small_policy, recursion_room,
+    referee_progress_sieve, replay_lasso, ring_policy, two_pair_lasso_policy,
+    up_loop_policy,
 )
 
 
@@ -434,6 +436,26 @@ class TestProgressSieve:
         assert drains == Verdict(TERMINATING, "progress")
         assert spins == Verdict(NONTERMINATING_QUALITATIVE,
                                 "no-progress-variable")
+
+    def test_matches_referee(self):
+        # triage-small-shaped policies, guarded ones with action sets and
+        # nonzero lower bounds, melts many rounds deep, and the fixtures
+        rng = random.Random(17)
+        policies = [
+            generate_random(GenSpec(n_qstates=2 + i % 5, n_vars=1 + i % 3,
+                                    edge_density=0.4, max_abs_delta=2,
+                                    seed=60_000 + i))
+            for i in range(3000)
+        ] + [normalize(random_small_policy(rng)) for _ in range(1000)] + [
+            self.staircase(30, spin=False), self.staircase(30, spin=True),
+        ] + [fixture(n) for n in ("example1", "f2", "f3", "f8prime")]
+        kinds = Counter()
+        for f in policies:
+            v = progress_sieve(f)
+            assert v == referee_progress_sieve(f), f
+            kinds[v.kind] += 1
+        assert kinds[TERMINATING] > 500
+        assert kinds[NONTERMINATING_QUALITATIVE] > 500
 
 
 class TestReplayInvariants:
