@@ -69,7 +69,9 @@ class AnalysisReport:
     verdict: Verdict
     iterations: tuple[IterationTrace, ...]
     wall_time: float
-    seeds: tuple[int, ...]  # hsieve_once seeds tried, in order
+    # sample seeds in order: those run, and those whose verdict was known
+    # without a draw (see `hsieve`)
+    seeds: tuple[int, ...]
 
     def to_trace_dict(self) -> dict:
         """The report in trace-file shape (see the JSON schema in the README)."""
@@ -140,8 +142,9 @@ class _Shared:
     - for each forest drawn on it, by its trees, the iteration's outcome:
       per-root sets, candidates and removed edges, or the path cap.
 
-    Each sample still draws its own forest from its own seed, so a forest
-    drawn again costs its draw and its own IterationTrace.
+    A sample draws its own forest from its own seed, so a forest drawn
+    again costs its draw and its own IterationTrace. Once the full edge set
+    is `exhausted`, no later sample draws a forest that is not in the memo.
     """
 
     def __init__(self, fmp: Fmp, path_cap: int):
@@ -153,8 +156,9 @@ class _Shared:
         self.edge_ids = frozenset(self.effects)
         self.graphs: dict[frozenset[str],
                           tuple[DiGraph, Splits, PathContext]] = {}
-        self.outcomes: dict[tuple[frozenset[str], tuple[DetNode, ...]],
-                            _Outcome] = {}
+        # edge set -> forest trees -> outcome
+        self.outcomes: dict[frozenset[str],
+                            dict[tuple[DetNode, ...], _Outcome]] = {}
 
     def graph(self, edge_ids: frozenset[str]
               ) -> tuple[DiGraph, Splits, PathContext]:
@@ -170,16 +174,43 @@ class _Shared:
             got = self.graphs[edge_ids] = (
                 graph, Splits(compiled),
                 PathContext(compiled, fmp.initial, self.path_cap))
+            self.outcomes[edge_ids] = {}
         return got
 
     def outcome(self, edge_ids: frozenset[str],
                 trees: tuple[DetNode, ...]) -> _Outcome:
         """The outcome of an iteration on `edge_ids` that drew `trees`."""
-        key = (edge_ids, trees)
-        got = self.outcomes.get(key)
+        memo = self.outcomes[edge_ids]
+        got = memo.get(trees)
         if got is None:
-            got = self.outcomes[key] = self._iterate(edge_ids, trees)
+            got = memo[trees] = self._iterate(edge_ids, trees)
         return got
+
+    def exhausted(self) -> bool:
+        """Whether a sample from now on can only repeat what one has met.
+
+        It holds when, on the full edge set and on every edge set that the
+        removals of its outcomes lead to, every forest `Splits` can draw
+        is in the memo. A later sample draws only those forests, so it
+        meets only those outcomes; `hsieve` stops at a terminating one, so
+        while it samples, every outcome in the memo that ends a sample is
+        `unknown`.
+        """
+        stack = [self.edge_ids]
+        seen = set(stack)
+        while stack:
+            edge_ids = stack.pop()
+            _, splits, _ = self.graphs[edge_ids]
+            memo = self.outcomes[edge_ids]
+            if splits.forests() != len(memo):
+                return False
+            for _, _, removed, verdict in memo.values():
+                if verdict is None:
+                    left = edge_ids.difference(removed)
+                    if left not in seen:
+                        seen.add(left)
+                        stack.append(left)
+        return True
 
     def _iterate(self, edge_ids: frozenset[str],
                  trees: tuple[DetNode, ...]) -> _Outcome:
@@ -253,8 +284,11 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
     Sample k runs hsieve_once with seed base_seed + k. The samples share
     what `_Shared` keeps for each edge set they reach, so a forest drawn
     again costs its draw and no new split, search or removal scan; the
-    reports are those of separate runs. The returned report carries
-    every seed tried; when no sample proves termination, the first sample's
+    reports are those of separate runs. Once the samples run have drawn
+    every forest that any sample can meet (`_Shared.exhausted`), none of
+    which proved termination, the samples left cannot win either, so they
+    are listed without being run. The returned report carries every seed
+    run or listed; when no sample proves termination, the first sample's
     verdict and trace are reported.
     """
     cfg = config if config is not None else AnalysisConfig()
@@ -263,14 +297,17 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
     seeds: list[int] = []
     first: AnalysisReport | None = None
     winner: AnalysisReport | None = None
-    for k in range(max(1, cfg.def_samples)):
-        sample_seed = cfg.base_seed + k
+    end = cfg.base_seed + max(1, cfg.def_samples)
+    for sample_seed in range(cfg.base_seed, end):
         seeds.append(sample_seed)
         rep = hsieve_once(fmp, sample_seed, cfg, shared=shared)
         if first is None:
             first = rep
         if rep.verdict.kind == TERMINATING:
             winner = rep
+            break
+        if sample_seed + 1 < end and shared.exhausted():
+            seeds += range(sample_seed + 1, end)
             break
     chosen = winner if winner is not None else first
     assert chosen is not None

@@ -16,7 +16,7 @@ import sys
 from typing import Iterable
 
 from termsieve.analysis import NONTERMINATING_QUALITATIVE, TERMINATING, Verdict
-from termsieve.decomposition import DefForest, quotient
+from termsieve.decomposition import DefForest, DetNode, quotient
 from termsieve.graphs import Arc, DiGraph, induced
 from termsieve.model import ConcreteState, Edge, Effect, Fmp, Guard, VarDecl
 from termsieve.oracle import (
@@ -156,6 +156,36 @@ def check_det(forest: DefForest, g: DiGraph) -> list[str]:
                 out.append(f"quotient-not-acyclic: {where}")
             stack.extend(reversed(node.children))
     return out
+
+
+def brute_forests(g: DiGraph) -> set[frozenset]:
+    """Every elimination forest of `g`, by recursive elim choice.
+
+    A tree is (vertex set, elim, frozenset of child trees), the children
+    being `brute_nontrivial_sccs` of the set without its elim, and a forest
+    is the frozenset of its trees, one per nontrivial SCC of `g`. Shares no
+    code with `decomposition.Splits`; exponential, so small graphs only.
+    """
+    memo: dict[frozenset[str], list[tuple]] = {}
+
+    def trees(comp: frozenset[str]) -> list[tuple]:
+        if comp not in memo:
+            memo[comp] = [
+                (comp, elim, frozenset(kids))
+                for elim in comp
+                for kids in itertools.product(*map(trees, brute_nontrivial_sccs(
+                    induced(g, comp - {elim}))))]
+        return memo[comp]
+
+    return {frozenset(roots) for roots in itertools.product(
+        *map(trees, brute_nontrivial_sccs(g)))}
+
+
+def brute_forest_key(trees: Iterable[DetNode]) -> frozenset:
+    """Drawn trees in the shape `brute_forests` gives (recursive)."""
+    def key(node: DetNode) -> tuple:
+        return (node.vertices, node.elim, frozenset(map(key, node.children)))
+    return frozenset(map(key, trees))
 
 
 @contextlib.contextmanager

@@ -1,5 +1,6 @@
 """The iterative analysis loop, its trace reports, and the baseline sieve."""
 import dataclasses
+import hashlib
 import json
 import random
 import time
@@ -7,6 +8,7 @@ from collections import Counter
 
 import pytest
 
+from termsieve import analysis
 from termsieve.analysis import (
     NONTERMINATING_QUALITATIVE,
     TERMINATING,
@@ -29,7 +31,7 @@ from termsieve.policyio import load_policy
 
 from helpers import (
     FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, chord_ring_policy,
-    iter_nodes, path_ctx, random_small_policy, recursion_room,
+    circulant_policy, iter_nodes, path_ctx, random_small_policy, recursion_room,
     referee_progress_sieve, replay_lasso, ring_policy, two_pair_lasso_policy,
     up_loop_policy,
 )
@@ -195,6 +197,23 @@ class TestDegenerateGraphs:
         assert rep.verdict == Verdict(TERMINATING, "no-empty-dv")
         assert time.perf_counter() - start < 0.5
 
+    def test_long_ring_many_samples(self):
+        start = time.perf_counter()
+        rep = hsieve(ring_policy(1500), AnalysisConfig(def_samples=20))
+        assert rep.verdict == Verdict(TERMINATING, "no-empty-dv")
+        assert time.perf_counter() - start < 0.5
+
+    def test_deep_forest_many_samples(self):
+        # trees 134 levels deep, 100 frames of room: no sample, and no
+        # check of what the samples drew, may recurse once per level
+        start = time.perf_counter()
+        with recursion_room(100):
+            rep = hsieve(circulant_policy(300),
+                         AnalysisConfig(def_samples=20, path_cap=100))
+        assert rep.verdict == Verdict(UNKNOWN, "resource-cap")
+        assert rep.seeds == tuple(range(20))
+        assert time.perf_counter() - start < 15.0
+
     def test_chorded_ring_cap_bounds_time(self):
         # exponentially many dead-end walks; the cap counts only emitted
         # paths, so the search must not descend into them
@@ -280,6 +299,19 @@ def separate_runs(fmp, cfg):
     return reports[0], seeds, reports
 
 
+def count_samples(monkeypatch):
+    """A counter of the hsieve_once calls that hsieve makes from now on."""
+    calls = Counter()
+    run = analysis.hsieve_once
+
+    def counted(*args, **kwargs):
+        calls["samples"] += 1
+        return run(*args, **kwargs)
+
+    monkeypatch.setattr(analysis, "hsieve_once", counted)
+    return calls
+
+
 def all_unknown_policy():
     # 5 qstates, 3 counters, 10 edges: all 20 samples end
     # unknown(empty-set-persists), most after one round of edge removals
@@ -290,8 +322,9 @@ def all_unknown_policy():
 class TestSharedSamples:
     """hsieve's samples share work per edge set; separate runs referee it."""
 
-    def test_matches_separate_runs(self):
-        removals = mixed_caps = 0
+    def test_matches_separate_runs(self, monkeypatch):
+        calls = count_samples(monkeypatch)
+        removals = mixed_caps = listed = 0
         for i in range(300):
             fmp = generate_random(GenSpec(
                 n_qstates=2 + i % 7, n_vars=1 + i % 3, edge_density=0.4,
@@ -300,6 +333,7 @@ class TestSharedSamples:
                 def_samples=20, base_seed=i % 3,
                 path_cap=12 if i % 2 else DEFAULT_PATH_CAP)
             chosen, seeds, reports = separate_runs(fmp, cfg)
+            calls.clear()
             rep = hsieve(fmp, cfg)
             assert rep.verdict == chosen.verdict, i
             assert rep.seeds == tuple(seeds), i
@@ -309,10 +343,13 @@ class TestSharedSamples:
             removals += any(len(r.iterations) >= 2 for r in reports)
             capped = {r.verdict.detail == "resource-cap" for r in reports}
             mixed_caps += capped == {True, False}
-        # the corpus reaches edge sets past a removal, and calls where the
-        # cap stops some samples but not others
+            listed += calls["samples"] < len(seeds)
+        # the corpus reaches edge sets past a removal, calls where the cap
+        # stops some samples but not others, and calls that list samples
+        # left once every forest they could draw has been drawn
         assert removals >= 30
         assert mixed_caps >= 10
+        assert listed >= 30
 
     def test_nothing_kept_between_calls(self):
         fmp = all_unknown_policy()
@@ -380,6 +417,74 @@ class TestSharedSamples:
         assert counts["iterate"] == len(forests)
 
 
+class TestExhaustedSamples:
+    """Samples left once every forest they can draw is drawn are listed."""
+
+    @staticmethod
+    def self_loops():
+        # every SCC a single qstate, so every edge set has one forest: the
+        # first iteration drops q1's drain, the second finds q0's pump
+        return Fmp(
+            variables=(VarDecl("x"), VarDecl("y")), qstates=("q0", "q1"),
+            initial="q0",
+            edges=(Edge.single("pump", "q0", "q0", effect={"x": 1}),
+                   Edge.single("go", "q0", "q1", effect={"x": -1}),
+                   Edge.single("drain", "q1", "q1",
+                               effect={"x": 1, "y": -1})))
+
+    def test_self_loops_decided_after_one_sample(self, monkeypatch):
+        fmp = self.self_loops()
+        cfg = AnalysisConfig(def_samples=20)
+        chosen, seeds, _ = separate_runs(fmp, cfg)
+        calls = count_samples(monkeypatch)
+        rep = hsieve(fmp, cfg)
+        assert calls["samples"] == 1
+        assert rep.verdict == Verdict(UNKNOWN, "empty-set-persists")
+        assert [it.removed_edges for it in rep.iterations] == [("drain",), ()]
+        assert rep.seeds == tuple(seeds) == tuple(range(20))
+        expected = without_wall(chosen.to_trace_dict())
+        expected["seeds"] = seeds
+        assert without_wall(rep.to_trace_dict()) == expected
+
+    def test_removals_are_followed(self):
+        # 3 qstates, 5 forests on every edge set; each forest of the full
+        # set removes only the z loop, which pumps both counters, and one
+        # forest of what is left proves termination. From base seed 16 the
+        # samples have drawn all 5 forests of the full set by the sixth
+        # sample, and that one forest of the rest first at the eleventh.
+        ends = {"e0": ("q0", "q1", {"x0": -2, "x1": -2}),
+                "e1": ("q1", "q2", {"x0": -2, "x1": -1}),
+                "e2": ("q2", "q1", {"x1": -2}),
+                "e3": ("q0", "q2", {"x1": -1}),
+                "e4": ("q1", "q0", {"x0": 1, "x1": 1}),
+                "e5": ("q1", "q2", {"x0": 2, "x1": -2}),
+                "z": ("q0", "q0", {"x0": 1, "x1": 1, "z": -1})}
+        fmp = Fmp(variables=(VarDecl("x0"), VarDecl("x1"), VarDecl("z")),
+                  qstates=("q0", "q1", "q2"), initial="q0",
+                  edges=tuple(Edge.single(eid, src, dst, effect=eff)
+                              for eid, (src, dst, eff) in ends.items()))
+        cfg = AnalysisConfig(def_samples=20, base_seed=16)
+        chosen, seeds, reports = separate_runs(fmp, cfg)
+        assert [r.iterations[0].removed_edges for r in reports] == \
+            [("z",)] * 11
+        assert chosen.verdict == Verdict(TERMINATING, "no-empty-dv")
+        rep = hsieve(fmp, cfg)
+        assert rep.seeds == tuple(seeds) == tuple(range(16, 27))
+        assert without_wall(rep.to_trace_dict())["iterations"] == \
+            without_wall(chosen.to_trace_dict())["iterations"]
+
+    def test_ring_runs_every_sample(self, monkeypatch):
+        # 30 forests, one per elim, so 20 samples never draw them all
+        ring = ring_policy(30)
+        pump = Edge.single("e0", "q0", "q1", effect={"x": 1})
+        fmp = dataclasses.replace(ring, edges=(pump,) + ring.edges[1:])
+        calls = count_samples(monkeypatch)
+        rep = hsieve(fmp, AnalysisConfig(def_samples=20))
+        assert rep.verdict == Verdict(UNKNOWN, "empty-set-persists")
+        assert calls["samples"] == 20
+        assert rep.seeds == tuple(range(20))
+
+
 class TestDeterminism:
     def test_trace_reproducible(self):
         for name in ("f2", "f3", "example1", "f8prime"):
@@ -392,6 +497,25 @@ class TestDeterminism:
         d = rep.to_trace_dict()
         assert json.loads(json.dumps(d)) == d
         assert isinstance(d["wall_ms"], float)
+
+    def test_trace_digest_pinned(self):
+        # every trace but its wall time, over 999 policies at 1-9 qstates:
+        # how many samples hsieve runs to reach a report must not show in it
+        configs = (AnalysisConfig(def_samples=20),
+                   AnalysisConfig(def_samples=5, base_seed=3),
+                   AnalysisConfig(def_samples=20, path_cap=30))
+        digest = hashlib.sha256()
+        details = Counter()
+        for i in range(999):
+            fmp = generate_random(GenSpec(
+                n_qstates=1 + i % 9, n_vars=1 + i % 3, edge_density=0.4,
+                max_abs_delta=2, seed=i))
+            d = without_wall(hsieve(fmp, configs[i % 3]).to_trace_dict())
+            details[d["detail"]] += 1
+            digest.update(json.dumps(d, sort_keys=True).encode())
+        assert details == {"empty-set-persists": 647, "no-empty-dv": 180,
+                           "resource-cap": 108, "graph-acyclic": 64}
+        assert digest.hexdigest()[:16] == "85688ce387b80069"
 
 
 class TestProgressSieve:

@@ -4,6 +4,7 @@ import random
 from termsieve.decomposition import (
     DefForest,
     DetNode,
+    Splits,
     build_def,
     quotient,
 )
@@ -12,8 +13,9 @@ from termsieve.graphs import (
 )
 
 from helpers import (
-    brute_is_nontrivial, brute_sccs, check_det, circulant_policy, is_acyclic,
-    iter_nodes, random_digraph, recursion_room,
+    brute_forest_key, brute_forests, brute_is_nontrivial, brute_sccs,
+    check_det, circulant_policy, is_acyclic, iter_nodes, random_digraph,
+    recursion_room,
 )
 
 
@@ -208,22 +210,28 @@ def test_deep_forest_builds_and_checks():
     assert depth == 134
 
 
+def looped_digraph(rng, max_vertices, max_arcs):
+    """A random digraph given up to 3 extra parallel arcs and self-loops."""
+    g = random_digraph(rng, max_vertices=max_vertices, max_arcs=max_arcs)
+    names = sorted(g.vertices)
+    arcs = list(g.arcs)
+    for k in range(rng.randint(0, 3)):
+        if arcs and rng.random() < 0.5:
+            _, src, dst = rng.choice(arcs)
+        else:
+            src = dst = rng.choice(names)
+        arcs.append((f"x{k}", src, dst))
+    return graph(g.vertices, arcs)
+
+
 def test_compiled_splits_match_brute_force():
     # every (vertex set, elim) a forest draws, and the whole graph, on
     # random digraphs that get extra parallel arcs and self-loops
     rng = random.Random(2017)
     loops = parallel = splits = 0
     for _ in range(300):
-        g = random_digraph(rng, max_vertices=8, max_arcs=16)
+        g = looped_digraph(rng, max_vertices=8, max_arcs=16)
         names = sorted(g.vertices)
-        arcs = list(g.arcs)
-        for k in range(rng.randint(0, 3)):
-            if arcs and rng.random() < 0.5:
-                _, src, dst = rng.choice(arcs)
-            else:
-                src = dst = rng.choice(names)
-            arcs.append((f"x{k}", src, dst))
-        g = graph(g.vertices, arcs)
         ends = [(src, dst) for _, src, dst in g.arcs]
         loops += any(src == dst for src, dst in ends)
         parallel += len(set(ends)) < len(ends)
@@ -244,3 +252,22 @@ def test_compiled_splits_match_brute_force():
                 splits += 1
     assert loops >= 100 and parallel >= 100 and splits >= 2500
 
+
+def test_forest_count_matches_brute_force():
+    # draw until every elim of every vertex set reached has been drawn:
+    # the count is then known, and it is the number of forests there are
+    rng = random.Random(2019)
+    counts = []
+    for _ in range(300):
+        g = looped_digraph(rng, max_vertices=7, max_arcs=24)
+        splits = Splits(SccGraph(g.vertices, g.arcs))
+        drawn = set()
+        for seed in range(20_000):
+            if splits.forests() is not None:
+                break
+            drawn.add(splits.draw(seed))
+        every = brute_forests(g)
+        assert splits.forests() == len(every)
+        assert {brute_forest_key(trees) for trees in drawn} <= every
+        counts.append(len(every))
+    assert sum(n > 10 for n in counts) >= 50 and max(counts) >= 500
