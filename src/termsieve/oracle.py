@@ -7,7 +7,8 @@ without one, inside the caps, certifies that all runs halt. Hitting a cap
 downgrades the answer to inconclusive, never to a wrong certificate.
 
 Every engine here runs on one integer per configuration (see `Packing`) and
-decodes to `Configuration` only for witnesses and steps.
+decodes to `Configuration` only for steps and for witnesses when they are
+read.
 """
 
 from __future__ import annotations
@@ -15,7 +16,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Iterator, Mapping
+from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from .model import ConcreteState, Edge, Fmp, Interval
 
@@ -34,31 +35,68 @@ class Configuration:
 
 @dataclass(frozen=True)
 class ExploreCaps:
-    """Work limits; max_value None derives 64 * (max start value + max |delta|)."""
+    """Work limits; max_value None derives
+    max(64, 64 * (max start value + max |delta|))."""
 
     max_configs: int = 1_000_000
     max_value: int | None = None
 
 
-@dataclass(frozen=True)
 class LassoWitness:
     """A replayable certificate of an infinite run.
 
     `steps[k]` takes the k-th configuration of the sequence
     (start, then one per step) to the (k+1)-th; the final step re-enters the
     configuration at index `cycle_start`.
+
+    Built from the sequence's keys (start, then one per step), the steps'
+    edge ids and `decode`, which maps a key to its `Configuration`. Nothing
+    is decoded until `start`, `steps` or `configurations()` is first read;
+    the configurations are then kept. Witnesses are equal when their decoded
+    content is.
     """
 
-    start: Configuration
-    steps: tuple[tuple[str, Configuration], ...]
-    cycle_start: int
+    __slots__ = ("_decode", "_keys", "_edges", "cycle_start", "_configs",
+                 "_steps", "__weakref__")
+
+    def __init__(self, decode: Callable[[Any], Configuration],
+                 keys: Sequence, edges: Sequence[str], cycle_start: int):
+        self._decode, self._keys, self._edges = decode, keys, edges
+        self.cycle_start = cycle_start
+        self._configs: tuple[Configuration, ...] | None = None
+        self._steps: tuple[tuple[str, Configuration], ...] | None = None
 
     def configurations(self) -> tuple[Configuration, ...]:
-        return (self.start,) + tuple(cfg for _, cfg in self.steps)
+        if self._configs is None:
+            self._configs = tuple(map(self._decode, self._keys))
+            self._steps = tuple(zip(self._edges, self._configs[1:]))
+        return self._configs
+
+    @property
+    def start(self) -> Configuration:
+        return self.configurations()[0]
+
+    @property
+    def steps(self) -> tuple[tuple[str, Configuration], ...]:
+        self.configurations()
+        return self._steps
+
+    def __eq__(self, other):
+        if not isinstance(other, LassoWitness):
+            return NotImplemented
+        return ((self.start, self.steps, self.cycle_start)
+                == (other.start, other.steps, other.cycle_start))
+
+    def __repr__(self) -> str:
+        return (f"LassoWitness(start={self.start!r}, steps={self.steps!r}, "
+                f"cycle_start={self.cycle_start!r})")
 
 
 @dataclass(frozen=True)
 class ExploreResult:
+    """An explore() verdict; `witness` is set iff kind is lasso_found and
+    stays packed until read (see `LassoWitness`)."""
+
     kind: str  # all_halt | lasso_found | inconclusive
     witness: LassoWitness | None
     stats: Mapping[str, int]
@@ -277,10 +315,11 @@ def explore(
                 if d == _DONE:
                     continue
                 if d is not None:
-                    steps = [(f[1], p.config(f[0])) for f in path[1:]]
-                    steps.append((eid, p.config(nkey)))
-                    witness = LassoWitness(start=p.config(path[0][0]),
-                                           steps=tuple(steps), cycle_start=d)
+                    keys = [f[0] for f in path]
+                    keys.append(nkey)
+                    edges = [f[1] for f in path[1:]]
+                    edges.append(eid)
+                    witness = LassoWitness(p.config, keys, edges, d)
                     return ExploreResult(LASSO_FOUND, witness, stats())
                 if expanded >= max_configs:
                     return ExploreResult(INCONCLUSIVE, None, stats(1))

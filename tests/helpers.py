@@ -725,8 +725,9 @@ def referee_explore(fmp: Fmp, s0: ConcreteState,
         if k in done:
             continue
         if k in on_path:
-            steps = [(f[1], f[0]) for f in path[1:]] + [(eid, nxt)]
-            witness = LassoWitness(path[0][0], tuple(steps), on_path[k])
+            cfgs = [f[0] for f in path] + [nxt]
+            edges = [f[1] for f in path[1:]] + [eid]
+            witness = LassoWitness(lambda cfg: cfg, cfgs, edges, on_path[k])
             return ExploreResult(LASSO_FOUND, witness, stats)
         if stats["expanded"] >= caps.max_configs:
             stats["config_cap"] = 1

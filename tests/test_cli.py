@@ -1,4 +1,5 @@
 """The command-line interface: output lines, exit codes, file side effects."""
+import hashlib
 import importlib.util
 import json
 import os
@@ -344,6 +345,41 @@ class TestOracle:
             "oracle=lasso_found starts=6 all_halt=0 lasso=6 inconclusive=0")
         assert len(alive) == 6
         assert peak == 1
+
+    def test_only_the_printed_witness_is_decoded(self, capsys, monkeypatch,
+                                                  tmp_path):
+        # every start climbs x to the value cap, then q0 -> q1 -> q0 closes
+        # a lasso 5002 steps long; only the first start's witness is printed
+        p = write_doc(
+            tmp_path, "climb.json",
+            variables=[{"name": v, "lower_bound": 0} for v in "xyz"],
+            qstates=["q0", "q1"],
+            edges=[
+                {"id": "up", "from": "q0", "to": "q0", "effects": {"x": 1}},
+                {"id": "go", "from": "q0", "to": "q1", "effects": {}},
+                {"id": "back", "from": "q1", "to": "q0", "effects": {}},
+            ])
+        decoded = 0
+        real = oracle.Packing.config
+
+        def config(self, key):
+            nonlocal decoded
+            decoded += 1
+            return real(self, key)
+
+        monkeypatch.setattr(oracle.Packing, "config", config)
+        code, out, _ = run(capsys, "oracle", p, "--grid-max", "3",
+                           "--max-value", "5000")
+        assert code == 0
+        lines = out.splitlines()
+        assert len(lines) == 5005
+        assert lines[0] == (
+            "oracle=lasso_found starts=64 all_halt=0 lasso=64 inconclusive=0")
+        assert lines[-1] == "witness cycle_start=5000"
+        assert hashlib.sha256(out.encode()).hexdigest() == (
+            "7df8139c3b4c1075d89156ce704b534582f22d8b49ca1da04361cb9474f81e71")
+        steps = sum(line.startswith("witness step ") for line in lines)
+        assert decoded == steps + 1 == 5003
 
     def test_lasso_at_a_later_start(self, capsys, tmp_path):
         # x=0 halts in the goal, x=1 spins on e2, x=2 halts outside the

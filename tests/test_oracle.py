@@ -98,6 +98,39 @@ class TestLasso:
         assert found >= 20
 
 
+class TestWitnessDecode:
+    def test_nothing_decoded_until_read(self, monkeypatch):
+        # `up` climbs to the value cap, then go -> back closes a lasso
+        # through 13 configurations
+        decoded = []
+        real = oracle.Packing.config
+
+        def config(self, key):
+            decoded.append(key)
+            return real(self, key)
+
+        monkeypatch.setattr(oracle.Packing, "config", config)
+        f = Fmp(
+            variables=(VarDecl("x"),),
+            qstates=("q0", "q1"),
+            initial="q0",
+            edges=(
+                Edge.single("up", "q0", "q0", effect={"x": 1}),
+                Edge.single("go", "q0", "q1"),
+                Edge.single("back", "q1", "q0"),
+            ),
+        )
+        (_, res), = explore_grid(f, 1, ExploreCaps(max_value=10))
+        assert res.kind == LASSO_FOUND
+        assert decoded == []
+        w = res.witness
+        steps = w.steps
+        assert len(decoded) == len(w.configurations()) == len(steps) + 1 == 13
+        assert w.steps == steps and w.start == cfg_of(f, "q0", x=0)
+        replay_lasso(f, w)
+        assert len(decoded) == 13
+
+
 class TestAllHalt:
     def test_three_state_loop_single_run(self):
         f = fixture("example1")
