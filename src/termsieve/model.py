@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import cached_property
+from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
 if TYPE_CHECKING:
@@ -34,6 +35,11 @@ class Guard:
     """
 
     conjuncts: Mapping[str, Interval] = field(default_factory=dict)
+
+
+# The one empty guard every parsed edge without constraints shares; its
+# conjuncts are read-only, so no holder can change the others' guards.
+EMPTY_GUARD = Guard(MappingProxyType({}))
 
 
 @dataclass(frozen=True)
@@ -150,6 +156,9 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
+_INT = frozenset((int,))
+
+
 def validate(fmp: Fmp) -> list[Violation]:
     """Check every structural invariant; returns all violations found."""
     out: list[Violation] = []
@@ -173,38 +182,43 @@ def validate(fmp: Fmp) -> list[Violation]:
     declared = {v.name for v in fmp.variables}
     seen_ids: set[str] = set()
     for e in fmp.edges:
-        loc = f"edge {e.id}"
-        if e.id in seen_ids:
-            out.append(Violation("duplicate-edge-id", e.id))
-        seen_ids.add(e.id)
-        for end, q in (("src", e.src), ("dst", e.dst)):
-            if q not in seen_q:
-                out.append(Violation("unknown-qstate", f"{loc} {end}={q}"))
+        eid = e.id
+        if eid in seen_ids:
+            out.append(Violation("duplicate-edge-id", eid))
+        seen_ids.add(eid)
+        if e.src not in seen_q:
+            out.append(Violation("unknown-qstate", f"edge {eid} src={e.src}"))
+        if e.dst not in seen_q:
+            out.append(Violation("unknown-qstate", f"edge {eid} dst={e.dst}"))
         for var, (lo, hi) in e.guard.conjuncts.items():
             if var not in declared:
-                out.append(Violation("undeclared-variable", f"{loc} guard {var}"))
+                out.append(Violation("undeclared-variable", f"edge {eid} guard {var}"))
             if not _is_int(lo) or (hi is not None and not _is_int(hi)):
-                out.append(Violation("bad-guard-bound", f"{loc} guard {var}"))
+                out.append(Violation("bad-guard-bound", f"edge {eid} guard {var}"))
             elif hi is not None and lo > hi:
-                out.append(Violation("guard-empty-interval", f"{loc} guard {var}"))
+                out.append(Violation("guard-empty-interval", f"edge {eid} guard {var}"))
         for k, action in enumerate(e.actions):
+            # an action whose variables are declared and whose deltas are
+            # all exactly int has nothing to report
+            if declared.issuperset(action) and _INT.issuperset(
+                    map(type, action.values())):
+                continue
             for var, delta in action.items():
                 if var not in declared:
-                    out.append(
-                        Violation("undeclared-variable", f"{loc} action[{k}] {var}")
-                    )
+                    out.append(Violation(
+                        "undeclared-variable", f"edge {eid} action[{k}] {var}"))
                 if not _is_int(delta):
-                    out.append(
-                        Violation("non-integer-effect", f"{loc} action[{k}] {var}")
-                    )
+                    out.append(Violation(
+                        "non-integer-effect", f"edge {eid} action[{k}] {var}"))
 
     for t in fmp.terminal:
         if t not in seen_q:
             out.append(Violation("unknown-terminal", t))
-    terminal = set(fmp.terminal)
-    for e in fmp.edges:
-        if e.src in terminal:
-            out.append(Violation("terminal-has-outgoing", f"{e.src} via {e.id}"))
+    if fmp.terminal:
+        terminal = set(fmp.terminal)
+        for e in fmp.edges:
+            if e.src in terminal:
+                out.append(Violation("terminal-has-outgoing", f"{e.src} via {e.id}"))
 
     if fmp.goal is not None:
         for var, (lo, hi) in fmp.goal.items():

@@ -127,11 +127,12 @@ class OracleCode:
         for e in fmp.edges:
             if e.src in edges_from:
                 edges_from[e.src].append(e)
-        # per qstate index: (edge id, src, dst, ((var, delta), ...), guard)
+        # per qstate index: (edge id, src, dst, ((var, delta), ...), guard);
+        # an empty guard compiles to ()
         self.actions = [
             [(e.id, src, qindex[e.dst],
-              tuple((vindex[v], d) for v, d in action.items() if d),
-              conjuncts(e.guard.conjuncts))
+              tuple([(vindex[v], d) for v, d in action.items() if d]),
+              conjuncts(e.guard.conjuncts) if e.guard.conjuncts else ())
              for e in edges_from[q] for action in e.actions]
             for src, q in enumerate(fmp.qstates)
         ]

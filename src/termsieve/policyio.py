@@ -18,6 +18,13 @@ Schema (format_version 1):
 `effects` as an object is the normalized single-action form; an array is an
 action set (empty array = never-traversable edge, removed by normalize()).
 Unknown fields anywhere are rejected.
+
+A defect raises PolicyFormatError with a code, a location such as
+`$.edges[3].from` and, for a wrong value, its repr. All three are contract:
+the CLI prints them on its `error:` line. The checks run inline in a fixed
+order, and a location is formatted only when its check fails. Parsed edges
+keep the document's effect dicts, and every edge without guard constraints
+shares `model.EMPTY_GUARD`.
 """
 
 from __future__ import annotations
@@ -27,7 +34,7 @@ import os
 import tempfile
 from typing import Any
 
-from .model import Edge, Fmp, Guard, VarDecl, _is_int
+from .model import EMPTY_GUARD, Edge, Fmp, Guard, VarDecl
 
 FORMAT_VERSION = 1
 
@@ -44,82 +51,125 @@ class PolicyFormatError(ValueError):
         super().__init__(text)
 
 
-def _need(obj: dict, key: str, where: str) -> Any:
-    if key not in obj:
-        raise PolicyFormatError(f"missing-field:{key}", where)
-    return obj[key]
+# the fields each object may carry
+_TOP_KEYS = frozenset(("format_version", "variables", "qstates", "initial",
+                       "edges", "terminal", "goal"))
+_VAR_KEYS = frozenset(("name", "lower_bound"))
+_EDGE_KEYS = frozenset(("id", "from", "to", "guard", "effects", "label"))
+_CONJUNCT_KEYS = frozenset(("var", "min", "max"))
 
 
-def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
-    for k in obj:
-        if k not in allowed:
-            raise PolicyFormatError(f"unknown-field:{k}", where)
+def _unknown_field(obj: dict, allowed: frozenset, where: str) -> PolicyFormatError:
+    """The error for `obj`'s first field outside `allowed`."""
+    k = next(k for k in obj if k not in allowed)
+    return PolicyFormatError(f"unknown-field:{k}", where)
 
 
-def _as_str(x: Any, where: str) -> str:
-    if not isinstance(x, str):
-        raise PolicyFormatError("expected-string", where, repr(x))
-    return x
+def _parse_edge(obj: Any, i: int) -> Edge:
+    if type(obj) is not dict:
+        raise PolicyFormatError("expected-object", f"$.edges[{i}]", repr(obj))
+    if not _EDGE_KEYS.issuperset(obj):
+        raise _unknown_field(obj, _EDGE_KEYS, f"$.edges[{i}]")
+    if "id" not in obj:
+        raise PolicyFormatError("missing-field:id", f"$.edges[{i}]")
+    eid = obj["id"]
+    if type(eid) is not str:
+        raise PolicyFormatError("expected-string", f"$.edges[{i}].id", repr(eid))
+    if "from" not in obj:
+        raise PolicyFormatError("missing-field:from", f"$.edges[{i}]")
+    src = obj["from"]
+    if type(src) is not str:
+        raise PolicyFormatError("expected-string", f"$.edges[{i}].from", repr(src))
+    if "to" not in obj:
+        raise PolicyFormatError("missing-field:to", f"$.edges[{i}]")
+    dst = obj["to"]
+    if type(dst) is not str:
+        raise PolicyFormatError("expected-string", f"$.edges[{i}].to", repr(dst))
 
+    guard = EMPTY_GUARD
+    if "guard" in obj:
+        raw_guard = obj["guard"]
+        if type(raw_guard) is not list:
+            raise PolicyFormatError("expected-array", f"$.edges[{i}].guard",
+                                    repr(raw_guard))
+        if raw_guard:
+            guard = Guard(_parse_guard(raw_guard, i))
 
-def _as_int(x: Any, where: str) -> int:
-    if not _is_int(x):
-        raise PolicyFormatError("expected-integer", where, repr(x))
-    return x
-
-
-def _as_list(x: Any, where: str) -> list:
-    if not isinstance(x, list):
-        raise PolicyFormatError("expected-array", where, repr(x))
-    return x
-
-
-def _as_obj(x: Any, where: str) -> dict:
-    if not isinstance(x, dict):
-        raise PolicyFormatError("expected-object", where, repr(x))
-    return x
-
-
-def _parse_effect(x: Any, where: str) -> dict[str, int]:
-    obj = _as_obj(x, where)
-    out = {}
-    for var, delta in obj.items():
-        if not _is_int(delta):
-            raise PolicyFormatError("non-integer-effect", f"{where}.{var}", repr(delta))
-        out[var] = delta
-    return out
-
-
-def _parse_edge(x: Any, where: str) -> Edge:
-    obj = _as_obj(x, where)
-    _check_keys(obj, {"id", "from", "to", "guard", "effects", "label"}, where)
-    eid = _as_str(_need(obj, "id", where), f"{where}.id")
-    src = _as_str(_need(obj, "from", where), f"{where}.from")
-    dst = _as_str(_need(obj, "to", where), f"{where}.to")
-    conjuncts: dict[str, tuple[int, int | None]] = {}
-    for j, c in enumerate(_as_list(obj.get("guard", []), f"{where}.guard")):
-        cwhere = f"{where}.guard[{j}]"
-        cobj = _as_obj(c, cwhere)
-        _check_keys(cobj, {"var", "min", "max"}, cwhere)
-        var = _as_str(_need(cobj, "var", cwhere), f"{cwhere}.var")
-        if var in conjuncts:
-            raise PolicyFormatError("duplicate-guard-var", cwhere, var)
-        lo = _as_int(_need(cobj, "min", cwhere), f"{cwhere}.min")
-        hi = _as_int(cobj["max"], f"{cwhere}.max") if "max" in cobj else None
-        conjuncts[var] = (lo, hi)
-    raw_effects = _need(obj, "effects", where)
-    if isinstance(raw_effects, list):
-        actions = tuple(
-            _parse_effect(a, f"{where}.effects[{k}]")
-            for k, a in enumerate(raw_effects)
-        )
+    if "effects" not in obj:
+        raise PolicyFormatError("missing-field:effects", f"$.edges[{i}]")
+    # the document's own effect dicts serve as the actions
+    raw = obj["effects"]
+    if type(raw) is dict:
+        for var, delta in raw.items():
+            if type(delta) is not int:
+                raise PolicyFormatError("non-integer-effect",
+                                        f"$.edges[{i}].effects.{var}", repr(delta))
+        actions = (raw,)
+    elif type(raw) is list:
+        for k, action in enumerate(raw):
+            if type(action) is not dict:
+                raise PolicyFormatError("expected-object",
+                                        f"$.edges[{i}].effects[{k}]", repr(action))
+            for var, delta in action.items():
+                if type(delta) is not int:
+                    raise PolicyFormatError("non-integer-effect",
+                                            f"$.edges[{i}].effects[{k}].{var}",
+                                            repr(delta))
+        actions = tuple(raw)
     else:
-        actions = (_parse_effect(raw_effects, f"{where}.effects"),)
+        raise PolicyFormatError("expected-object", f"$.edges[{i}].effects",
+                                repr(raw))
+
     label = None
     if "label" in obj:
-        label = _as_str(obj["label"], f"{where}.label")
-    return Edge(id=eid, src=src, dst=dst, guard=Guard(conjuncts),
-                actions=actions, label=label)
+        label = obj["label"]
+        if type(label) is not str:
+            raise PolicyFormatError("expected-string", f"$.edges[{i}].label",
+                                    repr(label))
+    return Edge(id=eid, src=src, dst=dst, guard=guard, actions=actions,
+                label=label)
+
+
+def _parse_guard(raw: list, i: int) -> dict[str, tuple[int, int | None]]:
+    conjuncts: dict[str, tuple[int, int | None]] = {}
+    for j, c in enumerate(raw):
+        if type(c) is not dict:
+            raise PolicyFormatError("expected-object", f"$.edges[{i}].guard[{j}]",
+                                    repr(c))
+        if not _CONJUNCT_KEYS.issuperset(c):
+            raise _unknown_field(c, _CONJUNCT_KEYS, f"$.edges[{i}].guard[{j}]")
+        if "var" not in c:
+            raise PolicyFormatError("missing-field:var", f"$.edges[{i}].guard[{j}]")
+        var = c["var"]
+        if type(var) is not str:
+            raise PolicyFormatError("expected-string",
+                                    f"$.edges[{i}].guard[{j}].var", repr(var))
+        if var in conjuncts:
+            raise PolicyFormatError("duplicate-guard-var",
+                                    f"$.edges[{i}].guard[{j}]", var)
+        if "min" not in c:
+            raise PolicyFormatError("missing-field:min", f"$.edges[{i}].guard[{j}]")
+        lo = c["min"]
+        if type(lo) is not int:
+            raise PolicyFormatError("expected-integer",
+                                    f"$.edges[{i}].guard[{j}].min", repr(lo))
+        hi = None
+        if "max" in c:
+            hi = c["max"]
+            if type(hi) is not int:
+                raise PolicyFormatError("expected-integer",
+                                        f"$.edges[{i}].guard[{j}].max", repr(hi))
+        conjuncts[var] = (lo, hi)
+    return conjuncts
+
+
+def _strings(raw: Any, where: str) -> tuple[str, ...]:
+    if type(raw) is not list:
+        raise PolicyFormatError("expected-array", where, repr(raw))
+    for i, x in enumerate(raw):
+        if type(x) is not str:
+            raise PolicyFormatError("expected-string", f"{where}[{i}]", repr(x))
+    return tuple(raw)
 
 
 def parse_policy(text: str) -> Fmp:
@@ -128,53 +178,73 @@ def parse_policy(text: str) -> Fmp:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is one
         raise PolicyFormatError("bad-json", "$", str(exc)) from exc
-    top = _as_obj(doc, "$")
-    _check_keys(
-        top,
-        {"format_version", "variables", "qstates", "initial", "edges",
-         "terminal", "goal"},
-        "$",
-    )
-    version = _need(top, "format_version", "$")
+    if type(doc) is not dict:
+        raise PolicyFormatError("expected-object", "$", repr(doc))
+    if not _TOP_KEYS.issuperset(doc):
+        raise _unknown_field(doc, _TOP_KEYS, "$")
+    if "format_version" not in doc:
+        raise PolicyFormatError("missing-field:format_version", "$")
+    version = doc["format_version"]
     if version != FORMAT_VERSION:
         raise PolicyFormatError(
             "unsupported-format-version", "$.format_version", repr(version)
         )
 
+    if "variables" not in doc:
+        raise PolicyFormatError("missing-field:variables", "$")
+    raw_vars = doc["variables"]
+    if type(raw_vars) is not list:
+        raise PolicyFormatError("expected-array", "$.variables", repr(raw_vars))
     variables = []
-    for i, v in enumerate(_as_list(_need(top, "variables", "$"), "$.variables")):
-        where = f"$.variables[{i}]"
-        vobj = _as_obj(v, where)
-        _check_keys(vobj, {"name", "lower_bound"}, where)
-        name = _as_str(_need(vobj, "name", where), f"{where}.name")
-        lb = _as_int(vobj.get("lower_bound", 0), f"{where}.lower_bound")
+    for i, v in enumerate(raw_vars):
+        if type(v) is not dict:
+            raise PolicyFormatError("expected-object", f"$.variables[{i}]", repr(v))
+        if not _VAR_KEYS.issuperset(v):
+            raise _unknown_field(v, _VAR_KEYS, f"$.variables[{i}]")
+        if "name" not in v:
+            raise PolicyFormatError("missing-field:name", f"$.variables[{i}]")
+        name = v["name"]
+        if type(name) is not str:
+            raise PolicyFormatError("expected-string", f"$.variables[{i}].name",
+                                    repr(name))
+        lb = v.get("lower_bound", 0)
+        if type(lb) is not int:
+            raise PolicyFormatError("expected-integer",
+                                    f"$.variables[{i}].lower_bound", repr(lb))
         variables.append(VarDecl(name=name, lower_bound=lb))
 
-    qstates = tuple(
-        _as_str(q, f"$.qstates[{i}]")
-        for i, q in enumerate(_as_list(_need(top, "qstates", "$"), "$.qstates"))
-    )
-    initial = _as_str(_need(top, "initial", "$"), "$.initial")
-    edges = tuple(
-        _parse_edge(e, f"$.edges[{i}]")
-        for i, e in enumerate(_as_list(_need(top, "edges", "$"), "$.edges"))
-    )
-    terminal = tuple(
-        _as_str(t, f"$.terminal[{i}]")
-        for i, t in enumerate(_as_list(top.get("terminal", []), "$.terminal"))
-    )
+    if "qstates" not in doc:
+        raise PolicyFormatError("missing-field:qstates", "$")
+    qstates = _strings(doc["qstates"], "$.qstates")
+    if "initial" not in doc:
+        raise PolicyFormatError("missing-field:initial", "$")
+    initial = doc["initial"]
+    if type(initial) is not str:
+        raise PolicyFormatError("expected-string", "$.initial", repr(initial))
+    if "edges" not in doc:
+        raise PolicyFormatError("missing-field:edges", "$")
+    raw_edges = doc["edges"]
+    if type(raw_edges) is not list:
+        raise PolicyFormatError("expected-array", "$.edges", repr(raw_edges))
+    edges = tuple([_parse_edge(e, i) for i, e in enumerate(raw_edges)])
+    terminal = _strings(doc["terminal"], "$.terminal") if "terminal" in doc else ()
     goal = None
-    if "goal" in top:
-        gobj = _as_obj(top["goal"], "$.goal")
+    if "goal" in doc:
+        raw_goal = doc["goal"]
+        if type(raw_goal) is not dict:
+            raise PolicyFormatError("expected-object", "$.goal", repr(raw_goal))
         goal = {}
-        for var, iv in gobj.items():
-            where = f"$.goal.{var}"
-            lst = _as_list(iv, where)
-            if len(lst) not in (1, 2):
-                raise PolicyFormatError("bad-goal-interval", where, repr(iv))
-            lo = _as_int(lst[0], f"{where}[0]")
-            hi = _as_int(lst[1], f"{where}[1]") if len(lst) == 2 else None
-            goal[var] = (lo, hi)
+        for var, iv in raw_goal.items():
+            if type(iv) is not list:
+                raise PolicyFormatError("expected-array", f"$.goal.{var}", repr(iv))
+            if len(iv) not in (1, 2):
+                raise PolicyFormatError("bad-goal-interval", f"$.goal.{var}",
+                                        repr(iv))
+            for k, bound in enumerate(iv):
+                if type(bound) is not int:
+                    raise PolicyFormatError("expected-integer",
+                                            f"$.goal.{var}[{k}]", repr(bound))
+            goal[var] = (iv[0], iv[1] if len(iv) == 2 else None)
 
     return Fmp(
         variables=tuple(variables),

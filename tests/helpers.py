@@ -10,10 +10,11 @@ from __future__ import annotations
 import contextlib
 import dataclasses
 import itertools
+import json
 import pathlib
 import random
 import sys
-from typing import Iterable
+from typing import Any, Iterable
 
 from termsieve.analysis import NONTERMINATING_QUALITATIVE, TERMINATING, Verdict
 from termsieve.decomposition import DefForest, DetNode, quotient
@@ -26,6 +27,7 @@ from termsieve.oracle import (
 from termsieve.paths import (
     DEFAULT_PATH_CAP, EffectCode, NodeVarSets, PathContext, PathGraph,
 )
+from termsieve.policyio import FORMAT_VERSION, PolicyFormatError
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 TEST_FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
@@ -754,3 +756,154 @@ def referee_run_random(fmp: Fmp, s0: ConcreteState, max_steps: int,
         eid, cfg = rng.choice(succ)
         steps.append((eid, cfg))
     return SimTrace(tuple(steps), not referee_successors(fmp, cfg))
+
+
+# ------------------------------------------------------- policy documents
+
+def _is_int(x: object) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _need(obj: dict, key: str, where: str) -> Any:
+    if key not in obj:
+        raise PolicyFormatError(f"missing-field:{key}", where)
+    return obj[key]
+
+
+def _check_keys(obj: dict, allowed: set[str], where: str) -> None:
+    for k in obj:
+        if k not in allowed:
+            raise PolicyFormatError(f"unknown-field:{k}", where)
+
+
+def _as_str(x: Any, where: str) -> str:
+    if not isinstance(x, str):
+        raise PolicyFormatError("expected-string", where, repr(x))
+    return x
+
+
+def _as_int(x: Any, where: str) -> int:
+    if not _is_int(x):
+        raise PolicyFormatError("expected-integer", where, repr(x))
+    return x
+
+
+def _as_list(x: Any, where: str) -> list:
+    if not isinstance(x, list):
+        raise PolicyFormatError("expected-array", where, repr(x))
+    return x
+
+
+def _as_obj(x: Any, where: str) -> dict:
+    if not isinstance(x, dict):
+        raise PolicyFormatError("expected-object", where, repr(x))
+    return x
+
+
+def _parse_effect(x: Any, where: str) -> dict[str, int]:
+    obj = _as_obj(x, where)
+    out = {}
+    for var, delta in obj.items():
+        if not _is_int(delta):
+            raise PolicyFormatError("non-integer-effect", f"{where}.{var}", repr(delta))
+        out[var] = delta
+    return out
+
+
+def _parse_edge(x: Any, where: str) -> Edge:
+    obj = _as_obj(x, where)
+    _check_keys(obj, {"id", "from", "to", "guard", "effects", "label"}, where)
+    eid = _as_str(_need(obj, "id", where), f"{where}.id")
+    src = _as_str(_need(obj, "from", where), f"{where}.from")
+    dst = _as_str(_need(obj, "to", where), f"{where}.to")
+    conjuncts: dict[str, tuple[int, int | None]] = {}
+    for j, c in enumerate(_as_list(obj.get("guard", []), f"{where}.guard")):
+        cwhere = f"{where}.guard[{j}]"
+        cobj = _as_obj(c, cwhere)
+        _check_keys(cobj, {"var", "min", "max"}, cwhere)
+        var = _as_str(_need(cobj, "var", cwhere), f"{cwhere}.var")
+        if var in conjuncts:
+            raise PolicyFormatError("duplicate-guard-var", cwhere, var)
+        lo = _as_int(_need(cobj, "min", cwhere), f"{cwhere}.min")
+        hi = _as_int(cobj["max"], f"{cwhere}.max") if "max" in cobj else None
+        conjuncts[var] = (lo, hi)
+    raw_effects = _need(obj, "effects", where)
+    if isinstance(raw_effects, list):
+        actions = tuple(
+            _parse_effect(a, f"{where}.effects[{k}]")
+            for k, a in enumerate(raw_effects)
+        )
+    else:
+        actions = (_parse_effect(raw_effects, f"{where}.effects"),)
+    label = None
+    if "label" in obj:
+        label = _as_str(obj["label"], f"{where}.label")
+    return Edge(id=eid, src=src, dst=dst, guard=Guard(conjuncts),
+                actions=actions, label=label)
+
+
+def referee_parse_policy(text: str) -> Fmp:
+    """The document parser as it was before its checks were inlined: every
+    location string is built eagerly and each check is its own helper.
+    Kept verbatim as the referee for `parse_policy`'s codes, locations,
+    messages and results."""
+    try:
+        doc = json.loads(text)
+    except (ValueError, RecursionError) as exc:  # JSONDecodeError is one
+        raise PolicyFormatError("bad-json", "$", str(exc)) from exc
+    top = _as_obj(doc, "$")
+    _check_keys(
+        top,
+        {"format_version", "variables", "qstates", "initial", "edges",
+         "terminal", "goal"},
+        "$",
+    )
+    version = _need(top, "format_version", "$")
+    if version != FORMAT_VERSION:
+        raise PolicyFormatError(
+            "unsupported-format-version", "$.format_version", repr(version)
+        )
+
+    variables = []
+    for i, v in enumerate(_as_list(_need(top, "variables", "$"), "$.variables")):
+        where = f"$.variables[{i}]"
+        vobj = _as_obj(v, where)
+        _check_keys(vobj, {"name", "lower_bound"}, where)
+        name = _as_str(_need(vobj, "name", where), f"{where}.name")
+        lb = _as_int(vobj.get("lower_bound", 0), f"{where}.lower_bound")
+        variables.append(VarDecl(name=name, lower_bound=lb))
+
+    qstates = tuple(
+        _as_str(q, f"$.qstates[{i}]")
+        for i, q in enumerate(_as_list(_need(top, "qstates", "$"), "$.qstates"))
+    )
+    initial = _as_str(_need(top, "initial", "$"), "$.initial")
+    edges = tuple(
+        _parse_edge(e, f"$.edges[{i}]")
+        for i, e in enumerate(_as_list(_need(top, "edges", "$"), "$.edges"))
+    )
+    terminal = tuple(
+        _as_str(t, f"$.terminal[{i}]")
+        for i, t in enumerate(_as_list(top.get("terminal", []), "$.terminal"))
+    )
+    goal = None
+    if "goal" in top:
+        gobj = _as_obj(top["goal"], "$.goal")
+        goal = {}
+        for var, iv in gobj.items():
+            where = f"$.goal.{var}"
+            lst = _as_list(iv, where)
+            if len(lst) not in (1, 2):
+                raise PolicyFormatError("bad-goal-interval", where, repr(iv))
+            lo = _as_int(lst[0], f"{where}[0]")
+            hi = _as_int(lst[1], f"{where}[1]") if len(lst) == 2 else None
+            goal[var] = (lo, hi)
+
+    return Fmp(
+        variables=tuple(variables),
+        qstates=qstates,
+        initial=initial,
+        edges=edges,
+        terminal=terminal,
+        goal=goal,
+    )

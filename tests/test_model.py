@@ -1,9 +1,11 @@
 """Core model: validation, normalization, effects, enablement."""
+import hashlib
 import random
 
 import pytest
 
 from termsieve.model import (
+    EMPTY_GUARD,
     ConcreteState,
     Edge,
     Fmp,
@@ -108,6 +110,72 @@ class TestValidate:
         e = Edge.single("e9", "q0", "q0", guard=Guard({"zz": (0, None)}))
         vs = validate(mk(edges=(e,)))
         assert any("e9" in v.where and "zz" in v.where for v in vs)
+
+
+    def test_violation_digest_pinned(self):
+        # every violation's code and location, in order, for policies that
+        # were built by hand rather than parsed; the digest was taken
+        # before validate skipped its loops for clean actions
+        xy = (VarDecl("x"), VarDecl("y", lower_bound=-1))
+        qs = ("q0", "q1", "end")
+
+        def e(eid, src="q0", dst="q1", guard=None, actions=({"x": -1},)):
+            return Edge(id=eid, src=src, dst=dst,
+                        guard=Guard(guard or {}), actions=actions)
+
+        bad = [
+            mk(edges=(e("e1", actions=({"x": True},)),)),
+            mk(edges=(e("e1", actions=({"x": 1.5}, {"x": -1, "z": 2})),)),
+            mk(variables=xy, qstates=qs,
+               edges=(e("e1", actions=({"w": 1, "x": False}, {"y": 2})),)),
+            mk(edges=(e("e1", src="ghost", dst="void"),)),
+            mk(qstates=qs, edges=(e("e1", dst="void"), e("e2", src="nope"))),
+            mk(variables=xy, qstates=qs,
+               edges=(e("e1", guard={"x": (3, 1), "y": (0, 0)}),)),
+            mk(variables=xy, qstates=qs,
+               edges=(e("e1", guard={"x": (0.5, None), "y": (0, "2")}),)),
+            mk(variables=xy, qstates=qs,
+               edges=(e("e1", guard={"x": (True, 3), "z": (4, 2)}),)),
+            mk(qstates=qs, edges=(e("e1"), e("e1"), e("e2"), e("e1"))),
+            mk(qstates=("q0", "q1", "q0", "q1")),
+            mk(variables=(VarDecl("x"), VarDecl("y"), VarDecl("x"))),
+            mk(variables=(VarDecl("x", lower_bound=1.5),
+                          VarDecl("y", lower_bound=False))),
+            mk(initial="ghost", qstates=qs),
+            mk(qstates=qs, terminal=("q1", "halt"),
+               edges=(e("e1"), e("e2", src="q1", dst="q0"),
+                      e("e3", src="q1", dst="end"))),
+            mk(qstates=qs, terminal=("end", "end"),
+               edges=(e("e1", src="end", dst="end"),)),
+            mk(goal={"y": (0, None), "x": (5, 2)}),
+            mk(goal={"x": (0.1, None), "z": (0, True)}),
+            mk(variables=xy, goal={"x": (0, 1), "y": (2, 2), "w": (1, 0)}),
+            mk(qstates=qs, edges=(e("e1", actions=()),
+                                  e("e2", actions=({}, {"x": 0}, {"q": 1})))),
+            mk(variables=(VarDecl("x"), VarDecl("x", lower_bound=0.5)),
+               qstates=("q0", "q0"), initial="q9", terminal=("q0", "qq"),
+               edges=(e("e1", src="q0", dst="q7", guard={"v": (2, 1)},
+                        actions=({"v": 1.0},)),
+                      e("e1", src="q8", dst="q0")),
+               goal={"v": (1, 0)}),
+        ]
+        h = hashlib.sha256()
+        for fmp in bad:
+            vs = validate(fmp)
+            assert vs
+            h.update(repr([(v.code, v.where) for v in vs]).encode())
+        assert h.hexdigest()[:16] == "9d2ff105f97fc7ca"
+
+class TestEmptyGuard:
+    def test_shared_guard_is_read_only(self):
+        with pytest.raises(TypeError):
+            EMPTY_GUARD.conjuncts["x"] = (0, None)
+        assert EMPTY_GUARD.conjuncts == {}
+
+    def test_equal_to_every_empty_guard(self):
+        assert Guard() == Guard({}) == EMPTY_GUARD
+        assert Edge.single("e1", "q0", "q0") == Edge.single(
+            "e1", "q0", "q0", guard=EMPTY_GUARD)
 
 
 class TestNormalize:

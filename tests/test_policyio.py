@@ -1,10 +1,12 @@
 """Policy document parsing, serialization, and atomic writes."""
+import copy
+import hashlib
 import json
 import os
 
 import pytest
 
-from termsieve.model import Edge, Fmp, Guard, VarDecl, validate
+from termsieve.model import EMPTY_GUARD, Edge, Fmp, Guard, VarDecl, validate
 from termsieve.policyio import (
     PolicyFormatError,
     atomic_write,
@@ -201,11 +203,109 @@ class TestParseErrors:
         assert err(doc(goal={"x": [0, 1, 2]})).code == "bad-goal-interval"
         assert err(doc(goal={"x": [0.5]})).code == "expected-integer"
 
+    def test_guardless_edges_share_the_empty_guard(self):
+        edges = [{"id": f"e{k}", "from": "q0", "to": "q0", "effects": {}}
+                 for k in range(2)]
+        edges[1]["guard"] = []
+        f = parse_policy(doc(edges=edges))
+        assert all(e.guard is EMPTY_GUARD for e in f.edges)
+
     def test_parse_does_not_cross_validate(self):
         # structurally fine but semantically broken documents parse;
         # validate() owns the semantic checks
         f = parse_policy(doc(initial="ghost"))
         assert any(v.code == "unknown-initial" for v in validate(f))
+
+
+# the values every field and array element is set to in `mutations`
+ODD_VALUES = (None, True, 1.5, "s", [], {}, -1)
+
+
+def mutations(node, path=()):
+    """(path, edit) for every single-point edit of a JSON tree: at every
+    object, delete each field, set it to each of ODD_VALUES and add an
+    unknown key; at every array, set each element to each of ODD_VALUES.
+    An edit is ("del", key), ("set", key, value) or ("add", key)."""
+    if isinstance(node, dict):
+        for key, child in node.items():
+            yield path, ("del", key)
+            for value in ODD_VALUES:
+                yield path, ("set", key, value)
+            yield from mutations(child, path + (key,))
+        yield path, ("add", "zz")
+    elif isinstance(node, list):
+        for k, child in enumerate(node):
+            for value in ODD_VALUES:
+                yield path, ("set", k, value)
+            yield from mutations(child, path + (k,))
+
+
+def mutated(doc, path, edit):
+    out = copy.deepcopy(doc)
+    node = out
+    for step in path:
+        node = node[step]
+    if edit[0] == "del":
+        del node[edit[1]]
+    elif edit[0] == "set":
+        node[edit[1]] = edit[2]
+    else:
+        node[edit[1]] = 0
+    return out
+
+
+def outcome(parse, text):
+    """The CLI-visible result of parsing `text`: the error line, or the
+    re-serialized policy when it parses."""
+    try:
+        return "ok " + serialize_policy(parse(text))
+    except PolicyFormatError as exc:
+        return f"error {exc}"
+
+
+class TestErrorContract:
+    def test_error_digest_pinned(self):
+        # codes, locations and messages are what `termsieve` prints after
+        # "error:"; the digest was taken before the parser's checks were
+        # inlined, so any change to one of them fails here
+        base = json.loads(serialize_policy(full_featured()))
+        h = hashlib.sha256()
+        n = 0
+        for path, edit in mutations(base):
+            text = json.dumps(mutated(base, path, edit))
+            h.update(outcome(parse_policy, text).encode() + b"\0")
+            n += 1
+        assert n == 428
+        assert h.hexdigest()[:16] == "fa7813079aba0b93"
+
+    def test_pinned_locations(self):
+        # the cases a type(x) test or a location built only on failure
+        # could get wrong
+        def edge(**kw):
+            base = {"id": "e1", "from": "q0", "to": "q0", "effects": {}}
+            base.update(kw)
+            return doc(edges=[base])
+
+        cases = [
+            (edge(guard=None), "expected-array", "$.edges[0].guard", "None"),
+            (edge(guard=[{"var": "x", "min": True}]), "expected-integer",
+             "$.edges[0].guard[0].min", "True"),
+            (edge(guard=[{"var": "x", "min": 0, "max": False}]),
+             "expected-integer", "$.edges[0].guard[0].max", "False"),
+            (edge(effects={"x": True}), "non-integer-effect",
+             "$.edges[0].effects.x", "True"),
+            (edge(label=None), "expected-string", "$.edges[0].label", "None"),
+            (doc(terminal=None), "expected-array", "$.terminal", "None"),
+            (doc(terminal=[1]), "expected-string", "$.terminal[0]", "1"),
+            (doc(goal={"x": [True]}), "expected-integer", "$.goal.x[0]",
+             "True"),
+            (edge(guard=[{"var": "x", "min": 0}, {"var": "x", "min": 1}]),
+             "duplicate-guard-var", "$.edges[0].guard[1]", "x"),
+        ]
+        for text, code, where, message in cases:
+            e = err(text)
+            assert (e.code, e.where, str(e)) == (
+                code, where, f"{where}: {code} ({message})")
 
 
 class TestAtomicWrite:

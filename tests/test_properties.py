@@ -1,18 +1,25 @@
 """Property tests for the algebraic and structural invariants."""
+import copy
+import json
 from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
 from termsieve.decomposition import build_def
+from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import DiGraph, policy_graph, scc_decompose
 from termsieve.model import (
     Edge, Fmp, Guard, VarDecl, normalize, validate,
 )
 from termsieve.oracle import ExploreCaps, explore
 from termsieve.paths import boxminus
-from termsieve.policyio import parse_policy, serialize_policy
+from termsieve.policyio import (
+    PolicyFormatError, parse_policy, serialize_policy,
+)
 
-from helpers import accumulate, brute_sccs, check_det, is_acyclic
+from helpers import (
+    accumulate, brute_sccs, check_det, is_acyclic, referee_parse_policy,
+)
 
 # ---------------------------------------------------------------- strategies
 
@@ -174,6 +181,73 @@ class TestRoundTrip:
         assert [e.id for e in back.edges] == [e.id for e in fmp.edges]
         assert [e.actions for e in back.edges] == \
                [e.actions for e in fmp.edges]
+
+
+# values a mutated document field may take: JSON's odd types, and nested
+# pieces that get past the outer type checks
+odd_values = st.sampled_from([
+    None, True, False, 0, 1, -1, 1.5, "s", "x0", "q0", [], {}, [None],
+    [True], [0, 1], [0, 1, 2], {"x0": True}, {"x0": 1.5}, {"x0": 2},
+    [{"x0": 1}, {"zz": "s"}], [{"var": "x0", "min": 0}],
+    [{"var": "x0", "min": True}], [{"var": "x0", "min": 0, "max": 1.5}],
+    [{"var": "x0", "min": 0}, {"var": "x0", "min": 1}], [{"min": 0}],
+    {"id": "e", "from": "q0", "to": "q0", "effects": {}},
+]).map(copy.deepcopy)
+
+
+def json_paths(node, path=()):
+    """Every (container path, key or index) in a JSON tree."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in items:
+        yield path, key
+        yield from json_paths(child, path + (key,))
+
+
+@st.composite
+def mutated_documents(draw):
+    """A generated policy's document with one to three fields deleted,
+    replaced or added at random places."""
+    spec = GenSpec(n_qstates=draw(st.integers(1, 4)),
+                   n_vars=draw(st.integers(1, 3)), edge_density=1.0,
+                   max_abs_delta=2, seed=draw(st.integers(0, 10_000)))
+    doc = json.loads(serialize_policy(generate_random(spec)))
+    if draw(st.booleans()):
+        doc["terminal"], doc["goal"] = [], {"x0": [0, 3]}
+        doc["edges"][0].update(guard=[{"var": "x0", "min": 1}], label="l")
+    for _ in range(draw(st.integers(1, 3))):
+        path, key = draw(st.sampled_from(list(json_paths(doc))))
+        node = doc
+        for step in path:
+            node = node[step]
+        how = draw(st.sampled_from(["set", "delete", "add"]))
+        if how == "delete" and isinstance(node, dict):
+            del node[key]
+        elif how == "add" and isinstance(node, dict):
+            node[draw(st.sampled_from(["zz", "id", "min", "x0", "goal"]))] = \
+                draw(odd_values)
+        else:
+            node[key] = draw(odd_values)
+    return json.dumps(doc)
+
+
+class TestParserReferee:
+    @given(mutated_documents())
+    @settings(max_examples=300, deadline=None)
+    def test_same_errors_and_results(self, text):
+        def run(parse):
+            try:
+                return parse(text)
+            except PolicyFormatError as exc:
+                return (exc.code, exc.where, str(exc))
+
+        got, want = run(parse_policy), run(referee_parse_policy)
+        assert got == want
+        assert type(got) is type(want)
 
 
 # -------------------------------------------------------------------- graphs
