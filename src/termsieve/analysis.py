@@ -29,6 +29,7 @@ from .paths import (
     PathCapExceeded,
     PathContext,
     PathGraph,
+    nonnegative_cycle,
 )
 
 TERMINATING = "terminating"
@@ -145,6 +146,8 @@ class _Shared:
     A sample draws its own forest from its own seed, so a forest drawn
     again costs its draw and its own IterationTrace. Once the full edge set
     is `exhausted`, no later sample draws a forest that is not in the memo.
+    `pumps` searches the full edge set once for a simple cycle that no
+    sample can prove terminating, within `path_cap` cycles.
     """
 
     def __init__(self, fmp: Fmp, path_cap: int):
@@ -211,6 +214,17 @@ class _Shared:
                         seen.add(left)
                         stack.append(left)
         return True
+
+    def pumps(self) -> bool:
+        """Whether the full edge set has a simple cycle that nets at least
+        zero on every counter, found within `path_cap` cycles.
+
+        Guards aside, such a cycle runs forever from large enough
+        counters, and the hierarchical argument is sound, so every sample
+        ends `unknown`.
+        """
+        ctx = self.graph(self.edge_ids)[2]
+        return nonnegative_cycle(ctx.graph, self.path_cap)
 
     def _iterate(self, edge_ids: frozenset[str],
                  trees: tuple[DetNode, ...]) -> _Outcome:
@@ -287,9 +301,13 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
     reports are those of separate runs. Once the samples run have drawn
     every forest that any sample can meet (`_Shared.exhausted`), none of
     which proved termination, the samples left cannot win either, so they
-    are listed without being run. The returned report carries every seed
-    run or listed; when no sample proves termination, the first sample's
-    verdict and trace are reported.
+    are listed without being run. They are listed too when the first
+    sample fails and the policy has a simple cycle that nets at least zero
+    on every counter (`_Shared.pumps`, searched once per call, over at most
+    `path_cap` cycles): no forest proves such a policy terminating. The
+    returned report carries every seed run or listed; when no sample
+    proves termination, the first sample's verdict and trace are
+    reported.
     """
     cfg = config if config is not None else AnalysisConfig()
     start = time.perf_counter()
@@ -306,7 +324,8 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
         if rep.verdict.kind == TERMINATING:
             winner = rep
             break
-        if sample_seed + 1 < end and shared.exhausted():
+        if sample_seed + 1 < end and (
+                shared.exhausted() or rep is first and shared.pumps()):
             seeds += range(sample_seed + 1, end)
             break
     chosen = winner if winner is not None else first

@@ -41,7 +41,9 @@ the keys of every node of a subtree to one set and decodes the set as a
 whole with `EffectCode.sign_sets`: one AND per key for the decrease sets,
 and per variable one scan for `iv` and one for `zv`, each stopping at the
 first key that puts the variable in. `PathContext.tree_sets` keeps its
-answer for each tree.
+answer for each tree. `nonnegative_cycle` runs the same DFS over a whole
+`PathGraph`, from each vertex in turn, to find a simple cycle that nets at
+least zero on every variable.
 
 Per-node enumeration is capped by the number of paths emitted, not of
 distinct keys; blowing the cap raises PathCapExceeded, which callers convert
@@ -124,7 +126,8 @@ class EffectCode:
         self._fields = tuple(
             (var, (1 << width) - 1 << s, base - 1 << s, base >> 1 << s)
             for var, s in shift.items())
-        self._sign_bits = sum(sign for *_, sign in self._fields)
+        # a key has none of these set iff its path nets >= 0 on every variable
+        self.sign_bits = sum(sign for *_, sign in self._fields)
 
     def sign_sets(self, keys: Collection[int]
                   ) -> tuple[frozenset[str], frozenset[str], VarSetFamily]:
@@ -140,7 +143,7 @@ class EffectCode:
                         if any(0 < k & digit < sign for k in keys))
         zero = frozenset(var for var, field, digit, _ in self._fields
                          if any(k & field and not k & digit for k in keys))
-        signs = self._sign_bits
+        signs = self.sign_bits
         dec = frozenset(
             frozenset(var for var, *_, sign in self._fields if d & sign)
             for d in {k & signs for k in keys})
@@ -274,6 +277,32 @@ def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
             stack.pop()
             path ^= bit
     return left
+
+
+def nonnegative_cycle(graph: PathGraph, budget: int) -> bool:
+    """Whether `graph` has a simple cycle whose net is at least zero on
+    every counter, found within `budget` cycles.
+
+    The cycles through each vertex are walked in index order with the
+    lower vertices blocked, so each simple cycle comes once, from its
+    lowest vertex (Johnson, SIAM J. Comput. 1975). A cycle's key is
+    nonnegative when none of the `EffectCode` sign bits is set; a simple
+    cycle has at most as many edges as the graph has vertices, which the
+    code's `max_len` covers. The keys are checked after each vertex's
+    walk, and a walk that passes the budget gives False.
+    """
+    signs = graph.code.sign_bits
+    keys: list[int] = []
+    for start in range(len(graph.names)):
+        sbit = 1 << start
+        budget = _walk(graph.out, graph.succ, start, sbit - 1, sbit, sbit,
+                       budget, keys)
+        if budget < 0:
+            return False
+        if any(not k & signs for k in keys):
+            return True
+        keys.clear()
+    return False
 
 
 class PathContext:

@@ -185,7 +185,8 @@ def parse_policy(text: str) -> Fmp:
     if "format_version" not in doc:
         raise PolicyFormatError("missing-field:format_version", "$")
     version = doc["format_version"]
-    if version != FORMAT_VERSION:
+    # True and 1.0 equal 1 but are not version 1
+    if type(version) is not int or version != FORMAT_VERSION:
         raise PolicyFormatError(
             "unsupported-format-version", "$.format_version", repr(version)
         )

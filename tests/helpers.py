@@ -343,6 +343,32 @@ def brute_cycle_paths(q: DiGraph, elim: str) -> set[tuple[str, ...]]:
     return out
 
 
+def brute_nonnegative_cycle(g: DiGraph, effects, budget: int) -> bool:
+    """Whether a simple cycle of `g` nets at least zero on every counter,
+    under the budget rule of `paths.nonnegative_cycle`.
+
+    The simple cycles are grouped by their least vertex name, each group
+    from brute_cycle_paths on the vertices from that name on. Walking the
+    groups in name order, the answer is False once more than `budget`
+    cycles have been counted, and True at the first group holding a
+    nonnegative cycle.
+    """
+    names = sorted(g.vertices)
+    counted = 0
+    for i, v in enumerate(names):
+        group = brute_cycle_paths(induced(g, names[i:]), v)
+        counted += len(group)
+        if counted > budget:
+            return False
+        for seq in group:
+            net: dict[str, int] = {}
+            for aid in seq:
+                accumulate(net, effects[aid])
+            if all(d >= 0 for d in net.values()):
+                return True
+    return False
+
+
 def brute_through_paths(sub: DiGraph, entries: frozenset[str],
                         exits: frozenset[str]) -> set[tuple[str, ...]]:
     """All vertex-simple nonempty arc sequences from an entry to an exit."""
@@ -859,7 +885,7 @@ def referee_parse_policy(text: str) -> Fmp:
         "$",
     )
     version = _need(top, "format_version", "$")
-    if version != FORMAT_VERSION:
+    if not _is_int(version) or version != FORMAT_VERSION:
         raise PolicyFormatError(
             "unsupported-format-version", "$.format_version", repr(version)
         )

@@ -313,8 +313,17 @@ def count_samples(monkeypatch):
 
 
 def all_unknown_policy():
+    # 6 qstates, 2 counters, 15 edges, no simple cycle that nets at least
+    # zero on every counter: all 20 samples run and end
+    # unknown(empty-set-persists), each after one round of edge removals
+    return generate_random(GenSpec(n_qstates=6, n_vars=2, edge_density=0.4,
+                                   max_abs_delta=2, seed=37))
+
+
+def pumping_policy():
     # 5 qstates, 3 counters, 10 edges: all 20 samples end
-    # unknown(empty-set-persists), most after one round of edge removals
+    # unknown(empty-set-persists), and a simple cycle nets at least zero
+    # on every counter
     return generate_random(GenSpec(n_qstates=5, n_vars=3, edge_density=0.4,
                                    max_abs_delta=2, seed=113))
 
@@ -324,7 +333,7 @@ class TestSharedSamples:
 
     def test_matches_separate_runs(self, monkeypatch):
         calls = count_samples(monkeypatch)
-        removals = mixed_caps = listed = 0
+        removals = mixed_caps = listed = pumped = 0
         for i in range(300):
             fmp = generate_random(GenSpec(
                 n_qstates=2 + i % 7, n_vars=1 + i % 3, edge_density=0.4,
@@ -344,12 +353,19 @@ class TestSharedSamples:
             capped = {r.verdict.detail == "resource-cap" for r in reports}
             mixed_caps += capped == {True, False}
             listed += calls["samples"] < len(seeds)
+            if _Shared(fmp, cfg.path_cap).pumps():
+                # a nonnegative simple cycle: no sample proves termination
+                assert len(reports) == 20, i
+                assert all(r.verdict.kind == UNKNOWN for r in reports), i
+                pumped += 1
         # the corpus reaches edge sets past a removal, calls where the cap
-        # stops some samples but not others, and calls that list samples
-        # left once every forest they could draw has been drawn
+        # stops some samples but not others, calls that list samples left
+        # once every forest they could draw has been drawn, and calls with
+        # a nonnegative cycle, under either cap
         assert removals >= 30
         assert mixed_caps >= 10
         assert listed >= 30
+        assert pumped >= 150
 
     def test_nothing_kept_between_calls(self):
         fmp = all_unknown_policy()
@@ -416,6 +432,23 @@ class TestSharedSamples:
         assert counts["enumerate"] == sum(len(t.walk()) for _, t in trees)
         assert counts["iterate"] == len(forests)
 
+    def test_pumping_cycle_lists_the_samples_left(self, monkeypatch):
+        # the policy all_unknown_policy was before hsieve looked for a
+        # nonnegative cycle: now one sample runs and the rest are listed
+        fmp = pumping_policy()
+        cfg = AnalysisConfig(def_samples=20)
+        assert _Shared(fmp, cfg.path_cap).pumps()
+        chosen, seeds, reports = separate_runs(fmp, cfg)
+        assert {r.verdict for r in reports} == {
+            Verdict(UNKNOWN, "empty-set-persists")}
+        calls = count_samples(monkeypatch)
+        rep = hsieve(fmp, cfg)
+        assert calls["samples"] == 1
+        assert rep.seeds == tuple(seeds) == tuple(range(20))
+        expected = without_wall(chosen.to_trace_dict())
+        expected["seeds"] = seeds
+        assert without_wall(rep.to_trace_dict()) == expected
+
 
 class TestExhaustedSamples:
     """Samples left once every forest they can draw is drawn are listed."""
@@ -474,14 +507,31 @@ class TestExhaustedSamples:
             without_wall(chosen.to_trace_dict())["iterations"]
 
     def test_ring_runs_every_sample(self, monkeypatch):
-        # 30 forests, one per elim, so 20 samples never draw them all
+        # 30 forests, one per elim, so 20 samples never draw them all. The
+        # ring nets (+1, -1) and the loop on q0 (-1, +1): together they
+        # net zero, but no simple cycle is nonnegative on both counters
+        ring = ring_policy(30)
+        edges = (Edge.single("e0", "q0", "q1", effect={"x": 1, "y": -1}),
+                 *ring.edges[1:],
+                 Edge.single("loop", "q0", "q0", effect={"x": -1, "y": 1}))
+        fmp = dataclasses.replace(
+            ring, variables=(VarDecl("x"), VarDecl("y")), edges=edges)
+        calls = count_samples(monkeypatch)
+        rep = hsieve(fmp, AnalysisConfig(def_samples=20))
+        assert rep.verdict == Verdict(UNKNOWN, "empty-set-persists")
+        assert calls["samples"] == 20
+        assert rep.seeds == tuple(range(20))
+
+    def test_pumping_ring_runs_one_sample(self, monkeypatch):
+        # the ring test's policy before hsieve looked for a nonnegative
+        # cycle: the whole ring nets +1
         ring = ring_policy(30)
         pump = Edge.single("e0", "q0", "q1", effect={"x": 1})
         fmp = dataclasses.replace(ring, edges=(pump,) + ring.edges[1:])
         calls = count_samples(monkeypatch)
         rep = hsieve(fmp, AnalysisConfig(def_samples=20))
         assert rep.verdict == Verdict(UNKNOWN, "empty-set-persists")
-        assert calls["samples"] == 20
+        assert calls["samples"] == 1
         assert rep.seeds == tuple(range(20))
 
 

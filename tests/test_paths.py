@@ -22,6 +22,7 @@ from helpers import (
     FIXTURES,
     accumulate,
     brute_cycle_paths,
+    brute_nonnegative_cycle,
     brute_through_paths,
     brute_var_sets,
     chord_ring_policy,
@@ -606,3 +607,65 @@ class TestReachabilityChecks:
         rep = hsieve(chord_ring_policy(80), AnalysisConfig(path_cap=1000))
         assert str(rep.verdict) == "unknown(resource-cap)"
         assert calls
+
+
+class TestNonnegativeCycle:
+    """`paths.nonnegative_cycle` against brute-force simple cycles."""
+
+    @staticmethod
+    def search(g, effects, budget=100_000):
+        return paths.nonnegative_cycle(path_ctx(g, effects, None).graph,
+                                       budget)
+
+    def test_small_cases(self):
+        loops = g_of(("up", "q", "q"), ("down", "q", "q"))
+        # each loop decreases a counter the other raises: no simple cycle
+        # is nonnegative, though the two together net zero
+        assert not self.search(loops, {"up": {"x": 1, "y": -1},
+                                       "down": {"x": -1, "y": 1}})
+        assert self.search(loops, {"up": {"x": 1}, "down": {"x": -1}})
+        # a cycle that moves nothing nets zero
+        assert self.search(g_of(("a", "p", "q"), ("b", "q", "p")),
+                           {"a": {}, "b": {}})
+        assert not self.search(g_of(("a", "p", "q")), {"a": {}})
+        ring = ring_policy(30)
+        effects = {e.id: e.effect for e in ring.edges}
+        assert not self.search(policy_graph(ring), effects)
+        effects["e7"] = {"x": 1}
+        assert self.search(policy_graph(ring), effects)
+
+    def test_budget_gives_up(self):
+        # three 2-cycles through p; only the one through r, walked last,
+        # nets zero
+        g = g_of(("a", "p", "q"), ("b", "q", "p"), ("c", "p", "r"),
+                 ("d", "r", "p"), ("e", "p", "q"), ("f", "q", "p"))
+        effects = {aid: {"x": -1} for aid in "abcdef"}
+        effects["d"] = {"x": 1}
+        for budget in range(6):
+            assert self.search(g, effects, budget) == (budget >= 5)
+            assert brute_nonnegative_cycle(g, effects, budget) == (
+                budget >= 5)
+
+    def test_random_multigraphs(self):
+        rng = random.Random(2024)
+        found = gave_up = refuted = 0
+        for _ in range(400):
+            g = random_digraph(rng, max_vertices=6, max_arcs=12)
+            counters = [f"x{i}" for i in range(rng.randint(1, 3))]
+            effects = {aid: {x: rng.randint(-2, 2) for x in counters
+                             if rng.random() < 0.6}
+                       for aid, _, _ in g.arcs}
+            budget = rng.choice([0, 1, 2, 4, 8, 100_000])
+            got = self.search(g, effects, budget)
+            assert got == brute_nonnegative_cycle(g, effects, budget)
+            found += got
+            unbounded = self.search(g, effects)
+            gave_up += not got and unbounded
+            # with no effects every cycle nets zero
+            refuted += not unbounded and self.search(
+                g, {aid: {} for aid in effects})
+        # the corpus finds cycles, misses some only for the budget, and
+        # has cycles none of which is nonnegative
+        assert found >= 120
+        assert gave_up >= 100
+        assert refuted >= 40

@@ -144,6 +144,14 @@ class TestParseErrors:
         assert e.code == "unsupported-format-version"
         assert e.where == "$.format_version"
 
+    def test_version_must_be_an_integer(self):
+        # both equal 1 in Python, but neither is the integer version 1
+        for version, shown in ((True, "True"), (1.0, "1.0")):
+            e = err(doc(format_version=version))
+            assert (e.code, e.where, str(e)) == (
+                "unsupported-format-version", "$.format_version",
+                f"$.format_version: unsupported-format-version ({shown})")
+
     def test_unknown_top_field(self):
         e = err(doc(comment="hi"))
         assert e.code == "unknown-field:comment"
@@ -267,7 +275,8 @@ class TestErrorContract:
     def test_error_digest_pinned(self):
         # codes, locations and messages are what `termsieve` prints after
         # "error:"; the digest was taken before the parser's checks were
-        # inlined, so any change to one of them fails here
+        # inlined, so any change to one of them fails here. It moved once,
+        # when `"format_version": true` stopped parsing as version 1
         base = json.loads(serialize_policy(full_featured()))
         h = hashlib.sha256()
         n = 0
@@ -276,7 +285,7 @@ class TestErrorContract:
             h.update(outcome(parse_policy, text).encode() + b"\0")
             n += 1
         assert n == 428
-        assert h.hexdigest()[:16] == "fa7813079aba0b93"
+        assert h.hexdigest()[:16] == "61f3bfe369a0b7e4"
 
     def test_pinned_locations(self):
         # the cases a type(x) test or a location built only on failure
