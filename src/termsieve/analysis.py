@@ -223,8 +223,9 @@ class _Shared:
         counters, and the hierarchical argument is sound, so every sample
         ends `unknown`.
         """
-        ctx = self.graph(self.edge_ids)[2]
-        return nonnegative_cycle(ctx.graph, self.path_cap)
+        _, splits, ctx = self.graph(self.edge_ids)
+        return nonnegative_cycle(ctx.graph, self.path_cap,
+                                 splits.cyclic_sccs())
 
     def _iterate(self, edge_ids: frozenset[str],
                  trees: tuple[DetNode, ...]) -> _Outcome:

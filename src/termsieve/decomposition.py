@@ -127,6 +127,10 @@ class Splits:
         self._roots = self._split(sg.all)
         self._forests: int | None = None
 
+    def cyclic_sccs(self) -> tuple[int, ...]:
+        """The masks of the whole graph's nontrivial SCCs."""
+        return tuple(part.mask for part in self._roots)
+
     def forests(self) -> int | None:
         """How many distinct forests `draw` can give, or None while some
         vertex set that the draws so far reach has an elim none has drawn.

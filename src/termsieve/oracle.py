@@ -189,6 +189,7 @@ class Packing:
         self.guard = sum(top << s for s in shifts)
         self.vmask = sum(self.fmask << s for s in shifts)
         self._shifts, self._lbs = shifts, lbs
+        self._cap_tests: dict[int, tuple[int, int]] = {}
         # per qstate index: (edge id, weight, interval test or None)
         self.table = [
             [(eid, dst - src + sum(d << shifts[i] for i, d in moves),
@@ -224,12 +225,17 @@ class Packing:
 
     def cap_test(self, max_value: int) -> tuple[int, int]:
         """(addend, bits): `((key & vmask) + addend) & bits` is nonzero iff
-        some value of `key` exceeds `max_value`."""
-        if not self.fields:  # max() of no values reads 0
-            return int(max_value < 0), int(max_value < 0)
-        add = sum(self._addend(i, self.top - 1 - (max_value - lb))
-                  for i, lb in enumerate(self._lbs))
-        return add, self.guard
+        some value of `key` exceeds `max_value`; built once per cap, as the
+        starts of a grid mostly share a few."""
+        test = self._cap_tests.get(max_value)
+        if test is None:
+            if not self.fields:  # max() of no values reads 0
+                test = int(max_value < 0), int(max_value < 0)
+            else:
+                test = (sum(self._addend(i, self.top - 1 - (max_value - lb))
+                            for i, lb in enumerate(self._lbs)), self.guard)
+            self._cap_tests[max_value] = test
+        return test
 
     def pack(self, qstate: str, values: Mapping[str, int]) -> int:
         key = self.code.qindex[qstate]
@@ -270,23 +276,85 @@ def step(fmp: Fmp, cfg: Configuration) -> list[tuple[str, Configuration]]:
             for eid, k in p.successors(p.pack(cfg.qstate, values))]
 
 
+class _Halted:
+    """What the starts of one `explore_grid` call share.
+
+    One packing, sized for the grid's largest ceiling, so that keys compare
+    across starts, and `known`: the key of every configuration that a start
+    ending all_halt expanded or reused, mapped to the least value cap of
+    such a start. Every run from a known configuration halts, every step of
+    it stays within that cap, and every successor is known with a cap no
+    larger.
+    """
+
+    __slots__ = ("packing", "known")
+
+    def __init__(self, packing: Packing):
+        self.packing = packing
+        self.known: dict[int, int] = {}
+
+
+def _walk_closures(p: Packing, depth: dict[int, int], keys: list[int]
+                   ) -> tuple[int, int, int]:
+    """Mark done every configuration reachable from the known `keys` that
+    `depth` lacks, emptying `keys`; returns how many configurations that
+    makes, `keys` included, how many of them halt and how many of those lie
+    in the goal.
+
+    Every such configuration is known, so its successors stay within the
+    caller's value cap and none is on the caller's path.
+    """
+    count = len(keys)
+    halting = goal_hits = 0
+    while keys:
+        key = keys.pop()
+        succ = p.successors(key)
+        if not succ:
+            halting += 1
+            if p.goal is not None and p.holds(p.goal, key):
+                goal_hits += 1
+        for _, nkey in succ:
+            if nkey not in depth:
+                depth[nkey] = _DONE
+                keys.append(nkey)
+                count += 1
+    return count, halting, goal_hits
+
+
 def explore(
-    fmp: Fmp, s0: ConcreteState, caps: ExploreCaps | None = None
+    fmp: Fmp, s0: ConcreteState, caps: ExploreCaps | None = None,
+    *, shared: _Halted | None = None,
 ) -> ExploreResult:
-    """Exhaustive DFS from (initial qstate, s0) within the caps."""
+    """Exhaustive DFS from (initial qstate, s0) within the caps.
+
+    `shared` carries what earlier starts of one `explore_grid` call found
+    (see `explore_grid`); without it nothing is known and the search
+    expands every configuration it reaches.
+    """
     caps = caps if caps is not None else ExploreCaps()
     code = fmp.oracle_code
     max_value = (caps.max_value if caps.max_value is not None
                  else code.derived_max_value(s0.values))
-    # a start above the cap is still expanded, so its values bound the fields
-    p = code.packing(max((max_value, *s0.values.values())))
+    if shared is None:
+        # a start above the cap is still expanded, so its values bound the
+        # fields
+        p = code.packing(max((max_value, *s0.values.values())))
+        known: dict[int, int] = {}
+    else:
+        p, known = shared.packing, shared.known
     cap_add, cap_bits = p.cap_test(max_value)
     vmask, successors, max_configs = p.vmask, p.successors, caps.max_configs
+    # A known configuration stands in for its closure while expanding all
+    # of `known` as well could not reach max_configs: while
+    # `expanded < spare`.
+    reuse, spare = bool(known), max_configs - len(known)
 
     # depth on the current path while a key is on it, then _DONE
     depth: dict[int, int] = {}
     # frame: (key, edge_in, iterator over the (edge id, key) successors)
     path: list[tuple] = []
+    # known keys marked done in place of their closures
+    reused: list[int] = []
     expanded = halting = value_cap_hits = goal_hits = 0
 
     def stats(config_cap: int = 0) -> dict[str, int]:
@@ -322,6 +390,24 @@ def explore(
                     edges.append(eid)
                     witness = LassoWitness(p.config, keys, edges, d)
                     return ExploreResult(LASSO_FOUND, witness, stats())
+                if reuse:
+                    if expanded < spare:
+                        c = known.get(nkey)
+                        if c is not None and c <= max_value:
+                            depth[nkey] = _DONE
+                            reused.append(nkey)
+                            continue
+                    else:
+                        # Reuse ends. Count the closures reused so far as
+                        # explore would have expanded them, so that from
+                        # here on the config cap binds as it would.
+                        reuse = False
+                        n, h, g = _walk_closures(p, depth, reused)
+                        expanded += n
+                        halting += h
+                        goal_hits += g
+                        if nkey in depth:
+                            continue
                 if expanded >= max_configs:
                     return ExploreResult(INCONCLUSIVE, None, stats(1))
                 step_in = (eid, nkey)
@@ -334,6 +420,12 @@ def explore(
     # leaves a branch unexplored below it.
     if value_cap_hits:
         return ExploreResult(INCONCLUSIVE, None, stats())
+    if shared is not None:
+        # every configuration done here halts within max_value; keep the
+        # least cap each is known under
+        for key in depth:
+            if known.setdefault(key, max_value) > max_value:
+                known[key] = max_value
     goal_report = None
     if p.goal is not None:
         goal_report = goal_hits / halting if halting else 0.0
@@ -352,10 +444,30 @@ def explore_grid(
     fmp: Fmp, grid_max: int, caps: ExploreCaps | None = None,
 ) -> list[tuple[ConcreteState, ExploreResult]]:
     """explore() over the start grid in order, up to the first start that
-    finds a lasso."""
+    finds a lasso.
+
+    The starts share one packing, sized for the largest start and value
+    cap of the grid, and the configurations of every start that ended
+    all_halt (multi-root DFS with a shared finished set, Tarjan 1972). A
+    later start marks such a configuration done without expanding it when
+    it passes the start's value cap and its known cap is no larger: its
+    runs all halt within that cap, so none reaches the current path. Kinds
+    and witnesses are those of explore() per start. A start's `expanded`,
+    `halting` and `goal_report` count only the configurations it expanded
+    itself, until expanding every known configuration as well could reach
+    `max_configs`. At its next step the start then counts the closures it
+    reused, as explore() would have expanded them, and reuses no more, so
+    from there on its stats are explore()'s.
+    """
+    caps = caps if caps is not None else ExploreCaps()
+    code = fmp.oracle_code
+    top = {x: fmp.bounds[x] + grid_max for x in fmp.var_names}
+    max_value = (caps.max_value if caps.max_value is not None
+                 else code.derived_max_value(top))
+    shared = _Halted(code.packing(max((max_value, *top.values()))))
     out = []
     for s0 in grid_states(fmp, grid_max):
-        res = explore(fmp, s0, caps)
+        res = explore(fmp, s0, caps, shared=shared)
         out.append((s0, res))
         if res.kind == LASSO_FOUND:
             break

@@ -43,7 +43,8 @@ and per variable one scan for `iv` and one for `zv`, each stopping at the
 first key that puts the variable in. `PathContext.tree_sets` keeps its
 answer for each tree. `nonnegative_cycle` runs the same DFS over a whole
 `PathGraph`, from each vertex in turn, to find a simple cycle that nets at
-least zero on every variable.
+least zero on every variable, unless every arc of each cyclic SCC
+decreases one common variable.
 
 Per-node enumeration is capped by the number of paths emitted, not of
 distinct keys; blowing the cap raises PathCapExceeded, which callers convert
@@ -279,7 +280,8 @@ def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
     return left
 
 
-def nonnegative_cycle(graph: PathGraph, budget: int) -> bool:
+def nonnegative_cycle(graph: PathGraph, budget: int,
+                      cyclic_sccs: Iterable[int]) -> bool:
     """Whether `graph` has a simple cycle whose net is at least zero on
     every counter, found within `budget` cycles.
 
@@ -289,8 +291,12 @@ def nonnegative_cycle(graph: PathGraph, budget: int) -> bool:
     nonnegative when none of the `EffectCode` sign bits is set; a simple
     cycle has at most as many edges as the graph has vertices, which the
     code's `max_len` covers. The keys are checked after each vertex's
-    walk, and a walk that passes the budget gives False.
+    walk, and a walk that passes the budget gives False. No walk runs when
+    `every_cycle_decreases` on `cyclic_sccs`, the masks of the graph's
+    cyclic SCCs.
     """
+    if every_cycle_decreases(graph, cyclic_sccs):
+        return False
     signs = graph.code.sign_bits
     keys: list[int] = []
     for start in range(len(graph.names)):
@@ -303,6 +309,27 @@ def nonnegative_cycle(graph: PathGraph, budget: int) -> bool:
             return True
         keys.clear()
     return False
+
+
+def every_cycle_decreases(graph: PathGraph,
+                          cyclic_sccs: Iterable[int]) -> bool:
+    """Whether, in each of the cyclic SCCs of `graph` (as masks), every arc
+    decreases one common counter: the AND of the arcs' weights keeps a
+    sign bit.
+
+    A cycle stays in one SCC, so each cycle then nets below zero on that
+    counter, and none is nonnegative.
+    """
+    out, signs = graph.out, graph.code.sign_bits
+    for comp in cyclic_sccs:
+        common = signs
+        for v in bit_indices(comp):
+            for _, dbit, weight, _, _ in out[v]:
+                if dbit & comp:
+                    common &= weight
+        if not common:
+            return False
+    return True
 
 
 class PathContext:

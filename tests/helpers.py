@@ -22,7 +22,7 @@ from termsieve.graphs import Arc, DiGraph, induced
 from termsieve.model import ConcreteState, Edge, Effect, Fmp, Guard, VarDecl
 from termsieve.oracle import (
     ALL_HALT, INCONCLUSIVE, LASSO_FOUND, Configuration, ExploreCaps,
-    ExploreResult, LassoWitness, SimTrace,
+    ExploreResult, LassoWitness, SimTrace, grid_states,
 )
 from termsieve.paths import (
     DEFAULT_PATH_CAP, EffectCode, NodeVarSets, PathContext, PathGraph,
@@ -767,6 +767,20 @@ def referee_explore(fmp: Fmp, s0: ConcreteState,
     if fmp.goal is not None:
         report = goal_hits / stats["halting"] if stats["halting"] else 0.0
     return ExploreResult(ALL_HALT, None, stats, report)
+
+
+def referee_explore_grid(fmp: Fmp, grid_max: int,
+                          caps: ExploreCaps | None = None
+                          ) -> list[tuple[ConcreteState, ExploreResult]]:
+    """explore_grid without sharing: `referee_explore` per start, in grid
+    order, up to the first start that finds a lasso."""
+    out = []
+    for s0 in grid_states(fmp, grid_max):
+        res = referee_explore(fmp, s0, caps)
+        out.append((s0, res))
+        if res.kind == LASSO_FOUND:
+            break
+    return out
 
 
 def referee_run_random(fmp: Fmp, s0: ConcreteState, max_steps: int,

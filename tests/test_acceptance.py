@@ -47,6 +47,20 @@ def corpus():
     return out
 
 
+@pytest.fixture(scope="module")
+def sparse_corpus():
+    """150 12q/3v policies at density 0.12 and 150 16q/4v at density 0.10,
+    with `hsieve`x20 verdicts: the sparse bands where the hierarchy proves
+    about a third."""
+    out = []
+    for nq, nv, density in ((12, 3, 0.12), (16, 4, 0.10)):
+        for i in range(150):
+            fmp = generate_random(GenSpec(nq, nv, density, 2,
+                                          seed=500_000 + i))
+            out.append((fmp, hsieve(fmp, AnalysisConfig(def_samples=20))))
+    return out
+
+
 def test_a1_separating_example():
     fmp = load_policy(FIXTURES / "example1.fmp.json")
     t0 = time.perf_counter()
@@ -62,8 +76,9 @@ def test_a1_separating_example():
            f"hierarchical={hier} baseline={base} elapsed={elapsed * 1000:.1f}ms")
 
 
-def test_a2_corpus_soundness(corpus):
-    terminating = [f for f, r in corpus if r.verdict.kind == TERMINATING]
+def _grid_audit(terminating) -> tuple[int, int, int]:
+    """(grid runs, lassos, inconclusive) of explore_grid(..., 3) over the
+    policies."""
     runs = lassos = inconclusive = 0
     for fmp in terminating:
         for _, res in explore_grid(fmp, 3):
@@ -72,11 +87,22 @@ def test_a2_corpus_soundness(corpus):
                 lassos += 1
             elif res.kind == INCONCLUSIVE:
                 inconclusive += 1
+    return runs, lassos, inconclusive
+
+
+def test_a2_corpus_soundness(corpus, sparse_corpus):
+    terminating = [f for f, r in corpus if r.verdict.kind == TERMINATING]
+    runs, lassos, inconclusive = _grid_audit(terminating)
     rate = inconclusive / runs if runs else 1.0
-    ok = len(terminating) > 0 and lassos == 0 and rate < 0.20
+    sparse = [f for f, r in sparse_corpus if r.verdict.kind == TERMINATING]
+    sparse_runs, sparse_lassos, _ = _grid_audit(sparse)
+    ok = (len(terminating) > 0 and lassos == 0 and rate < 0.20
+          and len(sparse) > 0 and sparse_lassos == 0)
     report("A2", ok,
            f"corpus=500 terminating={len(terminating)} grid_runs={runs} "
-           f"lassos={lassos} inconclusive_rate={rate:.4f}")
+           f"lassos={lassos} inconclusive_rate={rate:.4f}; "
+           f"sparse=300 terminating_x20={len(sparse)} "
+           f"grid_runs={sparse_runs} lassos={sparse_lassos}")
 
 
 def test_a3_worked_fixtures():
@@ -404,14 +430,16 @@ def test_a7_invariant_campaigns():
            "; ".join(problems) or "cases: " + " ".join(counts))
 
 
-def test_a8_baseline_dominance(corpus):
+def test_a8_baseline_dominance(corpus, sparse_corpus):
     checked = missed = 0
     offender = None
-    for fmp, _ in corpus:
+    # the sparse bands come with their hsieve x20 reports
+    for fmp, rep in [(f, None) for f, _ in corpus] + sparse_corpus:
         if progress_sieve(fmp).kind != TERMINATING:
             continue
         checked += 1
-        rep = hsieve(fmp, AnalysisConfig(def_samples=20))
+        if rep is None:
+            rep = hsieve(fmp, AnalysisConfig(def_samples=20))
         if rep.verdict.kind != TERMINATING:
             missed += 1
             if offender is None:
@@ -419,5 +447,6 @@ def test_a8_baseline_dominance(corpus):
     if offender is not None:
         print("\nfirst policy the hierarchy missed:\n" + offender)
     report("A8", missed == 0,
-           f"baseline_terminating={checked} hierarchy_confirmed="
+           f"corpus=500+300 baseline_terminating={checked} "
+           f"hierarchy_confirmed="
            f"{checked - missed} missed={missed}")

@@ -22,8 +22,8 @@ from termsieve.policyio import load_policy
 
 from helpers import (
     FIXTURES, apply_edge, chain_policy, enabled, random_small_policy,
-    referee_explore, referee_run_random, referee_successors, replay_lasso,
-    up_loop_policy,
+    referee_explore, referee_explore_grid, referee_run_random,
+    referee_successors, replay_lasso, up_loop_policy,
 )
 
 
@@ -426,6 +426,116 @@ class TestAgainstReferee:
         assert seen == {ALL_HALT, LASSO_FOUND, INCONCLUSIVE}
 
 
+def _same_grid(got, want) -> int:
+    """explore_grid against referee_explore_grid: the same starts, kinds,
+    witnesses, value-cap hits and config caps, and no start expands more
+    than explore would. A start that expands as many reused nothing, or
+    counted what it reused, so its result is explore's, stats included.
+    Returns how many starts expanded fewer."""
+    assert [s0 for s0, _ in got] == [s0 for s0, _ in want]
+    fewer = 0
+    for (_, g), (_, w) in zip(got, want):
+        assert (g.kind, g.witness) == (w.kind, w.witness)
+        for name in ("value_cap_hits", "config_cap"):
+            assert g.stats[name] == w.stats[name]
+        assert g.stats["expanded"] <= w.stats["expanded"]
+        if g.stats["expanded"] == w.stats["expanded"]:
+            _same(g, w)
+            assert g.goal_report == w.goal_report
+        else:
+            fewer += 1
+    return fewer
+
+
+class TestGridAgainstReferee:
+    """explore_grid, sharing what halting starts explored, against
+    explore per start on the reference interpreter."""
+
+    # From x=0 only `skip` runs: q0 -> qB -> qC, which then halts. From
+    # x=1, `dec` reaches (qB, 0), known from x=0, and `side` reaches
+    # (qC, 0) again through qD.
+    TWO_ROUTES = _policy([VarDecl("x")], [
+        Edge.single("skip", "q0", "qB", {}, Guard({"x": (0, 0)})),
+        Edge.single("dec", "q0", "qB", {"x": -1}),
+        Edge.single("side", "q0", "qD", {"x": -1}),
+        Edge.single("bc", "qB", "qC"),
+        Edge.single("dc", "qD", "qC"),
+    ])
+
+    @pytest.mark.parametrize("max_configs, kind, expanded", [
+        # explore stops before (qD, 0): 1 + 2 reached through qB
+        (3, INCONCLUSIVE, 3),
+        # reuse ends before it starts
+        (4, ALL_HALT, 4),
+        # reuse ends at (qC, 0), reached from qD, which the closure of
+        # (qB, 0) already holds
+        (5, ALL_HALT, 4),
+        # the start expands only itself and (qD, 0)
+        (10**6, ALL_HALT, 2),
+    ])
+    def test_reuse_ends_within_reach_of_the_config_cap(
+            self, max_configs, kind, expanded):
+        f, caps = self.TWO_ROUTES, ExploreCaps(max_configs=max_configs)
+        got = explore_grid(f, 1, caps)
+        _same_grid(got, referee_explore_grid(f, 1, caps))
+        (_, first), (_, second) = got
+        assert first.kind == ALL_HALT and first.stats["expanded"] == 3
+        assert second.kind == kind
+        assert second.stats["expanded"] == expanded
+
+    @staticmethod
+    def policies(rng, n):
+        """Guarded policies with action sets and lower bounds off zero,
+        every fourth one generated; every third has a goal."""
+        for i in range(n):
+            if i % 4 == 3:
+                f = generate_random(GenSpec(2 + i % 4, 1 + i % 3, 0.3, 2,
+                                            seed=63_000 + i))
+            else:
+                f = random_small_policy(rng)
+            if i % 3 == 0:
+                x = f.variables[0]
+                f = Fmp(f.variables, f.qstates, f.initial, f.edges,
+                        goal={x.name: (x.lower_bound,
+                                       rng.choice([None, 0, 2]))})
+            yield f
+
+    @staticmethod
+    def check(f, caps, grid) -> tuple[int, set[str]]:
+        got = explore_grid(f, grid, caps)
+        fewer = _same_grid(got, referee_explore_grid(f, grid, caps))
+        return fewer, {res.kind for _, res in got}
+
+    def test_under_config_caps(self):
+        # reuse must stop while expanding every known configuration could
+        # still reach the cap; at caps this small a grid that reused
+        # closures freely reports all_halt where explore is capped
+        rng = random.Random(23_023)
+        kinds, fewer = set(), 0
+        for f in self.policies(rng, 1000):
+            caps = ExploreCaps(max_configs=rng.randint(1, 30),
+                               max_value=rng.choice([None, 0, 2, 20]))
+            n, k = self.check(f, caps, rng.randint(1, 3))
+            fewer += n
+            kinds |= k
+        assert kinds == {ALL_HALT, LASSO_FOUND, INCONCLUSIVE}
+        assert fewer >= 100
+
+    def test_without_config_cap(self):
+        rng = random.Random(23_024)
+        kinds, fewer = set(), 0
+        for f in self.policies(rng, 400):
+            # value caps that keep the referee's search small
+            values = [None, 0, 2, 20] if len(f.variables) == 1 else [0, 2, 6]
+            caps = ExploreCaps(max_configs=10**6,
+                               max_value=rng.choice(values))
+            n, k = self.check(f, caps, rng.randint(1, 3))
+            fewer += n
+            kinds |= k
+        assert kinds == {ALL_HALT, LASSO_FOUND, INCONCLUSIVE}
+        assert fewer >= 200
+
+
 class TestCompiledOnce:
     def test_grid_compiles_once_and_packs_once_per_width(self, monkeypatch):
         compiled, widths = [], []
@@ -450,6 +560,6 @@ class TestCompiledOnce:
         assert len(results) == 64
         assert all(res.kind == ALL_HALT for _, res in results)
         assert len(compiled) == 1
-        # start maxima 0..3 derive the caps 64, 128, 192 and 256, which
-        # need fields of 7, 8, 8 and 9 bits
-        assert sorted(widths) == sorted(set(widths)) and len(widths) == 3
+        # start maxima 0..3 derive the caps 64, 128, 192 and 256; the
+        # grid packs once, for the largest, which needs 9-bit fields
+        assert widths == [9]

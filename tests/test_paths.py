@@ -1,11 +1,12 @@
 """Path enumeration and the variable-set recursions."""
 import random
+import time
 from collections import Counter
 
 import pytest
 
 from termsieve import paths
-from termsieve.analysis import AnalysisConfig, hsieve
+from termsieve.analysis import AnalysisConfig, _Shared, hsieve
 from termsieve.decomposition import DetNode, build_def, quotient
 from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import boundary, graph, induced, policy_graph
@@ -26,6 +27,8 @@ from helpers import (
     brute_through_paths,
     brute_var_sets,
     chord_ring_policy,
+    circulant_policy,
+    is_acyclic,
     iter_nodes,
     key_net,
     listed_paths,
@@ -613,9 +616,14 @@ class TestNonnegativeCycle:
     """`paths.nonnegative_cycle` against brute-force simple cycles."""
 
     @staticmethod
-    def search(g, effects, budget=100_000):
-        return paths.nonnegative_cycle(path_ctx(g, effects, None).graph,
-                                       budget)
+    def graph(g, effects):
+        """The compiled graph and the masks of its cyclic SCCs."""
+        graph = path_ctx(g, effects, None).graph
+        return graph, list(filter(graph.cyclic, graph.sccs(graph.all)))
+
+    def search(self, g, effects, budget=100_000):
+        graph, cyclic = self.graph(g, effects)
+        return paths.nonnegative_cycle(graph, budget, cyclic)
 
     def test_small_cases(self):
         loops = g_of(("up", "q", "q"), ("down", "q", "q"))
@@ -669,3 +677,27 @@ class TestNonnegativeCycle:
         assert found >= 120
         assert gave_up >= 100
         assert refuted >= 40
+
+    def test_refusal_only_without_nonnegative_cycles(self):
+        rng = random.Random(2025)
+        fired = fired_cyclic = 0
+        for _ in range(400):
+            g = random_digraph(rng, max_vertices=6, max_arcs=12)
+            counters = [f"x{i}" for i in range(rng.randint(1, 3))]
+            effects = {aid: {x: rng.choice([-2, -1, -1, 1]) for x in counters
+                             if rng.random() < 0.7}
+                       for aid, _, _ in g.arcs}
+            if paths.every_cycle_decreases(*self.graph(g, effects)):
+                assert not brute_nonnegative_cycle(g, effects, 10**9)
+                fired += 1
+                fired_cyclic += not is_acyclic(g)
+        assert fired_cyclic >= 60
+        assert fired - fired_cyclic >= 20
+
+    def test_circulant_refused_before_walking(self):
+        # every arc decrements x; walking the cycles up to the default
+        # budget took seconds
+        shared = _Shared(circulant_policy(300), paths.DEFAULT_PATH_CAP)
+        t0 = time.perf_counter()
+        assert not shared.pumps()
+        assert time.perf_counter() - t0 < 0.5
