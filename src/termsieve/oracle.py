@@ -8,7 +8,10 @@ downgrades the answer to inconclusive, never to a wrong certificate.
 
 Every engine here runs on one integer per configuration (see `Packing`) and
 decodes to `Configuration` only for steps and for witnesses when they are
-read.
+read. explore() builds no successor list: its DFS path is three integer
+lists (keys, entering edge ids, next action indices), each frame scans its
+qstate's actions in place from its index, and a configuration counts as
+halting when the scan of its frame ends with no action enabled.
 """
 
 from __future__ import annotations
@@ -327,6 +330,17 @@ def explore(
 ) -> ExploreResult:
     """Exhaustive DFS from (initial qstate, s0) within the caps.
 
+    The path is kept in three lists that grow and shrink in place: each
+    frame's key, the edge id that entered it (None at the start) and the
+    index of the next action to try in its row of `Packing.table`. A frame
+    scans its actions from that index in declaration order, with the tests
+    of `Packing.successors`, and stops at the first successor to expand, so
+    no successor list is built. A configuration counts as halting, and is
+    checked against the goal, when the scan of its frame ends with no
+    enabled action; that scan runs right after the configuration is
+    expanded, before any later expansion, so the stats at any stop are
+    those of counting halting at expansion.
+
     `shared` carries what earlier starts of one `explore_grid` call found
     (see `explore_grid`); without it nothing is known and the search
     expands every configuration it reaches.
@@ -343,7 +357,8 @@ def explore(
     else:
         p, known = shared.packing, shared.known
     cap_add, cap_bits = p.cap_test(max_value)
-    vmask, successors, max_configs = p.vmask, p.successors, caps.max_configs
+    table, qmask, guard, vmask = p.table, p.qmask, p.guard, p.vmask
+    max_configs = caps.max_configs
     # A known configuration stands in for its closure while expanding all
     # of `known` as well could not reach max_configs: while
     # `expanded < spare`.
@@ -351,70 +366,86 @@ def explore(
 
     # depth on the current path while a key is on it, then _DONE
     depth: dict[int, int] = {}
-    # frame: (key, edge_in, iterator over the (edge id, key) successors)
-    path: list[tuple] = []
+    # the path, one entry per frame in each list: key, entering edge id,
+    # index of the next action to try
+    keys = [p.pack(fmp.initial, s0.values)]
+    edges: list[str | None] = [None]
+    nexts = [0]
+    depth[keys[0]] = 0
     # known keys marked done in place of their closures
     reused: list[int] = []
-    expanded = halting = value_cap_hits = goal_hits = 0
+    expanded, halting, value_cap_hits, goal_hits = 1, 0, 0, 0
 
     def stats(config_cap: int = 0) -> dict[str, int]:
         return {"expanded": expanded, "halting": halting,
                 "value_cap_hits": value_cap_hits, "config_cap": config_cap}
 
-    step_in = (None, p.pack(fmp.initial, s0.values))
-    while step_in is not None:
-        edge_in, key = step_in
-        depth[key] = len(path)
+    while keys:
+        key = keys[-1]
+        row = table[key & qmask]
+        i, end = nexts[-1], len(row)
+        # a frame resumed past its first action has an enabled one
+        live = i > 0
+        while i < end:
+            eid, weight, test = row[i]
+            i += 1
+            if test is not None:
+                lo_add, lo_bits, hi_add, hi_bits = test
+                v = key & vmask
+                if ((v + lo_add) & lo_bits != lo_bits
+                        or (v + hi_add) & hi_bits):
+                    continue
+            nkey = key + weight
+            if nkey & guard != guard:
+                continue
+            live = True
+            if ((nkey & vmask) + cap_add) & cap_bits:
+                value_cap_hits += 1
+                continue
+            d = depth.get(nkey)
+            if d == _DONE:
+                continue
+            if d is not None:
+                witness = LassoWitness(p.config, [*keys, nkey],
+                                       [*edges[1:], eid], d)
+                return ExploreResult(LASSO_FOUND, witness, stats())
+            if reuse:
+                if expanded < spare:
+                    c = known.get(nkey)
+                    if c is not None and c <= max_value:
+                        depth[nkey] = _DONE
+                        reused.append(nkey)
+                        continue
+                else:
+                    # Reuse ends. Count the closures reused so far as
+                    # explore would have expanded them, so that from
+                    # here on the config cap binds as it would.
+                    reuse = False
+                    n, h, g = _walk_closures(p, depth, reused)
+                    expanded += n
+                    halting += h
+                    goal_hits += g
+                    if nkey in depth:
+                        continue
+            if expanded >= max_configs:
+                return ExploreResult(INCONCLUSIVE, None, stats(1))
+            break
+        else:
+            if not live:
+                halting += 1
+                if p.goal is not None and p.holds(p.goal, key):
+                    goal_hits += 1
+            keys.pop()
+            edges.pop()
+            nexts.pop()
+            depth[key] = _DONE
+            continue
+        nexts[-1] = i
+        depth[nkey] = len(keys)
+        keys.append(nkey)
+        edges.append(eid)
+        nexts.append(0)
         expanded += 1
-        succ = successors(key)
-        if not succ:
-            halting += 1
-            if p.goal is not None and p.holds(p.goal, key):
-                goal_hits += 1
-        path.append((key, edge_in, iter(succ)))
-        # the next configuration to expand, backtracking as needed
-        step_in = None
-        while path and step_in is None:
-            key, _, rest = path[-1]
-            for eid, nkey in rest:
-                if ((nkey & vmask) + cap_add) & cap_bits:
-                    value_cap_hits += 1
-                    continue
-                d = depth.get(nkey)
-                if d == _DONE:
-                    continue
-                if d is not None:
-                    keys = [f[0] for f in path]
-                    keys.append(nkey)
-                    edges = [f[1] for f in path[1:]]
-                    edges.append(eid)
-                    witness = LassoWitness(p.config, keys, edges, d)
-                    return ExploreResult(LASSO_FOUND, witness, stats())
-                if reuse:
-                    if expanded < spare:
-                        c = known.get(nkey)
-                        if c is not None and c <= max_value:
-                            depth[nkey] = _DONE
-                            reused.append(nkey)
-                            continue
-                    else:
-                        # Reuse ends. Count the closures reused so far as
-                        # explore would have expanded them, so that from
-                        # here on the config cap binds as it would.
-                        reuse = False
-                        n, h, g = _walk_closures(p, depth, reused)
-                        expanded += n
-                        halting += h
-                        goal_hits += g
-                        if nkey in depth:
-                            continue
-                if expanded >= max_configs:
-                    return ExploreResult(INCONCLUSIVE, None, stats(1))
-                step_in = (eid, nkey)
-                break
-            else:
-                path.pop()
-                depth[key] = _DONE
 
     # Every configuration descends from the start, so any value-cap hit
     # leaves a branch unexplored below it.

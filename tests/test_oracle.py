@@ -536,6 +536,118 @@ class TestGridAgainstReferee:
         assert fewer >= 200
 
 
+class TestInPlaceScan:
+    """explore scans each configuration's actions in place and counts a
+    configuration halting when that scan ends with no enabled action."""
+
+    def test_builds_no_successor_list(self, monkeypatch):
+        def successors(self, key):
+            raise AssertionError("a successor list was built")
+
+        monkeypatch.setattr(oracle.Packing, "successors", successors)
+        kinds = set()
+        for f, values, caps in HAND_BUILT.values():
+            s0 = f.state(values)
+            for c in (caps, ExploreCaps(3, caps.max_value)):
+                got = explore(f, s0, c)
+                _same(got, referee_explore(f, s0, c))
+                kinds.add((got.kind, got.stats["config_cap"]))
+        assert kinds >= {(ALL_HALT, 0), (LASSO_FOUND, 0), (INCONCLUSIVE, 0),
+                         (INCONCLUSIVE, 1)}
+        # with no config cap in reach, reuse never ends, so explore_grid
+        # walks no closure either
+        rng = random.Random(24_024)
+        fewer = 0
+        for f in TestGridAgainstReferee.policies(rng, 100):
+            caps = ExploreCaps(max_configs=10**6,
+                               max_value=rng.choice([0, 2, 6]))
+            fewer += TestGridAgainstReferee.check(f, caps, rng.randint(1, 3))[0]
+        assert fewer > 0
+
+    # name -> (policy, start values, value cap, m, event): the config cap m
+    # falls right after the event
+    EVENTS = {
+        # (q0, 3) steps down to (q0, 0); the halting (q1, 0) and (q1, 1),
+        # expanded 5th and 6th, lie in the goal, (q1, 2) and (q1, 3) do not
+        "after-goal": (
+            _policy([VarDecl("x")], [
+                Edge.single("dec", "q0", "q0", {"x": -1}),
+                Edge.single("stop", "q0", "q1"),
+            ], goal={"x": (0, 1)}),
+            {"x": 3}, None, 5, "halting"),
+        # (q3, 0), expanded 9th, halts; (q2, 1), expanded 10th, does not,
+        # as its one successor (q3, 0) is done
+        "after-halting": (
+            _policy([VarDecl("x")], [
+                Edge.single("a", "q0", "q1"),
+                Edge.single("b", "q0", "q2", {"x": 1}),
+                Edge.single("c", "q1", "q3"),
+                Edge.single("d", "q2", "q3", {"x": -1}),
+                Edge.single("e", "q3", "q0", {"x": -1}),
+            ]),
+            {"x": 2}, None, 9, "halting"),
+        # (q0, 3), expanded 4th, has `up` past the cap; (q1, 3), expanded
+        # 5th, does not halt, as its one action passes the cap
+        "after-value-cap": (
+            _policy([VarDecl("x")], [
+                Edge.single("up", "q0", "q0", {"x": 1}),
+                Edge.single("jump", "q0", "q1"),
+                Edge.single("end", "q0", "q2"),
+                Edge.single("over", "q1", "q1", {"x": 5}),
+            ]),
+            {"x": 0}, 3, 4, "value_cap_hits"),
+        # the 6th expansion, (q2, 0), closes q1 -> q2 -> q1
+        "before-lasso": (
+            _policy([VarDecl("x")], [
+                Edge.single("dec", "q0", "q0", {"x": -1}),
+                Edge.single("zero", "q0", "q1", {}, Guard({"x": (0, 0)})),
+                Edge.single("stop", "q0", "q3"),
+                Edge.single("on", "q1", "q2"),
+                Edge.single("back", "q2", "q1"),
+            ]),
+            {"x": 3}, None, 5, LASSO_FOUND),
+    }
+
+    @staticmethod
+    def sweep(f, s0, max_value):
+        """explore at config caps 1..40, each equal to the referee's, goal
+        report included."""
+        out = []
+        for m in range(1, 41):
+            caps = ExploreCaps(m, max_value)
+            got = explore(f, s0, caps)
+            _same(got, referee_explore(f, s0, caps))
+            out.append(got)
+        return out
+
+    @pytest.mark.parametrize("name", sorted(EVENTS))
+    def test_config_cap_sweep_hand_built(self, name):
+        f, values, max_value, m, event = self.EVENTS[name]
+        res = self.sweep(f, f.state(values), max_value)
+        before, at, after = res[m - 2:m + 1]
+        assert before.stats["config_cap"] == at.stats["config_cap"] == 1
+        if event == LASSO_FOUND:
+            assert after.kind == LASSO_FOUND
+        else:
+            assert at.stats[event] > before.stats[event]
+        assert res[-1].stats["config_cap"] == 0
+
+    def test_config_cap_sweep_random(self):
+        rng = random.Random(24_025)
+        kinds = set()
+        for i in range(200):
+            f = random_small_policy(rng)
+            if i % 3 == 0:
+                x = f.variables[0]
+                f = Fmp(f.variables, f.qstates, f.initial, f.edges,
+                        goal={x.name: (x.lower_bound,
+                                       rng.choice([None, 0, 2]))})
+            s0 = rng.choice(list(grid_states(f, 2)))
+            res = self.sweep(f, s0, rng.choice([None, 0, 2, 6]))
+            kinds |= {r.kind for r in res}
+        assert kinds == {ALL_HALT, LASSO_FOUND, INCONCLUSIVE}
+
+
 class TestCompiledOnce:
     def test_grid_compiles_once_and_packs_once_per_width(self, monkeypatch):
         compiled, widths = [], []
