@@ -12,9 +12,9 @@ from .analysis import (
     hsieve_once,
     progress_sieve,
 )
-from .decomposition import DefForest, DetNode, build_def, quotient
+from .decomposition import DefForest, DetNode, Splits, build_def
 from .generate import GenError, GenSpec, generate_random
-from .graphs import DiGraph, SccPartition, boundary, induced, policy_graph, scc_decompose
+from .graphs import SccGraph
 from .model import (
     ConcreteState,
     Edge,

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from .decomposition import DefForest, DetNode, Splits, build_def
-from .graphs import DiGraph, SccGraph
+from .graphs import SccGraph
 from .model import Fmp
 from .paths import (
     DEFAULT_PATH_CAP,
@@ -157,25 +157,22 @@ class _Shared:
         self.effects = {e.id: e.effect for e in fmp.edges}
         self.code = EffectCode(self.effects, len(fmp.qstates))
         self.edge_ids = frozenset(self.effects)
-        self.graphs: dict[frozenset[str],
-                          tuple[DiGraph, Splits, PathContext]] = {}
+        self.graphs: dict[frozenset[str], tuple[Splits, PathContext]] = {}
         # edge set -> forest trees -> outcome
         self.outcomes: dict[frozenset[str],
                             dict[tuple[DetNode, ...], _Outcome]] = {}
 
     def graph(self, edge_ids: frozenset[str]
-              ) -> tuple[DiGraph, Splits, PathContext]:
+              ) -> tuple[Splits, PathContext]:
         got = self.graphs.get(edge_ids)
         if got is None:
             fmp = self.fmp
-            graph = DiGraph(
-                vertices=frozenset(fmp.qstates),
-                arcs=tuple((e.id, e.src, e.dst) for e in fmp.edges
-                           if e.id in edge_ids),
-            )
-            compiled = PathGraph(graph.vertices, graph.arcs, self.code)
+            compiled = PathGraph(
+                fmp.qstates,
+                [(e.id, e.src, e.dst) for e in fmp.edges if e.id in edge_ids],
+                self.code)
             got = self.graphs[edge_ids] = (
-                graph, Splits(compiled),
+                Splits(compiled),
                 PathContext(compiled, fmp.initial, self.path_cap))
             self.outcomes[edge_ids] = {}
         return got
@@ -203,7 +200,7 @@ class _Shared:
         seen = set(stack)
         while stack:
             edge_ids = stack.pop()
-            _, splits, _ = self.graphs[edge_ids]
+            splits, _ = self.graphs[edge_ids]
             memo = self.outcomes[edge_ids]
             if splits.forests() != len(memo):
                 return False
@@ -223,7 +220,7 @@ class _Shared:
         counters, and the hierarchical argument is sound, so every sample
         ends `unknown`.
         """
-        _, splits, ctx = self.graph(self.edge_ids)
+        splits, ctx = self.graph(self.edge_ids)
         return nonnegative_cycle(ctx.graph, self.path_cap,
                                  splits.cyclic_sccs())
 
@@ -231,7 +228,7 @@ class _Shared:
                  trees: tuple[DetNode, ...]) -> _Outcome:
         if not trees:
             return (), frozenset(), (), Verdict(TERMINATING, "graph-acyclic")
-        ctx = self.graphs[edge_ids][2]
+        ctx = self.graphs[edge_ids][1]
         try:
             per_root = tuple(ctx.tree_sets(tree) for tree in trees)
         except PathCapExceeded:
@@ -275,8 +272,8 @@ def hsieve_once(
     iterations: list[IterationTrace] = []
     # each iteration but the last removes an edge
     for i in range(len(fmp.edges) + 2):
-        graph, splits, _ = shared.graph(edge_ids)
-        forest = build_def(graph, def_seed_for(seed, i), splits)
+        splits, _ = shared.graph(edge_ids)
+        forest = build_def(splits, def_seed_for(seed, i))
         per_root, candidates, removed, verdict = shared.outcome(
             edge_ids, forest.trees)
         iterations.append(
@@ -353,7 +350,7 @@ def progress_sieve(fmp: Fmp) -> Verdict:
     effects = {e.id: e.effect for e in fmp.edges}  # raises unless normalized
     arcs = [(e.id, e.src, e.dst) for e in fmp.edges]
     while arcs:
-        g = SccGraph({v for _, src, dst in arcs for v in (src, dst)}, arcs)
+        g = SccGraph(fmp.qstates, arcs)  # raises on an undeclared qstate
         comp_of = {v: c for c in g.sccs(g.all) for v in g.vertices(c)}
         inner: dict[int, list[tuple[str, str, str]]] = {}
         for arc in arcs:

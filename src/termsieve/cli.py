@@ -19,10 +19,10 @@ from .analysis import (
     hsieve,
     progress_sieve,
 )
+from .decomposition import Splits, build_def
 from .dot import export_def_dot, export_dot
 from .generate import GenError, GenSpec, generate_random
-from .graphs import policy_graph
-from .decomposition import build_def
+from .graphs import SccGraph
 from .model import Fmp, normalize, validate
 from .oracle import (
     ALL_HALT,
@@ -304,7 +304,8 @@ def _cmd_generate(args) -> int:
 def _cmd_export_dot(args) -> int:
     fmp = _load_valid(args.file)
     if args.forest:
-        forest = build_def(policy_graph(fmp), args.seed)
+        arcs = [(e.id, e.src, e.dst) for e in fmp.edges]
+        forest = build_def(Splits(SccGraph(fmp.qstates, arcs)), args.seed)
         sys.stdout.write(export_def_dot(forest))
     else:
         sys.stdout.write(export_dot(fmp))

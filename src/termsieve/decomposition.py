@@ -15,6 +15,11 @@ bit masks (`graphs.SccGraph`), the nontrivial SCCs left by each (vertex
 set, elim) split once, and each node built once, so that equal trees drawn
 on the graph are one object. Once every elim of every vertex set the draws
 reach has been drawn, it also knows how many forests the graph has.
+`build_def` draws one forest from a `Splits`.
+
+`quotient`, on a string-keyed `graphs.DiGraph`, is a test referee for
+`paths.PathGraph.quotient`; it stays here because the bench tracer wraps
+it by name.
 """
 
 from __future__ import annotations
@@ -217,15 +222,13 @@ class Splits:
         return tuple(trees)
 
 
-def build_def(g: DiGraph, seed: int,
-              splits: Splits | None = None) -> DefForest:
-    """One elimination tree per nontrivial SCC of `g`, in canonical order.
+def build_def(splits: Splits, seed: int) -> DefForest:
+    """One elimination tree per nontrivial SCC of the graph `splits` was
+    made on, in canonical order.
 
-    `splits`, made on `g` compiled, holds what earlier forests of `g` split
-    and built; the seed alone still fixes the forest.
+    `splits` holds what earlier forests of the graph split and built; the
+    seed alone still fixes the forest.
     """
-    if splits is None:
-        splits = Splits(SccGraph(g.vertices, g.arcs))
     return DefForest(trees=splits.draw(seed), seed=seed)
 
 

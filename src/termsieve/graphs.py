@@ -1,17 +1,16 @@
 """Directed multigraph utilities: SCCs, induced subgraphs, boundaries.
 
-The engines compile an edge set once as an `SccGraph` and split vertex
-masks. `DiGraph` is the named form that `build_def` and the CLI take;
-`induced`, `boundary` and `scc_decompose` serve the tests and the bench
-tracer.
+The engines and the CLI compile an edge set once as an `SccGraph` and split
+vertex masks; `decomposition.Splits` draws forests from it. `DiGraph`, a
+graph with named vertices, serves only the string-keyed referees
+`scc_decompose`, `induced` and `boundary`, which the tests check the
+compiled form against and the bench tracer wraps by name.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from typing import Iterable
-
-from .model import Fmp
 
 Arc = tuple[str, str, str]  # (id, src, dst)
 
@@ -27,18 +26,6 @@ class DiGraph:
         for aid, src, dst in self.arcs:
             if src not in self.vertices or dst not in self.vertices:
                 raise ValueError(f"arc {aid}: endpoint outside vertex set")
-
-
-def graph(vertices: Iterable[str], arcs: Iterable[Arc]) -> DiGraph:
-    return DiGraph(vertices=frozenset(vertices), arcs=tuple(arcs))
-
-
-def policy_graph(fmp: Fmp) -> DiGraph:
-    """The control graph of a policy: qstates as vertices, edges as arcs."""
-    return DiGraph(
-        vertices=frozenset(fmp.qstates),
-        arcs=tuple((e.id, e.src, e.dst) for e in fmp.edges),
-    )
 
 
 @dataclass(frozen=True)
@@ -63,7 +50,8 @@ class SccGraph:
     and `index` maps a name to its `i`; a vertex set is the mask of its
     bits. `succ[i]` is the mask of the successors of `i`, itself included
     when it has a self-loop, and `loops` the mask of the vertices with a
-    self-loop. Parallel arcs compile to one bit.
+    self-loop. Parallel arcs compile to one bit. An arc with an endpoint
+    outside `vertices` raises ValueError.
     """
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[Arc]):
@@ -72,11 +60,15 @@ class SccGraph:
         self.index = index = {v: i for i, v in enumerate(names)}
         self.succ = succ = [0] * len(names)
         loops = 0
-        for _, src, dst in arcs:
-            s, d = index[src], index[dst]
-            succ[s] |= 1 << d
-            if s == d:
-                loops |= 1 << s
+        try:
+            for aid, src, dst in arcs:
+                s, d = index[src], index[dst]
+                succ[s] |= 1 << d
+                if s == d:
+                    loops |= 1 << s
+        except KeyError:
+            raise ValueError(
+                f"arc {aid}: endpoint outside vertex set") from None
         self.loops = loops
 
     def sccs(self, mask: int) -> list[int]:

@@ -17,8 +17,8 @@ import sys
 from typing import Any, Iterable
 
 from termsieve.analysis import NONTERMINATING_QUALITATIVE, TERMINATING, Verdict
-from termsieve.decomposition import DefForest, DetNode, quotient
-from termsieve.graphs import Arc, DiGraph, induced
+from termsieve.decomposition import DefForest, DetNode, Splits, build_def, quotient
+from termsieve.graphs import Arc, DiGraph, SccGraph, induced
 from termsieve.model import ConcreteState, Edge, Effect, Fmp, Guard, VarDecl
 from termsieve.oracle import (
     ALL_HALT, INCONCLUSIVE, LASSO_FOUND, Configuration, ExploreCaps,
@@ -34,6 +34,20 @@ TEST_FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
 
 
 # ---------------------------------------------------------------- graphs
+
+def graph(vertices: Iterable[str], arcs: Iterable[Arc]) -> DiGraph:
+    return DiGraph(vertices=frozenset(vertices), arcs=tuple(arcs))
+
+
+def policy_graph(fmp: Fmp) -> DiGraph:
+    """The control graph of a policy: qstates as vertices, edges as arcs."""
+    return graph(fmp.qstates, ((e.id, e.src, e.dst) for e in fmp.edges))
+
+
+def draw_forest(g: DiGraph, seed: int) -> DefForest:
+    """The forest `build_def` draws from `seed` on `g`, compiled afresh."""
+    return build_def(Splits(SccGraph(g.vertices, g.arcs)), seed)
+
 
 def brute_reachable(g: DiGraph, start: str) -> frozenset[str]:
     seen = {start}

@@ -12,9 +12,9 @@ import pytest
 from termsieve.analysis import (
     TERMINATING, UNKNOWN, AnalysisConfig, hsieve, hsieve_once, progress_sieve,
 )
-from termsieve.decomposition import build_def, quotient
+from termsieve.decomposition import quotient
 from termsieve.generate import GenSpec, generate_random
-from termsieve.graphs import boundary, induced, policy_graph, scc_decompose
+from termsieve.graphs import boundary, induced, scc_decompose
 from termsieve.model import normalize
 from termsieve.oracle import ALL_HALT, INCONCLUSIVE, LASSO_FOUND, explore, explore_grid
 from termsieve.paths import (
@@ -23,9 +23,9 @@ from termsieve.paths import (
 from termsieve.policyio import load_policy, parse_policy, serialize_policy
 
 from helpers import (
-    FIXTURES, TEST_FIXTURES, brute_sccs, check_det, guard_free_walks,
-    iter_nodes, key_net, listed_paths, path_ctx, random_digraph,
-    random_small_policy, replay_lasso,
+    FIXTURES, TEST_FIXTURES, brute_sccs, check_det, draw_forest,
+    guard_free_walks, iter_nodes, key_net, listed_paths, path_ctx,
+    policy_graph, random_digraph, random_small_policy, replay_lasso,
 )
 
 
@@ -204,7 +204,7 @@ def _c_def_structure(n):
     rng = random.Random(71001)
     for k in range(n):
         g = random_digraph(rng)
-        forest = build_def(g, rng.randrange(1 << 16))
+        forest = draw_forest(g, rng.randrange(1 << 16))
         errs = check_det(forest, g)
         if errs:
             return k, [f"structure check failed at case {k}: {errs[:2]}"]
@@ -254,7 +254,7 @@ def _c_path_shapes(target):
             for a in g.arcs
         }
         q0 = rng.choice(sorted(g.vertices)) if rng.random() < 0.5 else None
-        forest = build_def(g, rng.randrange(1 << 16))
+        forest = draw_forest(g, rng.randrange(1 << 16))
         ctx = path_ctx(g, effects, q0)
         code = ctx.graph.code
         for node in iter_nodes(forest):
@@ -321,7 +321,7 @@ def _c_iv_covers_positive_walks(target):
     while cases < target:
         fmp = normalize(random_small_policy(rng))
         g = policy_graph(fmp)
-        forest = build_def(g, rng.randrange(1 << 16))
+        forest = draw_forest(g, rng.randrange(1 << 16))
         effects = {e.id: e.effect for e in fmp.edges}
         ctx = path_ctx(g, effects, fmp.initial)
         try:
@@ -356,7 +356,7 @@ def _c_dv_forces_decrease(target):
     while cases < target:
         fmp = normalize(random_small_policy(rng))
         g = policy_graph(fmp)
-        forest = build_def(g, rng.randrange(1 << 16))
+        forest = draw_forest(g, rng.randrange(1 << 16))
         effects = {e.id: e.effect for e in fmp.edges}
         ctx = path_ctx(g, effects, fmp.initial)
         try:

@@ -3,6 +3,7 @@ import dataclasses
 import hashlib
 import json
 import random
+import re
 import time
 from collections import Counter
 
@@ -21,9 +22,9 @@ from termsieve.analysis import (
     hsieve_once,
     progress_sieve,
 )
-from termsieve.decomposition import build_def
+from termsieve.cli import cli_dispatch
 from termsieve.generate import GenSpec, generate_random
-from termsieve.graphs import DiGraph, SccGraph, policy_graph
+from termsieve.graphs import DiGraph, SccGraph
 from termsieve.model import Edge, Fmp, VarDecl, normalize
 from termsieve.oracle import LASSO_FOUND, explore
 from termsieve.paths import DEFAULT_PATH_CAP, PathContext, var_sets
@@ -31,9 +32,9 @@ from termsieve.policyio import load_policy
 
 from helpers import (
     FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, chord_ring_policy,
-    circulant_policy, iter_nodes, path_ctx, random_small_policy, recursion_room,
-    referee_progress_sieve, replay_lasso, ring_policy, two_pair_lasso_policy,
-    up_loop_policy,
+    circulant_policy, draw_forest, iter_nodes, path_ctx, policy_graph,
+    random_small_policy, recursion_room, referee_progress_sieve, replay_lasso,
+    ring_policy, two_pair_lasso_policy, up_loop_policy,
 )
 
 
@@ -125,7 +126,7 @@ class TestChildrenWithCollidingNames:
         effects = {e.id: e.effect for e in f.edges}
         ctx = path_ctx(g, effects, f.initial)
         for seed in range(20):
-            for node in iter_nodes(build_def(g, seed)):
+            for node in iter_nodes(draw_forest(g, seed)):
                 assert var_sets(node, ctx) == brute_var_sets(
                     g, effects, f.initial, node)
 
@@ -234,6 +235,17 @@ class TestDegenerateGraphs:
                 hsieve_once(f, 0)
             with pytest.raises(ValueError):
                 progress_sieve(f)
+
+    def test_rejects_undeclared_qstate(self):
+        # unvalidated: e1 leaves the declared qstates, and without it the
+        # policy drains x on a self-loop
+        f = Fmp(variables=(VarDecl("x"),), qstates=("a",), initial="a",
+                edges=(Edge.single("e1", "a", "zz", effect={"x": -1}),
+                       Edge.single("e2", "a", "a", effect={"x": -1})))
+        for engine in (hsieve, progress_sieve):
+            with pytest.raises(ValueError,
+                               match="arc e1: endpoint outside vertex set"):
+                engine(f)
 
 
 class TestResourceCap:
@@ -632,6 +644,48 @@ class TestProgressSieve:
         assert kinds[NONTERMINATING_QUALITATIVE] > 500
 
 
+class TestCompiledGraphsOnly:
+    """The engines and the CLI draw forests from compiled graphs: no path
+    through them builds a string-keyed `graphs.DiGraph`."""
+
+    NAMES = ("example1", "f2", "f3", "f8prime")
+
+    def answers(self, capsys, tmp_path):
+        policies = [fixture(name) for name in self.NAMES] + [
+            generate_random(GenSpec(n_qstates=2 + i % 6, n_vars=1 + i % 3,
+                                    edge_density=0.4, max_abs_delta=2,
+                                    seed=70_000 + i))
+            for i in range(50)]
+        out = []
+        for f in policies:
+            for samples in (1, 20):
+                rep = hsieve(f, AnalysisConfig(def_samples=samples))
+                out.append(without_wall(rep.to_trace_dict()))
+            out.append(progress_sieve(f))
+        for name in self.NAMES:
+            path = str(FIXTURES / f"{name}.fmp.json")
+            dots = tmp_path / name
+            code = cli_dispatch(["analyze", path, "--def-samples", "3",
+                                 "--emit-dot", str(dots)])
+            text = re.sub(r"wall_ms=\S+", "", capsys.readouterr().out)
+            out.append((code, text, {p.name: p.read_text()
+                                     for p in sorted(dots.iterdir())}))
+            code = cli_dispatch(["export-dot", path, "--def", "--seed", "1"])
+            out.append((code, capsys.readouterr().out))
+        return out
+
+    def test_no_digraph_built(self, monkeypatch, capsys, tmp_path):
+        expected = self.answers(capsys, tmp_path / "plain")
+
+        def refuse(g):
+            raise AssertionError("a DiGraph was built")
+
+        monkeypatch.setattr(DiGraph, "__post_init__", refuse)
+        with pytest.raises(AssertionError):
+            policy_graph(fixture("f3"))
+        assert self.answers(capsys, tmp_path / "patched") == expected
+
+
 class TestReplayInvariants:
     """Re-derive each iteration of the trace from scratch and compare."""
 
@@ -648,7 +702,7 @@ class TestReplayInvariants:
                     vertices=frozenset(fmp.qstates),
                     arcs=tuple((e.id, e.src, e.dst) for e in edges.values()),
                 )
-                assert build_def(g, it.forest.seed) == it.forest
+                assert draw_forest(g, it.forest.seed) == it.forest
                 effects = {eid: e.effect for eid, e in edges.items()}
                 merged = set()
                 removable = set()

@@ -15,13 +15,11 @@ from termsieve import cli, oracle
 from termsieve.analysis import AnalysisConfig, hsieve
 from termsieve.cli import cli_dispatch
 from termsieve.dot import export_def_dot, export_dot
-from termsieve.decomposition import build_def
-from termsieve.graphs import policy_graph
 from termsieve.policyio import load_policy, parse_policy, save_policy
 
 from helpers import (
-    FIXTURES, TEST_FIXTURES, chord_ring_policy, circulant_policy,
-    recursion_room, ring_policy,
+    FIXTURES, TEST_FIXTURES, chord_ring_policy, circulant_policy, draw_forest,
+    policy_graph, recursion_room, ring_policy,
 )
 
 EXAMPLE1 = str(FIXTURES / "example1.fmp.json")
@@ -497,7 +495,7 @@ class TestExportDot:
         code, out, _ = run(capsys, "export-dot", F3, "--def", "--seed", "0")
         assert code == 0
         f = load_policy(F3)
-        assert out == export_def_dot(build_def(policy_graph(f), 0))
+        assert out == export_def_dot(draw_forest(policy_graph(f), 0))
 
 
 class TestDispatch:

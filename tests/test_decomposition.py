@@ -5,17 +5,14 @@ from termsieve.decomposition import (
     DefForest,
     DetNode,
     Splits,
-    build_def,
     quotient,
 )
-from termsieve.graphs import (
-    SccGraph, graph, induced, policy_graph,
-)
+from termsieve.graphs import SccGraph, induced
 
 from helpers import (
     brute_forest_key, brute_forests, brute_is_nontrivial, brute_sccs,
-    check_det, circulant_policy, is_acyclic, iter_nodes, random_digraph,
-    recursion_room,
+    check_det, circulant_policy, draw_forest, graph, is_acyclic, iter_nodes,
+    policy_graph, random_digraph, recursion_room,
 )
 
 
@@ -44,7 +41,7 @@ HUB = g_of(
 
 def find_seed(g, want_elim, tries=500):
     for seed in range(tries):
-        forest = build_def(g, seed)
+        forest = draw_forest(g, seed)
         if forest.trees and forest.trees[0].elim == want_elim:
             return seed, forest
     raise AssertionError(f"no seed under {tries} eliminates {want_elim} first")
@@ -52,26 +49,26 @@ def find_seed(g, want_elim, tries=500):
 
 def test_same_seed_same_forest():
     for seed in range(20):
-        a = build_def(HUB, seed)
-        b = build_def(HUB, seed)
+        a = draw_forest(HUB, seed)
+        b = draw_forest(HUB, seed)
         assert a == b
 
 
 def test_seeds_vary_the_choice():
     k4 = g_of(*[(f"{u}{v}", u, v) for u in "abcd" for v in "abcd" if u != v])
-    elims = {build_def(k4, s).trees[0].elim for s in range(16)}
+    elims = {draw_forest(k4, s).trees[0].elim for s in range(16)}
     assert len(elims) >= 2
 
 
 def test_acyclic_graph_gives_empty_forest():
     g = g_of(("1", "a", "b"), ("2", "b", "c"))
-    assert build_def(g, 0).trees == ()
+    assert draw_forest(g, 0).trees == ()
 
 
 def test_one_tree_per_scc_in_canonical_order():
     g = g_of(("1", "c", "d"), ("2", "d", "c"), ("3", "a", "b"),
              ("4", "b", "a"), ("5", "b", "c"))
-    forest = build_def(g, 3)
+    forest = draw_forest(g, 3)
     assert [t.vertices for t in forest.trees] == [
         frozenset({"a", "b"}), frozenset({"c", "d"})
     ]
@@ -132,7 +129,7 @@ class TestHub:
 
     def test_quotient_minus_elim_acyclic(self):
         for seed in range(10):
-            forest = build_def(HUB, seed)
+            forest = draw_forest(HUB, seed)
             for node in iter_nodes(forest):
                 qg = quotient(HUB, node)
                 rest = induced(qg, qg.vertices - {node.elim})
@@ -144,7 +141,7 @@ class TestCheckDet:
         rng = random.Random(5)
         for _ in range(200):
             g = random_digraph(rng)
-            forest = build_def(g, rng.randint(0, 10**6))
+            forest = draw_forest(g, rng.randint(0, 10**6))
             assert check_det(forest, g) == []
 
     def test_elim_not_member(self):
@@ -177,7 +174,7 @@ def test_walk_is_preorder():
 
 
 def test_forest_records_seed():
-    assert build_def(CHAIN_OF_CYCLES, 42).seed == 42
+    assert draw_forest(CHAIN_OF_CYCLES, 42).seed == 42
 
 
 def chain(bottom, levels=1500):
@@ -199,9 +196,9 @@ def test_deep_chain_hashes_compares_and_walks():
 def test_deep_forest_builds_and_checks():
     g = policy_graph(circulant_policy(300))
     with recursion_room(100):
-        forest = build_def(g, 0)
+        forest = draw_forest(g, 0)
         assert check_det(forest, g) == []
-        assert forest == build_def(g, 0)
+        assert forest == draw_forest(g, 0)
     depth, stack = 0, [(forest.trees[0], 1)]
     while stack:
         node, level = stack.pop()
@@ -238,7 +235,7 @@ def test_compiled_splits_match_brute_force():
         sg = SccGraph(g.vertices, g.arcs)
         for seed in rng.sample(range(10**6), 3):
             cuts = {(frozenset(names), None)} | {
-                (n.vertices, n.elim) for n in iter_nodes(build_def(g, seed))}
+                (n.vertices, n.elim) for n in iter_nodes(draw_forest(g, seed))}
             for vs, elim in cuts:
                 rest = vs - {elim}
                 got = sg.sccs(sum(1 << names.index(v) for v in rest))

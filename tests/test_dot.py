@@ -1,11 +1,9 @@
 """DOT export for policies and elimination forests."""
-from termsieve.decomposition import build_def
 from termsieve.dot import export_def_dot, export_dot
-from termsieve.graphs import policy_graph
 from termsieve.model import Edge, Fmp, Guard, VarDecl
 from termsieve.policyio import load_policy
 
-from helpers import FIXTURES
+from helpers import FIXTURES, draw_forest, policy_graph
 
 
 def test_policy_dot_shape():
@@ -45,7 +43,7 @@ def test_guard_and_label_rendering():
 
 def test_def_dot_shape():
     f = load_policy(FIXTURES / "f3.fmp.json")
-    forest = build_def(policy_graph(f), 0)
+    forest = draw_forest(policy_graph(f), 0)
     text = export_def_dot(forest)
     assert text.startswith("digraph def_forest {")
     assert 'd0 [label="({q0,q1}, q1)"];' in text
@@ -56,7 +54,7 @@ def test_def_dot_shape():
 def test_def_dot_empty_forest():
     f = Fmp(variables=(VarDecl("x"),), qstates=("q0", "q1"), initial="q0",
             edges=(Edge.single("e1", "q0", "q1"),))
-    text = export_def_dot(build_def(policy_graph(f), 0))
+    text = export_def_dot(draw_forest(policy_graph(f), 0))
     assert text == 'digraph def_forest {\n  node [shape=box];\n}\n'
 
 

@@ -4,10 +4,9 @@ import math
 import pytest
 
 from termsieve.generate import GenError, GenSpec, generate_random
-from termsieve.graphs import policy_graph
 from termsieve.model import validate
 
-from helpers import brute_reachable
+from helpers import brute_reachable, policy_graph
 
 
 def spec(n_qstates=4, n_vars=2, edge_density=0.4, max_abs_delta=2, seed=0):

@@ -5,10 +5,9 @@ import pytest
 
 from termsieve.graphs import (
     DiGraph,
+    SccGraph,
     boundary,
-    graph,
     induced,
-    policy_graph,
     scc_decompose,
 )
 
@@ -16,7 +15,9 @@ from helpers import (
     brute_is_nontrivial,
     brute_sccs,
     chain_policy,
+    graph,
     is_acyclic,
+    policy_graph,
     random_digraph,
 )
 
@@ -31,8 +32,10 @@ def g_of(*arcs, extra=()):
 
 
 def test_graph_rejects_dangling_arc():
-    with pytest.raises(ValueError):
-        graph({"a"}, [("e", "a", "b")])
+    for build in (graph, SccGraph):
+        with pytest.raises(ValueError,
+                           match="arc e: endpoint outside vertex set"):
+            build({"a"}, [("d", "a", "a"), ("e", "a", "b")])
 
 
 def test_policy_graph_mirrors_edges():

@@ -7,9 +7,9 @@ import pytest
 
 from termsieve import paths
 from termsieve.analysis import AnalysisConfig, _Shared, hsieve
-from termsieve.decomposition import DetNode, build_def, quotient
+from termsieve.decomposition import DetNode, quotient
 from termsieve.generate import GenSpec, generate_random
-from termsieve.graphs import boundary, graph, induced, policy_graph
+from termsieve.graphs import boundary, induced
 from termsieve.paths import (
     EffectCode,
     InvalidNodeError,
@@ -28,6 +28,8 @@ from helpers import (
     brute_var_sets,
     chord_ring_policy,
     circulant_policy,
+    draw_forest,
+    graph,
     is_acyclic,
     iter_nodes,
     key_net,
@@ -36,6 +38,7 @@ from helpers import (
     path_ctx,
     path_keys,
     plain_dfs_paths,
+    policy_graph,
     random_digraph,
     ring_policy,
 )
@@ -211,7 +214,7 @@ class TestVarSetRecursions:
     def test_two_self_loops_policy(self):
         f = load_policy(FIXTURES / "f2.fmp.json")
         ctx = ctx_for(f)
-        tree = build_def(policy_graph(f), 0).trees[0]
+        tree = draw_forest(policy_graph(f), 0).trees[0]
         sets = var_sets(tree, ctx)
         assert sets.iv == frozenset({"x"})
         assert sets.zv == frozenset()
@@ -224,7 +227,7 @@ class TestVarSetRecursions:
         f = load_policy(FIXTURES / "f3.fmp.json")
         ctx = ctx_for(f)
         for seed in range(6):
-            tree = build_def(policy_graph(f), seed).trees[0]
+            tree = draw_forest(policy_graph(f), seed).trees[0]
             sets = var_sets(tree, ctx)
             assert sets.iv == frozenset()
             assert sets.zv == frozenset({"x"})
@@ -248,7 +251,7 @@ class TestVarSetRecursions:
         f = load_policy(FIXTURES / "f8prime.fmp.json")
         ctx = ctx_for(f)
         for seed in range(6):
-            tree = build_def(policy_graph(f), seed).trees[0]
+            tree = draw_forest(policy_graph(f), seed).trees[0]
             sets = var_sets(tree, ctx)
             assert sets.iv == frozenset({"x0", "x1"})
             assert sets.zv == frozenset()
@@ -356,7 +359,7 @@ class TestAgainstBruteForce:
                 gapped = ring - {f"r{rng.randrange(n)}"}
                 loose = [DetNode(ring, rng.choice(sorted(ring)), ()),
                          DetNode(gapped, rng.choice(sorted(gapped)), ())]
-                forest = build_def(g, rng.randint(0, 10**6))
+                forest = draw_forest(g, rng.randint(0, 10**6))
                 for node in [*iter_nodes(forest), *loose]:
                     check_against_referees(g, effects, q0, node, ctx)
                     checked += 1
@@ -372,7 +375,7 @@ class TestAgainstBruteForce:
             ctx = path_ctx(g, effects, q0)
             inside = frozenset(g.vertices - {"t"})
             loose = DetNode(inside, rng.choice(sorted(inside)), ())
-            for node in [*iter_nodes(build_def(g, rng.randint(0, 10**6))),
+            for node in [*iter_nodes(draw_forest(g, rng.randint(0, 10**6))),
                          loose]:
                 check_against_referees(g, effects, q0, node, ctx)
                 checked += 1
@@ -411,7 +414,7 @@ class TestAgainstBruteForce:
             effects = {a[0]: {"x": rng.randint(-2, 2)} for a in g.arcs}
             q0 = rng.choice(sorted(g.vertices)) if rng.random() < 0.7 else None
             ctx = path_ctx(g, effects, q0)
-            forest = build_def(g, rng.randint(0, 10**6))
+            forest = draw_forest(g, rng.randint(0, 10**6))
             vs = sorted(g.vertices)
             part = sorted(pick.sample(vs, pick.randint(1, len(vs))))
             loose = DetNode(frozenset(part), pick.choice(part), ())
@@ -436,7 +439,7 @@ class TestAgainstBruteForce:
                 a[0]: {f"x{i}": rng.randint(-2, 2) for i in range(2)}
                 for a in g.arcs
             }
-            for node in iter_nodes(build_def(g, 1)):
+            for node in iter_nodes(draw_forest(g, 1)):
                 listed = listed_paths(g, node, None)
                 code, keys = path_keys(g, effects, None, node, listed)
                 for (_, seq), key in zip(listed, keys):
@@ -461,7 +464,7 @@ class TestAgainstBruteForce:
                 for a in g.arcs
             }
             q0 = rng.choice(sorted(g.vertices))
-            for node in iter_nodes(build_def(g, rng.randint(0, 10**6))):
+            for node in iter_nodes(draw_forest(g, rng.randint(0, 10**6))):
                 listed = listed_paths(g, node, q0)
                 code, keys = path_keys(g, effects, q0, node, listed)
                 for (_, seq), key in zip(listed, keys):
@@ -504,7 +507,7 @@ class TestSignSets:
         assert code.sign_sets({0}) == (frozenset(), frozenset(), fz(()))
         g = g_of(("a", "q0", "q0"), ("b", "q0", "q1"), ("c", "q1", "q0"))
         ctx = path_ctx(g, {"a": {}, "b": {"x": 0}, "c": {}}, "q0")
-        sets = var_sets(build_def(g, 0).trees[0], ctx)
+        sets = var_sets(draw_forest(g, 0).trees[0], ctx)
         assert (sets.iv, sets.zv, sets.pdv, sets.dv) == (
             frozenset(), frozenset(), fz(()), fz(()))
 
@@ -561,7 +564,7 @@ class TestSignSets:
                                         seed=seed))
             ctx = ctx_for(f)
             code = ctx.graph.code
-            for tree in build_def(policy_graph(f), seed).trees:
+            for tree in draw_forest(policy_graph(f), seed).trees:
                 keys = [k for n in tree.walk() for k in ctx.paths(n)]
                 want = nets_var_sets(key_net(code, k) for k in keys)
                 assert var_sets(tree, ctx) == want
@@ -583,7 +586,7 @@ class TestReachabilityChecks:
         monkeypatch.setattr(paths, "_reaches", reaches)
         f = ring_policy(1500)
         g = policy_graph(f)
-        found = listed_paths(g, build_def(g, 0).trees[0], f.initial)
+        found = listed_paths(g, draw_forest(g, 0).trees[0], f.initial)
         assert [(kind, len(seq)) for kind, seq in found] == [("cycle", 1500)]
         assert calls == []
 
@@ -596,7 +599,7 @@ class TestReachabilityChecks:
         checked = 0
         for g in graphs:
             q0 = rng.choice([None, *sorted(g.vertices)])
-            for node in iter_nodes(build_def(g, rng.randint(0, 10**6))):
+            for node in iter_nodes(draw_forest(g, rng.randint(0, 10**6))):
                 if boundary(g, node.vertices, q0)[1]:
                     continue
                 found = listed_paths(g, node, q0)

@@ -5,9 +5,8 @@ from collections import Counter
 
 from hypothesis import given, settings, strategies as st
 
-from termsieve.decomposition import build_def
 from termsieve.generate import GenSpec, generate_random
-from termsieve.graphs import DiGraph, policy_graph, scc_decompose
+from termsieve.graphs import DiGraph, scc_decompose
 from termsieve.model import (
     Edge, Fmp, Guard, VarDecl, normalize, validate,
 )
@@ -18,7 +17,8 @@ from termsieve.policyio import (
 )
 
 from helpers import (
-    accumulate, brute_sccs, check_det, is_acyclic, referee_parse_policy,
+    accumulate, brute_sccs, check_det, draw_forest, is_acyclic, policy_graph,
+    referee_parse_policy,
 )
 
 # ---------------------------------------------------------------- strategies
@@ -271,11 +271,11 @@ class TestDefForests:
     @given(digraphs(max_vertices=6, max_arcs=12), st.integers(0, 50))
     @settings(max_examples=120, deadline=None)
     def test_always_passes_structure_check(self, g, seed):
-        forest = build_def(g, seed)
+        forest = draw_forest(g, seed)
         assert check_det(forest, g) == []
 
     @given(policies(), st.integers(0, 20))
     @settings(max_examples=60, deadline=None)
     def test_policy_graphs_too(self, fmp, seed):
         g = policy_graph(fmp)
-        assert check_det(build_def(g, seed), g) == []
+        assert check_det(draw_forest(g, seed), g) == []
