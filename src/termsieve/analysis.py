@@ -70,8 +70,8 @@ class AnalysisReport:
     verdict: Verdict
     iterations: tuple[IterationTrace, ...]
     wall_time: float
-    # sample seeds in order: those run, and those whose verdict was known
-    # without a draw (see `hsieve`)
+    # sample seeds in order: those run, then those listed without a run
+    # once the first failed on a nonnegative simple cycle (see `hsieve`)
     seeds: tuple[int, ...]
 
     def to_trace_dict(self) -> dict:
@@ -128,6 +128,8 @@ def def_seed_for(base_seed: int, iteration: int) -> int:
 # goes on without the removed edges)
 _Outcome = tuple[tuple[NodeVarSets, ...], frozenset[str], tuple[str, ...],
                  Verdict | None]
+# an edge set's splits, its paths, and the outcome of each forest drawn
+_Graph = tuple[Splits, PathContext, dict[tuple[DetNode, ...], _Outcome]]
 
 
 class _Shared:
@@ -144,10 +146,9 @@ class _Shared:
       per-root sets, candidates and removed edges, or the path cap.
 
     A sample draws its own forest from its own seed, so a forest drawn
-    again costs its draw and its own IterationTrace. Once the full edge set
-    is `exhausted`, no later sample draws a forest that is not in the memo.
-    `pumps` searches the full edge set once for a simple cycle that no
-    sample can prove terminating, within `path_cap` cycles.
+    again costs its draw and its own IterationTrace. `pumps` searches the
+    full edge set once for a simple cycle that no sample can prove
+    terminating, within `path_cap` cycles.
     """
 
     def __init__(self, fmp: Fmp, path_cap: int):
@@ -157,13 +158,9 @@ class _Shared:
         self.effects = {e.id: e.effect for e in fmp.edges}
         self.code = EffectCode(self.effects, len(fmp.qstates))
         self.edge_ids = frozenset(self.effects)
-        self.graphs: dict[frozenset[str], tuple[Splits, PathContext]] = {}
-        # edge set -> forest trees -> outcome
-        self.outcomes: dict[frozenset[str],
-                            dict[tuple[DetNode, ...], _Outcome]] = {}
+        self.graphs: dict[frozenset[str], _Graph] = {}
 
-    def graph(self, edge_ids: frozenset[str]
-              ) -> tuple[Splits, PathContext]:
+    def graph(self, edge_ids: frozenset[str]) -> _Graph:
         got = self.graphs.get(edge_ids)
         if got is None:
             fmp = self.fmp
@@ -173,44 +170,18 @@ class _Shared:
                 self.code)
             got = self.graphs[edge_ids] = (
                 Splits(compiled),
-                PathContext(compiled, fmp.initial, self.path_cap))
-            self.outcomes[edge_ids] = {}
+                PathContext(compiled, fmp.initial, self.path_cap),
+                {})
         return got
 
     def outcome(self, edge_ids: frozenset[str],
                 trees: tuple[DetNode, ...]) -> _Outcome:
         """The outcome of an iteration on `edge_ids` that drew `trees`."""
-        memo = self.outcomes[edge_ids]
+        memo = self.graphs[edge_ids][2]
         got = memo.get(trees)
         if got is None:
             got = memo[trees] = self._iterate(edge_ids, trees)
         return got
-
-    def exhausted(self) -> bool:
-        """Whether a sample from now on can only repeat what one has met.
-
-        It holds when, on the full edge set and on every edge set that the
-        removals of its outcomes lead to, every forest `Splits` can draw
-        is in the memo. A later sample draws only those forests, so it
-        meets only those outcomes; `hsieve` stops at a terminating one, so
-        while it samples, every outcome in the memo that ends a sample is
-        `unknown`.
-        """
-        stack = [self.edge_ids]
-        seen = set(stack)
-        while stack:
-            edge_ids = stack.pop()
-            splits, _ = self.graphs[edge_ids]
-            memo = self.outcomes[edge_ids]
-            if splits.forests() != len(memo):
-                return False
-            for _, _, removed, verdict in memo.values():
-                if verdict is None:
-                    left = edge_ids.difference(removed)
-                    if left not in seen:
-                        seen.add(left)
-                        stack.append(left)
-        return True
 
     def pumps(self) -> bool:
         """Whether the full edge set has a simple cycle that nets at least
@@ -220,7 +191,7 @@ class _Shared:
         counters, and the hierarchical argument is sound, so every sample
         ends `unknown`.
         """
-        splits, ctx = self.graph(self.edge_ids)
+        splits, ctx, _ = self.graph(self.edge_ids)
         return nonnegative_cycle(ctx.graph, self.path_cap,
                                  splits.cyclic_sccs())
 
@@ -272,7 +243,7 @@ def hsieve_once(
     iterations: list[IterationTrace] = []
     # each iteration but the last removes an edge
     for i in range(len(fmp.edges) + 2):
-        splits, _ = shared.graph(edge_ids)
+        splits, _, _ = shared.graph(edge_ids)
         forest = build_def(splits, def_seed_for(seed, i))
         per_root, candidates, removed, verdict = shared.outcome(
             edge_ids, forest.trees)
@@ -296,16 +267,13 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
     Sample k runs hsieve_once with seed base_seed + k. The samples share
     what `_Shared` keeps for each edge set they reach, so a forest drawn
     again costs its draw and no new split, search or removal scan; the
-    reports are those of separate runs. Once the samples run have drawn
-    every forest that any sample can meet (`_Shared.exhausted`), none of
-    which proved termination, the samples left cannot win either, so they
-    are listed without being run. They are listed too when the first
-    sample fails and the policy has a simple cycle that nets at least zero
-    on every counter (`_Shared.pumps`, searched once per call, over at most
-    `path_cap` cycles): no forest proves such a policy terminating. The
-    returned report carries every seed run or listed; when no sample
-    proves termination, the first sample's verdict and trace are
-    reported.
+    reports are those of separate runs. When the first sample fails and
+    the policy has a simple cycle that nets at least zero on every counter
+    (`_Shared.pumps`, searched once per call, over at most `path_cap`
+    cycles), no forest proves the policy terminating, so the samples left
+    are listed without being run. The returned report carries every seed
+    run or listed; when no sample proves termination, the first sample's
+    verdict and trace are reported.
     """
     cfg = config if config is not None else AnalysisConfig()
     start = time.perf_counter()
@@ -322,8 +290,7 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
         if rep.verdict.kind == TERMINATING:
             winner = rep
             break
-        if sample_seed + 1 < end and (
-                shared.exhausted() or rep is first and shared.pumps()):
+        if sample_seed + 1 < end and rep is first and shared.pumps():
             seeds += range(sample_seed + 1, end)
             break
     chosen = winner if winner is not None else first

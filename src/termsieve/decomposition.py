@@ -13,9 +13,7 @@ seed fixes the whole forest.
 `Splits` holds what the forests of one graph share: the graph compiled to
 bit masks (`graphs.SccGraph`), the nontrivial SCCs left by each (vertex
 set, elim) split once, and each node built once, so that equal trees drawn
-on the graph are one object. Once every elim of every vertex set the draws
-reach has been drawn, it also knows how many forests the graph has.
-`build_def` draws one forest from a `Splits`.
+on the graph are one object. `build_def` draws one forest from a `Splits`.
 
 `quotient`, on a string-keyed `graphs.DiGraph`, is a test referee for
 `paths.PathGraph.quotient`; it stays here because the bench tracer wraps
@@ -24,7 +22,6 @@ it by name.
 
 from __future__ import annotations
 
-import math
 import random
 from dataclasses import dataclass
 from typing import Iterator
@@ -92,7 +89,7 @@ class DefForest:
 class _Part:
     """A vertex set some node of a forest holds, with what its elims give."""
 
-    __slots__ = ("mask", "vertices", "places", "splits", "nodes", "count")
+    __slots__ = ("mask", "vertices", "places", "splits", "nodes")
 
     def __init__(self, sg: SccGraph, mask: int):
         self.mask = mask
@@ -105,8 +102,6 @@ class _Part:
         self.splits: dict[int, tuple[str, tuple[_Part, ...]]] = {}
         # (elim, children) -> the node
         self.nodes: dict[tuple[str, tuple[DetNode, ...]], DetNode] = {}
-        # the number of trees on this set, once every elim below is split
-        self.count: int | None = None
 
     def node(self, elim: str, children: tuple[DetNode, ...]) -> DetNode:
         """The node on this set with this elim and these children."""
@@ -130,43 +125,10 @@ class Splits:
         self._sg = sg
         self._parts: dict[int, _Part] = {}
         self._roots = self._split(sg.all)
-        self._forests: int | None = None
 
     def cyclic_sccs(self) -> tuple[int, ...]:
         """The masks of the whole graph's nontrivial SCCs."""
         return tuple(part.mask for part in self._roots)
-
-    def forests(self) -> int | None:
-        """How many distinct forests `draw` can give, or None while some
-        vertex set that the draws so far reach has an elim none has drawn.
-
-        A tree on a vertex set is an elim and one tree per child set left
-        without it, so the count of a set is the sum over its elims of the
-        product of its children's counts. It is read off the splits drawn
-        so far: no split is cut and no forest is listed to count.
-        """
-        if self._forests is None:
-            total = 1
-            for root in self._roots:
-                stack = [root]
-                while stack:  # post-order: a set after its children
-                    part = stack[-1]
-                    if part.count is not None:
-                        stack.pop()
-                        continue
-                    if len(part.splits) < len(part.places):
-                        return None
-                    todo = [kid for _, kids in part.splits.values()
-                            for kid in kids if kid.count is None]
-                    if todo:
-                        stack += todo
-                        continue
-                    stack.pop()
-                    part.count = sum(math.prod(kid.count for kid in kids)
-                                     for _, kids in part.splits.values())
-                total *= root.count
-            self._forests = total
-        return self._forests
 
     def _split(self, mask: int) -> tuple[_Part, ...]:
         """The nontrivial SCCs of the subgraph on `mask`, in canonical order."""

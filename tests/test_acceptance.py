@@ -450,3 +450,28 @@ def test_a8_baseline_dominance(corpus, sparse_corpus):
            f"corpus=500+300 baseline_terminating={checked} "
            f"hierarchy_confirmed="
            f"{checked - missed} missed={missed}")
+
+
+def test_a9_guarded_soundness():
+    # policies with guards, action sets and lower bounds -2, 0 and 1: an
+    # hsieve x20 proof leaves no grid-3 lasso, and the baseline proves
+    # nothing that hsieve x20 misses
+    rng = random.Random(424242)
+    cfg = AnalysisConfig(def_samples=20)
+    proofs, guarded = [], 0
+    baseline = missed = 0
+    for _ in range(3000):
+        fmp = normalize(random_small_policy(rng, 5, 3))
+        proved = hsieve(fmp, cfg).verdict.kind == TERMINATING
+        if proved:
+            proofs.append(fmp)
+            guarded += any(e.guard.conjuncts for e in fmp.edges)
+        if progress_sieve(fmp).kind == TERMINATING:
+            baseline += 1
+            missed += not proved
+    runs, lassos, inconclusive = _grid_audit(proofs)
+    ok = len(proofs) > 0 and guarded > 0 and lassos == 0 and missed == 0
+    report("A9", ok,
+           f"corpus=3000 proofs={len(proofs)} guarded={guarded} "
+           f"grid_runs={runs} lassos={lassos} inconclusive={inconclusive} "
+           f"baseline={baseline} missed={missed}")

@@ -371,9 +371,9 @@ class TestSharedSamples:
                 assert all(r.verdict.kind == UNKNOWN for r in reports), i
                 pumped += 1
         # the corpus reaches edge sets past a removal, calls where the cap
-        # stops some samples but not others, calls that list samples left
-        # once every forest they could draw has been drawn, and calls with
-        # a nonnegative cycle, under either cap
+        # stops some samples but not others, and calls that list the
+        # samples left after the first fails on a nonnegative cycle, under
+        # either cap
         assert removals >= 30
         assert mixed_caps >= 10
         assert listed >= 30
@@ -462,13 +462,15 @@ class TestSharedSamples:
         assert without_wall(rep.to_trace_dict()) == expected
 
 
-class TestExhaustedSamples:
-    """Samples left once every forest they can draw is drawn are listed."""
+class TestWhenSamplingStops:
+    """Samples stop at a proof, or are listed after the first fails on a
+    nonnegative simple cycle; otherwise every sample runs."""
 
     @staticmethod
     def self_loops():
         # every SCC a single qstate, so every edge set has one forest: the
-        # first iteration drops q1's drain, the second finds q0's pump
+        # first iteration drops q1's drain, the second finds q0's pump,
+        # a nonnegative simple cycle
         return Fmp(
             variables=(VarDecl("x"), VarDecl("y")), qstates=("q0", "q1"),
             initial="q0",
@@ -519,20 +521,34 @@ class TestExhaustedSamples:
             without_wall(chosen.to_trace_dict())["iterations"]
 
     def test_ring_runs_every_sample(self, monkeypatch):
-        # 30 forests, one per elim, so 20 samples never draw them all. The
-        # ring nets (+1, -1) and the loop on q0 (-1, +1): together they
-        # net zero, but no simple cycle is nonnegative on both counters
-        ring = ring_policy(30)
-        edges = (Edge.single("e0", "q0", "q1", effect={"x": 1, "y": -1}),
-                 *ring.edges[1:],
-                 Edge.single("loop", "q0", "q0", effect={"x": -1, "y": 1}))
-        fmp = dataclasses.replace(
-            ring, variables=(VarDecl("x"), VarDecl("y")), edges=edges)
+        # the ring nets (+1, -1) and the loop on q0 (-1, +1): together they
+        # net zero, but no simple cycle is nonnegative on both counters.
+        # At 30 qstates there are 30 forests, one per elim, so 20 samples
+        # never draw them all. At 3 the first four samples draw all 3 and
+        # none is a proof: having met every forest is no reason to stop,
+        # so all 20 samples run
+        cfg = AnalysisConfig(def_samples=20)
         calls = count_samples(monkeypatch)
-        rep = hsieve(fmp, AnalysisConfig(def_samples=20))
-        assert rep.verdict == Verdict(UNKNOWN, "empty-set-persists")
-        assert calls["samples"] == 20
-        assert rep.seeds == tuple(range(20))
+        for n in (30, 3):
+            ring = ring_policy(n)
+            edges = (Edge.single("e0", "q0", "q1", effect={"x": 1, "y": -1}),
+                     *ring.edges[1:],
+                     Edge.single("loop", "q0", "q0", effect={"x": -1, "y": 1}))
+            fmp = dataclasses.replace(
+                ring, variables=(VarDecl("x"), VarDecl("y")), edges=edges)
+            chosen, seeds, reports = separate_runs(fmp, cfg)
+            if n == 3:
+                assert len({r.iterations[0].forest.trees
+                            for r in reports[:4]}) == 3
+            assert {r.verdict for r in reports} == {
+                Verdict(UNKNOWN, "empty-set-persists")}
+            calls.clear()
+            rep = hsieve(fmp, cfg)
+            assert calls["samples"] == 20
+            assert rep.seeds == tuple(seeds) == tuple(range(20))
+            expected = without_wall(chosen.to_trace_dict())
+            expected["seeds"] = seeds
+            assert without_wall(rep.to_trace_dict()) == expected
 
     def test_pumping_ring_runs_one_sample(self, monkeypatch):
         # the ring test's policy before hsieve looked for a nonnegative
