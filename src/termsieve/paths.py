@@ -36,11 +36,27 @@ forest nodes, the only ones `hsieve` and the CLI enumerate, every descent
 leads to an emitted path, so a node costs O(arcs * qstates) per emitted path
 and the path cap bounds the run time.
 
-`PathContext.paths` lists a node's path keys in that order; `var_sets` adds
-the keys of every node of a subtree to one set and decodes the set as a
-whole with `EffectCode.sign_sets`: one AND per key for the decrease sets,
-and per variable one scan for `iv` and one for `zv`, each stopping at the
-first key that puts the variable in. `PathContext.tree_sets` keeps its
+What a frame emits depends only on its state: the set of vertices on the
+path and the vertex it stands on (the Held-Karp state, J. SIAM 1962), not
+on the order that reached it. The key of each path it emits is its own key
+plus a suffix sum that the state fixes. So the DFS remembers, per state
+whose frame emitted two or more keys, where those keys sit in the output
+and the frame's key. A step onto a remembered state pushes no frame. It
+appends the same keys again, in the same order, each shifted by the
+difference of the two frame keys. Each replayed key counts against the cap
+as a walked one would, and a slice that does not fit ends the walk at once,
+as walking it would have one path later. The memo holds one packed int per
+remembered frame, and only frames that emitted two or more keys are kept.
+So it stays within the bound that the cap sets on the walk's own work,
+O(cap * qstates), and in practice it holds fewer entries than the key list.
+
+`PathContext.paths` lists a node's path keys in that order. Its through
+walks share one memo; the cycle walk, and each start of
+`nonnegative_cycle`, get their own. `var_sets` adds the keys of every node
+of a subtree to one set and decodes the set as a whole with
+`EffectCode.sign_sets`: one AND per key for the decrease sets, and per
+variable one scan for `iv` and one for `zv`, each stopping at the first
+key that puts the variable in. `PathContext.tree_sets` keeps its
 answer for each tree. `nonnegative_cycle` runs the same DFS over a whole
 `PathGraph`, from each vertex in turn, to find a simple cycle that nets at
 least zero on every variable, unless every arc of each cyclic SCC
@@ -172,6 +188,8 @@ class PathGraph(SccGraph):
             outs[s].append((d, aid))
             self.pred[d] |= 1 << s
         self.out = tuple(_arcs(out, code.weight, self.succ) for out in outs)
+        # a search state packs a path mask over a vertex index
+        self.shift = len(self.names).bit_length()
 
     def mask(self, vertices: Iterable[str]) -> int:
         m = 0
@@ -236,7 +254,8 @@ def _reaches(succ: Sequence[int], frontier: int, blocked: int,
 
 def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
           succ: Sequence[int], start: int, path: int, targets: int,
-          live: int, left: int, keys: list[int]) -> int:
+          live: int, left: int, keys: list[int], memo: dict[int, int],
+          shift: int) -> int:
     """Append to `keys` the key of every simple path from `start` that ends
     on a `targets` vertex.
 
@@ -249,14 +268,33 @@ def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
     A step onto `w` is taken when a successor of `w` off the path is in
     `live`, or when `_reaches` finds a target from them over `succ`.
 
+    `memo` maps a state, the path after a step and the vertex it landed
+    on (`path << shift | w`), to the keys its frame emitted: their first
+    index in `keys`, their count and the frame's own key, packed in one
+    int. An entry is made when a frame that emitted two or more keys
+    pops. A step onto a remembered state pushes no frame; it appends those
+    keys again, each shifted by the difference of the two frame keys, in
+    the same order, or returns -1 if they do not all fit in `left`. Walks
+    may share `memo` when they differ only in `start`, and `start` lies on
+    `path`: then no step reaches it, and a state's paths do not depend on
+    it.
+
     Returns how many of the `left` paths allowed are left, or -1 when one
     more path was found.
     """
     sbit = 1 << start
     emit = keys.append
-    stack: list[tuple[int, Iterable[_Arc], int]] = [(sbit, iter(out[start]), 0)]
+    # indices into `keys` stay below len(keys) + left, for this walk and for
+    # any later one that shares `memo`
+    bits = (len(keys) + left).bit_length()
+    low = (1 << bits) - 1
+    # a frame holds `left` as it was pushed, so it has emitted `mark - left`
+    # keys when it pops; the first frame, from `start`, holds -1 and so is
+    # never remembered
+    stack: list[tuple[int, Iterable[_Arc], int, int]] = [
+        (sbit, iter(out[start]), 0, -1)]
     while stack:
-        bit, arcs, key = stack[-1]
+        bit, arcs, key, mark = stack[-1]
         for w, wbit, weight, wsucc, _ in arcs:
             if path & wbit:
                 continue
@@ -268,14 +306,29 @@ def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
                 if wbit == sbit:
                     continue
             free = wsucc & ~path
-            if not free or not (free & live or _reaches(
-                    succ, free, path | wbit, targets)):
+            if not free:
+                continue
+            seen = memo.get((path | wbit) << shift | w)
+            if seen is not None:
+                n = seen & low
+                if n > left:
+                    return -1
+                left -= n
+                at = seen >> bits & low
+                shifted = key + weight - (seen >> 2 * bits)
+                keys += [k + shifted for k in keys[at:at + n]]
+                continue
+            if not (free & live or _reaches(succ, free, path | wbit, targets)):
                 continue
             path |= wbit
-            stack.append((wbit, iter(out[w]), key + weight))
+            stack.append((wbit, iter(out[w]), key + weight, left))
             break
         else:
             stack.pop()
+            n = mark - left
+            if n > 1:
+                memo[path << shift | bit.bit_length() - 1] = (
+                    (key << bits | len(keys) - n) << bits | n)
             path ^= bit
     return left
 
@@ -302,7 +355,7 @@ def nonnegative_cycle(graph: PathGraph, budget: int,
     for start in range(len(graph.names)):
         sbit = 1 << start
         budget = _walk(graph.out, graph.succ, start, sbit - 1, sbit, sbit,
-                       budget, keys)
+                       budget, keys, {}, graph.shift)
         if budget < 0:
             return False
         if any(not k & signs for k in keys):
@@ -371,8 +424,14 @@ class PathContext:
         its cycle paths, then its through paths from each entry in name
         order.
 
+        The through walks share one memo of replayable states (see
+        `_walk`). Each has its entry on the path, so the entry is the only
+        thing that differs between them, and the node's blocked vertices,
+        exits and live set are the same. The cycle walk runs on other arcs
+        towards another target, so it gets a memo of its own.
+
         Raises PathCapExceeded on the first path past the cap, however
-        many of the paths before it share a key.
+        many of the paths before it share a key or come from a replay.
         """
         g = self.graph
         if not node.vertices:
@@ -387,7 +446,7 @@ class PathContext:
         out = g.quotient(node, mask) if node.children else g.out
         keys: list[int] = []
         left = _walk(out, g.succ, elim, outside, 1 << elim, mask,
-                     self.path_cap, keys)
+                     self.path_cap, keys, {}, g.shift)
         exits = entries = 0
         for v in bit_indices(mask):
             if g.succ[v] & outside:
@@ -397,11 +456,12 @@ class PathContext:
         if self.q0 in node.vertices:
             entries |= 1 << g.index[self.q0]
         if exits:
+            memo: dict[int, int] = {}
             for start in bit_indices(entries):
                 if left < 0:
                     break
                 left = _walk(g.out, g.succ, start, outside | 1 << start,
-                             exits, exits, left, keys)
+                             exits, exits, left, keys, memo, g.shift)
         if left < 0:
             raise PathCapExceeded(node, self.path_cap)
         return keys

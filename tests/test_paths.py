@@ -1,13 +1,15 @@
 """Path enumeration and the variable-set recursions."""
+import hashlib
 import random
 import time
+import tracemalloc
 from collections import Counter
 
 import pytest
 
 from termsieve import paths
 from termsieve.analysis import AnalysisConfig, _Shared, hsieve
-from termsieve.decomposition import DetNode, quotient
+from termsieve.decomposition import DetNode, build_def, quotient
 from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import boundary, induced
 from termsieve.paths import (
@@ -704,3 +706,107 @@ class TestNonnegativeCycle:
         t0 = time.perf_counter()
         assert not shared.pumps()
         assert time.perf_counter() - t0 < 0.5
+
+
+class TestRepeatedStates:
+    """A step onto a (path, vertex) state that an earlier frame walked
+    replays that frame's keys, shifted, instead of walking it again."""
+
+    def test_key_lists_pinned(self, monkeypatch):
+        # every node of the seed-0 forests of 40 hsieve-mid-shaped
+        # policies, keys in order; the walk without replay gives this
+        # digest too, with 47,280 reachability searches
+        calls = Counter()
+        real = paths._reaches
+
+        def reaches(*args):
+            calls["reaches"] += 1
+            return real(*args)
+
+        monkeypatch.setattr(paths, "_reaches", reaches)
+        digest = hashlib.sha256()
+        nodes = total = 0
+        for seed in range(40):
+            fmp = generate_random(GenSpec(n_qstates=11, n_vars=4,
+                                          edge_density=0.4, max_abs_delta=2,
+                                          seed=seed))
+            shared = _Shared(fmp, paths.DEFAULT_PATH_CAP)
+            splits, ctx, _ = shared.graph(shared.edge_ids)
+            for tree in build_def(splits, 0).trees:
+                for node in tree.walk():
+                    keys = ctx.paths(node)
+                    digest.update(repr((seed, sorted(node.vertices),
+                                        node.elim, keys)).encode())
+                    nodes += 1
+                    total += len(keys)
+        assert (nodes, total) == (308, 122_760)
+        assert digest.hexdigest()[:16] == "4f7d2ad2a70dee16"
+        assert calls["reaches"] < 20_000
+
+    def test_cap_crossed_inside_replayed_slice(self):
+        # entries x and y, exits d and e behind m. The walk from x passes
+        # x, y, m and leaves two keys at m; the walk from y ends on the
+        # same state by y, x, m, so its last two keys are that slice again
+        arcs = [("tx", "t", "x"), ("ty", "t", "y"), ("xy", "x", "y"),
+                ("yx", "y", "x"), ("xm", "x", "m"), ("ym", "y", "m"),
+                ("md", "m", "d"), ("me", "m", "e"), ("dt", "d", "t"),
+                ("et", "e", "t")]
+        g = g_of(*arcs)
+        effects = {aid: {"x": i - 4, "y": i % 3 - 1}
+                   for i, (aid, _, _) in enumerate(arcs)}
+        node = DetNode(frozenset({"x", "y", "m", "d", "e"}), "d", ())
+        count = check_against_referees(g, effects, None, node,
+                                       path_ctx(g, effects, None))
+        assert count == 8
+        assert [seq for _, seq in listed_paths(g, node, None)][-2:] == [
+            ("yx", "xm", "md"), ("yx", "xm", "me")]
+        at_cap = path_ctx(g, effects, None, path_cap=count)
+        assert at_cap.paths(node) == path_ctx(g, effects, None).paths(node)
+        assert var_sets(node, at_cap) == brute_var_sets(g, effects, None, node)
+        with pytest.raises(PathCapExceeded):
+            path_ctx(g, effects, None, path_cap=count - 1).paths(node)
+
+    def test_parallel_arcs(self):
+        # parallel arcs land on one state twice from one frame
+        rng = random.Random(5150)
+        checked = found = 0
+        for _ in range(60):
+            n = rng.randint(2, 5)
+            vs = [f"v{i}" for i in range(n)]
+            pairs = [(rng.choice(vs), rng.choice(vs))
+                     for _ in range(rng.randint(n, 2 * n))]
+            arcs = [(f"a{k}_{j}", s, d) for k, (s, d) in enumerate(pairs)
+                    for j in range(rng.randint(1, 3))]
+            g = g_of(*arcs, extra=vs)
+            effects = {aid: {x: rng.randint(-2, 2) for x in ("x", "y")
+                             if rng.random() < 0.7}
+                       for aid, _, _ in arcs}
+            q0 = rng.choice([None, *vs])
+            ctx = path_ctx(g, effects, q0)
+            inside = frozenset(vs[:-1]) if n > 2 else frozenset(vs)
+            loose = DetNode(inside, rng.choice(sorted(inside)), ())
+            for node in [*iter_nodes(draw_forest(g, rng.randint(0, 10**6))),
+                         loose]:
+                check_against_referees(g, effects, q0, node, ctx)
+                checked += 1
+            graph, cyclic = TestNonnegativeCycle.graph(g, effects)
+            for budget in (0, 3, 20, 100_000):
+                got = paths.nonnegative_cycle(graph, budget, cyclic)
+                assert got == brute_nonnegative_cycle(g, effects, budget)
+                found += got
+        assert checked >= 150
+        assert found >= 40
+
+    def test_memo_memory_bounded(self):
+        # the chorded ring repeats almost no state, so nearly every entry
+        # is kept for nothing: one packed int per state that emitted two
+        # or more keys peaks at about 1.23 MiB, a tuple per such state at
+        # about 1.7 MiB, and the walk without a memo at about 0.49 MiB
+        tracemalloc.start()
+        try:
+            rep = hsieve(chord_ring_policy(80), AnalysisConfig(path_cap=10_000))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert str(rep.verdict) == "unknown(resource-cap)"
+        assert peak < 1.5 * 2**20
