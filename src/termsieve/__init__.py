@@ -27,6 +27,7 @@ from .model import (
 )
 from .oracle import (
     ALL_HALT,
+    DEFAULT_MAX_CONFIGS,
     Configuration,
     ExploreCaps,
     ExploreResult,

@@ -39,7 +39,7 @@ NONTERMINATING_QUALITATIVE = "nonterminating_qualitative"
 _SEED_STRIDE = 1_000_003
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Verdict:
     kind: str
     detail: str
@@ -48,14 +48,14 @@ class Verdict:
         return f"{self.kind}({self.detail})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisConfig:
     def_samples: int = 1
     base_seed: int = 0
     path_cap: int = DEFAULT_PATH_CAP
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class IterationTrace:
     """One loop iteration: the forest used, per-root sets, and removals."""
 
@@ -65,7 +65,7 @@ class IterationTrace:
     removed_edges: tuple[str, ...]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AnalysisReport:
     verdict: Verdict
     iterations: tuple[IterationTrace, ...]

@@ -26,6 +26,7 @@ from .graphs import SccGraph
 from .model import Fmp, normalize, validate
 from .oracle import (
     ALL_HALT,
+    DEFAULT_MAX_CONFIGS,
     ExploreCaps,
     INCONCLUSIVE,
     LASSO_FOUND,
@@ -107,7 +108,7 @@ def _build_parser() -> _Parser:
     c = policy_cmd("oracle", "bounded-exhaustive exploration over a start grid")
     c.add_argument("--grid-max", type=_nonnegative_int, required=True)
     c.add_argument("--max-configs", type=_positive_int,
-                   default=ExploreCaps.max_configs)
+                   default=DEFAULT_MAX_CONFIGS)
     c.add_argument("--max-value", type=_nonnegative_int, default=None)
     c.add_argument("--strict", action="store_true")
 

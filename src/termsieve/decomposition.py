@@ -80,7 +80,7 @@ class DetNode:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DefForest:
     trees: tuple[DetNode, ...]
     seed: int

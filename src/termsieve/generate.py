@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 import random
+import sys
 from dataclasses import dataclass
 
 from .model import Edge, Fmp, VarDecl
@@ -13,7 +14,7 @@ class GenError(ValueError):
     """The generation spec is infeasible or malformed."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class GenSpec:
     n_qstates: int
     n_vars: int
@@ -46,8 +47,9 @@ def generate_random(spec: GenSpec) -> Fmp:
         )
 
     rng = random.Random(spec.seed)
-    qstates = tuple(f"q{i}" for i in range(n))
-    var_names = tuple(f"x{i}" for i in range(spec.n_vars))
+    # interned, so a corpus of generated policies holds one copy of each name
+    qstates = tuple(sys.intern(f"q{i}") for i in range(n))
+    var_names = tuple(sys.intern(f"x{i}") for i in range(spec.n_vars))
     deltas = [d for d in range(-spec.max_abs_delta, spec.max_abs_delta + 1) if d]
 
     def effect() -> dict[str, int]:
@@ -65,7 +67,7 @@ def generate_random(spec: GenSpec) -> Fmp:
         pairs.append((rng.choice(qstates), rng.choice(qstates)))
 
     edges = tuple(
-        Edge.single(id=f"e{i}", src=src, dst=dst, effect=effect())
+        Edge.single(id=sys.intern(f"e{i}"), src=src, dst=dst, effect=effect())
         for i, (src, dst) in enumerate(pairs)
     )
     return Fmp(

@@ -15,7 +15,7 @@ from typing import Iterable
 Arc = tuple[str, str, str]  # (id, src, dst)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class DiGraph:
     """A directed multigraph; arcs are (id, src, dst) with named endpoints."""
 
@@ -28,7 +28,7 @@ class DiGraph:
                 raise ValueError(f"arc {aid}: endpoint outside vertex set")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SccPartition:
     """Strongly connected components in canonical order, with trivial flags.
 

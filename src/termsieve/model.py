@@ -19,7 +19,7 @@ Effect = Mapping[str, int]
 Interval = tuple[int, int | None]  # inclusive min, inclusive max (None = unbounded)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class VarDecl:
     """A counter variable with an inclusive lower bound (default 0)."""
 
@@ -27,7 +27,7 @@ class VarDecl:
     lower_bound: int = 0
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Guard:
     """Conjunction of per-variable interval constraints.
 
@@ -36,13 +36,20 @@ class Guard:
 
     conjuncts: Mapping[str, Interval] = field(default_factory=dict)
 
+    def __reduce__(self):
+        # a copy or unpickled policy keeps sharing EMPTY_GUARD, whose
+        # read-only conjuncts cannot be pickled themselves
+        if self is EMPTY_GUARD:
+            return "EMPTY_GUARD"
+        return (Guard, (self.conjuncts,))
 
-# The one empty guard every parsed edge without constraints shares; its
+
+# The one empty guard every edge built without constraints shares; its
 # conjuncts are read-only, so no holder can change the others' guards.
 EMPTY_GUARD = Guard(MappingProxyType({}))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Edge:
     """A control edge carrying a guard and a set of alternative actions.
 
@@ -54,7 +61,7 @@ class Edge:
     id: str
     src: str
     dst: str
-    guard: Guard = field(default_factory=Guard)
+    guard: Guard = EMPTY_GUARD
     actions: tuple[Effect, ...] = ({},)
     label: str | None = None
 
@@ -72,7 +79,7 @@ class Edge:
             id=id,
             src=src,
             dst=dst,
-            guard=guard if guard is not None else Guard(),
+            guard=guard if guard is not None else EMPTY_GUARD,
             actions=(dict(effect) if effect else {},),
             label=label,
         )
@@ -88,7 +95,7 @@ class Edge:
         return self.actions[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ConcreteState:
     """A full valuation of the declared variables plus their lower bounds."""
 
@@ -141,7 +148,7 @@ class Fmp:
         return st
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Violation:
     """One structural invariant violation, with a machine-readable code."""
 

@@ -30,18 +30,21 @@ LASSO_FOUND = "lasso_found"
 INCONCLUSIVE = "inconclusive"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Configuration:
     qstate: str
     state: ConcreteState
 
 
-@dataclass(frozen=True)
+DEFAULT_MAX_CONFIGS = 1_000_000
+
+
+@dataclass(frozen=True, slots=True)
 class ExploreCaps:
     """Work limits; max_value None derives
     max(64, 64 * (max start value + max |delta|))."""
 
-    max_configs: int = 1_000_000
+    max_configs: int = DEFAULT_MAX_CONFIGS
     max_value: int | None = None
 
 
@@ -95,7 +98,7 @@ class LassoWitness:
                 f"cycle_start={self.cycle_start!r})")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class ExploreResult:
     """An explore() verdict; `witness` is set iff kind is lasso_found and
     stays packed until read (see `LassoWitness`)."""
@@ -505,7 +508,7 @@ def explore_grid(
     return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SimTrace:
     steps: tuple[tuple[str, Configuration], ...]
     halted: bool

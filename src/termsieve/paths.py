@@ -98,7 +98,7 @@ class PathCapExceeded(Exception):
         self.cap = cap
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class NodeVarSets:
     """Aggregated variable sets for one node (or one whole tree at its root)."""
 
