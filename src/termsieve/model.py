@@ -35,6 +35,7 @@ class Guard:
     """
 
     conjuncts: Mapping[str, Interval] = field(default_factory=dict)
+    __hash__ = None  # the conjuncts are a mapping
 
     def __reduce__(self):
         # a copy or unpickled policy keeps sharing EMPTY_GUARD, whose
@@ -61,9 +62,11 @@ class Edge:
     id: str
     src: str
     dst: str
-    guard: Guard = EMPTY_GUARD
+    # a factory: dataclasses reject a default of an unhashable class as mutable
+    guard: Guard = field(default_factory=lambda: EMPTY_GUARD)
     actions: tuple[Effect, ...] = ({},)
     label: str | None = None
+    __hash__ = None  # the guard and the actions are mappings
 
     @classmethod
     def single(
@@ -169,11 +172,11 @@ _INT = frozenset((int,))
 def validate(fmp: Fmp) -> list[Violation]:
     """Check every structural invariant; returns all violations found."""
     out: list[Violation] = []
-    seen_vars: set[str] = set()
+    declared: set[str] = set()
     for v in fmp.variables:
-        if v.name in seen_vars:
+        if v.name in declared:
             out.append(Violation("duplicate-variable", v.name))
-        seen_vars.add(v.name)
+        declared.add(v.name)
         if not _is_int(v.lower_bound):
             out.append(Violation("bad-lower-bound", f"{v.name}={v.lower_bound!r}"))
 
@@ -186,7 +189,6 @@ def validate(fmp: Fmp) -> list[Violation]:
     if fmp.initial not in seen_q:
         out.append(Violation("unknown-initial", fmp.initial))
 
-    declared = {v.name for v in fmp.variables}
     seen_ids: set[str] = set()
     for e in fmp.edges:
         eid = e.id

@@ -22,9 +22,12 @@ Unknown fields anywhere are rejected.
 A defect raises PolicyFormatError with a code, a location such as
 `$.edges[3].from` and, for a wrong value, its repr. All three are contract:
 the CLI prints them on its `error:` line. The checks run inline in a fixed
-order, and a location is formatted only when its check fails. Parsed edges
-keep the document's effect dicts, and every edge without guard constraints
-shares `model.EMPTY_GUARD`.
+order, and a failed one takes its error from the one helper for its kind:
+`_bad_field` (a field is missing, or not of its type), `_bad_object` (not an
+object, or an unknown field) or `_items` (an array element of the wrong
+type). So a location is formatted only when its check fails. Parsed edges
+keep the document's effect dicts and share the qstates' name strings, and
+every edge without guard constraints shares `model.EMPTY_GUARD`.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from __future__ import annotations
 import json
 import os
 import tempfile
-from typing import Any
+from typing import Any, Collection
 
 from .model import EMPTY_GUARD, Edge, Fmp, Guard, VarDecl
 
@@ -46,9 +49,7 @@ class PolicyFormatError(ValueError):
         self.code = code
         self.where = where
         text = f"{where}: {code}"
-        if message:
-            text += f" ({message})"
-        super().__init__(text)
+        super().__init__(f"{text} ({message})" if message else text)
 
 
 # the fields each object may carry
@@ -57,119 +58,99 @@ _TOP_KEYS = frozenset(("format_version", "variables", "qstates", "initial",
 _VAR_KEYS = frozenset(("name", "lower_bound"))
 _EDGE_KEYS = frozenset(("id", "from", "to", "guard", "effects", "label"))
 _CONJUNCT_KEYS = frozenset(("var", "min", "max"))
+_KINDS = {str: "string", int: "integer"}
 
 
-def _unknown_field(obj: dict, allowed: frozenset, where: str) -> PolicyFormatError:
-    """The error for `obj`'s first field outside `allowed`."""
-    k = next(k for k in obj if k not in allowed)
+def _bad_field(obj: dict, key: str, kind: str, where: str) -> PolicyFormatError:
+    """The error for field `key` of the object at `where`: missing or not a `kind`."""
+    if key not in obj:
+        return PolicyFormatError(f"missing-field:{key}", where)
+    return PolicyFormatError(f"expected-{kind}", f"{where}.{key}", repr(obj[key]))
+
+
+def _bad_object(value: Any, allowed: Collection[str], where: str) -> PolicyFormatError:
+    """The error for the value at `where`: it is not an object, or it has a
+    field outside `allowed`."""
+    if type(value) is not dict:
+        return PolicyFormatError("expected-object", where, repr(value))
+    k = next(k for k in value if k not in allowed)
     return PolicyFormatError(f"unknown-field:{k}", where)
 
 
-def _parse_edge(obj: Any, i: int) -> Edge:
-    if type(obj) is not dict:
-        raise PolicyFormatError("expected-object", f"$.edges[{i}]", repr(obj))
-    if not _EDGE_KEYS.issuperset(obj):
-        raise _unknown_field(obj, _EDGE_KEYS, f"$.edges[{i}]")
-    if "id" not in obj:
-        raise PolicyFormatError("missing-field:id", f"$.edges[{i}]")
-    eid = obj["id"]
+def _items(values: list, kind: type, where: str) -> None:
+    """Check that every element of the array at `where` is exactly a `kind`."""
+    for k, x in enumerate(values):
+        if type(x) is not kind:
+            raise PolicyFormatError(f"expected-{_KINDS[kind]}", f"{where}[{k}]",
+                                    repr(x))
+
+
+def _parse_edge(obj: Any, i: int, names: dict[str, str]) -> Edge:
+    if type(obj) is not dict or not _EDGE_KEYS.issuperset(obj):
+        raise _bad_object(obj, _EDGE_KEYS, f"$.edges[{i}]")
+    eid = obj.get("id")
     if type(eid) is not str:
-        raise PolicyFormatError("expected-string", f"$.edges[{i}].id", repr(eid))
-    if "from" not in obj:
-        raise PolicyFormatError("missing-field:from", f"$.edges[{i}]")
-    src = obj["from"]
+        raise _bad_field(obj, "id", "string", f"$.edges[{i}]")
+    src = obj.get("from")
     if type(src) is not str:
-        raise PolicyFormatError("expected-string", f"$.edges[{i}].from", repr(src))
-    if "to" not in obj:
-        raise PolicyFormatError("missing-field:to", f"$.edges[{i}]")
-    dst = obj["to"]
+        raise _bad_field(obj, "from", "string", f"$.edges[{i}]")
+    dst = obj.get("to")
     if type(dst) is not str:
-        raise PolicyFormatError("expected-string", f"$.edges[{i}].to", repr(dst))
+        raise _bad_field(obj, "to", "string", f"$.edges[{i}]")
 
     guard = EMPTY_GUARD
     if "guard" in obj:
         raw_guard = obj["guard"]
         if type(raw_guard) is not list:
-            raise PolicyFormatError("expected-array", f"$.edges[{i}].guard",
-                                    repr(raw_guard))
+            raise _bad_field(obj, "guard", "array", f"$.edges[{i}]")
         if raw_guard:
             guard = Guard(_parse_guard(raw_guard, i))
 
-    if "effects" not in obj:
-        raise PolicyFormatError("missing-field:effects", f"$.edges[{i}]")
-    # the document's own effect dicts serve as the actions
-    raw = obj["effects"]
+    # the document's own effect dicts serve as the actions; each action's
+    # deltas are checked before the next action is
+    raw = obj.get("effects")
     if type(raw) is dict:
-        for var, delta in raw.items():
-            if type(delta) is not int:
-                raise PolicyFormatError("non-integer-effect",
-                                        f"$.edges[{i}].effects.{var}", repr(delta))
         actions = (raw,)
     elif type(raw) is list:
-        for k, action in enumerate(raw):
-            if type(action) is not dict:
-                raise PolicyFormatError("expected-object",
-                                        f"$.edges[{i}].effects[{k}]", repr(action))
-            for var, delta in action.items():
-                if type(delta) is not int:
-                    raise PolicyFormatError("non-integer-effect",
-                                            f"$.edges[{i}].effects[{k}].{var}",
-                                            repr(delta))
         actions = tuple(raw)
     else:
-        raise PolicyFormatError("expected-object", f"$.edges[{i}].effects",
-                                repr(raw))
+        raise _bad_field(obj, "effects", "object", f"$.edges[{i}]")
+    for k, action in enumerate(actions):
+        if type(action) is not dict:
+            raise _bad_object(action, (), f"$.edges[{i}].effects[{k}]")
+        for var, delta in action.items():
+            if type(delta) is not int:
+                at = f".{var}" if action is raw else f"[{k}].{var}"
+                raise PolicyFormatError("non-integer-effect",
+                                        f"$.edges[{i}].effects{at}", repr(delta))
 
     label = None
     if "label" in obj:
         label = obj["label"]
         if type(label) is not str:
-            raise PolicyFormatError("expected-string", f"$.edges[{i}].label",
-                                    repr(label))
-    return Edge(id=eid, src=src, dst=dst, guard=guard, actions=actions,
-                label=label)
+            raise _bad_field(obj, "label", "string", f"$.edges[{i}]")
+    return Edge(eid, names.get(src, src), names.get(dst, dst), guard, actions, label)
 
 
 def _parse_guard(raw: list, i: int) -> dict[str, tuple[int, int | None]]:
     conjuncts: dict[str, tuple[int, int | None]] = {}
     for j, c in enumerate(raw):
-        if type(c) is not dict:
-            raise PolicyFormatError("expected-object", f"$.edges[{i}].guard[{j}]",
-                                    repr(c))
-        if not _CONJUNCT_KEYS.issuperset(c):
-            raise _unknown_field(c, _CONJUNCT_KEYS, f"$.edges[{i}].guard[{j}]")
-        if "var" not in c:
-            raise PolicyFormatError("missing-field:var", f"$.edges[{i}].guard[{j}]")
-        var = c["var"]
+        if type(c) is not dict or not _CONJUNCT_KEYS.issuperset(c):
+            raise _bad_object(c, _CONJUNCT_KEYS, f"$.edges[{i}].guard[{j}]")
+        var = c.get("var")
         if type(var) is not str:
-            raise PolicyFormatError("expected-string",
-                                    f"$.edges[{i}].guard[{j}].var", repr(var))
+            raise _bad_field(c, "var", "string", f"$.edges[{i}].guard[{j}]")
         if var in conjuncts:
             raise PolicyFormatError("duplicate-guard-var",
                                     f"$.edges[{i}].guard[{j}]", var)
-        if "min" not in c:
-            raise PolicyFormatError("missing-field:min", f"$.edges[{i}].guard[{j}]")
-        lo = c["min"]
+        lo = c.get("min")
         if type(lo) is not int:
-            raise PolicyFormatError("expected-integer",
-                                    f"$.edges[{i}].guard[{j}].min", repr(lo))
-        hi = None
-        if "max" in c:
-            hi = c["max"]
-            if type(hi) is not int:
-                raise PolicyFormatError("expected-integer",
-                                        f"$.edges[{i}].guard[{j}].max", repr(hi))
+            raise _bad_field(c, "min", "integer", f"$.edges[{i}].guard[{j}]")
+        hi = c.get("max")
+        if type(hi) is not int and "max" in c:
+            raise _bad_field(c, "max", "integer", f"$.edges[{i}].guard[{j}]")
         conjuncts[var] = (lo, hi)
     return conjuncts
-
-
-def _strings(raw: Any, where: str) -> tuple[str, ...]:
-    if type(raw) is not list:
-        raise PolicyFormatError("expected-array", where, repr(raw))
-    for i, x in enumerate(raw):
-        if type(x) is not str:
-            raise PolicyFormatError("expected-string", f"{where}[{i}]", repr(x))
-    return tuple(raw)
 
 
 def parse_policy(text: str) -> Fmp:
@@ -178,83 +159,64 @@ def parse_policy(text: str) -> Fmp:
         doc = json.loads(text)
     except (ValueError, RecursionError) as exc:  # JSONDecodeError is one
         raise PolicyFormatError("bad-json", "$", str(exc)) from exc
-    if type(doc) is not dict:
-        raise PolicyFormatError("expected-object", "$", repr(doc))
-    if not _TOP_KEYS.issuperset(doc):
-        raise _unknown_field(doc, _TOP_KEYS, "$")
-    if "format_version" not in doc:
-        raise PolicyFormatError("missing-field:format_version", "$")
-    version = doc["format_version"]
+    if type(doc) is not dict or not _TOP_KEYS.issuperset(doc):
+        raise _bad_object(doc, _TOP_KEYS, "$")
+    version = doc.get("format_version")
     # True and 1.0 equal 1 but are not version 1
     if type(version) is not int or version != FORMAT_VERSION:
-        raise PolicyFormatError(
-            "unsupported-format-version", "$.format_version", repr(version)
-        )
+        if "format_version" not in doc:
+            raise _bad_field(doc, "format_version", "integer", "$")
+        raise PolicyFormatError("unsupported-format-version",
+                                "$.format_version", repr(version))
 
-    if "variables" not in doc:
-        raise PolicyFormatError("missing-field:variables", "$")
-    raw_vars = doc["variables"]
+    raw_vars = doc.get("variables")
     if type(raw_vars) is not list:
-        raise PolicyFormatError("expected-array", "$.variables", repr(raw_vars))
+        raise _bad_field(doc, "variables", "array", "$")
     variables = []
     for i, v in enumerate(raw_vars):
-        if type(v) is not dict:
-            raise PolicyFormatError("expected-object", f"$.variables[{i}]", repr(v))
-        if not _VAR_KEYS.issuperset(v):
-            raise _unknown_field(v, _VAR_KEYS, f"$.variables[{i}]")
-        if "name" not in v:
-            raise PolicyFormatError("missing-field:name", f"$.variables[{i}]")
-        name = v["name"]
+        if type(v) is not dict or not _VAR_KEYS.issuperset(v):
+            raise _bad_object(v, _VAR_KEYS, f"$.variables[{i}]")
+        name = v.get("name")
         if type(name) is not str:
-            raise PolicyFormatError("expected-string", f"$.variables[{i}].name",
-                                    repr(name))
+            raise _bad_field(v, "name", "string", f"$.variables[{i}]")
         lb = v.get("lower_bound", 0)
         if type(lb) is not int:
-            raise PolicyFormatError("expected-integer",
-                                    f"$.variables[{i}].lower_bound", repr(lb))
-        variables.append(VarDecl(name=name, lower_bound=lb))
+            raise _bad_field(v, "lower_bound", "integer", f"$.variables[{i}]")
+        variables.append(VarDecl(name, lb))
 
-    if "qstates" not in doc:
-        raise PolicyFormatError("missing-field:qstates", "$")
-    qstates = _strings(doc["qstates"], "$.qstates")
-    if "initial" not in doc:
-        raise PolicyFormatError("missing-field:initial", "$")
-    initial = doc["initial"]
+    qstates = doc.get("qstates")
+    if type(qstates) is not list:
+        raise _bad_field(doc, "qstates", "array", "$")
+    _items(qstates, str, "$.qstates")
+    # an edge end or the initial qstate that names a qstate shares its string
+    names = {q: q for q in qstates}
+    initial = doc.get("initial")
     if type(initial) is not str:
-        raise PolicyFormatError("expected-string", "$.initial", repr(initial))
-    if "edges" not in doc:
-        raise PolicyFormatError("missing-field:edges", "$")
-    raw_edges = doc["edges"]
+        raise _bad_field(doc, "initial", "string", "$")
+    raw_edges = doc.get("edges")
     if type(raw_edges) is not list:
-        raise PolicyFormatError("expected-array", "$.edges", repr(raw_edges))
-    edges = tuple([_parse_edge(e, i) for i, e in enumerate(raw_edges)])
-    terminal = _strings(doc["terminal"], "$.terminal") if "terminal" in doc else ()
+        raise _bad_field(doc, "edges", "array", "$")
+    edges = tuple([_parse_edge(e, i, names) for i, e in enumerate(raw_edges)])
+    terminal = doc.get("terminal", [])
+    if type(terminal) is not list:
+        raise _bad_field(doc, "terminal", "array", "$")
+    _items(terminal, str, "$.terminal")
     goal = None
     if "goal" in doc:
         raw_goal = doc["goal"]
         if type(raw_goal) is not dict:
-            raise PolicyFormatError("expected-object", "$.goal", repr(raw_goal))
+            raise _bad_field(doc, "goal", "object", "$")
         goal = {}
         for var, iv in raw_goal.items():
             if type(iv) is not list:
-                raise PolicyFormatError("expected-array", f"$.goal.{var}", repr(iv))
+                raise _bad_field(raw_goal, var, "array", "$.goal")
             if len(iv) not in (1, 2):
-                raise PolicyFormatError("bad-goal-interval", f"$.goal.{var}",
-                                        repr(iv))
-            for k, bound in enumerate(iv):
-                if type(bound) is not int:
-                    raise PolicyFormatError("expected-integer",
-                                            f"$.goal.{var}[{k}]", repr(bound))
+                raise PolicyFormatError("bad-goal-interval", f"$.goal.{var}", repr(iv))
+            _items(iv, int, f"$.goal.{var}")
             goal[var] = (iv[0], iv[1] if len(iv) == 2 else None)
 
-    return Fmp(
-        variables=tuple(variables),
-        qstates=qstates,
-        initial=initial,
-        edges=edges,
-        terminal=terminal,
-        goal=goal,
-    )
+    return Fmp(tuple(variables), tuple(qstates), names.get(initial, initial), edges,
+               tuple(terminal), goal)
 
 
 def serialize_policy(fmp: Fmp) -> str:

@@ -162,6 +162,19 @@ class TestAnalyze:
         assert err.startswith("error:")
         assert out == ""
 
+    @pytest.mark.parametrize("argv, line", [
+        (("analyze", "--path-cap", "abc"),
+         "error: argument --path-cap: expected an integer >= 1, got 'abc'"),
+        (("oracle", "--grid-max", "x"),
+         "error: argument --grid-max: expected an integer >= 0, got 'x'"),
+    ])
+    def test_counts_that_are_not_integers_are_usage_errors(self, capsys, argv,
+                                                           line):
+        code, out, err = run(capsys, *argv, EXAMPLE1)
+        assert code == 2
+        assert err == line + "\n"
+        assert out == ""
+
     def test_long_ring(self, capsys, tmp_path):
         p = str(tmp_path / "ring.json")
         save_policy(p, ring_policy(1500))

@@ -194,6 +194,16 @@ class TestEmptyGuard:
             assert g.edges[0].guard is EMPTY_GUARD
             assert g.edges[1].guard.conjuncts == {"x": (1, None)}
 
+    def test_edges_and_guards_are_unhashable(self):
+        # they hold mappings; a variable declaration holds none
+        for value, name in ((Edge("e", "a", "b"), "Edge"),
+                            (Guard({"x": (0, None)}), "Guard"),
+                            (EMPTY_GUARD, "Guard")):
+            with pytest.raises(TypeError) as ei:
+                hash(value)
+            assert str(ei.value) == f"unhashable type: '{name}'"
+        assert hash(VarDecl("x", 1)) == hash(VarDecl("x", 1))
+
 
 class TestCompactObjects:
     """A corpus of policies holds no per-object dicts or per-policy names."""

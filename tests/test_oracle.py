@@ -4,7 +4,7 @@ import random
 import pytest
 
 from termsieve import oracle
-from termsieve.model import Edge, Fmp, Guard, VarDecl
+from termsieve.model import ConcreteState, Edge, Fmp, Guard, VarDecl
 from termsieve.oracle import (
     ALL_HALT,
     INCONCLUSIVE,
@@ -55,6 +55,15 @@ class TestStep:
                 if e.src == cfg.qstate and enabled(e, cfg.state):
                     want.append((e.id, Configuration(e.dst, apply_edge(e, cfg.state))))
             assert got == want
+
+    def test_start_below_a_lower_bound_is_rejected(self):
+        f = fixture("f2")
+        s0 = ConcreteState(values={"x": -1, "y": 0}, bounds=f.bounds)
+        for call in (lambda: explore(f, s0), lambda: run_random(f, s0),
+                     lambda: step(f, Configuration("q0", s0))):
+            with pytest.raises(ValueError) as ei:
+                call()
+            assert str(ei.value) == "value of x below its lower bound"
 
 
 class TestLasso:

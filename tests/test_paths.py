@@ -297,6 +297,10 @@ class TestCapsAndErrors:
         f = load_policy(FIXTURES / "f2.fmp.json")
         with pytest.raises(InvalidNodeError):
             ctx_for(f).paths(DetNode(frozenset({"q0"}), "zz", ()))
+        # the elim is in its vertex set, but the set is not in the graph
+        with pytest.raises(InvalidNodeError) as ei:
+            ctx_for(f).paths(DetNode(frozenset({"ghost"}), "ghost", ()))
+        assert str(ei.value) == "invalid-node: ghost outside the graph"
 
 
 def chorded_ring_with_exits(rng, n):

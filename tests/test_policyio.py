@@ -3,10 +3,21 @@ import copy
 import hashlib
 import json
 import os
+import random
+import tracemalloc
 
 import pytest
 
-from termsieve.model import EMPTY_GUARD, Edge, Fmp, Guard, VarDecl, validate
+from termsieve.generate import GenSpec, generate_random
+from termsieve.model import (
+    EMPTY_GUARD,
+    Edge,
+    Fmp,
+    Guard,
+    VarDecl,
+    normalize,
+    validate,
+)
 from termsieve.policyio import (
     PolicyFormatError,
     atomic_write,
@@ -287,6 +298,27 @@ class TestErrorContract:
         assert n == 428
         assert h.hexdigest()[:16] == "61f3bfe369a0b7e4"
 
+    def test_two_site_digest_pinned(self):
+        # with two defects the first one checked is reported, so this pins
+        # the order of the checks: a parser that checks every action is an
+        # object before it checks any delta passes the digest above but
+        # not this one
+        base = json.loads(serialize_policy(full_featured()))
+        edits = list(mutations(base))
+        rng = random.Random(29)
+        h = hashlib.sha256()
+        n = 0
+        for _ in range(20_000):
+            (p1, e1), (p2, e2) = rng.sample(edits, 2)
+            once = mutated(base, p1, e1)
+            try:
+                text = json.dumps(mutated(once, p2, e2))
+            except (KeyError, IndexError, TypeError):
+                continue  # the first edit removed the second one's site
+            h.update(outcome(parse_policy, text).encode() + b"\0")
+            n += 1
+        assert (n, h.hexdigest()[:16]) == (19_338, "9f066f8772fa0167")
+
     def test_pinned_locations(self):
         # the cases a type(x) test or a location built only on failure
         # could get wrong
@@ -315,6 +347,37 @@ class TestErrorContract:
             e = err(text)
             assert (e.code, e.where, str(e)) == (
                 code, where, f"{where}: {code} ({message})")
+
+
+class TestSharedNames:
+    def test_endpoints_share_the_qstate_strings(self):
+        f = parse_policy(serialize_policy(full_featured()))
+        assert any(f.initial is q for q in f.qstates)
+        for e in f.edges:
+            assert any(e.src is q for q in f.qstates)
+            assert any(e.dst is q for q in f.qstates)
+        # a name that is no qstate is kept as it is, for validate to report
+        edges = [{"id": "e1", "from": "q0", "to": "ghost", "effects": {}}]
+        f = parse_policy(doc(initial="nowhere", edges=edges))
+        assert (f.initial, f.edges[0].dst) == ("nowhere", "ghost")
+        assert f.edges[0].src is f.qstates[0]
+        assert [v.code for v in validate(f)] == ["unknown-initial",
+                                                 "unknown-qstate"]
+
+    def test_parsed_corpus_memory_bounded(self):
+        # tracemalloc peak of 300 parsed and normalized 8q/2v policies:
+        # 3.57-4.16 MiB with a string per edge endpoint, 2.92-3.39 MiB with
+        # the endpoints sharing the qstates' strings (Python 3.10 to 3.13)
+        texts = [serialize_policy(generate_random(GenSpec(8, 2, 0.4, 2, seed)))
+                 for seed in range(300)]
+        tracemalloc.start()
+        try:
+            held = [normalize(parse_policy(text)) for text in texts]
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert len(held) == 300
+        assert peak < 3.5 * 2**20
 
 
 class TestAtomicWrite:
