@@ -122,6 +122,8 @@ class Fmp:
     terminal: tuple[str, ...] = ()
     goal: Mapping[str, Interval] | None = None
 
+    __hash__ = None  # the edges and the goal hold mappings
+
     @cached_property
     def bounds(self) -> dict[str, int]:
         return {v.name: v.lower_bound for v in self.variables}

@@ -290,7 +290,8 @@ class _Halted:
     ending all_halt expanded or reused, mapped to the least value cap of
     such a start. Every run from a known configuration halts, every step of
     it stays within that cap, and every successor is known with a cap no
-    larger.
+    larger. A start that runs again without reuse still adds what it
+    expanded, as it runs on this packing.
     """
 
     __slots__ = ("packing", "known")
@@ -298,33 +299,6 @@ class _Halted:
     def __init__(self, packing: Packing):
         self.packing = packing
         self.known: dict[int, int] = {}
-
-
-def _walk_closures(p: Packing, depth: dict[int, int], keys: list[int]
-                   ) -> tuple[int, int, int]:
-    """Mark done every configuration reachable from the known `keys` that
-    `depth` lacks, emptying `keys`; returns how many configurations that
-    makes, `keys` included, how many of them halt and how many of those lie
-    in the goal.
-
-    Every such configuration is known, so its successors stay within the
-    caller's value cap and none is on the caller's path.
-    """
-    count = len(keys)
-    halting = goal_hits = 0
-    while keys:
-        key = keys.pop()
-        succ = p.successors(key)
-        if not succ:
-            halting += 1
-            if p.goal is not None and p.holds(p.goal, key):
-                goal_hits += 1
-        for _, nkey in succ:
-            if nkey not in depth:
-                depth[nkey] = _DONE
-                keys.append(nkey)
-                count += 1
-    return count, halting, goal_hits
 
 
 def explore(
@@ -346,7 +320,9 @@ def explore(
 
     `shared` carries what earlier starts of one `explore_grid` call found
     (see `explore_grid`); without it nothing is known and the search
-    expands every configuration it reaches.
+    expands every configuration it reaches. Where expanding all known ones
+    too could reach `max_configs`, reuse stops, and a search that has
+    reused any runs again from its start, to end as one without `shared`.
     """
     caps = caps if caps is not None else ExploreCaps()
     code = fmp.oracle_code
@@ -375,8 +351,8 @@ def explore(
     edges: list[str | None] = [None]
     nexts = [0]
     depth[keys[0]] = 0
-    # known keys marked done in place of their closures
-    reused: list[int] = []
+    # whether a known key was marked done in place of its closure
+    reused = False
     expanded, halting, value_cap_hits, goal_hits = 1, 0, 0, 0
 
     def stats(config_cap: int = 0) -> dict[str, int]:
@@ -417,18 +393,20 @@ def explore(
                     c = known.get(nkey)
                     if c is not None and c <= max_value:
                         depth[nkey] = _DONE
-                        reused.append(nkey)
+                        reused = True
                         continue
                 else:
-                    # Reuse ends. Count the closures reused so far as
-                    # explore would have expanded them, so that from
-                    # here on the config cap binds as it would.
+                    # Reuse ends; a start that reused a closure runs again
+                    # without it, so the config cap binds as in explore.
                     reuse = False
-                    n, h, g = _walk_closures(p, depth, reused)
-                    expanded += n
-                    halting += h
-                    goal_hits += g
-                    if nkey in depth:
+                    if reused:
+                        del keys[1:], edges[1:], nexts[1:]
+                        key = keys[0]
+                        depth = {key: 0}
+                        expanded, halting, value_cap_hits, goal_hits = (
+                            1, 0, 0, 0)
+                        row = table[key & qmask]
+                        i, end, live = 0, len(row), False
                         continue
             if expanded >= max_configs:
                 return ExploreResult(INCONCLUSIVE, None, stats(1))
@@ -488,10 +466,10 @@ def explore_grid(
     runs all halt within that cap, so none reaches the current path. Kinds
     and witnesses are those of explore() per start. A start's `expanded`,
     `halting` and `goal_report` count only the configurations it expanded
-    itself, until expanding every known configuration as well could reach
-    `max_configs`. At its next step the start then counts the closures it
-    reused, as explore() would have expanded them, and reuses no more, so
-    from there on its stats are explore()'s.
+    itself. Reuse stops where expanding every known configuration as well
+    could reach `max_configs`: a start that has reused nothing by then goes
+    on without reuse, and one that has runs again from its start without
+    reuse. Either way its result, stats included, is then explore()'s.
     """
     caps = caps if caps is not None else ExploreCaps()
     code = fmp.oracle_code

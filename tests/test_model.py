@@ -195,10 +195,13 @@ class TestEmptyGuard:
             assert g.edges[1].guard.conjuncts == {"x": (1, None)}
 
     def test_edges_and_guards_are_unhashable(self):
-        # they hold mappings; a variable declaration holds none
+        # they hold mappings, and so does a policy, even one with no edge
+        # or goal; a variable declaration holds none
         for value, name in ((Edge("e", "a", "b"), "Edge"),
                             (Guard({"x": (0, None)}), "Guard"),
-                            (EMPTY_GUARD, "Guard")):
+                            (EMPTY_GUARD, "Guard"),
+                            (mk(), "Fmp"),
+                            (mk(edges=(Edge("e", "q0", "q1"),)), "Fmp")):
             with pytest.raises(TypeError) as ei:
                 hash(value)
             assert str(ei.value) == f"unhashable type: '{name}'"

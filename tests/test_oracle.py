@@ -1,4 +1,5 @@
 """Exhaustive exploration, lasso certificates, and random simulation."""
+import hashlib
 import random
 
 import pytest
@@ -439,7 +440,7 @@ def _same_grid(got, want) -> int:
     """explore_grid against referee_explore_grid: the same starts, kinds,
     witnesses, value-cap hits and config caps, and no start expands more
     than explore would. A start that expands as many reused nothing, or
-    counted what it reused, so its result is explore's, stats included.
+    ran again without reuse, so its result is explore's, stats included.
     Returns how many starts expanded fewer."""
     assert [s0 for s0, _ in got] == [s0 for s0, _ in want]
     fewer = 0
@@ -476,8 +477,8 @@ class TestGridAgainstReferee:
         (3, INCONCLUSIVE, 3),
         # reuse ends before it starts
         (4, ALL_HALT, 4),
-        # reuse ends at (qC, 0), reached from qD, which the closure of
-        # (qB, 0) already holds
+        # reuse ends at (qC, 0), reached from qD, after the start reused
+        # (qB, 0), so the start runs again without reuse
         (5, ALL_HALT, 4),
         # the start expands only itself and (qD, 0)
         (10**6, ALL_HALT, 2),
@@ -544,6 +545,31 @@ class TestGridAgainstReferee:
         assert kinds == {ALL_HALT, LASSO_FOUND, INCONCLUSIVE}
         assert fewer >= 200
 
+    def test_per_start_digest_pinned(self):
+        # every start's full result, stats and goal report included, at
+        # config caps in reach and out of it; 50 of these starts have
+        # reused a closure when reuse ends near the config cap. The digest
+        # was taken before such a start ran again without reuse.
+        rng = random.Random(30_032)
+        h = hashlib.sha256()
+        starts = 0
+        for f in self.policies(rng, 1200):
+            if rng.random() < 0.5:
+                caps = ExploreCaps(max_configs=rng.randint(1, 30),
+                                   max_value=rng.choice([None, 0, 2, 20]))
+            else:
+                values = ([None, 0, 2, 20] if len(f.variables) == 1
+                          else [0, 2, 6])
+                caps = ExploreCaps(max_configs=10**6,
+                                   max_value=rng.choice(values))
+            for s0, res in explore_grid(f, rng.randint(1, 3), caps):
+                starts += 1
+                h.update(repr((sorted(s0.values.items()), res.kind,
+                               sorted(res.stats.items()), res.goal_report,
+                               res.witness)).encode())
+        assert starts == 12812
+        assert h.hexdigest()[:16] == "6814c206de8b46bf"
+
 
 class TestInPlaceScan:
     """explore scans each configuration's actions in place and counts a
@@ -563,8 +589,9 @@ class TestInPlaceScan:
                 kinds.add((got.kind, got.stats["config_cap"]))
         assert kinds >= {(ALL_HALT, 0), (LASSO_FOUND, 0), (INCONCLUSIVE, 0),
                          (INCONCLUSIVE, 1)}
-        # with no config cap in reach, reuse never ends, so explore_grid
-        # walks no closure either
+        # nor does explore_grid, with the config cap out of reach, where
+        # reuse never ends, or in reach, where a start that reused a
+        # closure runs again without reuse
         rng = random.Random(24_024)
         fewer = 0
         for f in TestGridAgainstReferee.policies(rng, 100):
@@ -572,6 +599,7 @@ class TestInPlaceScan:
                                max_value=rng.choice([0, 2, 6]))
             fewer += TestGridAgainstReferee.check(f, caps, rng.randint(1, 3))[0]
         assert fewer > 0
+        TestGridAgainstReferee().test_under_config_caps()
 
     # name -> (policy, start values, value cap, m, event): the config cap m
     # falls right after the event
