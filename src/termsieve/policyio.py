@@ -35,9 +35,10 @@ from __future__ import annotations
 import json
 import os
 import tempfile
+from json.encoder import encode_basestring_ascii
 from typing import Any, Collection
 
-from .model import EMPTY_GUARD, Edge, Fmp, Guard, VarDecl
+from .model import EMPTY_GUARD, Edge, Effect, Fmp, Guard, VarDecl
 
 FORMAT_VERSION = 1
 
@@ -219,39 +220,100 @@ def parse_policy(text: str) -> Fmp:
                tuple(terminal), goal)
 
 
+# The document text is what `json.dumps(doc, indent=2)` writes for the
+# document's fields in schema order, built from one template per object kind.
+# Each %s is an encoded scalar or an already indented block; `_array` and
+# `_object` take the padding of their elements, two spaces per level.
+_TOP = ('{\n  "format_version": %d,\n  "variables": %s,\n  "qstates": %s,'
+        '\n  "initial": %s,\n  "edges": %s%s\n}\n')
+_TERMINAL = ',\n  "terminal": %s'
+_GOAL = ',\n  "goal": %s'
+_VARIABLE = '{\n      "name": %s,\n      "lower_bound": %s\n    }'
+_EDGE = ('{\n      "id": %s,\n      "from": %s,\n      "to": %s,'
+         '\n      "guard": %s,\n      "effects": %s%s\n    }')
+_LABEL = ',\n      "label": %s'
+_CONJUNCT = '{\n          "var": %s,\n          "min": %s\n        }'
+_BOUNDED_CONJUNCT = ('{\n          "var": %s,\n          "min": %s,'
+                     '\n          "max": %s\n        }')
+
+def _scalar(v: Any) -> str:
+    """`v` as json.dumps writes it."""
+    if type(v) is str:
+        # the C encoder json.dumps itself uses while ensure_ascii is set
+        return encode_basestring_ascii(v)
+    if type(v) is int:
+        return int.__repr__(v)
+    return json.dumps(v)
+
+
+def _key(k: Any) -> str:
+    """`k` as json.dumps writes it as an object key: a number, a bool or
+    None becomes a string."""
+    if type(k) is str:
+        return encode_basestring_ascii(k)
+    return json.dumps({k: None})[1:-7]
+
+
+def _array(parts: list[str], pad: str) -> str:
+    if not parts:
+        return "[]"
+    return f"[\n{pad}" + f",\n{pad}".join(parts) + f"\n{pad[2:]}]"
+
+
+def _object(parts: list[str], pad: str) -> str:
+    if not parts:
+        return "{}"
+    return f"{{\n{pad}" + f",\n{pad}".join(parts) + f"\n{pad[2:]}}}"
+
+
+def _effect(action: Effect, pad: str) -> str:
+    return _object([f"{_key(var)}: {_scalar(delta)}"
+                    for var, delta in sorted(action.items())], pad)
+
+
 def serialize_policy(fmp: Fmp) -> str:
-    """Document text for a policy; stable field order, trailing newline."""
-    doc: dict[str, Any] = {
-        "format_version": FORMAT_VERSION,
-        "variables": [
-            {"name": v.name, "lower_bound": v.lower_bound} for v in fmp.variables
-        ],
-        "qstates": list(fmp.qstates),
-        "initial": fmp.initial,
-        "edges": [],
-    }
+    """Document text for a policy: stable field order, trailing newline.
+
+    The text is byte for byte `json.dumps(doc, indent=2) + "\n"` of the
+    document: fields in schema order, guard conjuncts, effect deltas and
+    goal intervals sorted by variable, `max` and `label` only when set,
+    `terminal` only when non-empty and `goal` only when present. Tests pin
+    it against that form on fixtures, generated corpora and hand cases.
+    """
+    edges = []
     for e in fmp.edges:
-        eobj: dict[str, Any] = {"id": e.id, "from": e.src, "to": e.dst}
-        eobj["guard"] = [
-            {"var": var, "min": lo} if hi is None
-            else {"var": var, "min": lo, "max": hi}
+        guard = _array([
+            _CONJUNCT % (_scalar(var), _scalar(lo)) if hi is None
+            else _BOUNDED_CONJUNCT % (_scalar(var), _scalar(lo), _scalar(hi))
             for var, (lo, hi) in sorted(e.guard.conjuncts.items())
-        ]
+        ], "        ")
         if len(e.actions) == 1:
-            eobj["effects"] = dict(sorted(e.actions[0].items()))
+            effects = _effect(e.actions[0], "        ")
         else:
-            eobj["effects"] = [dict(sorted(a.items())) for a in e.actions]
-        if e.label is not None:
-            eobj["label"] = e.label
-        doc["edges"].append(eobj)
+            effects = _array([_effect(a, "          ") for a in e.actions],
+                             "        ")
+        label = "" if e.label is None else _LABEL % _scalar(e.label)
+        edges.append(_EDGE % (_scalar(e.id), _scalar(e.src), _scalar(e.dst),
+                              guard, effects, label))
+    tail = ""
     if fmp.terminal:
-        doc["terminal"] = list(fmp.terminal)
+        tail = _TERMINAL % _array([_scalar(q) for q in fmp.terminal], "    ")
     if fmp.goal is not None:
-        doc["goal"] = {
-            var: [lo] if hi is None else [lo, hi]
+        tail += _GOAL % _object([
+            f"{_key(var)}: "
+            + _array([_scalar(lo)] if hi is None else [_scalar(lo), _scalar(hi)],
+                     "      ")
             for var, (lo, hi) in sorted(fmp.goal.items())
-        }
-    return json.dumps(doc, indent=2) + "\n"
+        ], "    ")
+    return _TOP % (
+        FORMAT_VERSION,
+        _array([_VARIABLE % (_scalar(v.name), _scalar(v.lower_bound))
+                for v in fmp.variables], "    "),
+        _array([_scalar(q) for q in fmp.qstates], "    "),
+        _scalar(fmp.initial),
+        _array(edges, "    "),
+        tail,
+    )
 
 
 def load_policy(path: str) -> Fmp:

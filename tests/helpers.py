@@ -18,6 +18,7 @@ from typing import Any, Iterable
 
 from termsieve.analysis import NONTERMINATING_QUALITATIVE, TERMINATING, Verdict
 from termsieve.decomposition import DefForest, DetNode, Splits, build_def, quotient
+from termsieve.generate import GenSpec
 from termsieve.graphs import Arc, DiGraph, SccGraph, induced
 from termsieve.model import ConcreteState, Edge, Effect, Fmp, Guard, VarDecl
 from termsieve.oracle import (
@@ -631,6 +632,17 @@ def random_small_policy(rng: random.Random, max_q: int = 4,
                edges=tuple(edges))
 
 
+def bench_shape_specs(seed: int, count: int) -> list[GenSpec]:
+    """`count` generator specs of each bench workload's shape, in the
+    bench's seeding: hsieve-mid's 11q/4v, triage-small's 2-6q/1-3v mix and
+    oracle-hunt's 8q/2v, all at density 0.4 and deltas up to 2."""
+    base = seed * 1_000_000
+    return ([GenSpec(11, 4, 0.4, 2, base + i) for i in range(count)]
+            + [GenSpec(2 + i % 5, 1 + i % 3, 0.4, 2, base + i)
+               for i in range(count)]
+            + [GenSpec(8, 2, 0.4, 2, base + i) for i in range(count)])
+
+
 def guard_free_walks(sub: DiGraph, start: str, rng: random.Random,
                      max_len: int) -> list[tuple[str, str]]:
     """One random walk inside sub from start, as (arc_id, dst) steps."""
@@ -961,3 +973,40 @@ def referee_parse_policy(text: str) -> Fmp:
         terminal=terminal,
         goal=goal,
     )
+
+
+def referee_serialize_policy(fmp: Fmp) -> str:
+    """The serializer as it was before its text was built from templates:
+    the document as a dict, written by `json.dumps(doc, indent=2)`. Kept
+    as the referee for every byte `serialize_policy` writes."""
+    doc: dict[str, Any] = {
+        "format_version": FORMAT_VERSION,
+        "variables": [
+            {"name": v.name, "lower_bound": v.lower_bound} for v in fmp.variables
+        ],
+        "qstates": list(fmp.qstates),
+        "initial": fmp.initial,
+        "edges": [],
+    }
+    for e in fmp.edges:
+        eobj: dict[str, Any] = {"id": e.id, "from": e.src, "to": e.dst}
+        eobj["guard"] = [
+            {"var": var, "min": lo} if hi is None
+            else {"var": var, "min": lo, "max": hi}
+            for var, (lo, hi) in sorted(e.guard.conjuncts.items())
+        ]
+        if len(e.actions) == 1:
+            eobj["effects"] = dict(sorted(e.actions[0].items()))
+        else:
+            eobj["effects"] = [dict(sorted(a.items())) for a in e.actions]
+        if e.label is not None:
+            eobj["label"] = e.label
+        doc["edges"].append(eobj)
+    if fmp.terminal:
+        doc["terminal"] = list(fmp.terminal)
+    if fmp.goal is not None:
+        doc["goal"] = {
+            var: [lo] if hi is None else [lo, hi]
+            for var, (lo, hi) in sorted(fmp.goal.items())
+        }
+    return json.dumps(doc, indent=2) + "\n"

@@ -267,6 +267,21 @@ class TestResourceCap:
                           config=AnalysisConfig(path_cap=2))
         assert rep.verdict.kind == TERMINATING
 
+    def test_cap_only_turns_a_verdict_into_resource_cap(self):
+        # a smaller cap may stop a run, never change what it concludes: a
+        # node that stops enumerating while paths are left must give up,
+        # not decide on the paths it has
+        capped = Verdict(UNKNOWN, "resource-cap")
+        seen = Counter()
+        for seed in range(400):
+            f = generate_random(GenSpec(6, 2, 0.3, 2, seed))
+            full = hsieve(f).verdict
+            for cap in range(1, 17):
+                v = hsieve(f, AnalysisConfig(path_cap=cap)).verdict
+                assert v in (capped, full), (seed, cap, v, full)
+                seen[v.detail] += 1
+        assert seen["resource-cap"] > 1000 and seen["no-empty-dv"] > 500
+
 
 class TestMultiSample:
     def test_forest_dependent_fixture(self):
@@ -613,6 +628,16 @@ class TestProgressSieve:
 
     def test_staged(self):
         assert progress_sieve(fixture("f8prime")).kind == TERMINATING
+
+    def test_zero_effect_is_no_increase(self):
+        # e2 names x with delta 0: x does not go up, so e1 decreases a
+        # progress variable and its removal breaks the cycle
+        f = Fmp(variables=(VarDecl("x"), VarDecl("y")), qstates=("q0", "q1"),
+                initial="q0",
+                edges=(Edge.single("e1", "q0", "q1", effect={"x": -1, "y": 1}),
+                       Edge.single("e2", "q1", "q0", effect={"x": 0, "y": -1})))
+        assert progress_sieve(f) == Verdict(TERMINATING, "progress")
+        assert referee_progress_sieve(f) == Verdict(TERMINATING, "progress")
 
     @staticmethod
     def staircase(k, spin):

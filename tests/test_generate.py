@@ -1,12 +1,14 @@
 """The seeded random policy generator."""
+import hashlib
 import math
 
 import pytest
 
 from termsieve.generate import GenError, GenSpec, generate_random
 from termsieve.model import validate
+from termsieve.policyio import serialize_policy
 
-from helpers import brute_reachable, policy_graph
+from helpers import bench_shape_specs, brute_reachable, policy_graph
 
 
 def spec(n_qstates=4, n_vars=2, edge_density=0.4, max_abs_delta=2, seed=0):
@@ -20,7 +22,6 @@ def test_deterministic_per_seed():
 
 
 def test_seeds_differ():
-    from termsieve.policyio import serialize_policy
     outs = {serialize_policy(generate_random(spec(seed=s))) for s in range(10)}
     assert len(outs) > 1
 
@@ -65,6 +66,25 @@ def test_single_qstate():
     f = generate_random(spec(n_qstates=1, edge_density=1.0, seed=2))
     assert f.qstates == ("q0",)
     assert all(e.src == e.dst == "q0" for e in f.edges)
+
+
+def test_documents_pinned():
+    # the documents of 500 specs: 100 of each bench shape, then one-counter,
+    # complete-density and one-qstate specs in turn. A change to the random
+    # draws, their order or the document bytes moves the digest
+    specs = bench_shape_specs(1, 100)
+    for i in range(200):
+        specs.append((spec(n_qstates=2 + i % 7, n_vars=1, edge_density=0.5,
+                           max_abs_delta=3, seed=i),
+                      spec(n_qstates=2 + i % 5, n_vars=3, edge_density=1.0,
+                           seed=i),
+                      spec(n_qstates=1, n_vars=1 + i % 3, edge_density=1.0,
+                           max_abs_delta=1 + i % 3, seed=i))[i % 3])
+    digest = hashlib.sha256()
+    for s in specs:
+        digest.update(serialize_policy(generate_random(s)).encode())
+    assert len(specs) == 500
+    assert digest.hexdigest()[:16] == "074273229266e6c1"
 
 
 def test_ids_are_sequential():

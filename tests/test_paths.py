@@ -288,6 +288,20 @@ class TestCapsAndErrors:
         with pytest.raises(PathCapExceeded):
             var_sets(node, path_ctx(g, effects, None, path_cap=n - 1))
 
+    def test_cap_spent_exactly_by_the_first_entry(self):
+        # entries a and b, exit c, no cycle through the elim: the walk from
+        # a spends a cap of 1 on its one path, and b still has its own
+        arcs = [("ta", "t", "a"), ("tb", "t", "b"), ("ac", "a", "c"),
+                ("bc", "b", "c"), ("ct", "c", "t")]
+        g = g_of(*arcs)
+        effects = {aid: {"x": -1} for aid, _, _ in arcs}
+        node = DetNode(frozenset({"a", "b", "c"}), "c", ())
+        assert listed_paths(g, node, None) == [("through", ("ac",)),
+                                               ("through", ("bc",))]
+        assert len(path_ctx(g, effects, None, path_cap=2).paths(node)) == 2
+        with pytest.raises(PathCapExceeded):
+            path_ctx(g, effects, None, path_cap=1).paths(node)
+
     def test_empty_node_rejected(self):
         f = load_policy(FIXTURES / "f2.fmp.json")
         with pytest.raises(InvalidNodeError):

@@ -27,7 +27,13 @@ from termsieve.policyio import (
     serialize_policy,
 )
 
-from helpers import FIXTURES, TEST_FIXTURES
+from helpers import (
+    FIXTURES,
+    TEST_FIXTURES,
+    bench_shape_specs,
+    random_small_policy,
+    referee_serialize_policy,
+)
 
 
 def full_featured():
@@ -120,6 +126,72 @@ class TestSerializedShape:
     def test_goal_interval_forms(self):
         d = json.loads(serialize_policy(full_featured()))
         assert d["goal"] == {"x": [0, 0], "y": [-1]}
+
+
+class TestSerializedBytes:
+    """`serialize_policy` writes what `json.dumps(doc, indent=2)` writes."""
+
+    def test_every_feature(self):
+        f = full_featured()
+        assert serialize_policy(f) == referee_serialize_policy(f)
+
+    def test_random_small_policies(self):
+        rng = random.Random(2024)
+        for _ in range(2000):
+            f = random_small_policy(rng, 5, 3)
+            assert serialize_policy(f) == referee_serialize_policy(f)
+
+    def test_generated_bench_shapes(self):
+        for s in bench_shape_specs(7, 100):
+            f = generate_random(s)
+            assert serialize_policy(f) == referee_serialize_policy(f)
+
+    def test_hand_cases(self):
+        # a quote, a backslash, a control character and non-ASCII text
+        odd = 'a"b\\c\x01\u00e9\u2603\U0001d11e'
+        x = VarDecl("x")
+        cases = [
+            Fmp(variables=(VarDecl(odd, lower_bound=-7), x),
+                qstates=(odd, "q0"), initial=odd,
+                edges=(Edge.single("e1", odd, "q0", effect={odd: -1, "x": 2},
+                                   guard=Guard({odd: (0, 9)}), label=odd),),
+                terminal=(odd,), goal={odd: (1, None)}),
+            # an edge with {} effects, and an action set holding one
+            Fmp(variables=(x,), qstates=("q0",), initial="q0",
+                edges=(Edge("e1", "q0", "q0"),
+                       Edge("e2", "q0", "q0", actions=({}, {"x": -1})))),
+            # an empty action set, an empty goal
+            Fmp(variables=(x,), qstates=("q0",), initial="q0",
+                edges=(Edge("e1", "q0", "q0", actions=()),), goal={}),
+            # a goal with only a min, big deltas and bounds
+            Fmp(variables=(VarDecl("x", lower_bound=-2**70),), qstates=("q0",),
+                initial="q0",
+                edges=(Edge.single("e1", "q0", "q0", effect={"x": 2**65},
+                                   guard=Guard({"x": (-2**64, None)})),),
+                goal={"x": (3, None)}),
+            # names and values of other types, as json.dumps writes them
+            Fmp(variables=(VarDecl(7, lower_bound=True),), qstates=("q0",),
+                initial="q0",
+                edges=(Edge("e1", "q0", "q0", actions=({1: -1}, {None: 2.5})),
+                       Edge.single("e2", "q0", "q0", effect={False: 0})),
+                goal={3.5: (0, None)}),
+            # no variables, no edges
+            Fmp(variables=(), qstates=("q0",), initial="q0", edges=()),
+            Fmp(variables=(x,), qstates=(), initial="q0", edges=(),
+                terminal=("q0",)),
+        ]
+        for f in cases:
+            text = serialize_policy(f)
+            assert text == referee_serialize_policy(f)
+            assert text.isascii()
+
+    def test_fixtures_are_their_own_serialization(self):
+        paths = sorted(FIXTURES.glob("*")) + sorted(
+            TEST_FIXTURES.glob("*.fmp.json"))
+        assert len(paths) == 5
+        for path in paths:
+            assert path.read_bytes() == \
+                serialize_policy(load_policy(path)).encode(), path.name
 
 
 class TestParseErrors:
