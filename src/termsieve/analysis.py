@@ -274,6 +274,11 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
     are listed without being run. The returned report carries every seed
     run or listed; when no sample proves termination, the first sample's
     verdict and trace are reported.
+
+    Guards are not read: a path counts as taken whatever its guards ask.
+    So a policy that halts only because of a guard is not proved. The one
+    edge `q0 -> q0` with guard `y in [0, 0]` and effect `y += 1` halts
+    from every start, yet gives `unknown(empty-set-persists)`.
     """
     cfg = config if config is not None else AnalysisConfig()
     start = time.perf_counter()
@@ -313,6 +318,10 @@ def progress_sieve(fmp: Fmp) -> Verdict:
     increased by none. A component without one refutes qualitative
     termination; otherwise its arcs that decrease a progress variable are
     removed and the rest go to the next round. No arc left proves it.
+
+    Guards are not read, so the refutation is of the guard-free policy: the
+    one edge `q0 -> q0` with guard `y in [0, 0]` and effect `y += 1` gives
+    `nonterminating_qualitative` although every run of it halts.
     """
     effects = {e.id: e.effect for e in fmp.edges}  # raises unless normalized
     arcs = [(e.id, e.src, e.dst) for e in fmp.edges]

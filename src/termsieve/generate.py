@@ -6,8 +6,9 @@ import math
 import random
 import sys
 from dataclasses import dataclass
+from functools import lru_cache
 
-from .model import EMPTY_GUARD, Edge, Fmp, VarDecl
+from .model import EMPTY_GUARD, Edge, Effect, Fmp, VarDecl
 
 
 class GenError(ValueError):
@@ -23,6 +24,24 @@ class GenSpec:
     seed: int
 
 
+@lru_cache(maxsize=4096)
+def _actions(pairs: tuple[tuple[str, int], ...]) -> tuple[Effect]:
+    """The one-action tuple of the effect drawn as `pairs`, in draw order,
+    so equal draws share one tuple and one dict."""
+    return (dict(pairs),)
+
+
+@lru_cache(maxsize=256)
+def _names(prefix: str, n: int) -> tuple[str, ...]:
+    # interned, so shapes of every size share each name string
+    return tuple(sys.intern(f"{prefix}{i}") for i in range(n))
+
+
+@lru_cache(maxsize=64)
+def _var_decls(n_vars: int) -> tuple[VarDecl, ...]:
+    return tuple(VarDecl(name=v) for v in _names("x", n_vars))
+
+
 def generate_random(spec: GenSpec) -> Fmp:
     """A valid, normalized policy; every qstate reachable from the initial one.
 
@@ -30,6 +49,13 @@ def generate_random(spec: GenSpec) -> Fmp:
     reachability); the rest are uniform ordered pairs, so self-loops and
     parallel edges can occur. Each edge moves one or two variables by a
     uniform nonzero delta.
+
+    Generated policies share their effects within a process: two edges
+    that drew the same effect, in this policy or another, hold one
+    `actions` tuple and one effect dict, and every policy of a shape holds
+    the same name and `VarDecl` tuples. Bounded caches keep these, so a
+    caller that changes an effect must copy it first (`Edge.single`
+    copies); no engine or parser changes one.
 
     Deterministic per seed, and the order of the draws is part of that:
     every pair is drawn first, then one effect per edge in edge order. A
@@ -52,11 +78,16 @@ def generate_random(spec: GenSpec) -> Fmp:
         )
 
     rng = random.Random(spec.seed)
-    choice, sample = rng.choice, rng.sample
-    # interned, so a corpus of generated policies holds one copy of each name
-    qstates = tuple(sys.intern(f"q{i}") for i in range(n))
-    var_names = tuple(sys.intern(f"x{i}") for i in range(spec.n_vars))
-    deltas = [d for d in range(-spec.max_abs_delta, spec.max_abs_delta + 1) if d]
+    choice, sample, randrange = rng.choice, rng.sample, rng.randrange
+    qstates = _names("q", n)
+    var_names = _names("x", spec.n_vars)
+    d = spec.max_abs_delta
+
+    def delta() -> int:
+        # the r-th of the 2d values -d..-1, 1..d, drawn as choice() over
+        # that list would draw it, without building the list
+        r = randrange(2 * d)
+        return r - d + (r >= d)
 
     pairs: list[tuple[str, str]] = []
     reachable = [qstates[0]]
@@ -73,10 +104,11 @@ def generate_random(spec: GenSpec) -> Fmp:
     edges = []
     for i, (src, dst) in enumerate(pairs):
         k = 1 if one_var else choice((1, 2))
-        effect = {v: choice(deltas) for v in sample(var_names, k)}
-        edges.append(Edge(sys.intern(f"e{i}"), src, dst, EMPTY_GUARD, (effect,)))
+        drawn = tuple((v, delta()) for v in sample(var_names, k))
+        edges.append(Edge(sys.intern(f"e{i}"), src, dst, EMPTY_GUARD,
+                          _actions(drawn)))
     return Fmp(
-        variables=tuple(VarDecl(name=v) for v in var_names),
+        variables=_var_decls(spec.n_vars),
         qstates=qstates,
         initial=qstates[0],
         edges=tuple(edges),

@@ -632,6 +632,16 @@ def random_small_policy(rng: random.Random, max_q: int = 4,
                edges=tuple(edges))
 
 
+def with_zero_effects(fmp: Fmp) -> Fmp:
+    """The policy with `x: 0` appended to each action for every declared
+    counter `x` the action does not move: the same runs, spelled out."""
+    names = fmp.var_names
+    return dataclasses.replace(fmp, edges=tuple(
+        dataclasses.replace(e, actions=tuple(
+            {**a, **{x: 0 for x in names if x not in a}} for a in e.actions))
+        for e in fmp.edges))
+
+
 def bench_shape_specs(seed: int, count: int) -> list[GenSpec]:
     """`count` generator specs of each bench workload's shape, in the
     bench's seeding: hsieve-mid's 11q/4v, triage-small's 2-6q/1-3v mix and

@@ -25,8 +25,10 @@ from termsieve.analysis import (
 from termsieve.cli import cli_dispatch
 from termsieve.generate import GenSpec, generate_random
 from termsieve.graphs import DiGraph, SccGraph
-from termsieve.model import Edge, Fmp, VarDecl, normalize
-from termsieve.oracle import LASSO_FOUND, explore
+from termsieve.model import Edge, Fmp, Guard, VarDecl, normalize
+from termsieve.oracle import (
+    ALL_HALT, LASSO_FOUND, ExploreCaps, explore, explore_grid,
+)
 from termsieve.paths import DEFAULT_PATH_CAP, PathContext, var_sets
 from termsieve.policyio import load_policy
 
@@ -34,7 +36,7 @@ from helpers import (
     FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, chord_ring_policy,
     circulant_policy, draw_forest, iter_nodes, path_ctx, policy_graph,
     random_small_policy, recursion_room, referee_progress_sieve, replay_lasso,
-    ring_policy, two_pair_lasso_policy, up_loop_policy,
+    ring_policy, two_pair_lasso_policy, up_loop_policy, with_zero_effects,
 )
 
 
@@ -683,6 +685,52 @@ class TestProgressSieve:
             kinds[v.kind] += 1
         assert kinds[TERMINATING] > 500
         assert kinds[NONTERMINATING_QUALITATIVE] > 500
+
+
+class TestExplicitZeroEffects:
+    def test_change_no_verdict(self):
+        # `x: 0` on every action for each counter it leaves alone names the
+        # same runs, so no engine may read it as a move: not hsieve's path
+        # sets, not the baseline's increase test, not the oracle's search
+        rng = random.Random(11)
+        cfg = AnalysisConfig(def_samples=20)
+        caps = ExploreCaps(max_configs=1000)
+
+        def grid(f):
+            return [(r.kind, dict(r.stats))
+                    for _, r in explore_grid(f, 3, caps)]
+
+        spelled, proofs = 0, Counter()
+        for _ in range(1000):
+            f = normalize(random_small_policy(rng, 5, 3))
+            z = with_zero_effects(f)
+            spelled += z != f
+            rep = hsieve(f, cfg)
+            assert without_wall(hsieve(z, cfg).to_trace_dict()) == \
+                without_wall(rep.to_trace_dict())
+            base = progress_sieve(f)
+            assert progress_sieve(z) == base
+            assert grid(z) == grid(f)
+            proofs["hsieve"] += rep.verdict.kind == TERMINATING
+            proofs["baseline"] += base.kind == TERMINATING
+        assert spelled > 500
+        assert proofs == {"hsieve": 216, "baseline": 216}
+
+
+class TestGuardBlind:
+    """Neither guard-free engine reads a guard (ROADMAP item 4). These pins
+    move once one does."""
+
+    def test_a_guard_that_halts_is_not_seen(self):
+        # y goes up only from 0, so every run halts after at most one step
+        f = Fmp(variables=(VarDecl("y"),), qstates=("q0",), initial="q0",
+                edges=(Edge.single("e1", "q0", "q0", effect={"y": 1},
+                                   guard=Guard({"y": (0, 0)})),))
+        assert progress_sieve(f) == Verdict(NONTERMINATING_QUALITATIVE,
+                                            "no-progress-variable")
+        assert hsieve(f).verdict == Verdict(UNKNOWN, "empty-set-persists")
+        grid = explore_grid(f, 3)
+        assert [r.kind for _, r in grid] == [ALL_HALT] * 4
 
 
 class TestCompiledGraphsOnly:

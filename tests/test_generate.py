@@ -57,6 +57,16 @@ def test_effects_within_delta_budget():
                 assert abs(delta) <= 2
 
 
+def test_huge_delta_bound_builds_no_delta_list():
+    # a delta is drawn by its index among the 2 * 10**12 nonzero values, so
+    # the bound costs nothing up front
+    big = 10**12
+    f = generate_random(spec(n_qstates=2, max_abs_delta=big, seed=4))
+    deltas = [d for e in f.edges for d in e.effect.values()]
+    assert deltas
+    assert all(d != 0 and -big <= d <= big for d in deltas)
+
+
 def test_single_var_effects():
     f = generate_random(spec(n_vars=1, seed=3))
     assert all(set(e.effect) == {"x0"} for e in f.edges)
