@@ -57,10 +57,31 @@ def generate_random(spec: GenSpec) -> Fmp:
     caller that changes an effect must copy it first (`Edge.single`
     copies); no engine or parser changes one.
 
-    Deterministic per seed, and the order of the draws is part of that:
-    every pair is drawn first, then one effect per edge in edge order. A
-    change to that order, or to the `random` calls that make the draws, can
-    change the policy a seed gives; a test pins the documents of 500 specs.
+    Deterministic per seed. Every value is drawn by `below(n)`, uniform on
+    0..n-1: `k = n.bit_length()` bits from `Random(seed).getrandbits(k)`,
+    drawn again while they read n or more. That is the draw
+    `Random._randbelow` makes for n > 0 on CPython 3.10-3.13, and the
+    steps below are the draws `random.shuffle`, `choice`, `sample` and
+    `randrange` make through it, so a document depends on `getrandbits`
+    alone and is the one those calls gave. In order:
+
+    1. q1..q(n-1) are shuffled by Fisher-Yates: for i from the last index
+       down to 1, swap i with `below(i + 1)`;
+    2. each of them in that order hangs under
+       `reachable[below(len(reachable))]`, the qstates reached so far
+       with q0 first;
+    3. each further edge draws its source, then its target, by `below(n)`;
+    4. then per edge in edge order: whether it moves two variables,
+       `below(2)` (never drawn with one variable); the first variable,
+       `below(n_vars)`; the second as `sample` draws it, `below(n_vars -
+       1)` over the names with the first swapped for the last while
+       n_vars <= 21, else `below(n_vars)` drawn again until it differs;
+       then a delta per variable, `r = below(2 * d)` giving the r-th of
+       -d..-1, 1..d.
+
+    A change to these steps can change the policy a seed gives; a test
+    pins the documents of 500 specs, and another checks the documents of
+    a spec grid against a generator built on the `random` calls.
     """
     if spec.n_qstates < 1:
         raise GenError(f"infeasible spec: n_qstates={spec.n_qstates}")
@@ -77,38 +98,59 @@ def generate_random(spec: GenSpec) -> Fmp:
             f"infeasible spec: {m} edges cannot reach all {n} qstates from q0"
         )
 
-    rng = random.Random(spec.seed)
-    choice, sample, randrange = rng.choice, rng.sample, rng.randrange
+    getrandbits = random.Random(spec.seed).getrandbits
+
+    def below(n: int) -> int:
+        k = n.bit_length()
+        r = getrandbits(k)
+        while r >= n:
+            r = getrandbits(k)
+        return r
+
     qstates = _names("q", n)
-    var_names = _names("x", spec.n_vars)
+    nv = spec.n_vars
+    var_names = _names("x", nv)
     d = spec.max_abs_delta
+    two_d = 2 * d
 
-    def delta() -> int:
-        # the r-th of the 2d values -d..-1, 1..d, drawn as choice() over
-        # that list would draw it, without building the list
-        r = randrange(2 * d)
-        return r - d + (r >= d)
-
+    # the arborescence (steps 1 and 2), then the other pairs (step 3)
+    rest = list(qstates[1:])
+    for i in range(len(rest) - 1, 0, -1):
+        j = below(i + 1)
+        rest[i], rest[j] = rest[j], rest[i]
     pairs: list[tuple[str, str]] = []
     reachable = [qstates[0]]
-    rest = list(qstates[1:])
-    rng.shuffle(rest)
     for q in rest:
-        pairs.append((choice(reachable), q))
+        pairs.append((reachable[below(len(reachable))], q))
         reachable.append(q)
     for _ in range(m - len(pairs)):
-        pairs.append((choice(qstates), choice(qstates)))
+        pairs.append((qstates[below(n)], qstates[below(n)]))
 
-    # one effect per edge, drawn in edge order once every pair is drawn
-    one_var = spec.n_vars == 1
+    # one effect per edge (step 4)
     edges = []
+    ids = _names("e", m)
     for i, (src, dst) in enumerate(pairs):
-        k = 1 if one_var else choice((1, 2))
-        drawn = tuple((v, delta()) for v in sample(var_names, k))
-        edges.append(Edge(sys.intern(f"e{i}"), src, dst, EMPTY_GUARD,
-                          _actions(drawn)))
+        two = nv > 1 and below(2)
+        x = below(nv)
+        if not two:
+            r = below(two_d)
+            drawn = ((var_names[x], r - d + (r >= d)),)
+        else:
+            if nv <= 21:
+                y = below(nv - 1)
+                if y == x:  # the pool slot x holds the last name
+                    y = nv - 1
+            else:
+                y = below(nv)
+                while y == x:
+                    y = below(nv)
+            r = below(two_d)
+            s = below(two_d)
+            drawn = ((var_names[x], r - d + (r >= d)),
+                     (var_names[y], s - d + (s >= d)))
+        edges.append(Edge(ids[i], src, dst, EMPTY_GUARD, _actions(drawn)))
     return Fmp(
-        variables=_var_decls(spec.n_vars),
+        variables=_var_decls(nv),
         qstates=qstates,
         initial=qstates[0],
         edges=tuple(edges),

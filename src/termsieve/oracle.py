@@ -21,7 +21,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterator, Mapping, Sequence
 
-from .model import ConcreteState, Edge, Fmp, Interval
+from .model import ConcreteState, Fmp, Interval
 
 _DONE = -1  # depth marker of a configuration whose subtree is explored
 
@@ -129,22 +129,25 @@ class OracleCode:
             return tuple((vindex[v], lo, hi)
                          for v, (lo, hi) in sorted(intervals.items()))
 
-        edges_from: dict[str, list[Edge]] = {q: [] for q in fmp.qstates}
-        for e in fmp.edges:
-            if e.src in edges_from:
-                edges_from[e.src].append(e)
         # per qstate index: (edge id, src, dst, ((var, delta), ...), guard);
         # an empty guard compiles to ()
-        self.actions = [
-            [(e.id, src, qindex[e.dst],
-              tuple([(vindex[v], d) for v, d in action.items() if d]),
-              conjuncts(e.guard.conjuncts) if e.guard.conjuncts else ())
-             for e in edges_from[q] for action in e.actions]
-            for src, q in enumerate(fmp.qstates)
-        ]
-        self.max_abs_delta = max(
-            (abs(d) for entries in self.actions for entry in entries
-             for _, d in entry[3]), default=0)
+        self.actions = rows = [[] for _ in fmp.qstates]
+        top = 0
+        for e in fmp.edges:
+            src = qindex.get(e.src)
+            if src is None or not e.actions:
+                continue
+            dst = qindex[e.dst]
+            guard = conjuncts(e.guard.conjuncts) if e.guard.conjuncts else ()
+            for action in e.actions:
+                moves = []
+                for v, d in action.items():
+                    if d:
+                        moves.append((vindex[v], d))
+                        if d > top or -d > top:
+                            top = abs(d)
+                rows[src].append((e.id, src, dst, tuple(moves), guard))
+        self.max_abs_delta = top
         self.goal = conjuncts(fmp.goal) if fmp.goal is not None else None
         self._packings: dict[int, Packing] = {}
 
@@ -197,12 +200,16 @@ class Packing:
         self._shifts, self._lbs = shifts, lbs
         self._cap_tests: dict[int, tuple[int, int]] = {}
         # per qstate index: (edge id, weight, interval test or None)
-        self.table = [
-            [(eid, dst - src + sum(d << shifts[i] for i, d in moves),
-              self.interval_test(guard) if guard else None)
-             for eid, src, dst, moves, guard in entries]
-            for entries in code.actions
-        ]
+        self.table = table = []
+        for entries in code.actions:
+            row = []
+            for eid, src, dst, moves, guard in entries:
+                weight = dst - src
+                for i, d in moves:
+                    weight += d << shifts[i]
+                row.append((eid, weight,
+                            self.interval_test(guard) if guard else None))
+            table.append(row)
         self.goal = (self.interval_test(code.goal)
                      if code.goal is not None else None)
 

@@ -267,8 +267,12 @@ def _object(parts: list[str], pad: str) -> str:
 
 
 def _effect(action: Effect, pad: str) -> str:
-    return _object([f"{_key(var)}: {_scalar(delta)}"
-                    for var, delta in sorted(action.items())], pad)
+    if not action:
+        return "{}"
+    return (f"{{\n{pad}"
+            + f",\n{pad}".join([f"{_key(var)}: {_scalar(delta)}"
+                                 for var, delta in sorted(action.items())])
+            + f"\n{pad[2:]}}}")
 
 
 def serialize_policy(fmp: Fmp) -> str:
@@ -281,11 +285,13 @@ def serialize_policy(fmp: Fmp) -> str:
     it against that form on fixtures, generated corpora and hand cases.
     """
     edges = []
+    enc = encode_basestring_ascii
     for e in fmp.edges:
-        guard = _array([
+        conjuncts = e.guard.conjuncts
+        guard = "[]" if not conjuncts else _array([
             _CONJUNCT % (_scalar(var), _scalar(lo)) if hi is None
             else _BOUNDED_CONJUNCT % (_scalar(var), _scalar(lo), _scalar(hi))
-            for var, (lo, hi) in sorted(e.guard.conjuncts.items())
+            for var, (lo, hi) in sorted(conjuncts.items())
         ], "        ")
         if len(e.actions) == 1:
             effects = _effect(e.actions[0], "        ")
@@ -293,8 +299,12 @@ def serialize_policy(fmp: Fmp) -> str:
             effects = _array([_effect(a, "          ") for a in e.actions],
                              "        ")
         label = "" if e.label is None else _LABEL % _scalar(e.label)
-        edges.append(_EDGE % (_scalar(e.id), _scalar(e.src), _scalar(e.dst),
-                              guard, effects, label))
+        eid, src, dst = e.id, e.src, e.dst
+        edges.append(_EDGE % (
+            enc(eid) if type(eid) is str else _scalar(eid),
+            enc(src) if type(src) is str else _scalar(src),
+            enc(dst) if type(dst) is str else _scalar(dst),
+            guard, effects, label))
     tail = ""
     if fmp.terminal:
         tail = _TERMINAL % _array([_scalar(q) for q in fmp.terminal], "    ")

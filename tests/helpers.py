@@ -11,6 +11,7 @@ import contextlib
 import dataclasses
 import itertools
 import json
+import math
 import pathlib
 import random
 import sys
@@ -651,6 +652,50 @@ def bench_shape_specs(seed: int, count: int) -> list[GenSpec]:
             + [GenSpec(2 + i % 5, 1 + i % 3, 0.4, 2, base + i)
                for i in range(count)]
             + [GenSpec(8, 2, 0.4, 2, base + i) for i in range(count)])
+
+
+def referee_generate_random(spec: GenSpec) -> Fmp:
+    """The generator as it was before it drew through `getrandbits` alone:
+    the same draws made by `random.Random`'s `shuffle`, `choice`, `sample`
+    and `randrange`, with fresh names and effect dicts rather than cached
+    ones. Kept as the referee for the documents `generate_random` gives."""
+    n = spec.n_qstates
+    m = math.ceil(spec.edge_density * n * n)
+    rng = random.Random(spec.seed)
+    choice, sample, randrange = rng.choice, rng.sample, rng.randrange
+    qstates = tuple(f"q{i}" for i in range(n))
+    var_names = tuple(f"x{i}" for i in range(spec.n_vars))
+    d = spec.max_abs_delta
+
+    def delta() -> int:
+        # the r-th of the 2d values -d..-1, 1..d, drawn as choice() over
+        # that list would draw it, without building the list
+        r = randrange(2 * d)
+        return r - d + (r >= d)
+
+    pairs: list[tuple[str, str]] = []
+    reachable = [qstates[0]]
+    rest = list(qstates[1:])
+    rng.shuffle(rest)
+    for q in rest:
+        pairs.append((choice(reachable), q))
+        reachable.append(q)
+    for _ in range(m - len(pairs)):
+        pairs.append((choice(qstates), choice(qstates)))
+
+    # one effect per edge, drawn in edge order once every pair is drawn
+    one_var = spec.n_vars == 1
+    edges = []
+    for i, (src, dst) in enumerate(pairs):
+        k = 1 if one_var else choice((1, 2))
+        drawn = tuple((v, delta()) for v in sample(var_names, k))
+        edges.append(Edge(f"e{i}", src, dst, actions=(dict(drawn),)))
+    return Fmp(
+        variables=tuple(VarDecl(name=v) for v in var_names),
+        qstates=qstates,
+        initial=qstates[0],
+        edges=tuple(edges),
+    )
 
 
 def guard_free_walks(sub: DiGraph, start: str, rng: random.Random,

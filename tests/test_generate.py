@@ -1,5 +1,6 @@
 """The seeded random policy generator."""
 import hashlib
+import itertools
 import math
 
 import pytest
@@ -8,7 +9,9 @@ from termsieve.generate import GenError, GenSpec, generate_random
 from termsieve.model import validate
 from termsieve.policyio import serialize_policy
 
-from helpers import bench_shape_specs, brute_reachable, policy_graph
+from helpers import (
+    bench_shape_specs, brute_reachable, policy_graph, referee_generate_random,
+)
 
 
 def spec(n_qstates=4, n_vars=2, edge_density=0.4, max_abs_delta=2, seed=0):
@@ -38,6 +41,13 @@ def test_edge_count_formula():
     for n, d in ((3, 0.4), (5, 0.3), (6, 1.0), (1, 1.0)):
         f = generate_random(spec(n_qstates=n, edge_density=d, seed=1))
         assert len(f.edges) == math.ceil(d * n * n)
+
+
+def test_just_enough_edges():
+    # ceil(0.25 * 4) = 1 edge reaches the second qstate: the arborescence
+    # alone, q0 -> q1
+    f = generate_random(spec(n_qstates=2, edge_density=0.25, seed=6))
+    assert [(e.src, e.dst) for e in f.edges] == [("q0", "q1")]
 
 
 def test_all_qstates_reachable():
@@ -97,6 +107,24 @@ def test_documents_pinned():
     assert digest.hexdigest()[:16] == "074273229266e6c1"
 
 
+def test_matches_referee_generator():
+    # the documents of 4,000 specs are the bytes the generator built on
+    # random's shuffle/choice/sample/randrange gives: one qstate to nine,
+    # one counter to 30 (sample's set branch takes over above 21), density
+    # 0.4 and 1.0, |delta| up to 10**12
+    grid = itertools.product((1, 2, 3, 5, 9),
+                             (1, 2, 3, 5, 20, 21, 22, 23, 26, 30),
+                             (0.4, 1.0), (1, 2, 7, 10**12), range(10))
+    n_specs = 0
+    for i, (n, v, dens, d, _) in enumerate(grid):
+        s = spec(n_qstates=n, n_vars=v, edge_density=dens, max_abs_delta=d,
+                 seed=i)
+        assert serialize_policy(generate_random(s)) == \
+            serialize_policy(referee_generate_random(s)), s
+        n_specs += 1
+    assert n_specs == 4000
+
+
 def test_ids_are_sequential():
     f = generate_random(spec(seed=9))
     assert [e.id for e in f.edges] == [f"e{i}" for i in range(len(f.edges))]
@@ -119,5 +147,8 @@ class TestInfeasible:
     def test_bad_density(self):
         with pytest.raises(GenError):
             generate_random(spec(edge_density=0.0))
+        # one qstate needs no edge, but density 0 is still refused
+        with pytest.raises(GenError):
+            generate_random(spec(n_qstates=1, edge_density=0.0))
         with pytest.raises(GenError):
             generate_random(spec(edge_density=1.5))

@@ -173,7 +173,8 @@ class TestSerializedBytes:
             Fmp(variables=(VarDecl(7, lower_bound=True),), qstates=("q0",),
                 initial="q0",
                 edges=(Edge("e1", "q0", "q0", actions=({1: -1}, {None: 2.5})),
-                       Edge.single("e2", "q0", "q0", effect={False: 0})),
+                       Edge.single("e2", "q0", "q0", effect={False: 0}),
+                       Edge(3, 1, None)),
                 goal={3.5: (0, None)}),
             # no variables, no edges
             Fmp(variables=(), qstates=("q0",), initial="q0", edges=()),
