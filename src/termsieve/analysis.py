@@ -30,6 +30,7 @@ from .paths import (
     PathContext,
     PathGraph,
     nonnegative_cycle,
+    var_sets,
 )
 
 TERMINATING = "terminating"
@@ -139,14 +140,14 @@ class _Shared:
     edge ids:
     - the graph on them, compiled once as a `PathGraph` for both SCC splits
       and path search;
-    - its `Splits`: each (vertex set, elim) split once, and every tree node
-      built once, so that equal trees are one object;
-    - its PathContext, which keeps each tree's variable sets;
+    - its `Splits`: each (vertex set, elim) split once;
+    - its PathContext;
     - for each forest drawn on it, by its trees, the iteration's outcome:
       per-root sets, candidates and removed edges, or the path cap.
 
-    A sample draws its own forest from its own seed, so a forest drawn
-    again costs its draw and its own IterationTrace. `pumps` searches the
+    A sample draws its own forest from its own seed. Trees are looked up by
+    `DetNode`'s structural hash and equality, so a forest drawn again costs
+    its draw, one lookup and its own IterationTrace. `pumps` searches the
     full edge set once for a simple cycle that no sample can prove
     terminating, within `path_cap` cycles.
     """
@@ -201,7 +202,7 @@ class _Shared:
             return (), frozenset(), (), Verdict(TERMINATING, "graph-acyclic")
         ctx = self.graphs[edge_ids][1]
         try:
-            per_root = tuple(ctx.tree_sets(tree) for tree in trees)
+            per_root = tuple(var_sets(tree, ctx) for tree in trees)
         except PathCapExceeded:
             return (), frozenset(), (), Verdict(UNKNOWN, "resource-cap")
         per_tree_candidates = [

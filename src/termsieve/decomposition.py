@@ -11,9 +11,10 @@ each by `choice` from the node's vertices in name order, so one integer
 seed fixes the whole forest.
 
 `Splits` holds what the forests of one graph share: the graph compiled to
-bit masks (`graphs.SccGraph`), the nontrivial SCCs left by each (vertex
-set, elim) split once, and each node built once, so that equal trees drawn
-on the graph are one object. `build_def` draws one forest from a `Splits`.
+bit masks (`graphs.SccGraph`) and the nontrivial SCCs left by each (vertex
+set, elim), split once. `build_def` draws one forest from a `Splits`. Each
+draw builds its own nodes; two trees are the same tree when they are equal,
+by `DetNode`'s structural hash and equality.
 
 `quotient`, on a string-keyed `graphs.DiGraph`, is a test referee for
 `paths.PathGraph.quotient`; it stays here because the bench tracer wraps
@@ -89,7 +90,7 @@ class DefForest:
 class _Part:
     """A vertex set some node of a forest holds, with what its elims give."""
 
-    __slots__ = ("mask", "vertices", "places", "splits", "nodes")
+    __slots__ = ("mask", "vertices", "places", "splits")
 
     def __init__(self, sg: SccGraph, mask: int):
         self.mask = mask
@@ -100,25 +101,11 @@ class _Part:
         self.places = range(len(self.vertices))
         # elim place -> the elim and the nontrivial SCCs left without it
         self.splits: dict[int, tuple[str, tuple[_Part, ...]]] = {}
-        # (elim, children) -> the node
-        self.nodes: dict[tuple[str, tuple[DetNode, ...]], DetNode] = {}
-
-    def node(self, elim: str, children: tuple[DetNode, ...]) -> DetNode:
-        """The node on this set with this elim and these children."""
-        key = (elim, children)
-        node = self.nodes.get(key)
-        if node is None:
-            node = self.nodes[key] = DetNode(
-                vertices=self.vertices, elim=elim, children=children)
-        return node
 
 
 class Splits:
-    """What the forests drawn on one compiled graph share.
-
-    The nontrivial SCCs left by each (vertex set, elim) a forest has drawn,
-    split once, and every node built, so that equal trees are one object
-    and compare and hash at once.
+    """What the forests drawn on one compiled graph share: the nontrivial
+    SCCs left by each (vertex set, elim) a forest has drawn, split once.
     """
 
     def __init__(self, sg: SccGraph):
@@ -167,7 +154,7 @@ class Splits:
                     stack.append((part, elim, todo, []))
                     part = next(todo)
                     continue
-                node = part.node(elim, ())
+                node = DetNode(part.vertices, elim, ())
                 # close the frames whose children are all built, and go on
                 # with the next child left, or end the tree
                 while stack:
@@ -177,7 +164,7 @@ class Splits:
                     if part is not None:
                         break
                     stack.pop()
-                    node = parent.node(up, tuple(built))
+                    node = DetNode(parent.vertices, up, tuple(built))
                 else:
                     trees.append(node)
                     break
@@ -188,8 +175,8 @@ def build_def(splits: Splits, seed: int) -> DefForest:
     """One elimination tree per nontrivial SCC of the graph `splits` was
     made on, in canonical order.
 
-    `splits` holds what earlier forests of the graph split and built; the
-    seed alone still fixes the forest.
+    `splits` holds what earlier forests of the graph split; the seed alone
+    still fixes the forest.
     """
     return DefForest(trees=splits.draw(seed), seed=seed)
 

@@ -271,8 +271,8 @@ def normalize(fmp: Fmp, log: list[str] | None = None) -> Fmp:
                      actions=(action,), label=e.label)
             )
         if log is not None:
-            parts = ",".join(f"{e.id}#{k}" for k in range(len(e.actions)))
-            log.append(f"split {e.id} into {parts}")
+            made = ",".join(d.id for d in new_edges[-len(e.actions):])
+            log.append(f"split {e.id} into {made}")
     if not changed:
         return fmp
     return Fmp(

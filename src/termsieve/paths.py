@@ -56,10 +56,9 @@ walks share one memo; the cycle walk, and each start of
 of a subtree to one set and decodes the set as a whole with
 `EffectCode.sign_sets`: one AND per key for the decrease sets, and per
 variable one scan for `iv` and one for `zv`, each stopping at the first
-key that puts the variable in. `PathContext.tree_sets` keeps its
-answer for each tree. `nonnegative_cycle` runs the same DFS over a whole
-`PathGraph`, from each vertex in turn, to find a simple cycle that nets at
-least zero on every variable, unless every arc of each cyclic SCC
+key that puts the variable in. `nonnegative_cycle` runs the same DFS over
+a whole `PathGraph`, from each vertex in turn, to find a simple cycle that
+nets at least zero on every variable, unless every arc of each cyclic SCC
 decreases one common variable.
 
 Per-node enumeration is capped by the number of paths emitted, not of
@@ -390,12 +389,10 @@ class PathContext:
 
     Holds the current (possibly pruned) policy graph in compiled form, the
     policy's initial qstate, and the per-node path cap. `hsieve` keeps one
-    context per set of remaining edges for all its samples, and
-    `tree_sets` keeps each tree's variable sets, or the cap it hit, so a
-    tree that a later sample draws again is not enumerated again. Nothing
-    per node is kept. Only a through search runs the reachability BFS, and
-    on elimination-forest nodes, the only ones `hsieve` and the CLI
-    enumerate, the cap on emitted paths also bounds the work.
+    context per set of remaining edges for all its samples. Nothing per
+    node or per tree is kept. Only a through search runs the reachability
+    BFS, and on elimination-forest nodes, the only ones `hsieve` and the
+    CLI enumerate, the cap on emitted paths also bounds the work.
     """
 
     def __init__(self, graph: PathGraph, q0: str | None,
@@ -403,21 +400,6 @@ class PathContext:
         self.graph = graph
         self.q0 = q0
         self.path_cap = path_cap
-        self._trees: dict[DetNode, NodeVarSets | PathCapExceeded] = {}
-
-    def tree_sets(self, tree: DetNode) -> NodeVarSets:
-        """`var_sets(tree, self)`, computed once per tree; a tree that hit
-        the path cap raises its PathCapExceeded again."""
-        sets = self._trees.get(tree)
-        if sets is None:
-            try:
-                sets = var_sets(tree, self)
-            except PathCapExceeded as exc:
-                sets = exc
-            self._trees[tree] = sets
-        if isinstance(sets, PathCapExceeded):
-            raise sets.with_traceback(None)
-        return sets
 
     def paths(self, node: DetNode) -> list[int]:
         """The key of every path of one node, one per path in DFS order:

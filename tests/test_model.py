@@ -304,10 +304,13 @@ class TestNormalize:
     def test_split_id_collision_gets_tick(self):
         taken = Edge.single("e1#0", "q0", "q0", effect={"x": -1})
         multi = Edge(id="e1", src="q0", dst="q0", actions=({"x": -1}, {"x": 1}))
-        g = normalize(mk(edges=(taken, multi)))
+        log: list[str] = []
+        g = normalize(mk(edges=(taken, multi)), log)
         ids = [d.id for d in g.edges]
         assert "e1#0" in ids and "e1#0'" in ids and "e1#1" in ids
         assert len(ids) == len(set(ids))
+        # the log names the ids made, not the ones first tried
+        assert log == ["split e1 into e1#0',e1#1"]
 
     def test_idempotent(self):
         rng = random.Random(7)

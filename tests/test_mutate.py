@@ -1,0 +1,100 @@
+"""scripts/mutate.py: the operator sites it finds and the text it swaps.
+
+Only `find_sites` and `mutate` run here, on small source strings; no test
+starts the pytest runs that the script makes per mutant.
+"""
+import importlib.util
+import sys
+from pathlib import Path
+
+import pytest
+
+_PATH = Path(__file__).resolve().parent.parent / "scripts" / "mutate.py"
+
+
+@pytest.fixture(scope="module")
+def mutate_mod():
+    spec = importlib.util.spec_from_file_location("mutate_script", _PATH)
+    mod = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = mod  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(mod)
+        yield mod
+    finally:
+        del sys.modules[spec.name]
+
+
+# each operator and what it becomes, written out apart from the script's
+# own tables
+SWAPS = [
+    ("<", "<="), ("<=", "<"), (">", ">="), (">=", ">"), ("==", "!="),
+    ("!=", "=="), ("is", "is not"), ("is not", "is"), ("in", "not in"),
+    ("not in", "in"), ("+", "-"), ("-", "+"), ("*", "//"), ("//", "*"),
+    ("/", "*"), ("%", "//"), ("&", "|"), ("|", "&"), ("^", "|"),
+    ("<<", ">>"), (">>", "<<"), ("**", "*"),
+]
+AUGMENTED = [("+", "-"), ("-", "+"), ("*", "//"), ("&", "|"), ("<<", ">>")]
+
+
+def test_each_swap_applies(mutate_mod):
+    lines = [f"r = a {old} b\n" for old, _ in SWAPS]
+    lines += [f"a {old}= b\n" for old, _ in AUGMENTED]
+    want = [f"r = a {new} b\n" for _, new in SWAPS]
+    want += [f"a {new}= b\n" for _, new in AUGMENTED]
+    source = "".join(lines)
+    sites = mutate_mod.find_sites(source)
+    assert [(s.line, s.old) for s in sites] == (
+        [(i + 1, old) for i, (old, _) in enumerate(SWAPS)]
+        + [(len(SWAPS) + i + 1, old + "=")
+           for i, (old, _) in enumerate(AUGMENTED)])
+    for i, site in enumerate(sites):
+        got = mutate_mod.mutate(source, site)
+        assert got == "".join(lines[:i] + [want[i]] + lines[i + 1:]), site
+
+
+def test_annotations_and_f_strings_are_skipped(mutate_mod):
+    source = (
+        "from __future__ import annotations\n"
+        "def f(a: int | None, *b: list[int | str]) -> dict[str, int] | None:\n"
+        "    x: int | str = a | 1\n"
+        "    s = f'{a + 1} {a < 2}'\n"
+        "    return s\n"
+    )
+    sites = mutate_mod.find_sites(source)
+    # only the assigned value's `|` is a site
+    assert [str(s) for s in sites] == ["3:21 | -> &"]
+    assert mutate_mod.mutate(source, sites[0]) == source.replace(
+        "= a | 1", "= a & 1")
+
+
+def test_one_boolean_site_covers_the_expression(mutate_mod):
+    source = "ok = (a\n      and b and not c) or d\n"
+    sites = mutate_mod.find_sites(source)
+    assert [(s.line, s.col, s.old, s.new, len(s.spans)) for s in sites] == [
+        (2, 6, "and", "or", 2), (2, 23, "or", "and", 1)]
+    # sites come in source order, whatever order the tree is walked in
+    assert [s.spans for s in sites] == sorted(s.spans for s in sites)
+    assert mutate_mod.mutate(source, sites[0]) == (
+        "ok = (a\n      or b or not c) or d\n")
+    assert mutate_mod.mutate(source, sites[1]) == (
+        "ok = (a\n      and b and not c) and d\n")
+
+
+def test_columns_after_wide_characters(mutate_mod):
+    # ast counts a column in UTF-8 bytes and tokenize in characters
+    source = "s = 'éé' + t if 'ü' in u else v\n"
+    sites = mutate_mod.find_sites(source)
+    assert [s.old for s in sites] == ["+", "in"]
+    assert mutate_mod.mutate(source, sites[0]) == (
+        "s = 'éé' - t if 'ü' in u else v\n")
+    assert mutate_mod.mutate(source, sites[1]) == (
+        "s = 'éé' + t if 'ü' not in u else v\n")
+
+
+def test_operator_words_inside_names_and_strings_are_left(mutate_mod):
+    # the swap is found among the tokens between the operands, so `in`
+    # inside a name or a string is never taken for the operator
+    source = "r = 'a in b' if index in inner else isin\n"
+    (site,) = mutate_mod.find_sites(source)
+    assert mutate_mod.mutate(source, site) == (
+        "r = 'a in b' if index not in inner else isin\n")
