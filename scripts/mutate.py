@@ -18,10 +18,14 @@ and so are those inside f-strings, which tokenize as one string.
 The repository is copied once into a scratch directory. For each site, one
 after another, the copy's target file gets that one operator swapped in its
 text, and `python -m pytest -x` runs the named tests against the copy with a
-time limit per mutant. A mutant is killed when a test fails (or the tests
-cannot be collected), survives when they all pass, and times out when it hits
-the limit; each line of the report gives the site, the swap and the outcome,
-and a summary follows. The exit status is 1 if any mutant survived.
+time limit and a memory limit per mutant. The memory limit caps the address
+space of the test process at three times the peak resident size of the
+unmutated run plus 256 MiB; the unmutated tests must pass under it too
+before any mutant runs. A mutant is killed when a test fails (or the tests
+cannot be collected), runs out of memory when it raises MemoryError at the
+limit, survives when the tests all pass, and times out when it hits the time
+limit; each line of the report gives the site, the swap and the outcome, and
+a summary follows. The exit status is 1 if any mutant survived.
 """
 
 from __future__ import annotations
@@ -30,6 +34,7 @@ import argparse
 import ast
 import io
 import os
+import resource
 import shutil
 import subprocess
 import sys
@@ -144,16 +149,27 @@ def mutate(source: str, site: Site) -> str:
     return source
 
 
-def _run(cmd: list[str], cwd: Path, env: dict, timeout: float) -> tuple[str, float]:
+def _run(cmd: list[str], cwd: Path, env: dict, timeout: float,
+         memory: int | None = None) -> tuple[str, float]:
+    """Run `cmd` with at most `timeout` seconds and, if given, `memory`
+    bytes of address space, set in the child alone before it execs."""
+    def cap() -> None:
+        resource.setrlimit(resource.RLIMIT_AS, (memory, memory))
+
     t0 = time.perf_counter()
     try:
         done = subprocess.run(cmd, cwd=cwd, env=env, timeout=timeout,
-                              stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
+                              stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
+                              preexec_fn=cap if memory else None)
     except subprocess.TimeoutExpired:
         return "timed out", time.perf_counter() - t0
     # pytest: 0 all passed, 1 a test failed, 2 collection failed or was
     # interrupted; anything else is a usage or internal error
-    outcome = {0: "survived", 1: "killed", 2: "killed"}.get(done.returncode, "error")
+    if done.returncode and b"MemoryError" in done.stdout:
+        outcome = "out of memory"
+    else:
+        outcome = {0: "survived", 1: "killed", 2: "killed"}.get(
+            done.returncode, "error")
     return outcome, time.perf_counter() - t0
 
 
@@ -191,13 +207,23 @@ def main(argv: list[str] | None = None) -> int:
         if outcome != "survived":
             print(f"the unmutated tests did not pass ({outcome})")
             return 2
+        # ru_maxrss is in KiB; the address space also holds what is mapped
+        # but not resident, about 130 MiB for a pytest run
+        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+        memory = 3 * peak + (256 << 20)
         timeout = args.timeout or max(10.0, 5 * base)
-        print(f"{len(sites)} sites in {target}; unmutated run {base:.1f} s, "
-              f"limit {timeout:.0f} s per mutant", flush=True)
+        outcome, _ = _run(cmd, work, env, 3600, memory)
+        if outcome != "survived":
+            print(f"the unmutated tests did not pass under the "
+                  f"{memory >> 20} MiB limit ({outcome})")
+            return 2
+        print(f"{len(sites)} sites in {target}; unmutated run {base:.1f} s "
+              f"and {peak >> 20} MiB, limits {timeout:.0f} s and "
+              f"{memory >> 20} MiB per mutant", flush=True)
         tally: dict[str, int] = {}
         for site in sites:
             (work / target).write_text(mutate(source, site), encoding="utf-8")
-            outcome, took = _run(cmd, work, env, timeout)
+            outcome, took = _run(cmd, work, env, timeout, memory)
             tally[outcome] = tally.get(outcome, 0) + 1
             print(f"{target}:{site}  {outcome} ({took:.1f} s)", flush=True)
         (work / target).write_text(source, encoding="utf-8")

@@ -1,7 +1,8 @@
 """Directed multigraph utilities: SCCs, induced subgraphs, boundaries.
 
 The engines and the CLI compile an edge set once as an `SccGraph` and split
-vertex masks; `decomposition.Splits` draws forests from it. `DiGraph`, a
+vertex masks with its one SCC kernel, Kosaraju-Sharir over successor and
+predecessor masks; `decomposition.Splits` draws forests from it. `DiGraph`, a
 graph with named vertices, serves only the string-keyed referees
 `scc_decompose`, `induced` and `boundary`, which the tests check the
 compiled form against and the bench tracer wraps by name.
@@ -49,9 +50,10 @@ class SccGraph:
     Vertex `i` is the `i`-th vertex in sorted-name order, with bit `1 << i`,
     and `index` maps a name to its `i`; a vertex set is the mask of its
     bits. `succ[i]` is the mask of the successors of `i`, itself included
-    when it has a self-loop, and `loops` the mask of the vertices with a
-    self-loop. Parallel arcs compile to one bit. An arc with an endpoint
-    outside `vertices` raises ValueError.
+    when it has a self-loop, `pred[i]` that of its predecessors, and
+    `loops` the mask of the vertices with a self-loop. Parallel arcs
+    compile to one bit. An arc with an endpoint outside `vertices` raises
+    ValueError.
     """
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[Arc]):
@@ -59,11 +61,13 @@ class SccGraph:
         self.all = (1 << len(names)) - 1
         self.index = index = {v: i for i, v in enumerate(names)}
         self.succ = succ = [0] * len(names)
+        self.pred = pred = [0] * len(names)
         loops = 0
         try:
             for aid, src, dst in arcs:
                 s, d = index[src], index[dst]
                 succ[s] |= 1 << d
+                pred[d] |= 1 << s
                 if s == d:
                     loops |= 1 << s
         except KeyError:
@@ -73,52 +77,40 @@ class SccGraph:
 
     def sccs(self, mask: int) -> list[int]:
         """The SCCs of the subgraph induced on `mask`, as masks, ordered by
-        their lowest vertex: iterative Tarjan, one frame per open vertex.
-        A self-loop leads back to its own frame and lowers nothing."""
-        succ = self.succ
-        num: dict[int, int] = {}
-        low: dict[int, int] = {}
-        stack: list[int] = []
-        onstack = 0
+        their lowest vertex: Kosaraju-Sharir on masks, O(qstates) steps.
+
+        A DFS that steps to the lowest unseen successor lists the vertices
+        in finishing order; then, latest finish first, each vertex not yet
+        placed takes its backward closure over `pred` among those left.
+        """
+        succ, pred = self.succ, self.pred
+        finished: list[int] = []
         unseen = mask
-        comps: list[int] = []
         while unseen:
-            root = (unseen & -unseen).bit_length() - 1
-            unseen ^= 1 << root
-            onstack |= 1 << root
-            num[root] = low[root] = len(num)
-            stack.append(root)
-            # frames: a vertex and its successors in `mask` not yet scanned
-            work = [(root, succ[root] & mask)]
-            while work:
-                v, rest = work[-1]
-                if rest:
-                    wbit = rest & -rest
-                    work[-1] = (v, rest ^ wbit)
-                    w = wbit.bit_length() - 1
-                    if wbit & unseen:
-                        unseen ^= wbit
-                        onstack |= wbit
-                        num[w] = low[w] = len(num)
-                        stack.append(w)
-                        work.append((w, succ[w] & mask))
-                    elif wbit & onstack and num[w] < low[v]:
-                        low[v] = num[w]
-                    continue
-                work.pop()
-                if work:
-                    u = work[-1][0]
-                    if low[v] < low[u]:
-                        low[u] = low[v]
-                if low[v] == num[v]:
-                    comp = 0
-                    while True:
-                        w = stack.pop()
-                        comp |= 1 << w
-                        if w == v:
-                            break
-                    onstack ^= comp
-                    comps.append(comp)
+            stack = [(unseen & -unseen).bit_length() - 1]
+            unseen &= unseen - 1
+            while stack:
+                step = succ[stack[-1]] & unseen
+                if step:
+                    step &= -step
+                    unseen ^= step
+                    stack.append(step.bit_length() - 1)
+                else:
+                    finished.append(stack.pop())
+        comps = []
+        left = mask
+        for v in reversed(finished):
+            if left >> v & 1:
+                comp = todo = 1 << v
+                left ^= comp
+                while todo:
+                    u = todo & -todo
+                    todo ^= u
+                    new = pred[u.bit_length() - 1] & left
+                    left ^= new
+                    comp |= new
+                    todo |= new
+                comps.append(comp)
         comps.sort(key=lambda c: c & -c)
         return comps
 

@@ -11,7 +11,7 @@ contributes zero effect (its internal arcs are not traversed at all).
 
 `PathGraph` compiles one edge set once, for the forest's SCC splits and for
 path search: it is a `graphs.SccGraph` (qstates as bits in sorted-name
-order, successor masks) with predecessor masks added, and each vertex gets
+order, successor and predecessor masks), and each vertex also gets
 its out-arcs as `(dst index, dst bit, weight, dst successor mask, arc id)`
 in `(dst, arc id)` order, the weight coming from the policy's
 `EffectCode`. A node then needs no graph of its own: the path is
@@ -169,9 +169,9 @@ class EffectCode:
 class PathGraph(SccGraph):
     """One edge set compiled for SCC splits and path search.
 
-    On top of `graphs.SccGraph`'s bits, `index` and successor masks,
-    `pred[i]` is the mask of the predecessors of vertex `i` and `out[i]`
-    its out-arcs (see the module docstring).
+    On top of `graphs.SccGraph`'s bits, `index`, and successor and
+    predecessor masks, `out[i]` holds the out-arcs of vertex `i` (see the
+    module docstring).
     """
 
     def __init__(self, vertices: Iterable[str],
@@ -181,11 +181,8 @@ class PathGraph(SccGraph):
         self.code = code
         index = self.index
         outs: list[list[tuple[int, str]]] = [[] for _ in self.names]
-        self.pred = [0] * len(self.names)
         for aid, src, dst in arcs:
-            s, d = index[src], index[dst]
-            outs[s].append((d, aid))
-            self.pred[d] |= 1 << s
+            outs[index[src]].append((index[dst], aid))
         self.out = tuple(_arcs(out, code.weight, self.succ) for out in outs)
         # a search state packs a path mask over a vertex index
         self.shift = len(self.names).bit_length()

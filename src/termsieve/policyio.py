@@ -34,7 +34,7 @@ from __future__ import annotations
 
 import json
 import os
-import tempfile
+import stat
 from json.encoder import encode_basestring_ascii
 from typing import Any, Collection
 
@@ -336,12 +336,21 @@ def load_policy(path: str) -> Fmp:
 
 
 def atomic_write(path: str, text: str) -> None:
-    """Write-then-rename so readers never observe a partial file."""
+    """Write-then-rename so readers never observe a partial file.
+
+    The file gets the mode `open(path, "w")` would leave it with: that of
+    the file it replaces, else 0o666 less the umask.
+    """
     directory = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix="~")
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}~")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w", encoding="utf-8") as fh:
             fh.write(text)
+        try:
+            os.chmod(tmp, stat.S_IMODE(os.stat(path).st_mode))
+        except FileNotFoundError:
+            pass
         os.replace(tmp, path)
     except BaseException:
         try:

@@ -66,7 +66,7 @@ def brute_reachable(g: DiGraph, start: str) -> frozenset[str]:
 def brute_sccs(g: DiGraph) -> set[frozenset[str]]:
     """Components via mutual reachability: the component of a vertex not
     yet placed is what it reaches and what reaches it. O(V * (V + E)),
-    fine for tests; shares no code with the library's Tarjan."""
+    fine for tests; shares no code with the library's Kosaraju-Sharir."""
     succ: dict[str, set[str]] = {v: set() for v in g.vertices}
     pred: dict[str, set[str]] = {v: set() for v in g.vertices}
     for (_, src, dst) in g.arcs:

@@ -250,6 +250,46 @@ def test_compiled_splits_match_brute_force():
     assert loops >= 100 and parallel >= 100 and splits >= 2500
 
 
+def test_wide_masks_match_brute_force():
+    # masks past one 64-bit word: random digraphs of 65 to 140 vertices,
+    # given parallel arcs and self-loops, on the whole graph and on random
+    # vertex subsets; and the 300-qstate circulant, one SCC, with random
+    # vertex sets taken out
+    rng = random.Random(2029)
+    cases = []
+    for _ in range(30):
+        vs = [f"v{i}" for i in range(rng.randint(65, 140))]
+        arcs = [(f"a{k}", rng.choice(vs), rng.choice(vs))
+                for k in range(rng.randint(len(vs) // 2, 2 * len(vs)))]
+        arcs += [(f"p{k}", *rng.choice(arcs)[1:]) for k in range(5)]
+        arcs += [(f"l{k}", v, v) for k, v in enumerate(rng.sample(vs, 5))]
+        cases.append((graph(vs, arcs), 0.0))
+        cases += [(cases[-1][0], rng.random()) for _ in range(3)]
+    circulant = policy_graph(circulant_policy(300))
+    cases += [(circulant, 0.0)]
+    cases += [(circulant, rng.uniform(0.05, 0.4)) for _ in range(8)]
+    wide = many = 0
+    for g, drop in cases:
+        sg = SccGraph(g.vertices, g.arcs)
+        transpose = [0] * len(sg.names)
+        for s, succ in enumerate(sg.succ):
+            for d in range(len(sg.names)):
+                transpose[d] |= (succ >> d & 1) << s
+        assert sg.pred == transpose
+        rest = {v for v in g.vertices if rng.random() >= drop}
+        got = sg.sccs(sum(1 << sg.index[v] for v in rest))
+        comps = [frozenset(sg.vertices(c)) for c in got]
+        sub = induced(g, rest)
+        assert set(comps) == brute_sccs(sub)
+        assert len(comps) == len(set(comps))
+        assert got == sorted(got, key=lambda c: c & -c)
+        cyclic = [sg.cyclic(c) for c in got]
+        assert cyclic == [brute_is_nontrivial(sub, c) for c in comps]
+        wide += any(c >> 64 for c, t in zip(got, cyclic) if t)
+        many += sum(cyclic) >= 2
+    assert len(cases) == 129 and wide >= 90 and many >= 90
+
+
 def test_forest_count_matches_brute_force():
     # every forest a draw gives is one that the brute force lists, and
     # where it lists at most 10, the draws reach every one of them: as

@@ -1,9 +1,13 @@
-"""scripts/mutate.py: the operator sites it finds and the text it swaps.
+"""scripts/mutate.py: the operator sites it finds, the text it swaps and
+the memory limit it sets per mutant.
 
-Only `find_sites` and `mutate` run here, on small source strings; no test
-starts the pytest runs that the script makes per mutant.
+`find_sites` and `mutate` run on small source strings, and `_run` on a
+one-line Python child; no test starts the pytest runs that the script makes
+per mutant.
 """
 import importlib.util
+import os
+import resource
 import sys
 from pathlib import Path
 
@@ -98,3 +102,20 @@ def test_operator_words_inside_names_and_strings_are_left(mutate_mod):
     (site,) = mutate_mod.find_sites(source)
     assert mutate_mod.mutate(source, site) == (
         "r = 'a in b' if index not in inner else isin\n")
+
+
+def test_a_child_past_the_memory_limit_stops_at_once(mutate_mod, tmp_path):
+    # a 1 GiB request under a 64 MiB address-space limit fails before any
+    # page is touched, so the child holds no real memory; the limit is set
+    # in the child alone
+    before = resource.getrlimit(resource.RLIMIT_AS)
+    outcome, took = mutate_mod._run(
+        [sys.executable, "-c", "bytearray(1 << 30)"], tmp_path,
+        dict(os.environ), 60, 64 << 20)
+    assert outcome == "out of memory"
+    assert took < 10
+    assert resource.getrlimit(resource.RLIMIT_AS) == before
+    # under the same limit a child that stays small passes
+    outcome, _ = mutate_mod._run([sys.executable, "-c", "bytearray(1 << 20)"],
+                                 tmp_path, dict(os.environ), 60, 64 << 20)
+    assert outcome == "survived"

@@ -470,3 +470,20 @@ class TestAtomicWrite:
         with pytest.raises(TypeError):
             atomic_write(p, b"bytes are wrong here")
         assert os.listdir(tmp_path) == []
+
+    def test_new_file_mode_is_that_of_open(self, tmp_path):
+        # not the 0o600 of a private temp file
+        plain = tmp_path / "plain.json"
+        with open(plain, "w"):
+            pass
+        p = tmp_path / "out.json"
+        atomic_write(p, "data\n")
+        assert p.stat().st_mode == plain.stat().st_mode
+
+    def test_rewrite_keeps_the_mode(self, tmp_path):
+        p = tmp_path / "out.json"
+        atomic_write(p, "one\n")
+        p.chmod(0o640)
+        atomic_write(p, "two\n")
+        assert p.stat().st_mode & 0o7777 == 0o640
+        assert p.read_text() == "two\n"
