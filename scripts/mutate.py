@@ -17,15 +17,20 @@ and so are those inside f-strings, which tokenize as one string.
 
 The repository is copied once into a scratch directory. For each site, one
 after another, the copy's target file gets that one operator swapped in its
-text, and `python -m pytest -x` runs the named tests against the copy with a
-time limit and a memory limit per mutant. The memory limit caps the address
-space of the test process at three times the peak resident size of the
-unmutated run plus 256 MiB; the unmutated tests must pass under it too
-before any mutant runs. A mutant is killed when a test fails (or the tests
-cannot be collected), runs out of memory when it raises MemoryError at the
-limit, survives when the tests all pass, and times out when it hits the time
-limit; each line of the report gives the site, the swap and the outcome, and
-a summary follows. The exit status is 1 if any mutant survived.
+text, and `python -m pytest -x` runs against the copy. When the target's
+own test file, `tests/test_<stem>.py`, lies under the named tests, it runs
+first, and the named tests run only on a mutant that survives it; a unit
+test so kills most mutants before a slow acceptance test is reached. Each
+run has its own time limit and memory limit per mutant, derived from the
+same run on the unmutated copy. The memory limit caps the address space of
+the test process at three times the peak resident size of the unmutated
+run plus 256 MiB; the unmutated tests must pass under it too before any
+mutant runs. A mutant is killed when a test fails (or the tests cannot be
+collected), runs out of memory when it raises MemoryError at the limit,
+survives when every run passes, and times out when it hits the time limit;
+each line of the report gives the site, the swap, the outcome and the run
+that ended it, and a summary follows. The exit status is 1 if any mutant
+survived.
 """
 
 from __future__ import annotations
@@ -173,14 +178,27 @@ def _run(cmd: list[str], cwd: Path, env: dict, timeout: float,
     return outcome, time.perf_counter() - t0
 
 
+def run_plan(target: Path, tests: list[str], root: Path) -> list[list[str]]:
+    """The pytest runs for each mutant, in order: the target's own test
+    file alone when it lies under `tests` and is not all of them, then
+    `tests` as named."""
+    own = Path("tests") / f"test_{target.stem}.py"
+    found = (root / own).resolve()
+    named = [(root / t).resolve() for t in tests]
+    if found.is_file() and named != [found] and any(
+            t == found or t in found.parents for t in named):
+        return [[str(own)], tests]
+    return [tests]
+
+
 def main(argv: list[str] | None = None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("target", help="the file to mutate, relative to the repository root")
     ap.add_argument("tests", nargs="*", default=["tests"],
                     help="test files or directories for pytest (default: tests)")
     ap.add_argument("--timeout", type=float, default=None,
-                    help="seconds per mutant (default: 5 times the unmutated "
-                         "run, at least 10)")
+                    help="seconds per run of a mutant (default: 5 times the "
+                         "same unmutated run, at least 10)")
     ap.add_argument("--list", action="store_true",
                     help="print the sites and stop")
     args = ap.parse_args(argv)
@@ -201,31 +219,44 @@ def main(argv: list[str] | None = None) -> int:
             ".bench_out", ".benchmarks"))
         env = dict(os.environ, PYTHONPATH=str(work / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
-        cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
-               "no:cacheprovider", *args.tests]
-        outcome, base = _run(cmd, work, env, 3600)
-        if outcome != "survived":
-            print(f"the unmutated tests did not pass ({outcome})")
-            return 2
-        # ru_maxrss is in KiB; the address space also holds what is mapped
-        # but not resident, about 130 MiB for a pytest run
-        peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
-        memory = 3 * peak + (256 << 20)
-        timeout = args.timeout or max(10.0, 5 * base)
-        outcome, _ = _run(cmd, work, env, 3600, memory)
-        if outcome != "survived":
-            print(f"the unmutated tests did not pass under the "
-                  f"{memory >> 20} MiB limit ({outcome})")
-            return 2
-        print(f"{len(sites)} sites in {target}; unmutated run {base:.1f} s "
-              f"and {peak >> 20} MiB, limits {timeout:.0f} s and "
-              f"{memory >> 20} MiB per mutant", flush=True)
+        print(f"{len(sites)} sites in {target}", flush=True)
+        runs = []
+        for tests in run_plan(target, args.tests, ROOT):
+            label = " ".join(tests)
+            cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p",
+                   "no:cacheprovider", *tests]
+            outcome, base = _run(cmd, work, env, 3600)
+            if outcome != "survived":
+                print(f"the unmutated {label} did not pass ({outcome})")
+                return 2
+            # ru_maxrss is in KiB, and the largest of any child so far: the
+            # own test file runs first, and the named tests hold it. The
+            # address space also holds what is mapped but not resident,
+            # about 130 MiB for a pytest run
+            peak = resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss * 1024
+            memory = 3 * peak + (256 << 20)
+            timeout = args.timeout or max(10.0, 5 * base)
+            outcome, _ = _run(cmd, work, env, 3600, memory)
+            if outcome != "survived":
+                print(f"the unmutated {label} did not pass under the "
+                      f"{memory >> 20} MiB limit ({outcome})")
+                return 2
+            print(f"run {label}: unmutated {base:.1f} s and {peak >> 20} MiB, "
+                  f"limits {timeout:.0f} s and {memory >> 20} MiB per mutant",
+                  flush=True)
+            runs.append((label, cmd, timeout, memory))
         tally: dict[str, int] = {}
         for site in sites:
             (work / target).write_text(mutate(source, site), encoding="utf-8")
-            outcome, took = _run(cmd, work, env, timeout, memory)
+            took = 0.0
+            for label, cmd, timeout, memory in runs:
+                outcome, spent = _run(cmd, work, env, timeout, memory)
+                took += spent
+                if outcome != "survived":
+                    break
             tally[outcome] = tally.get(outcome, 0) + 1
-            print(f"{target}:{site}  {outcome} ({took:.1f} s)", flush=True)
+            print(f"{target}:{site}  {outcome} in {label} ({took:.1f} s)",
+                  flush=True)
         (work / target).write_text(source, encoding="utf-8")
     print(", ".join(f"{n} {k}" for k, n in sorted(tally.items())))
     return 1 if tally.get("survived") else 0

@@ -16,6 +16,7 @@ from .analysis import (
     AnalysisConfig,
     TERMINATING,
     UNKNOWN,
+    def_seed_for,
     hsieve,
     progress_sieve,
 )
@@ -306,7 +307,8 @@ def _cmd_export_dot(args) -> int:
     fmp = _load_valid(args.file)
     if args.forest:
         arcs = [(e.id, e.src, e.dst) for e in fmp.edges]
-        forest = build_def(Splits(SccGraph(fmp.qstates, arcs)), args.seed)
+        forest = build_def(Splits(SccGraph(fmp.qstates, arcs)),
+                           def_seed_for(args.seed, 0))
         sys.stdout.write(export_def_dot(forest))
     else:
         sys.stdout.write(export_dot(fmp))

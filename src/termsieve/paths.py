@@ -52,9 +52,10 @@ O(cap * qstates), and in practice it holds fewer entries than the key list.
 
 `PathContext.paths` lists a node's path keys in that order. Its through
 walks share one memo; the cycle walk, and each start of
-`nonnegative_cycle`, get their own. `var_sets` adds the keys of every node
-of a subtree to one set and decodes the set as a whole with
-`EffectCode.sign_sets`: one AND per key for the decrease sets, and per
+`nonnegative_cycle`, get their own. `var_sets` joins the key lists of
+every node of a subtree into one list, repeated keys kept, and decodes it
+as a whole with `EffectCode.sign_sets`: one AND per key for the decrease
+sets, a slice at a time until every sign pattern has appeared, and per
 variable one scan for `iv` and one for `zv`, each stopping at the first
 key that puts the variable in. `nonnegative_cycle` runs the same DFS over
 a whole `PathGraph`, from each vertex in turn, to find a simple cycle that
@@ -69,13 +70,17 @@ into a resource-cap verdict rather than an unsound answer.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Collection, Iterable, Mapping, Sequence
+from typing import Iterable, Mapping, Sequence
 
 from .decomposition import DetNode
 from .graphs import SccGraph, bit_indices
 from .model import Effect
 
 DEFAULT_PATH_CAP = 100_000
+
+# keys per slice of `EffectCode.sign_sets`' pass over the sign bits; the
+# pass stops after the slice that brings in the last sign pattern
+SIGN_SLICE = 256
 
 VarSetFamily = frozenset[frozenset[str]]
 
@@ -145,24 +150,36 @@ class EffectCode:
         # a key has none of these set iff its path nets >= 0 on every variable
         self.sign_bits = sum(sign for *_, sign in self._fields)
 
-    def sign_sets(self, keys: Collection[int]
+    def sign_sets(self, keys: Sequence[int]
                   ) -> tuple[frozenset[str], frozenset[str], VarSetFamily]:
-        """Over a set of keys: the variables some key nets positive, those
+        """Over a list of keys: the variables some key nets positive, those
         some key moves with net zero, and the set of variables each key nets
         negative.
 
-        The negative sets are read off the sign bits, one AND per key. The
-        other two scan the keys once per variable and stop at the first
-        key that puts it in.
+        The negative sets are read off the sign bits, one AND per key, a
+        slice of `SIGN_SLICE` keys at a time. With m moved variables there
+        are at most 2**m sign patterns, so once all have appeared the pass
+        stops; a list of at most one slice is read in one go. The other two
+        sets scan the keys once per variable and stop at the first key that
+        puts it in. Repeated keys change none of the three.
         """
         inc = frozenset(var for var, _, digit, sign in self._fields
                         if any(0 < k & digit < sign for k in keys))
         zero = frozenset(var for var, field, digit, _ in self._fields
                          if any(k & field and not k & digit for k in keys))
         signs = self.sign_bits
+        if len(keys) <= SIGN_SLICE:
+            seen = {k & signs for k in keys}
+        else:
+            every = 1 << len(self._fields)
+            seen = set()
+            for at in range(0, len(keys), SIGN_SLICE):
+                seen |= {k & signs for k in keys[at:at + SIGN_SLICE]}
+                if len(seen) == every:
+                    break
         dec = frozenset(
             frozenset(var for var, *_, sign in self._fields if d & sign)
-            for d in {k & signs for k in keys})
+            for d in seen)
         return inc, zero, dec
 
 
@@ -462,12 +479,12 @@ def var_sets(node: DetNode, ctx: PathContext) -> NodeVarSets:
     A variable joins `iv` when some path of the subtree nets it strictly
     positive, and `zv` when some path touches it with net exactly zero.
     `pdv` holds each path's strict-decrease set, and `dv` is `pdv` with `iv`
-    removed from every member. Paths with one key share these sets, so the
-    distinct keys are collected first and decoded together by
-    `EffectCode.sign_sets`.
+    removed from every member. The keys of every node are joined into one
+    list, repeats and all, and decoded together by `EffectCode.sign_sets`,
+    whose scans stop early.
     """
-    keys: set[int] = set()
+    keys: list[int] = []
     for n in node.walk():
-        keys.update(ctx.paths(n))
+        keys += ctx.paths(n)
     iv, zv, pdv = ctx.graph.code.sign_sets(keys)
     return NodeVarSets(iv=iv, zv=zv, pdv=pdv, dv=boxminus(pdv, iv))

@@ -510,6 +510,18 @@ class TestExportDot:
         f = load_policy(F3)
         assert out == export_def_dot(draw_forest(policy_graph(f), 0))
 
+    @pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+    def test_forest_is_the_first_one_analyze_draws(self, capsys, tmp_path,
+                                                  seed):
+        d = tmp_path / "render"
+        code, _, _ = run(capsys, "analyze", EXAMPLE1, "--seed", seed,
+                         "--emit-dot", str(d))
+        assert code == 0
+        code, out, _ = run(capsys, "export-dot", EXAMPLE1, "--def",
+                           "--seed", seed)
+        assert code == 0
+        assert out == (d / "def_000.dot").read_text()
+
 
 class TestDispatch:
     def test_no_args(self, capsys):

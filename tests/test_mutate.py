@@ -1,9 +1,9 @@
-"""scripts/mutate.py: the operator sites it finds, the text it swaps and
-the memory limit it sets per mutant.
+"""scripts/mutate.py: the operator sites it finds, the text it swaps, the
+runs it plans and the memory limit it sets per mutant.
 
-`find_sites` and `mutate` run on small source strings, and `_run` on a
-one-line Python child; no test starts the pytest runs that the script makes
-per mutant.
+`find_sites` and `mutate` run on small source strings, `run_plan` on a
+scratch tree and `_run` on a one-line Python child; no test starts the
+pytest runs that the script makes per mutant.
 """
 import importlib.util
 import os
@@ -119,3 +119,26 @@ def test_a_child_past_the_memory_limit_stops_at_once(mutate_mod, tmp_path):
     outcome, _ = mutate_mod._run([sys.executable, "-c", "bytearray(1 << 20)"],
                                  tmp_path, dict(os.environ), 60, 64 << 20)
     assert outcome == "survived"
+
+
+def test_the_target_s_own_tests_run_first(mutate_mod, tmp_path):
+    tests = tmp_path / "tests"
+    (tests / "deep").mkdir(parents=True)
+    for name in ("test_foo.py", "test_bar.py", "deep/test_baz.py"):
+        (tests / name).write_text("")
+    target = Path("src/pkg/foo.py")
+
+    def plan(*named):
+        return mutate_mod.run_plan(target, list(named), tmp_path)
+
+    own = "tests/test_foo.py"
+    assert plan("tests") == [[own], ["tests"]]
+    assert plan("tests/", "other") == [[own], ["tests/", "other"]]
+    assert plan(own, "tests/test_bar.py") == [[own], [own, "tests/test_bar.py"]]
+    # the own file alone, or named tests that do not hold it: one run
+    assert plan(own) == [[own]]
+    assert plan("tests/test_bar.py") == [["tests/test_bar.py"]]
+    assert plan("tests/deep") == [["tests/deep"]]
+    # no own file: the named tests alone
+    assert mutate_mod.run_plan(Path("src/pkg/qux.py"), ["tests"],
+                               tmp_path) == [["tests"]]

@@ -113,6 +113,24 @@ class TestPathGraph:
         assert pg.succ[v] == 1 << u | 1 << w
         assert pg.pred[u] == 1 << v
 
+    def test_an_arc_s_successor_mask_leaves_out_its_head(self):
+        # a step onto an arc's head may go on only to the head's other
+        # successors, so its self-loop counts for nothing there; the same
+        # holds for quotient arcs
+        rng = random.Random(3607)
+        for _ in range(100):
+            g = random_digraph(rng, max_vertices=6, max_arcs=10)
+            g = graph(g.vertices, g.arcs + tuple(
+                (f"l{v}", v, v) for v in sorted(g.vertices)))
+            pg = path_ctx(g, {aid: {} for aid, _, _ in g.arcs}, None).graph
+            for d, dbit, _, dsucc, _ in (a for out in pg.out for a in out):
+                assert pg.succ[d] & dbit and dsucc == pg.succ[d] ^ dbit
+            for node in iter_nodes(draw_forest(g, rng.randint(0, 10**6))):
+                quotient = pg.quotient(node, pg.mask(node.vertices))
+                for d, dbit, _, dsucc, _ in (a for out in quotient.values()
+                                             for a in out):
+                    assert dbit == 1 << d and not dsucc & dbit
+
 
 class TestCyclePaths:
     def test_two_self_loops(self):
@@ -494,12 +512,25 @@ class TestAgainstBruteForce:
                     assert key_net(code, key) == want
                     # the sign decode var_sets reads agrees with the exact
                     # one, cancelled moves landing in the zero set
-                    inc, zero, (dec,) = code.sign_sets({key})
+                    inc, zero, (dec,) = code.sign_sets([key])
                     for sign, got in zip((1, 0, -1), (inc, zero, dec)):
                         assert got == {v for v, d in want.items()
                                        if (d > 0) - (d < 0) == sign}
                     assert not (inc & zero or inc & dec or zero & dec)
                     assert inc | zero | dec <= set(code.variables)
+
+
+class SliceLog(list):
+    """A key list that logs each slice read from it as (start, stop)."""
+
+    def __init__(self, keys):
+        super().__init__(keys)
+        self.read = []
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            self.read.append((i.start, i.stop))
+        return super().__getitem__(i)
 
 
 def referee_signs(code, keys):
@@ -514,17 +545,17 @@ class TestSignSets:
 
     def keys(self, *paths):
         w = self.CODE.weight
-        return {sum(w[e] for e in path) for path in paths}
+        return [sum(w[e] for e in path) for path in paths]
 
     def test_empty_key_set(self):
-        assert self.CODE.sign_sets(set()) == (frozenset(), frozenset(),
-                                              frozenset())
-        assert referee_signs(self.CODE, set()) == self.CODE.sign_sets(set())
+        assert self.CODE.sign_sets([]) == (frozenset(), frozenset(),
+                                           frozenset())
+        assert referee_signs(self.CODE, []) == self.CODE.sign_sets([])
 
     def test_no_moved_variable(self):
         code = EffectCode({"a": {}, "b": {"x": 0}}, 3)
         assert code.variables == () and set(code.weight.values()) == {0}
-        assert code.sign_sets({0}) == (frozenset(), frozenset(), fz(()))
+        assert code.sign_sets([0]) == (frozenset(), frozenset(), fz(()))
         g = g_of(("a", "q0", "q0"), ("b", "q0", "q1"), ("c", "q1", "q0"))
         ctx = path_ctx(g, {"a": {}, "b": {"x": 0}, "c": {}}, "q0")
         sets = var_sets(draw_forest(g, 0).trees[0], ctx)
@@ -554,9 +585,9 @@ class TestSignSets:
             }
             max_len = rng.randint(1, 6)
             code = EffectCode(effects, max_len)
-            keys = {sum(code.weight[e] for e in rng.sample(
+            keys = [sum(code.weight[e] for e in rng.sample(
                         sorted(effects), rng.randint(0, min(max_len, len(effects)))))
-                    for _ in range(rng.randint(0, 12))}
+                    for _ in range(rng.randint(0, 12))]
             assert code.sign_sets(keys) == referee_signs(code, keys)
 
     def test_lone_key_anywhere_in_the_scan(self):
@@ -573,6 +604,83 @@ class TestSignSets:
                 frozenset({"x"}), frozenset({"y"}), fz((), {"x", "y"}))
         assert code.sign_sets(rest) == (
             frozenset(), frozenset(), fz({"x", "y"}))
+
+    # counters x and y with moves of either sign; `FOUR` holds one key of
+    # each sign pattern, none of them putting a counter in iv or zv
+    SLICED = EffectCode({"o": {}, "x-": {"x": -1}, "y-": {"y": -1},
+                         "x+": {"x": 1}, "y+": {"y": 1}}, 8)
+    W = SLICED.weight
+    FOUR = [0, W["x-"], W["y-"], W["x-"] + W["y-"]]
+    EVERY = fz((), {"x"}, {"y"}, {"x", "y"})
+
+    def test_every_pattern_in_the_first_slice(self):
+        # the sign pass stops after the first slice, while the iv and zv
+        # scans still reach the one later key that puts each counter in
+        S, w = paths.SIGN_SLICE, self.W
+        up = 2 * w["x+"] + w["y-"]  # x +2, y -1
+        flat = w["y-"] + w["y+"] + w["x-"]  # y moved to 0, x -1
+        keys = SliceLog(self.FOUR * (S // 4) + [w["x-"]] * S + [up]
+                        + [w["y-"]] * S + [flat] + [0] * 5)
+        got = self.SLICED.sign_sets(keys)
+        assert keys.read == [(0, S)]
+        assert got == referee_signs(self.SLICED, keys) == (
+            frozenset({"x"}), frozenset({"y"}), self.EVERY)
+
+    def test_last_pattern_in_the_last_slice(self):
+        S = paths.SIGN_SLICE
+        three = self.FOUR[:3] * S
+        keys = SliceLog(three + [self.FOUR[3]])
+        got = self.SLICED.sign_sets(keys)
+        assert keys.read == [(at, at + S) for at in range(0, 3 * S + 1, S)]
+        assert got == referee_signs(self.SLICED, keys) == (
+            frozenset(), frozenset(), self.EVERY)
+        # one pattern short, every slice is read and the pattern is missing
+        keys = SliceLog(three)
+        got = self.SLICED.sign_sets(keys)
+        assert keys.read == [(at, at + S) for at in range(0, 3 * S, S)]
+        assert got == (frozenset(), frozenset(), fz((), {"x"}, {"y"}))
+
+    def test_no_moved_variable_over_many_slices(self):
+        # with no counter the one pattern, the empty set, fills the first
+        # slice
+        S = paths.SIGN_SLICE
+        code = EffectCode({"a": {}, "b": {"x": 0}}, 3)
+        keys = SliceLog([0] * (3 * S + 1))
+        assert code.sign_sets(keys) == (frozenset(), frozenset(), fz(()))
+        assert keys.read == [(0, S)]
+
+    def test_one_slice_is_read_in_one_go(self):
+        S, w = paths.SIGN_SLICE, self.W
+        for n in (0, 1, S - 1, S):
+            keys = SliceLog([w["x-"]] * n)
+            assert self.SLICED.sign_sets(keys) == (
+                frozenset(), frozenset(), fz({"x"}) if n else fz())
+            assert keys.read == []
+        keys = SliceLog([w["x-"]] * (S + 1))
+        assert self.SLICED.sign_sets(keys)[2] == fz({"x"})
+        assert keys.read == [(0, S), (S, 2 * S)]
+
+    def test_trees_over_several_slices_match_brute_force(self):
+        # dense 6- and 7-qstate graphs with parallel arcs: a tree holds
+        # hundreds to thousands of keys, and brute_var_sets still reaches it
+        rng = random.Random(3606)
+        spans = []
+        for n in (6, 7, 7):
+            vs = [f"q{i}" for i in range(n)]
+            arcs = [(f"e{i}{j}{k}", vs[i], vs[j])
+                    for i in range(n) for j in range(n)
+                    for k in range(1 + (rng.random() < 0.2))
+                    if i != j or rng.random() < 0.5]
+            g = graph(set(vs), arcs)
+            effects = {aid: {v: rng.randint(-2, 2) for v in
+                             rng.sample(["x", "y", "z"], rng.randint(0, 3))}
+                       for aid, _, _ in arcs}
+            ctx = path_ctx(g, effects, "q0")
+            for tree in draw_forest(g, rng.randint(0, 10**6)).trees:
+                spans.append(sum(len(ctx.paths(m)) for m in tree.walk()))
+                assert var_sets(tree, ctx) == brute_var_sets(
+                    g, effects, "q0", tree)
+        assert max(spans) > 4 * paths.SIGN_SLICE
 
     def test_bench_scale_trees_match_key_net(self):
         # 9-11 qstates and 4 counters, where a tree holds thousands of keys
@@ -633,6 +741,49 @@ class TestReachabilityChecks:
         rep = hsieve(chord_ring_policy(80), AnalysisConfig(path_cap=1000))
         assert str(rep.verdict) == "unknown(resource-cap)"
         assert calls
+
+
+class OutReads:
+    """Out-arcs that log each vertex whose arcs the walk reads."""
+
+    def __init__(self, out):
+        self.out = out
+        self.read = []
+
+    def __getitem__(self, v):
+        self.read.append(v)
+        return self.out[v]
+
+
+class TestWalkEndsAtItsStart:
+    def test_no_step_past_the_start(self):
+        # a walk reads its start's arcs once, for its first frame: a path
+        # that closes on the start ends there, and no frame is pushed on it
+        rng = random.Random(3608)
+        checked = 0
+        for _ in range(150):
+            g = random_digraph(rng, max_vertices=6, max_arcs=12)
+            ctx = path_ctx(g, {aid: {} for aid, _, _ in g.arcs}, None)
+            pg = ctx.graph
+            for node in iter_nodes(draw_forest(g, rng.randint(0, 10**6))):
+                mask = pg.mask(node.vertices)
+                elim = pg.index[node.elim]
+                out = OutReads(pg.quotient(node, mask) if node.children
+                               else pg.out)
+                keys = []
+                paths._walk(out, pg.succ, elim, pg.all ^ mask, 1 << elim,
+                            mask, 10**6, keys, {}, pg.shift)
+                assert out.read.count(elim) == 1
+                assert keys == ctx.paths(node)[:len(keys)]
+                checked += len(keys) > 1
+            # the cycle walks of nonnegative_cycle, lower vertices blocked
+            for start in range(len(pg.names)):
+                sbit = 1 << start
+                out = OutReads(pg.out)
+                paths._walk(out, pg.succ, start, sbit - 1, sbit, sbit, 10**6,
+                            [], {}, pg.shift)
+                assert out.read.count(start) == 1
+        assert checked >= 50
 
 
 class TestNonnegativeCycle:
@@ -814,6 +965,30 @@ class TestRepeatedStates:
                 found += got
         assert checked >= 150
         assert found >= 40
+
+    def test_only_frames_of_two_or_more_keys_are_remembered(self):
+        # a frame that emitted one key is cheaper to walk again than to
+        # keep; each entry packs (frame key, first index, count) in fields
+        # as wide as the keys the walk may emit
+        rng = random.Random(3609)
+        cap = 10**6
+        low = (1 << cap.bit_length()) - 1
+        entries = 0
+        for _ in range(150):
+            g = random_digraph(rng, max_vertices=6, max_arcs=12)
+            pg = path_ctx(g, {aid: {} for aid, _, _ in g.arcs}, None).graph
+            for node in iter_nodes(draw_forest(g, rng.randint(0, 10**6))):
+                mask = pg.mask(node.vertices)
+                elim = pg.index[node.elim]
+                out = pg.quotient(node, mask) if node.children else pg.out
+                keys, memo = [], {}
+                paths._walk(out, pg.succ, elim, pg.all ^ mask, 1 << elim,
+                            mask, cap, keys, memo, pg.shift)
+                for packed in memo.values():
+                    n, at = packed & low, packed >> cap.bit_length() & low
+                    assert n > 1 and at + n <= len(keys)
+                entries += len(memo)
+        assert entries >= 20
 
     def test_memo_memory_bounded(self):
         # the chorded ring repeats almost no state, so nearly every entry
