@@ -31,6 +31,12 @@ survives when every run passes, and times out when it hits the time limit;
 each line of the report gives the site, the swap, the outcome and the run
 that ended it, and a summary follows. The exit status is 1 if any mutant
 survived.
+
+Sites argued to be equivalent mutants are listed in
+scripts/mutate_equivalent.txt, one per line as the report writes it, then
+` # ` and the argument. The script skips a listed site of the target and
+reports it as skipped with its argument; a listed site that the target no
+longer holds is an error (exit status 2), reported before any test runs.
 """
 
 from __future__ import annotations
@@ -50,6 +56,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
+EQUIVALENT = Path("scripts") / "mutate_equivalent.txt"  # under ROOT
 
 COMPARE = {ast.Lt: ("<", "<="), ast.LtE: ("<=", "<"), ast.Gt: (">", ">="),
            ast.GtE: (">=", ">"), ast.Eq: ("==", "!="), ast.NotEq: ("!=", "=="),
@@ -147,6 +154,32 @@ def find_sites(source: str) -> list[Site]:
     return sorted(sites, key=lambda s: s.spans)
 
 
+def listed_equivalent(listing: str, target: Path,
+                      sites: list[Site]) -> dict[Site, str]:
+    """The sites of `target` that `listing` argues equivalent, each with its
+    argument. Raises ValueError on a malformed line, or on a listed site of
+    `target` that is not among `sites`."""
+    by_text = {str(site): site for site in sites}
+    found = {}
+    for n, line in enumerate(listing.splitlines(), 1):
+        line = line.strip()
+        if not line or line.startswith("#"):
+            continue
+        head, _, why = line.partition(" # ")
+        path, _, where = head.partition(":")
+        if not why.strip() or not where:
+            raise ValueError(f"line {n}: not '<path>:<line>:<col> <old> -> "
+                             f"<new> # <argument>': {line}")
+        if Path(path) != target:
+            continue
+        site = by_text.get(" ".join(where.split()))
+        if site is None:
+            raise ValueError(f"line {n}: {head.strip()} is not a site of "
+                             f"{target}")
+        found[site] = why.strip()
+    return found
+
+
 def mutate(source: str, site: Site) -> str:
     """`source` with the site's operators replaced by their swap."""
     for lo, hi in reversed(site.spans):
@@ -203,13 +236,34 @@ def main(argv: list[str] | None = None) -> int:
                     help="print the sites and stop")
     args = ap.parse_args(argv)
 
-    target = Path(args.target)
+    # relative to the root, however given, so that the scratch copy's file
+    # is the one mutated and the listed sites are matched
+    target = (ROOT / args.target).resolve().relative_to(ROOT)
     source = (ROOT / target).read_text(encoding="utf-8")
     sites = find_sites(source)
     if args.list:
         for site in sites:
             print(f"{target}:{site}")
         print(f"{len(sites)} sites")
+        return 0
+
+    try:
+        equivalent = listed_equivalent(
+            (ROOT / EQUIVALENT).read_text(encoding="utf-8"), target, sites)
+    except ValueError as exc:
+        print(f"{EQUIVALENT}: {exc}")
+        return 2
+    print(f"{len(sites)} sites in {target}, {len(equivalent)} listed as "
+          "equivalent", flush=True)
+    tally: dict[str, int] = {}
+    for site in sites:
+        if site in equivalent:
+            tally["skipped"] = tally.get("skipped", 0) + 1
+            print(f"{target}:{site}  skipped, listed as equivalent: "
+                  f"{equivalent[site]}")
+    todo = [site for site in sites if site not in equivalent]
+    if not todo:
+        print(", ".join(f"{n} {k}" for k, n in sorted(tally.items())))
         return 0
 
     with tempfile.TemporaryDirectory(prefix="mutate-") as tmp:
@@ -219,7 +273,6 @@ def main(argv: list[str] | None = None) -> int:
             ".bench_out", ".benchmarks"))
         env = dict(os.environ, PYTHONPATH=str(work / "src"),
                    PYTHONDONTWRITEBYTECODE="1")
-        print(f"{len(sites)} sites in {target}", flush=True)
         runs = []
         for tests in run_plan(target, args.tests, ROOT):
             label = " ".join(tests)
@@ -245,8 +298,7 @@ def main(argv: list[str] | None = None) -> int:
                   f"limits {timeout:.0f} s and {memory >> 20} MiB per mutant",
                   flush=True)
             runs.append((label, cmd, timeout, memory))
-        tally: dict[str, int] = {}
-        for site in sites:
+        for site in todo:
             (work / target).write_text(mutate(source, site), encoding="utf-8")
             took = 0.0
             for label, cmd, timeout, memory in runs:

@@ -7,8 +7,9 @@ its guard holds and the post-state respects every variable's lower bound.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from functools import cached_property
+from itertools import chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
@@ -49,6 +50,9 @@ class Guard:
 # conjuncts are read-only, so no holder can change the others' guards.
 EMPTY_GUARD = Guard(MappingProxyType({}))
 
+# the action set of an edge built without one: a single zero effect
+_NO_EFFECT = ({},)
+
 
 @dataclass(frozen=True, slots=True)
 class Edge:
@@ -64,9 +68,22 @@ class Edge:
     dst: str
     # a factory: dataclasses reject a default of an unhashable class as mutable
     guard: Guard = field(default_factory=lambda: EMPTY_GUARD)
-    actions: tuple[Effect, ...] = ({},)
+    actions: tuple[Effect, ...] = _NO_EFFECT
     label: str | None = None
     __hash__ = None  # the guard and the actions are mappings
+
+    def __init__(self, id: str, src: str, dst: str, guard: Guard = EMPTY_GUARD,
+                 actions: tuple[Effect, ...] = _NO_EFFECT,
+                 label: str | None = None) -> None:
+        # the dataclass's signature, but each field is stored through its
+        # slot's descriptor rather than by a frozen object.__setattr__ call;
+        # assignment from outside still raises FrozenInstanceError
+        _set_id(self, id)
+        _set_src(self, src)
+        _set_dst(self, dst)
+        _set_guard(self, guard)
+        _set_actions(self, actions)
+        _set_label(self, label)
 
     @classmethod
     def single(
@@ -96,6 +113,10 @@ class Edge:
                 "normalize the policy first"
             )
         return self.actions[0]
+
+
+(_set_id, _set_src, _set_dst, _set_guard, _set_actions,
+ _set_label) = (Edge.__dict__[f.name].__set__ for f in fields(Edge))
 
 
 @dataclass(frozen=True, slots=True)
@@ -169,30 +190,77 @@ def _is_int(x: object) -> bool:
 
 
 _INT = frozenset((int,))
+_ONE = frozenset((1,))
 
 
 def validate(fmp: Fmp) -> list[Violation]:
-    """Check every structural invariant; returns all violations found."""
-    out: list[Violation] = []
-    declared: set[str] = set()
-    for v in fmp.variables:
-        if v.name in declared:
-            out.append(Violation("duplicate-variable", v.name))
-        declared.add(v.name)
-        if not _is_int(v.lower_bound):
-            out.append(Violation("bad-lower-bound", f"{v.name}={v.lower_bound!r}"))
+    """Check every structural invariant; returns all violations found.
 
-    seen_q: set[str] = set()
-    for q in fmp.qstates:
-        if q in seen_q:
-            out.append(Violation("duplicate-qstate", q))
-        seen_q.add(q)
+    Each section is first tested as a whole; its elements are walked one by
+    one, in order, only when that test fails, to report where.
+    """
+    out: list[Violation] = []
+    variables = fmp.variables
+    declared = {v.name for v in variables}
+    if len(declared) != len(variables) or not _INT.issuperset(
+            {type(v.lower_bound) for v in variables}):
+        named: set[str] = set()
+        for v in variables:
+            if v.name in named:
+                out.append(Violation("duplicate-variable", v.name))
+            named.add(v.name)
+            if not _is_int(v.lower_bound):
+                out.append(Violation("bad-lower-bound", f"{v.name}={v.lower_bound!r}"))
+
+    seen_q = set(fmp.qstates)
+    if len(seen_q) != len(fmp.qstates):
+        listed: set[str] = set()
+        for q in fmp.qstates:
+            if q in listed:
+                out.append(Violation("duplicate-qstate", q))
+            listed.add(q)
 
     if fmp.initial not in seen_q:
         out.append(Violation("unknown-initial", fmp.initial))
 
+    edges = fmp.edges
+    actions = [a for e in edges for a in e.actions]
+    if not (len({e.id for e in edges}) == len(edges)
+            and seen_q.issuperset({e.src for e in edges})
+            and seen_q.issuperset({e.dst for e in edges})
+            and not any([e.guard.conjuncts for e in edges])
+            and declared.issuperset(chain.from_iterable(actions))
+            and _INT.issuperset({type(d) for a in actions for d in a.values()})):
+        _report_edges(edges, seen_q, declared, out)
+
+    if fmp.terminal:
+        terminal = set(fmp.terminal)
+        if not seen_q.issuperset(terminal):
+            for t in fmp.terminal:
+                if t not in seen_q:
+                    out.append(Violation("unknown-terminal", t))
+        if not terminal.isdisjoint({e.src for e in edges}):
+            for e in edges:
+                if e.src in terminal:
+                    out.append(Violation("terminal-has-outgoing",
+                                         f"{e.src} via {e.id}"))
+
+    if fmp.goal is not None:
+        for var, (lo, hi) in fmp.goal.items():
+            if var not in declared:
+                out.append(Violation("goal-unknown-variable", var))
+            if not _is_int(lo) or (hi is not None and not _is_int(hi)):
+                out.append(Violation("bad-goal-bound", var))
+            elif hi is not None and lo > hi:
+                out.append(Violation("goal-empty-interval", var))
+    return out
+
+
+def _report_edges(edges: tuple[Edge, ...], seen_q: set[str],
+                  declared: set[str], out: list[Violation]) -> None:
+    """Append each edge's violations, edge by edge, to `out`."""
     seen_ids: set[str] = set()
-    for e in fmp.edges:
+    for e in edges:
         eid = e.id
         if eid in seen_ids:
             out.append(Violation("duplicate-edge-id", eid))
@@ -209,11 +277,6 @@ def validate(fmp: Fmp) -> list[Violation]:
             elif hi is not None and lo > hi:
                 out.append(Violation("guard-empty-interval", f"edge {eid} guard {var}"))
         for k, action in enumerate(e.actions):
-            # an action whose variables are declared and whose deltas are
-            # all exactly int has nothing to report
-            if declared.issuperset(action) and _INT.issuperset(
-                    map(type, action.values())):
-                continue
             for var, delta in action.items():
                 if var not in declared:
                     out.append(Violation(
@@ -221,25 +284,6 @@ def validate(fmp: Fmp) -> list[Violation]:
                 if not _is_int(delta):
                     out.append(Violation(
                         "non-integer-effect", f"edge {eid} action[{k}] {var}"))
-
-    for t in fmp.terminal:
-        if t not in seen_q:
-            out.append(Violation("unknown-terminal", t))
-    if fmp.terminal:
-        terminal = set(fmp.terminal)
-        for e in fmp.edges:
-            if e.src in terminal:
-                out.append(Violation("terminal-has-outgoing", f"{e.src} via {e.id}"))
-
-    if fmp.goal is not None:
-        for var, (lo, hi) in fmp.goal.items():
-            if var not in declared:
-                out.append(Violation("goal-unknown-variable", var))
-            if not _is_int(lo) or (hi is not None and not _is_int(hi)):
-                out.append(Violation("bad-goal-bound", var))
-            elif hi is not None and lo > hi:
-                out.append(Violation("goal-empty-interval", var))
-    return out
 
 
 def normalize(fmp: Fmp, log: list[str] | None = None) -> Fmp:
@@ -249,14 +293,14 @@ def normalize(fmp: Fmp, log: list[str] | None = None) -> Fmp:
     an edge with an empty action set is removed. Both events are appended to
     `log` when given. Idempotent on already-normalized policies.
     """
+    if _ONE.issuperset({len(e.actions) for e in fmp.edges}):
+        return fmp
     used = {e.id for e in fmp.edges}
     new_edges: list[Edge] = []
-    changed = False
     for e in fmp.edges:
         if len(e.actions) == 1:
             new_edges.append(e)
             continue
-        changed = True
         if not e.actions:
             if log is not None:
                 log.append(f"dropped {e.id}: empty action set")
@@ -273,8 +317,6 @@ def normalize(fmp: Fmp, log: list[str] | None = None) -> Fmp:
         if log is not None:
             made = ",".join(d.id for d in new_edges[-len(e.actions):])
             log.append(f"split {e.id} into {made}")
-    if not changed:
-        return fmp
     return Fmp(
         variables=fmp.variables,
         qstates=fmp.qstates,

@@ -21,7 +21,9 @@ from termsieve.analysis import NONTERMINATING_QUALITATIVE, TERMINATING, Verdict
 from termsieve.decomposition import DefForest, DetNode, Splits, build_def, quotient
 from termsieve.generate import GenSpec
 from termsieve.graphs import Arc, DiGraph, SccGraph, induced
-from termsieve.model import ConcreteState, Edge, Effect, Fmp, Guard, VarDecl
+from termsieve.model import (
+    ConcreteState, Edge, Effect, Fmp, Guard, VarDecl, Violation,
+)
 from termsieve.oracle import (
     ALL_HALT, INCONCLUSIVE, LASSO_FOUND, Configuration, ExploreCaps,
     ExploreResult, LassoWitness, SimTrace, grid_states,
@@ -883,6 +885,81 @@ def referee_run_random(fmp: Fmp, s0: ConcreteState, max_steps: int,
 
 def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
+
+
+_INT = frozenset((int,))
+
+
+def referee_validate(fmp: Fmp) -> list[Violation]:
+    """`model.validate` as it was before it tested each section as a whole:
+    every element walked, violations in the same order."""
+    out: list[Violation] = []
+    declared: set[str] = set()
+    for v in fmp.variables:
+        if v.name in declared:
+            out.append(Violation("duplicate-variable", v.name))
+        declared.add(v.name)
+        if not _is_int(v.lower_bound):
+            out.append(Violation("bad-lower-bound", f"{v.name}={v.lower_bound!r}"))
+
+    seen_q: set[str] = set()
+    for q in fmp.qstates:
+        if q in seen_q:
+            out.append(Violation("duplicate-qstate", q))
+        seen_q.add(q)
+
+    if fmp.initial not in seen_q:
+        out.append(Violation("unknown-initial", fmp.initial))
+
+    seen_ids: set[str] = set()
+    for e in fmp.edges:
+        eid = e.id
+        if eid in seen_ids:
+            out.append(Violation("duplicate-edge-id", eid))
+        seen_ids.add(eid)
+        if e.src not in seen_q:
+            out.append(Violation("unknown-qstate", f"edge {eid} src={e.src}"))
+        if e.dst not in seen_q:
+            out.append(Violation("unknown-qstate", f"edge {eid} dst={e.dst}"))
+        for var, (lo, hi) in e.guard.conjuncts.items():
+            if var not in declared:
+                out.append(Violation("undeclared-variable", f"edge {eid} guard {var}"))
+            if not _is_int(lo) or (hi is not None and not _is_int(hi)):
+                out.append(Violation("bad-guard-bound", f"edge {eid} guard {var}"))
+            elif hi is not None and lo > hi:
+                out.append(Violation("guard-empty-interval", f"edge {eid} guard {var}"))
+        for k, action in enumerate(e.actions):
+            # an action whose variables are declared and whose deltas are
+            # all exactly int has nothing to report
+            if declared.issuperset(action) and _INT.issuperset(
+                    map(type, action.values())):
+                continue
+            for var, delta in action.items():
+                if var not in declared:
+                    out.append(Violation(
+                        "undeclared-variable", f"edge {eid} action[{k}] {var}"))
+                if not _is_int(delta):
+                    out.append(Violation(
+                        "non-integer-effect", f"edge {eid} action[{k}] {var}"))
+
+    for t in fmp.terminal:
+        if t not in seen_q:
+            out.append(Violation("unknown-terminal", t))
+    if fmp.terminal:
+        terminal = set(fmp.terminal)
+        for e in fmp.edges:
+            if e.src in terminal:
+                out.append(Violation("terminal-has-outgoing", f"{e.src} via {e.id}"))
+
+    if fmp.goal is not None:
+        for var, (lo, hi) in fmp.goal.items():
+            if var not in declared:
+                out.append(Violation("goal-unknown-variable", var))
+            if not _is_int(lo) or (hi is not None and not _is_int(hi)):
+                out.append(Violation("bad-goal-bound", var))
+            elif hi is not None and lo > hi:
+                out.append(Violation("goal-empty-interval", var))
+    return out
 
 
 def _need(obj: dict, key: str, where: str) -> Any:

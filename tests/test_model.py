@@ -3,6 +3,7 @@ import copy
 import dataclasses
 import hashlib
 import importlib
+import inspect
 import pickle
 import pkgutil
 import random
@@ -11,6 +12,7 @@ import tracemalloc
 import pytest
 
 import termsieve
+from termsieve import model
 from termsieve.generate import GenSpec, generate_random
 from termsieve.model import (
     EMPTY_GUARD,
@@ -26,7 +28,8 @@ from termsieve.model import (
 from termsieve.oracle import Configuration, ExploreCaps, explore, step
 
 from helpers import (
-    accumulate, chain_policy, random_small_policy, up_loop_policy,
+    accumulate, chain_policy, random_small_policy, referee_validate,
+    up_loop_policy,
 )
 
 
@@ -40,6 +43,53 @@ def mk(variables=None, qstates=("q0",), initial="q0", edges=(), terminal=(),
 
 def codes(fmp):
     return sorted(v.code for v in validate(fmp))
+
+
+def hand_built_violations():
+    """Policies built by hand, each with several violations."""
+    xy = (VarDecl("x"), VarDecl("y", lower_bound=-1))
+    qs = ("q0", "q1", "end")
+
+    def e(eid, src="q0", dst="q1", guard=None, actions=({"x": -1},)):
+        return Edge(id=eid, src=src, dst=dst,
+                    guard=Guard(guard or {}), actions=actions)
+
+    return [
+        mk(edges=(e("e1", actions=({"x": True},)),)),
+        mk(edges=(e("e1", actions=({"x": 1.5}, {"x": -1, "z": 2})),)),
+        mk(variables=xy, qstates=qs,
+           edges=(e("e1", actions=({"w": 1, "x": False}, {"y": 2})),)),
+        mk(edges=(e("e1", src="ghost", dst="void"),)),
+        mk(qstates=qs, edges=(e("e1", dst="void"), e("e2", src="nope"))),
+        mk(variables=xy, qstates=qs,
+           edges=(e("e1", guard={"x": (3, 1), "y": (0, 0)}),)),
+        mk(variables=xy, qstates=qs,
+           edges=(e("e1", guard={"x": (0.5, None), "y": (0, "2")}),)),
+        mk(variables=xy, qstates=qs,
+           edges=(e("e1", guard={"x": (True, 3), "z": (4, 2)}),)),
+        mk(qstates=qs, edges=(e("e1"), e("e1"), e("e2"), e("e1"))),
+        mk(qstates=("q0", "q1", "q0", "q1")),
+        mk(variables=(VarDecl("x"), VarDecl("y"), VarDecl("x"))),
+        mk(variables=(VarDecl("x", lower_bound=1.5),
+                      VarDecl("y", lower_bound=False))),
+        mk(initial="ghost", qstates=qs),
+        mk(qstates=qs, terminal=("q1", "halt"),
+           edges=(e("e1"), e("e2", src="q1", dst="q0"),
+                  e("e3", src="q1", dst="end"))),
+        mk(qstates=qs, terminal=("end", "end"),
+           edges=(e("e1", src="end", dst="end"),)),
+        mk(goal={"y": (0, None), "x": (5, 2)}),
+        mk(goal={"x": (0.1, None), "z": (0, True)}),
+        mk(variables=xy, goal={"x": (0, 1), "y": (2, 2), "w": (1, 0)}),
+        mk(qstates=qs, edges=(e("e1", actions=()),
+                              e("e2", actions=({}, {"x": 0}, {"q": 1})))),
+        mk(variables=(VarDecl("x"), VarDecl("x", lower_bound=0.5)),
+           qstates=("q0", "q0"), initial="q9", terminal=("q0", "qq"),
+           edges=(e("e1", src="q0", dst="q7", guard={"v": (2, 1)},
+                    actions=({"v": 1.0},)),
+                  e("e1", src="q8", dst="q0")),
+           goal={"v": (1, 0)}),
+    ]
 
 
 class TestValidate:
@@ -124,55 +174,184 @@ class TestValidate:
         # every violation's code and location, in order, for policies that
         # were built by hand rather than parsed; the digest was taken
         # before validate skipped its loops for clean actions
-        xy = (VarDecl("x"), VarDecl("y", lower_bound=-1))
-        qs = ("q0", "q1", "end")
-
-        def e(eid, src="q0", dst="q1", guard=None, actions=({"x": -1},)):
-            return Edge(id=eid, src=src, dst=dst,
-                        guard=Guard(guard or {}), actions=actions)
-
-        bad = [
-            mk(edges=(e("e1", actions=({"x": True},)),)),
-            mk(edges=(e("e1", actions=({"x": 1.5}, {"x": -1, "z": 2})),)),
-            mk(variables=xy, qstates=qs,
-               edges=(e("e1", actions=({"w": 1, "x": False}, {"y": 2})),)),
-            mk(edges=(e("e1", src="ghost", dst="void"),)),
-            mk(qstates=qs, edges=(e("e1", dst="void"), e("e2", src="nope"))),
-            mk(variables=xy, qstates=qs,
-               edges=(e("e1", guard={"x": (3, 1), "y": (0, 0)}),)),
-            mk(variables=xy, qstates=qs,
-               edges=(e("e1", guard={"x": (0.5, None), "y": (0, "2")}),)),
-            mk(variables=xy, qstates=qs,
-               edges=(e("e1", guard={"x": (True, 3), "z": (4, 2)}),)),
-            mk(qstates=qs, edges=(e("e1"), e("e1"), e("e2"), e("e1"))),
-            mk(qstates=("q0", "q1", "q0", "q1")),
-            mk(variables=(VarDecl("x"), VarDecl("y"), VarDecl("x"))),
-            mk(variables=(VarDecl("x", lower_bound=1.5),
-                          VarDecl("y", lower_bound=False))),
-            mk(initial="ghost", qstates=qs),
-            mk(qstates=qs, terminal=("q1", "halt"),
-               edges=(e("e1"), e("e2", src="q1", dst="q0"),
-                      e("e3", src="q1", dst="end"))),
-            mk(qstates=qs, terminal=("end", "end"),
-               edges=(e("e1", src="end", dst="end"),)),
-            mk(goal={"y": (0, None), "x": (5, 2)}),
-            mk(goal={"x": (0.1, None), "z": (0, True)}),
-            mk(variables=xy, goal={"x": (0, 1), "y": (2, 2), "w": (1, 0)}),
-            mk(qstates=qs, edges=(e("e1", actions=()),
-                                  e("e2", actions=({}, {"x": 0}, {"q": 1})))),
-            mk(variables=(VarDecl("x"), VarDecl("x", lower_bound=0.5)),
-               qstates=("q0", "q0"), initial="q9", terminal=("q0", "qq"),
-               edges=(e("e1", src="q0", dst="q7", guard={"v": (2, 1)},
-                        actions=({"v": 1.0},)),
-                      e("e1", src="q8", dst="q0")),
-               goal={"v": (1, 0)}),
-        ]
         h = hashlib.sha256()
-        for fmp in bad:
+        for fmp in hand_built_violations():
             vs = validate(fmp)
             assert vs
             h.update(repr([(v.code, v.where) for v in vs]).encode())
         assert h.hexdigest()[:16] == "9d2ff105f97fc7ca"
+
+    def test_matches_referee(self):
+        # the same violations, in the same order, as the validate that
+        # walked every element; each defect puts one violation into one
+        # section, so a whole-section test that passes over a violation
+        # loses it here
+        rng = random.Random(4242)
+        clean = []
+        for k in range(60):
+            shape = (3 + k % 9, 1 + k % 4)
+            clean.append(generate_random(GenSpec(*shape, 0.4, 2, 900 + k)))
+            clean.append(random_small_policy(rng))
+        hand = hand_built_violations()
+        defective = 0
+        for fmp in hand + clean + [defect(f, rng) for f in clean
+                                   for defect in DEFECTS]:
+            got = [(v.code, v.where) for v in validate(fmp)]
+            assert got == [(v.code, v.where) for v in referee_validate(fmp)]
+            defective += bool(got)
+        assert defective == len(hand) + len(clean) * len(DEFECTS)
+
+
+def _pick(rng, seq):
+    return seq[rng.randrange(len(seq))]
+
+
+def _put(rng, seq, item):
+    """`seq` as a tuple with `item` inserted at a random position."""
+    k = rng.randint(0, len(seq))
+    return (*seq[:k], item, *seq[k:])
+
+
+def _set_edge(fmp, rng, change):
+    """`fmp` with one random edge replaced by `change(edge)`."""
+    k = rng.randrange(len(fmp.edges))
+    edges = list(fmp.edges)
+    edges[k] = change(edges[k])
+    return dataclasses.replace(fmp, edges=tuple(edges))
+
+
+def _set_action(fmp, rng, change):
+    """`fmp` with one action of one random edge replaced by a new dict
+    `change(action)`; generated policies share their action dicts."""
+    def edge(e):
+        j = rng.randrange(len(e.actions))
+        actions = list(e.actions)
+        actions[j] = change(dict(actions[j]))
+        return dataclasses.replace(e, actions=tuple(actions))
+    return _set_edge(fmp, rng, edge)
+
+
+def _add_conjunct(fmp, rng, var, interval):
+    return _set_edge(fmp, rng, lambda e: dataclasses.replace(
+        e, guard=Guard({**e.guard.conjuncts, var: interval})))
+
+
+def _bad_number(rng):
+    return _pick(rng, (True, False, 1.5, -0.5))
+
+
+def _duplicate_edge_id(fmp, rng):
+    edges = list(fmp.edges)
+    if len(edges) == 1:
+        edges.append(edges[0])
+    else:
+        i, j = rng.sample(range(len(edges)), 2)
+        edges[j] = dataclasses.replace(edges[j], id=edges[i].id)
+    return dataclasses.replace(fmp, edges=tuple(edges))
+
+
+def _bad_delta(fmp, rng):
+    def change(action):
+        var = _pick(rng, list(action) or list(fmp.var_names))
+        action[var] = _bad_number(rng)
+        return action
+    return _set_action(fmp, rng, change)
+
+
+def _bad_lower_bound(fmp, rng):
+    k = rng.randrange(len(fmp.variables))
+    variables = list(fmp.variables)
+    variables[k] = VarDecl(variables[k].name, _bad_number(rng))
+    return dataclasses.replace(fmp, variables=tuple(variables))
+
+
+# Each makes one violation, where the policy had none: a random element
+# of one section made bad, or one bad element added to it.
+DEFECTS = [
+    _duplicate_edge_id,
+    lambda f, rng: dataclasses.replace(f, variables=_put(
+        rng, f.variables, VarDecl(_pick(rng, f.var_names), rng.randint(0, 1)))),
+    lambda f, rng: dataclasses.replace(f, qstates=_put(
+        rng, f.qstates, _pick(rng, f.qstates))),
+    lambda f, rng: _set_edge(f, rng, lambda e: dataclasses.replace(
+        e, **{_pick(rng, ("src", "dst")): "ghost"})),
+    lambda f, rng: _set_action(f, rng, lambda a: {**a, "ghost": 1}),
+    lambda f, rng: _add_conjunct(f, rng, "ghost", (0, None)),
+    _bad_delta,
+    _bad_lower_bound,
+    lambda f, rng: _add_conjunct(f, rng, _pick(rng, f.var_names),
+                                 _pick(rng, ((_bad_number(rng), None),
+                                             (0, _bad_number(rng))))),
+    lambda f, rng: dataclasses.replace(f, goal={
+        _pick(rng, f.var_names): _pick(rng, ((_bad_number(rng), None),
+                                             (0, _bad_number(rng))))}),
+    lambda f, rng: dataclasses.replace(f, initial="ghost"),
+    lambda f, rng: dataclasses.replace(f, terminal=("ghost",)),
+    lambda f, rng: dataclasses.replace(f, terminal=(
+        _pick(rng, f.edges).src,)),
+    lambda f, rng: _add_conjunct(f, rng, _pick(rng, f.var_names), (3, 1)),
+    lambda f, rng: dataclasses.replace(
+        f, goal={_pick(rng, f.var_names): (3, 1)}),
+    lambda f, rng: dataclasses.replace(f, goal={"ghost": (0, None)}),
+]
+
+
+class TestEdgeConstructor:
+    """`Edge` writes its own slots; it is built like the dataclass it is."""
+
+    def test_signature_is_the_fields(self):
+        # a field added without its __init__ parameter fails here
+        params = list(inspect.signature(Edge.__init__).parameters.values())
+        assert params[0].name == "self"
+        want = []
+        for f in dataclasses.fields(Edge):
+            if f.default is not dataclasses.MISSING:
+                want.append((f.name, f.default))
+            elif f.default_factory is not dataclasses.MISSING:
+                want.append((f.name, f.default_factory()))
+            else:
+                want.append((f.name, inspect.Parameter.empty))
+        assert [p.name for p in params[1:]] == [n for n, _ in want]
+        for p, (name, default) in zip(params[1:], want):
+            assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, name
+            assert p.default is default, name
+        # the written __init__ is the one the class has
+        assert Edge.__init__.__code__.co_filename == model.__file__
+
+    def test_frozen(self):
+        e = Edge("e", "a", "b")
+        for f in dataclasses.fields(Edge):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(e, f.name, None)
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                delattr(e, f.name)
+        assert e == Edge("e", "a", "b")
+
+    def test_positional_keyword_and_defaults(self):
+        guard = Guard({"x": (1, None)})
+        actions = ({"x": -1}, {"x": 2})
+        e = Edge("e1", "q0", "q1", guard, actions, "go")
+        assert e == Edge(label="go", actions=actions, guard=guard,
+                         dst="q1", src="q0", id="e1")
+        assert (e.id, e.src, e.dst, e.guard, e.actions, e.label) == (
+            "e1", "q0", "q1", guard, actions, "go")
+        plain = Edge("e1", "q0", "q1")
+        assert plain == Edge("e1", "q0", "q1", EMPTY_GUARD, ({},), None)
+        assert plain.guard is EMPTY_GUARD
+        assert repr(plain) == (
+            "Edge(id='e1', src='q0', dst='q1', guard=Guard(conjuncts="
+            "mappingproxy({})), actions=({},), label=None)")
+
+    def test_copies_round_trip(self):
+        e = Edge("e1", "q0", "q1", Guard({"x": (1, 4)}), ({"x": -1},), "go")
+        for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e),
+                       copy.copy(e), dataclasses.replace(e)):
+            assert type(copied) is Edge and copied is not e
+            assert copied == e
+        moved = dataclasses.replace(e, dst="q2", label=None)
+        assert (moved.id, moved.dst, moved.label, moved.actions) == (
+            "e1", "q2", None, e.actions)
+
 
 class TestEmptyGuard:
     def test_shared_guard_is_read_only(self):
@@ -416,10 +595,14 @@ class TestEnablement:
         assert t.bounds is s.bounds
 
     def test_state_rejects_missing_and_low(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match=r"missing variables: \['y'\]"):
             self.f.state({"x": 1})
         with pytest.raises(ValueError):
             self.f.state({"x": -1, "y": 0})
+        # the message names the values below their bound, not those at it
+        with pytest.raises(ValueError) as ei:
+            self.f.state({"x": -1, "y": -2})
+        assert str(ei.value) == "values below lower bound: ['x']"
 
     def test_well_formed(self):
         ok = ConcreteState({"x": 0}, {"x": 0})

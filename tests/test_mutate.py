@@ -142,3 +142,78 @@ def test_the_target_s_own_tests_run_first(mutate_mod, tmp_path):
     # no own file: the named tests alone
     assert mutate_mod.run_plan(Path("src/pkg/qux.py"), ["tests"],
                                tmp_path) == [["tests"]]
+
+
+def _no_runs(*args, **kwargs):
+    raise AssertionError("no test run may start")
+
+
+def test_listed_sites_are_skipped(mutate_mod, tmp_path, monkeypatch, capsys):
+    source = "def f(a, b):\n    return a < b or a + 1 > b\n"
+    sites = mutate_mod.find_sites(source)
+    assert [str(s) for s in sites] == [
+        "2:13 < -> <=", "2:17 or -> and", "2:22 + -> -", "2:26 > -> >="]
+    listing = (
+        "# a comment, then a blank line\n\n"
+        "pkg/mod.py:2:13 < -> <= # a < b and a <= b agree here\n"
+        "pkg/other.py:9:9 + -> - # another file's site is not checked\n"
+        "pkg/mod.py:2:26  >  ->  >=  # spacing # and a second ' # '\n"
+    )
+    got = mutate_mod.listed_equivalent(listing, Path("pkg/mod.py"), sites)
+    assert got == {sites[0]: "a < b and a <= b agree here",
+                   sites[3]: "spacing # and a second ' # '"}
+
+    # every site listed: main reports each skip and starts no test run
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "mod.py").write_text(source)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / mutate_mod.EQUIVALENT).write_text("".join(
+        f"pkg/mod.py:{s} # why {i}\n" for i, s in enumerate(sites)))
+    monkeypatch.setattr(mutate_mod, "ROOT", tmp_path.resolve())
+    monkeypatch.setattr(mutate_mod, "_run", _no_runs)
+    # the target named relative to the root or by its absolute path
+    for named in ("pkg/mod.py", str(tmp_path / "pkg" / "mod.py")):
+        assert mutate_mod.main([named]) == 0
+        out = capsys.readouterr().out.splitlines()
+        assert out == ["4 sites in pkg/mod.py, 4 listed as equivalent"] + [
+            f"pkg/mod.py:{s}  skipped, listed as equivalent: why {i}"
+            for i, s in enumerate(sites)] + ["4 skipped"]
+
+
+def test_a_listed_site_that_is_gone_is_an_error(mutate_mod, tmp_path,
+                                                monkeypatch, capsys):
+    source = "r = a < b\n"
+    sites = mutate_mod.find_sites(source)
+    assert [str(s) for s in sites] == ["1:6 < -> <="]
+    for listing in ("m.py:1:5 < -> <= # moved a column\n",
+                    "m.py:1:6 > -> >= # another swap\n"):
+        with pytest.raises(ValueError, match="is not a site of m.py"):
+            mutate_mod.listed_equivalent(listing, Path("m.py"), sites)
+    with pytest.raises(ValueError, match="line 1: not"):
+        mutate_mod.listed_equivalent("m.py:1:6 < -> <=\n", Path("m.py"), sites)
+
+    # main stops before any test run
+    (tmp_path / "m.py").write_text(source)
+    (tmp_path / "scripts").mkdir()
+    (tmp_path / mutate_mod.EQUIVALENT).write_text(
+        "m.py:1:6 < -> <= # here\nm.py:3:6 < -> <= # gone\n")
+    monkeypatch.setattr(mutate_mod, "ROOT", tmp_path.resolve())
+    monkeypatch.setattr(mutate_mod, "_run", _no_runs)
+    assert mutate_mod.main(["m.py"]) == 2
+    assert capsys.readouterr().out == (
+        "scripts/mutate_equivalent.txt: line 2: m.py:3:6 < -> <= is not a "
+        "site of m.py\n")
+
+
+def test_committed_list_names_current_sites(mutate_mod):
+    # an edit that moves a listed site must move its line in the list too
+    listing = (_PATH.parent / "mutate_equivalent.txt").read_text()
+    paths = {line.split(":")[0] for line in listing.splitlines()
+             if line.strip() and not line.startswith("#")}
+    assert paths
+    root = _PATH.parent.parent
+    for path in sorted(paths):
+        sites = mutate_mod.find_sites((root / path).read_text())
+        got = mutate_mod.listed_equivalent(listing, Path(path), sites)
+        assert len(got) == sum(line.startswith(path + ":")
+                               for line in listing.splitlines())
