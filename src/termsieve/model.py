@@ -50,7 +50,7 @@ class Guard:
 # conjuncts are read-only, so no holder can change the others' guards.
 EMPTY_GUARD = Guard(MappingProxyType({}))
 
-# the action set of an edge built without one: a single zero effect
+# marks an edge built without actions; each such edge gets its own zero effect
 _NO_EFFECT = ({},)
 
 
@@ -82,7 +82,7 @@ class Edge:
         _set_src(self, src)
         _set_dst(self, dst)
         _set_guard(self, guard)
-        _set_actions(self, actions)
+        _set_actions(self, ({},) if actions is _NO_EFFECT else actions)
         _set_label(self, label)
 
     @classmethod
@@ -167,11 +167,10 @@ class Fmp:
         if missing:
             raise ValueError(f"missing variables: {sorted(missing)}")
         vals = {x: int(values[x]) for x in self.var_names}
-        st = ConcreteState(values=vals, bounds=self.bounds)
-        if not st.well_formed():
-            bad = [x for x in vals if vals[x] < self.bounds[x]]
+        bad = [x for x in vals if vals[x] < self.bounds[x]]
+        if bad:
             raise ValueError(f"values below lower bound: {sorted(bad)}")
-        return st
+        return ConcreteState(values=vals, bounds=self.bounds)
 
 
 @dataclass(frozen=True, slots=True)

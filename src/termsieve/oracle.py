@@ -8,10 +8,10 @@ downgrades the answer to inconclusive, never to a wrong certificate.
 
 Every engine here runs on one integer per configuration (see `Packing`) and
 decodes to `Configuration` only for steps and for witnesses when they are
-read. explore() builds no successor list: its DFS path is three integer
-lists (keys, entering edge ids, next action indices), each frame scans its
-qstate's actions in place from its index, and a configuration counts as
-halting when the scan of its frame ends with no action enabled.
+read. explore() builds no successor list: its DFS path is two integer
+lists (keys, next action indices), each frame scans its qstate's actions in
+place from its index, and a configuration counts as halting when the scan
+of its frame ends with no action enabled.
 """
 
 from __future__ import annotations
@@ -19,7 +19,7 @@ from __future__ import annotations
 import itertools
 import random
 from dataclasses import dataclass
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import ConcreteState, Fmp, Interval
 
@@ -56,17 +56,17 @@ class LassoWitness:
     configuration at index `cycle_start`.
 
     Built from the sequence's keys (start, then one per step), the steps'
-    edge ids and `decode`, which maps a key to its `Configuration`. Nothing
-    is decoded until `start`, `steps` or `configurations()` is first read;
-    the configurations are then kept. Witnesses are equal when their decoded
-    content is.
+    edge ids (any iterable, read once) and `decode`, which maps a key to its
+    `Configuration`. Nothing is decoded, nor an edge id read, until `start`,
+    `steps` or `configurations()` is first read; the configurations are
+    then kept. Witnesses are equal when their decoded content is.
     """
 
     __slots__ = ("_decode", "_keys", "_edges", "cycle_start", "_configs",
                  "_steps", "__weakref__")
 
     def __init__(self, decode: Callable[[Any], Configuration],
-                 keys: Sequence, edges: Sequence[str], cycle_start: int):
+                 keys: Sequence, edges: Iterable[str], cycle_start: int):
         self._decode, self._keys, self._edges = decode, keys, edges
         self.cycle_start = cycle_start
         self._configs: tuple[Configuration, ...] | None = None
@@ -314,16 +314,16 @@ def explore(
 ) -> ExploreResult:
     """Exhaustive DFS from (initial qstate, s0) within the caps.
 
-    The path is kept in three lists that grow and shrink in place: each
-    frame's key, the edge id that entered it (None at the start) and the
-    index of the next action to try in its row of `Packing.table`. A frame
-    scans its actions from that index in declaration order, with the tests
-    of `Packing.successors`, and stops at the first successor to expand, so
-    no successor list is built. A configuration counts as halting, and is
-    checked against the goal, when the scan of its frame ends with no
-    enabled action; that scan runs right after the configuration is
-    expanded, before any later expansion, so the stats at any stop are
-    those of counting halting at expansion.
+    The path is kept in two lists that grow and shrink in place: each
+    frame's key and the index of the next action to try in its row of
+    `Packing.table`, one past the action that entered the frame above it.
+    A frame scans its actions from that index in declaration order, with
+    the tests of `Packing.successors`, and stops at the first successor to
+    expand, so no successor list is built. A configuration counts as
+    halting, and is checked against the goal, when the scan of its frame
+    ends with no enabled action; that scan runs right after the
+    configuration is expanded, before any later expansion, so the stats at
+    any stop are those of counting halting at expansion.
 
     `shared` carries what earlier starts of one `explore_grid` call found
     (see `explore_grid`); without it nothing is known and the search
@@ -352,10 +352,9 @@ def explore(
 
     # depth on the current path while a key is on it, then _DONE
     depth: dict[int, int] = {}
-    # the path, one entry per frame in each list: key, entering edge id,
-    # index of the next action to try
+    # the path, one entry per frame in each list: key, index of the next
+    # action to try
     keys = [p.pack(fmp.initial, s0.values)]
-    edges: list[str | None] = [None]
     nexts = [0]
     depth[keys[0]] = 0
     # whether a known key was marked done in place of its closure
@@ -392,8 +391,10 @@ def explore(
             if d == _DONE:
                 continue
             if d is not None:
-                witness = LassoWitness(p.config, [*keys, nkey],
-                                       [*edges[1:], eid], d)
+                # edge ids read back lazily, from the action before each index
+                nexts[-1] = i
+                witness = LassoWitness(p.config, [*keys, nkey], map(
+                    lambda k, n: table[k & qmask][n - 1][0], keys, nexts), d)
                 return ExploreResult(LASSO_FOUND, witness, stats())
             if reuse:
                 if expanded < spare:
@@ -407,7 +408,7 @@ def explore(
                     # without it, so the config cap binds as in explore.
                     reuse = False
                     if reused:
-                        del keys[1:], edges[1:], nexts[1:]
+                        del keys[1:], nexts[1:]
                         key = keys[0]
                         depth = {key: 0}
                         expanded, halting, value_cap_hits, goal_hits = (
@@ -424,14 +425,12 @@ def explore(
                 if p.goal is not None and p.holds(p.goal, key):
                     goal_hits += 1
             keys.pop()
-            edges.pop()
             nexts.pop()
             depth[key] = _DONE
             continue
         nexts[-1] = i
         depth[nkey] = len(keys)
         keys.append(nkey)
-        edges.append(eid)
         nexts.append(0)
         expanded += 1
 

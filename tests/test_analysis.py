@@ -594,6 +594,19 @@ class TestDeterminism:
         assert json.loads(json.dumps(d)) == d
         assert isinstance(d["wall_ms"], float)
 
+    def test_wall_time_measures_the_call(self):
+        # the report's wall time lies within the time around the call, and
+        # the trace gives it in milliseconds
+        for run in (lambda f: hsieve_once(f, seed=2),
+                    lambda f: hsieve(f, AnalysisConfig(def_samples=3))):
+            for name in ("f3", "f8prime"):
+                start = time.perf_counter()
+                rep = run(fixture(name))
+                around = time.perf_counter() - start
+                assert 0 <= rep.wall_time <= around
+                assert rep.to_trace_dict()["wall_ms"] == round(
+                    rep.wall_time * 1000, 3)
+
     def test_trace_digest_pinned(self):
         # every trace but its wall time, over 999 policies at 1-9 qstates:
         # how many samples hsieve runs to reach a report must not show in it

@@ -276,7 +276,8 @@ def test_wide_masks_match_brute_force():
             for d in range(len(sg.names)):
                 transpose[d] |= (succ >> d & 1) << s
         assert sg.pred == transpose
-        rest = {v for v in g.vertices if rng.random() >= drop}
+        # in sorted order, so the draw does not follow the string hash seed
+        rest = {v for v in sorted(g.vertices) if rng.random() >= drop}
         got = sg.sccs(sum(1 << sg.index[v] for v in rest))
         comps = [frozenset(sg.vertices(c)) for c in got]
         sub = induced(g, rest)

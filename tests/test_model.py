@@ -342,6 +342,15 @@ class TestEdgeConstructor:
             "Edge(id='e1', src='q0', dst='q1', guard=Guard(conjuncts="
             "mappingproxy({})), actions=({},), label=None)")
 
+    def test_default_actions_not_shared(self):
+        # each edge built without actions owns its zero effect, so a change
+        # to one edge's effect reaches no other edge
+        a, b = Edge("a", "q", "q"), Edge("b", "q", "q")
+        assert a.actions == b.actions == ({},)
+        assert a.actions[0] is not b.actions[0]
+        a.actions[0]["x"] = 1
+        assert b.actions == ({},) and Edge("c", "q", "q").actions == ({},)
+
     def test_copies_round_trip(self):
         e = Edge("e1", "q0", "q1", Guard({"x": (1, 4)}), ({"x": -1},), "go")
         for copied in (pickle.loads(pickle.dumps(e)), copy.deepcopy(e),

@@ -96,6 +96,36 @@ class TestLasso:
         )
         replay_lasso(f, w)
 
+    def test_steps_read_back_from_resumed_frames(self):
+        # From (q0, 1), `a` and `b` lead only to halting configurations, so
+        # the path's first frame resumes past them and enters (q3, 1) by its
+        # third action, `c`. The first action of `pick` reaches the halting
+        # (q4, 0); its second reaches (q4, 1), and `back` closes the lasso.
+        f = _policy([VarDecl("x")], [
+            Edge.single("a", "q0", "q1"),
+            Edge.single("b", "q0", "q2", {"x": -1}),
+            Edge.single("c", "q0", "q3"),
+            Edge.single("b2", "q2", "q1"),
+            Edge("pick", "q3", "q4", Guard(), ({"x": -1}, {})),
+            Edge.single("back", "q4", "q3", {}, Guard({"x": (1, None)})),
+        ])
+        s0 = f.state({"x": 1})
+        res = explore(f, s0)
+        _same(res, referee_explore(f, s0))
+        assert res.kind == LASSO_FOUND
+        w = res.witness
+        assert w.start == cfg_of(f, "q0", x=1) and w.cycle_start == 1
+        assert w.steps == (
+            ("c", cfg_of(f, "q3", x=1)),
+            ("pick", cfg_of(f, "q4", x=1)),
+            ("back", cfg_of(f, "q3", x=1)),
+        )
+        # with (q1, 0) and (q4, 0) known from the start x=0 and reused
+        (_, first), (_, second) = explore_grid(f, 1)
+        assert first.kind == ALL_HALT and second.witness == w
+        assert second.stats["expanded"] == 5 < res.stats["expanded"] == 7
+        replay_lasso(f, w)
+
     def test_witnesses_replay_on_random_policies(self):
         found = 0
         for i in range(120):
