@@ -121,15 +121,10 @@ class Edge:
 
 @dataclass(frozen=True, slots=True)
 class ConcreteState:
-    """A full valuation of the declared variables plus their lower bounds."""
+    """A full valuation of the declared variables; their lower bounds are
+    the policy's (`Fmp.bounds`)."""
 
     values: Mapping[str, int]
-    bounds: Mapping[str, int]
-
-    def well_formed(self) -> bool:
-        if set(self.values) != set(self.bounds):
-            return False
-        return all(self.values[x] >= self.bounds[x] for x in self.values)
 
 
 @dataclass(frozen=True)
@@ -162,15 +157,19 @@ class Fmp:
         return OracleCode(self)
 
     def state(self, values: Mapping[str, int]) -> ConcreteState:
-        """Build a well-formed state; raises ValueError on bound violations."""
+        """The declared variables' state; raises ValueError if a value is
+        missing, not an integer (bools are not) or below its lower bound."""
         missing = set(self.var_names) - set(values)
         if missing:
             raise ValueError(f"missing variables: {sorted(missing)}")
-        vals = {x: int(values[x]) for x in self.var_names}
+        vals = {x: values[x] for x in self.var_names}
+        bad = [x for x in vals if not _is_int(vals[x])]
+        if bad:
+            raise ValueError(f"non-integer values: {sorted(bad)}")
         bad = [x for x in vals if vals[x] < self.bounds[x]]
         if bad:
             raise ValueError(f"values below lower bound: {sorted(bad)}")
-        return ConcreteState(values=vals, bounds=self.bounds)
+        return ConcreteState(values=vals)
 
 
 @dataclass(frozen=True, slots=True)

@@ -263,10 +263,8 @@ class Packing:
         fmask = self.fmask
         return Configuration(
             qstate=self.code.qstates[key & self.qmask],
-            state=ConcreteState(
-                values={name: ((key >> shift) & fmask) + lb
-                        for name, shift, lb in self.fields},
-                bounds=self.code.bounds),
+            state=ConcreteState({name: ((key >> shift) & fmask) + lb
+                                 for name, shift, lb in self.fields}),
         )
 
     def successors(self, key: int) -> list[tuple[str, int]]:
@@ -451,11 +449,11 @@ def explore(
 
 
 def grid_states(fmp: Fmp, grid_max: int) -> Iterator[ConcreteState]:
-    """All start states with each variable in [lower_bound, lower_bound+grid_max]."""
+    """All start states, values alone, each in [lower_bound, lower_bound+grid_max]."""
     names = fmp.var_names
     ranges = [range(fmp.bounds[x], fmp.bounds[x] + grid_max + 1) for x in names]
     for combo in itertools.product(*ranges):
-        yield ConcreteState(values=dict(zip(names, combo)), bounds=fmp.bounds)
+        yield ConcreteState(dict(zip(names, combo)))
 
 
 def explore_grid(

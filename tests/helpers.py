@@ -15,7 +15,7 @@ import math
 import pathlib
 import random
 import sys
-from typing import Any, Iterable
+from typing import Any, Iterable, Mapping
 
 from termsieve.analysis import NONTERMINATING_QUALITATIVE, TERMINATING, Verdict
 from termsieve.decomposition import DefForest, DetNode, Splits, build_def, quotient
@@ -725,14 +725,16 @@ def iter_nodes(forest):
 
 # ------------------------------------------------- reference interpreter
 
-def enabled(edge: Edge, state: ConcreteState) -> bool:
-    """True iff the guard holds and the post-state respects all lower bounds."""
+def enabled(edge: Edge, state: ConcreteState, bounds: Mapping[str, int]
+            ) -> bool:
+    """True iff the guard holds and the post-state respects every lower
+    bound of `bounds` (the policy's)."""
     for var, (lo, hi) in edge.guard.conjuncts.items():
         v = state.values[var]
         if v < lo or (hi is not None and v > hi):
             return False
     for var, delta in edge.effect.items():
-        if state.values[var] + delta < state.bounds[var]:
+        if state.values[var] + delta < bounds[var]:
             return False
     return True
 
@@ -742,7 +744,7 @@ def apply_edge(edge: Edge, state: ConcreteState) -> ConcreteState:
     vals = dict(state.values)
     for var, delta in edge.effect.items():
         vals[var] = vals[var] + delta
-    return ConcreteState(values=vals, bounds=state.bounds)
+    return ConcreteState(values=vals)
 
 
 def replay_lasso(fmp: Fmp, witness) -> None:
@@ -755,7 +757,7 @@ def replay_lasso(fmp: Fmp, witness) -> None:
             for action in e.actions
         ]
         assert any(
-            enabled(e, cfg.state)
+            enabled(e, cfg.state, fmp.bounds)
             and Configuration(e.dst, apply_edge(e, cfg.state)) == nxt
             for e in options
         ), f"step {eid} not enabled at {cfg}"
@@ -775,7 +777,7 @@ def referee_successors(fmp: Fmp, cfg: Configuration
             continue
         for action in e.actions:
             one = dataclasses.replace(e, actions=(action,))
-            if enabled(one, cfg.state):
+            if enabled(one, cfg.state, fmp.bounds):
                 out.append((e.id, Configuration(e.dst,
                                                 apply_edge(one, cfg.state))))
     return out

@@ -601,7 +601,6 @@ class TestEnablement:
         s = self.f.state({"x": 3, "y": 0})
         t = self.successors(s.values)["dec"].state
         assert t.values == {"x": 2, "y": 0}
-        assert t.bounds is s.bounds
 
     def test_state_rejects_missing_and_low(self):
         with pytest.raises(ValueError, match=r"missing variables: \['y'\]"):
@@ -613,11 +612,27 @@ class TestEnablement:
             self.f.state({"x": -1, "y": -2})
         assert str(ei.value) == "values below lower bound: ['x']"
 
-    def test_well_formed(self):
-        ok = ConcreteState({"x": 0}, {"x": 0})
-        assert ok.well_formed()
-        assert not ConcreteState({"x": -1}, {"x": 0}).well_formed()
-        assert not ConcreteState({"x": 0}, {"x": 0, "y": 0}).well_formed()
+    def test_state_rejects_non_integers(self):
+        # no value is rounded or parsed: -0.5 never passes as 0 against
+        # x's bound of 0, and a bool is no integer here, as in validate
+        for x in (2.9, True, "3", -0.5, 2.0):
+            with pytest.raises(ValueError) as ei:
+                self.f.state({"x": x, "y": 0})
+            assert str(ei.value) == "non-integer values: ['x']"
+        with pytest.raises(ValueError) as ei:
+            self.f.state({"y": False, "x": 1.0})
+        assert str(ei.value) == "non-integer values: ['x', 'y']"
+        # a missing value is named first, a non-integer before a low one
+        with pytest.raises(ValueError, match=r"^missing variables: \['y'\]"):
+            self.f.state({"x": 0.5})
+        with pytest.raises(ValueError, match=r"^non-integer values: \['y'\]"):
+            self.f.state({"x": -1, "y": 0.5})
+
+    def test_state_holds_the_declared_values_alone(self):
+        assert [f.name for f in dataclasses.fields(ConcreteState)] == ["values"]
+        s = self.f.state({"y": -2, "x": 3})
+        assert s == ConcreteState({"x": 3, "y": -2})
+        assert list(s.values) == ["x", "y"]
 
 
 def test_up_loop_never_blocks():
