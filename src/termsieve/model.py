@@ -158,10 +158,13 @@ class Fmp:
 
     def state(self, values: Mapping[str, int]) -> ConcreteState:
         """The declared variables' state; raises ValueError if a value is
-        missing, not an integer (bools are not) or below its lower bound."""
+        missing, undeclared, not an int (bools are not) or below its bound."""
         missing = set(self.var_names) - set(values)
         if missing:
             raise ValueError(f"missing variables: {sorted(missing)}")
+        extra = set(values) - set(self.var_names)
+        if extra:
+            raise ValueError(f"undeclared variables: {sorted(extra)}")
         vals = {x: values[x] for x in self.var_names}
         bad = [x for x in vals if not _is_int(vals[x])]
         if bad:

@@ -8,7 +8,8 @@ downgrades the answer to inconclusive, never to a wrong certificate.
 
 Every engine here runs on one integer per configuration (see `Packing`) and
 decodes to `Configuration` only for steps and for witnesses when they are
-read. explore() builds no successor list: its DFS path is two integer
+read; each `Packing` reads its action table straight from the policy's
+edges. explore() builds no successor list: its DFS path is two integer
 lists (keys, next action indices), each frame scans its qstate's actions in
 place from its index, and a configuration counts as halting when the scan
 of its frame ends with no action enabled.
@@ -112,54 +113,43 @@ class ExploreResult:
 class OracleCode:
     """A policy compiled once for the oracle (cached as `Fmp.oracle_code`).
 
-    Keeps each qstate's actions in edge declaration order, action sets
-    included (the oracle needs no normalized policy), and packs them into
-    integer weights once per field width (`packing`).
+    Holds what every field width shares: the policy, each qstate's index,
+    the largest |delta| of any action (action sets included: the oracle
+    needs no normalized policy) and one `Packing` per field width.
     """
 
     def __init__(self, fmp: Fmp):
-        self.qstates = fmp.qstates
-        self.names = fmp.var_names
-        self.bounds = fmp.bounds
-        qindex = {q: i for i, q in enumerate(fmp.qstates)}
-        self.qindex = qindex
-        vindex = {x: i for i, x in enumerate(self.names)}
-
-        def conjuncts(intervals: Mapping[str, Interval]) -> tuple:
-            return tuple((vindex[v], lo, hi)
-                         for v, (lo, hi) in sorted(intervals.items()))
-
-        # per qstate index: (edge id, src, dst, ((var, delta), ...), guard);
-        # an empty guard compiles to ()
-        self.actions = rows = [[] for _ in fmp.qstates]
-        top = 0
-        for e in fmp.edges:
-            src = qindex.get(e.src)
-            if src is None or not e.actions:
-                continue
-            dst = qindex[e.dst]
-            guard = conjuncts(e.guard.conjuncts) if e.guard.conjuncts else ()
-            for action in e.actions:
-                moves = []
-                for v, d in action.items():
-                    if d:
-                        moves.append((vindex[v], d))
-                        if d > top or -d > top:
-                            top = abs(d)
-                rows[src].append((e.id, src, dst, tuple(moves), guard))
-        self.max_abs_delta = top
-        self.goal = conjuncts(fmp.goal) if fmp.goal is not None else None
+        self.fmp = fmp
+        self.qindex = {q: i for i, q in enumerate(fmp.qstates)}
+        self.max_abs_delta = max([abs(d) for e in fmp.edges for a in e.actions
+                                  for d in a.values()], default=0)
         self._packings: dict[int, Packing] = {}
 
-    def derived_max_value(self, values: Mapping[str, int]) -> int:
-        """The value cap ExploreCaps(max_value=None) stands for."""
-        top = max(values.values(), default=0)
+    def start_max(self, values: Mapping[str, int]) -> int:
+        """The largest value of a start (0 with no counters); raises
+        ValueError if a counter is missing or undeclared, or its value is
+        not an int (bools are not) or lies below its lower bound."""
+        bounds = self.fmp.bounds
+        for name, lb in bounds.items():
+            value = values.get(name)
+            if type(value) is not int:
+                raise ValueError(f"value of {name} missing or not an int")
+            if value < lb:
+                raise ValueError(f"value of {name} below its lower bound")
+        extra = values.keys() - bounds.keys()
+        if extra:
+            raise ValueError(f"undeclared variables: {sorted(extra)}")
+        return max(values.values(), default=0)
+
+    def derived_max_value(self, top: int) -> int:
+        """The value cap ExploreCaps(max_value=None) stands for, at a start
+        whose largest value is `top`."""
         return max(64, 64 * (top + self.max_abs_delta))
 
     def packing(self, ceiling: int) -> "Packing":
         """The packing whose fields hold every value up to `ceiling` plus
         one step's max |delta|; built once per field width."""
-        low = min(self.bounds.values(), default=0)
+        low = min(self.fmp.bounds.values(), default=0)
         width = max(ceiling - low + self.max_abs_delta, 1).bit_length()
         packing = self._packings.get(width)
         if packing is None:
@@ -179,54 +169,59 @@ class Packing:
     still set. No field carries into the next while values stay below
     `2**width`, which the caller's ceiling guarantees.
 
-    An interval test compiles to two addends per field, each clamped to
-    [0, 2**width]: adding `2**width - (lo - lb)` sets the guard bit iff the
-    value is at least `lo`, and adding `2**width - 1 - (hi - lb)` sets it
-    iff the value exceeds `hi`. The value cap is the second kind on every
-    field.
+    `table` holds, per qstate index, an (edge id, weight, interval test or
+    None) row per action in edge declaration order. An interval test
+    compiles to two addends per field, each clamped to [0, 2**width]:
+    adding `2**width - (lo - lb)` sets the guard bit iff the value is at
+    least `lo`, and adding `2**width - 1 - (hi - lb)` sets it iff the value
+    exceeds `hi`. The value cap is the second kind on every field.
     """
 
     def __init__(self, code: OracleCode, width: int):
-        self.code = code
-        qbits = (len(code.qstates) - 1).bit_length()
+        self.code, fmp = code, code.fmp
+        qbits = (len(fmp.qstates) - 1).bit_length()
         self.qmask = (1 << qbits) - 1
         self.top = top = 1 << width
         self.fmask = top - 1
-        lbs = [code.bounds[x] for x in code.names]
-        shifts = [qbits + (width + 1) * i for i in range(len(lbs))]
-        self.fields = tuple(zip(code.names, shifts, lbs))
-        self.guard = sum(top << s for s in shifts)
-        self.vmask = sum(self.fmask << s for s in shifts)
-        self._shifts, self._lbs = shifts, lbs
+        shifts = {x: qbits + (width + 1) * i
+                  for i, x in enumerate(fmp.var_names)}
+        # per counter name: (shift, lower bound)
+        self.fields = {x: (s, fmp.bounds[x]) for x, s in shifts.items()}
+        self.guard = sum(top << s for s in shifts.values())
+        self.vmask = sum(self.fmask << s for s in shifts.values())
         self._cap_tests: dict[int, tuple[int, int]] = {}
-        # per qstate index: (edge id, weight, interval test or None)
-        self.table = table = []
-        for entries in code.actions:
-            row = []
-            for eid, src, dst, moves, guard in entries:
-                weight = dst - src
-                for i, d in moves:
-                    weight += d << shifts[i]
-                row.append((eid, weight,
-                            self.interval_test(guard) if guard else None))
-            table.append(row)
-        self.goal = (self.interval_test(code.goal)
-                     if code.goal is not None else None)
+        qindex = code.qindex
+        self.table = table = [[] for _ in fmp.qstates]
+        for e in fmp.edges:
+            src = qindex.get(e.src)
+            if src is None or not e.actions:
+                continue
+            row, base = table[src], qindex[e.dst] - src
+            conjuncts = e.guard.conjuncts
+            test = self.interval_test(conjuncts) if conjuncts else None
+            for action in e.actions:
+                weight = base
+                for v, d in action.items():
+                    weight += d << shifts[v]
+                row.append((e.id, weight, test))
+        self.goal = (self.interval_test(fmp.goal)
+                     if fmp.goal is not None else None)
 
-    def _addend(self, i: int, add: int) -> int:
-        """`add` clamped to [0, 2**width] and shifted onto variable i's
-        field: 0 never sets the guard bit, 2**width always does."""
-        return min(max(add, 0), self.top) << self._shifts[i]
+    def _addend(self, shift: int, add: int) -> int:
+        """`add` clamped to [0, 2**width], shifted onto the field at `shift`."""
+        return min(max(add, 0), self.top) << shift
 
-    def interval_test(self, conjuncts) -> tuple[int, int, int, int]:
-        """(lo addend, lo bits, hi addend, hi bits) for `holds`."""
+    def interval_test(self, intervals: Mapping[str, Interval]) -> tuple:
+        """(lo addend, lo bits, hi addend, hi bits) for `holds`, from a
+        guard's or goal's `{var: (lo, hi)}`."""
         lo_add = lo_bits = hi_add = hi_bits = 0
-        for i, lo, hi in conjuncts:
-            bit = self.top << self._shifts[i]
-            lo_add += self._addend(i, self.top - (lo - self._lbs[i]))
+        for v, (lo, hi) in intervals.items():
+            shift, lb = self.fields[v]
+            bit = self.top << shift
+            lo_add += self._addend(shift, self.top - (lo - lb))
             lo_bits |= bit
             if hi is not None:
-                hi_add += self._addend(i, self.top - 1 - (hi - self._lbs[i]))
+                hi_add += self._addend(shift, self.top - 1 - (hi - lb))
                 hi_bits |= bit
         return lo_add, lo_bits, hi_add, hi_bits
 
@@ -245,26 +240,25 @@ class Packing:
             if not self.fields:  # max() of no values reads 0
                 test = int(max_value < 0), int(max_value < 0)
             else:
-                test = (sum(self._addend(i, self.top - 1 - (max_value - lb))
-                            for i, lb in enumerate(self._lbs)), self.guard)
+                test = (sum(self._addend(s, self.top - 1 - (max_value - lb))
+                            for s, lb in self.fields.values()), self.guard)
             self._cap_tests[max_value] = test
         return test
 
     def pack(self, qstate: str, values: Mapping[str, int]) -> int:
+        """The key of (qstate, values), for values that passed
+        `OracleCode.start_max`."""
         key = self.code.qindex[qstate]
-        for name, shift, lb in self.fields:
-            distance = values[name] - lb
-            if distance < 0:
-                raise ValueError(f"value of {name} below its lower bound")
-            key |= (distance | self.top) << shift
+        for name, (shift, lb) in self.fields.items():
+            key |= (values[name] - lb | self.top) << shift
         return key
 
     def config(self, key: int) -> Configuration:
-        fmask = self.fmask
+        fmask, fields = self.fmask, self.fields
         return Configuration(
-            qstate=self.code.qstates[key & self.qmask],
+            qstate=self.code.fmp.qstates[key & self.qmask],
             state=ConcreteState({name: ((key >> shift) & fmask) + lb
-                                 for name, shift, lb in self.fields}),
+                                 for name, (shift, lb) in fields.items()}),
         )
 
     def successors(self, key: int) -> list[tuple[str, int]]:
@@ -281,8 +275,8 @@ class Packing:
 
 def step(fmp: Fmp, cfg: Configuration) -> list[tuple[str, Configuration]]:
     """Enabled successors of a configuration, in edge declaration order."""
-    values = cfg.state.values
-    p = fmp.oracle_code.packing(max(values.values(), default=0))
+    code, values = fmp.oracle_code, cfg.state.values
+    p = code.packing(code.start_max(values))
     return [(eid, p.config(k))
             for eid, k in p.successors(p.pack(cfg.qstate, values))]
 
@@ -331,12 +325,13 @@ def explore(
     """
     caps = caps if caps is not None else ExploreCaps()
     code = fmp.oracle_code
+    top = code.start_max(s0.values)
     max_value = (caps.max_value if caps.max_value is not None
-                 else code.derived_max_value(s0.values))
+                 else code.derived_max_value(top))
     if shared is None:
         # a start above the cap is still expanded, so its values bound the
         # fields
-        p = code.packing(max((max_value, *s0.values.values())))
+        p = code.packing(max(max_value, top))
         known: dict[int, int] = {}
     else:
         p, known = shared.packing, shared.known
@@ -477,10 +472,10 @@ def explore_grid(
     """
     caps = caps if caps is not None else ExploreCaps()
     code = fmp.oracle_code
-    top = {x: fmp.bounds[x] + grid_max for x in fmp.var_names}
+    top = max([fmp.bounds[x] + grid_max for x in fmp.var_names], default=0)
     max_value = (caps.max_value if caps.max_value is not None
                  else code.derived_max_value(top))
-    shared = _Halted(code.packing(max((max_value, *top.values()))))
+    shared = _Halted(code.packing(max(max_value, top)))
     out = []
     for s0 in grid_states(fmp, grid_max):
         res = explore(fmp, s0, caps, shared=shared)
@@ -502,7 +497,7 @@ def run_random(
     """One uniformly random resolution of nondeterminism, up to max_steps."""
     rng = random.Random(seed)
     code = fmp.oracle_code
-    top = max(s0.values.values(), default=0)
+    top = code.start_max(s0.values)
     p = code.packing(top + max_steps * code.max_abs_delta)
     key = p.pack(fmp.initial, s0.values)
     steps: list[tuple[str, Configuration]] = []

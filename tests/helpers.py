@@ -31,16 +31,30 @@ from termsieve.oracle import (
 from termsieve.paths import (
     DEFAULT_PATH_CAP, EffectCode, NodeVarSets, PathContext, PathGraph,
 )
-from termsieve.policyio import FORMAT_VERSION, PolicyFormatError
+from termsieve.policyio import FORMAT_VERSION, PolicyFormatError, load_policy
 
 FIXTURES = pathlib.Path(__file__).resolve().parent.parent / "fixtures"
 TEST_FIXTURES = pathlib.Path(__file__).resolve().parent / "fixtures"
+
+
+def fixture(name: str) -> Fmp:
+    """The policy of `fixtures/<name>.fmp.json`."""
+    return load_policy(FIXTURES / f"{name}.fmp.json")
 
 
 # ---------------------------------------------------------------- graphs
 
 def graph(vertices: Iterable[str], arcs: Iterable[Arc]) -> DiGraph:
     return DiGraph(vertices=frozenset(vertices), arcs=tuple(arcs))
+
+
+def g_of(*arcs: Arc, extra: Iterable[str] = ()) -> DiGraph:
+    """Graph from (id, src, dst) triples; vertices inferred plus extras."""
+    vs = set(extra)
+    for (_, s, d) in arcs:
+        vs.add(s)
+        vs.add(d)
+    return graph(vs, arcs)
 
 
 def policy_graph(fmp: Fmp) -> DiGraph:

@@ -34,14 +34,11 @@ from termsieve.policyio import load_policy
 
 from helpers import (
     FIXTURES, TEST_FIXTURES, brute_var_sets, chain_policy, chord_ring_policy,
-    circulant_policy, draw_forest, iter_nodes, path_ctx, policy_graph,
-    random_small_policy, recursion_room, referee_progress_sieve, replay_lasso,
-    ring_policy, two_pair_lasso_policy, up_loop_policy, with_zero_effects,
+    circulant_policy, draw_forest, fixture, iter_nodes, path_ctx,
+    policy_graph, random_small_policy, recursion_room, referee_progress_sieve,
+    replay_lasso, ring_policy, two_pair_lasso_policy, up_loop_policy,
+    with_zero_effects,
 )
-
-
-def fixture(name):
-    return load_policy(FIXTURES / f"{name}.fmp.json")
 
 
 def without_wall(d):

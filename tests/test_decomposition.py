@@ -11,17 +11,9 @@ from termsieve.graphs import SccGraph, induced
 
 from helpers import (
     brute_forest_key, brute_forests, brute_is_nontrivial, brute_sccs,
-    check_det, circulant_policy, draw_forest, graph, is_acyclic, iter_nodes,
-    policy_graph, random_digraph, recursion_room,
+    check_det, circulant_policy, draw_forest, g_of, graph, is_acyclic,
+    iter_nodes, policy_graph, random_digraph, recursion_room,
 )
-
-
-def g_of(*arcs, extra=()):
-    vs = set(extra)
-    for (_, s, d) in arcs:
-        vs.add(s)
-        vs.add(d)
-    return graph(vs, arcs)
 
 
 # Two touching 2-cycles: a <-> b and b <-> c form one SCC {a, b, c}.

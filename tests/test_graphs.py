@@ -15,20 +15,12 @@ from helpers import (
     brute_is_nontrivial,
     brute_sccs,
     chain_policy,
+    g_of,
     graph,
     is_acyclic,
     policy_graph,
     random_digraph,
 )
-
-
-def g_of(*arcs, extra=()):
-    """Graph from (id, src, dst) triples; vertices inferred plus extras."""
-    vs = set(extra)
-    for (_, s, d) in arcs:
-        vs.add(s)
-        vs.add(d)
-    return graph(vs, arcs)
 
 
 def test_graph_rejects_dangling_arc():

@@ -628,6 +628,17 @@ class TestEnablement:
         with pytest.raises(ValueError, match=r"^non-integer values: \['y'\]"):
             self.f.state({"x": -1, "y": 0.5})
 
+    def test_state_rejects_undeclared(self):
+        with pytest.raises(ValueError) as ei:
+            self.f.state({"x": 1, "y": 0, "yy": 2, "xx": 5})
+        assert str(ei.value) == "undeclared variables: ['xx', 'yy']"
+        # after a missing value, before a non-integer one
+        with pytest.raises(ValueError, match=r"^missing variables: \['y'\]"):
+            self.f.state({"x": 1, "xx": 5})
+        with pytest.raises(ValueError,
+                           match=r"^undeclared variables: \['xx'\]"):
+            self.f.state({"x": 0.5, "y": 0, "xx": 5})
+
     def test_state_holds_the_declared_values_alone(self):
         assert [f.name for f in dataclasses.fields(ConcreteState)] == ["values"]
         s = self.f.state({"y": -2, "x": 3})

@@ -19,17 +19,12 @@ from termsieve.oracle import (
     step,
 )
 from termsieve.generate import GenSpec, generate_random
-from termsieve.policyio import load_policy
 
 from helpers import (
-    FIXTURES, apply_edge, chain_policy, enabled, random_small_policy,
+    apply_edge, chain_policy, enabled, fixture, random_small_policy,
     referee_explore, referee_explore_grid, referee_run_random,
     referee_successors, replay_lasso, up_loop_policy,
 )
-
-
-def fixture(name):
-    return load_policy(FIXTURES / f"{name}.fmp.json")
 
 
 def cfg_of(fmp, qstate, **values):
@@ -65,6 +60,26 @@ class TestStep:
             with pytest.raises(ValueError) as ei:
                 call()
             assert str(ei.value) == "value of x below its lower bound"
+
+    def test_start_that_is_not_a_state_of_the_policy_is_rejected(
+            self, monkeypatch):
+        # a start built without Fmp.state: each bad value is named, a bool
+        # is no int, and a counter the policy does not declare is refused
+        f = fixture("f2")
+        cases = [({"x": 1.0, "y": 0}, "value of x missing or not an int"),
+                 ({"x": 1, "y": "3"}, "value of y missing or not an int"),
+                 ({"x": True, "y": 0}, "value of x missing or not an int"),
+                 ({"x": 1}, "value of y missing or not an int"),
+                 ({"x": 1, "y": 0, "xx": 5}, "undeclared variables: ['xx']")]
+        for values, message in cases:
+            s0 = ConcreteState(values)
+            monkeypatch.setattr(oracle, "grid_states", lambda f, g: [s0])
+            for call in (lambda: explore(f, s0), lambda: explore_grid(f, 1),
+                         lambda: run_random(f, s0),
+                         lambda: step(f, Configuration("q0", s0))):
+                with pytest.raises(ValueError) as ei:
+                    call()
+                assert str(ei.value) == message
 
 
 class TestLasso:
@@ -828,5 +843,5 @@ class TestMonotoneBox:
             for i in range(70)])
         box = explore_grid(f, 3)
         assert [res.kind for _, res in box] == [INCONCLUSIVE] + [ALL_HALT] * 3
-        caps = ExploreCaps(max_value=f.oracle_code.derived_max_value({"x": 3}))
+        caps = ExploreCaps(max_value=f.oracle_code.derived_max_value(3))
         assert {res.kind for _, res in explore_grid(f, 3, caps)} == {ALL_HALT}

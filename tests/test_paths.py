@@ -31,6 +31,7 @@ from helpers import (
     chord_ring_policy,
     circulant_policy,
     draw_forest,
+    g_of,
     graph,
     is_acyclic,
     iter_nodes,
@@ -44,14 +45,6 @@ from helpers import (
     random_digraph,
     ring_policy,
 )
-
-
-def g_of(*arcs, extra=()):
-    vs = set(extra)
-    for (_, s, d) in arcs:
-        vs.add(s)
-        vs.add(d)
-    return graph(vs, arcs)
 
 
 def ctx_for(fmp, path_cap=100_000):
