@@ -10,16 +10,17 @@ Every engine here runs on one integer per configuration (see `Packing`) and
 decodes to `Configuration` only for steps and for witnesses when they are
 read; each `Packing` reads its action table straight from the policy's
 edges. explore() builds no successor list: its DFS path is two integer
-lists (keys, next action indices), each frame scans its qstate's actions in
-place from its index, and a configuration counts as halting when the scan
-of its frame ends with no action enabled.
+lists (keys, next action indices), the frame on top lives in locals and
+scans its qstate's actions in place from its index, a push goes on
+scanning in the new frame, and a configuration counts as halting when the
+scan of its frame ends with no action enabled.
 """
 
 from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import ConcreteState, Fmp, Interval
@@ -108,6 +109,21 @@ class ExploreResult:
     witness: LassoWitness | None
     stats: Mapping[str, int]
     goal_report: float | None = None
+
+    def __init__(self, kind: str, witness: LassoWitness | None,
+                 stats: Mapping[str, int],
+                 goal_report: float | None = None) -> None:
+        # as `model.Edge`: the dataclass's signature, each field stored
+        # through its slot's descriptor; assignment from outside still
+        # raises FrozenInstanceError
+        _set_kind(self, kind)
+        _set_witness(self, witness)
+        _set_stats(self, stats)
+        _set_goal_report(self, goal_report)
+
+
+_set_kind, _set_witness, _set_stats, _set_goal_report = (
+    ExploreResult.__dict__[f.name].__set__ for f in fields(ExploreResult))
 
 
 class OracleCode:
@@ -309,23 +325,32 @@ def explore(
     The path is kept in two lists that grow and shrink in place: each
     frame's key and the index of the next action to try in its row of
     `Packing.table`, one past the action that entered the frame above it.
-    A frame scans its actions from that index in declaration order, with
-    the tests of `Packing.successors`, and stops at the first successor to
-    expand, so no successor list is built. A configuration counts as
-    halting, and is checked against the goal, when the scan of its frame
-    ends with no enabled action; that scan runs right after the
+    The current frame lives in locals (its key, row, next index, row length
+    and whether it has an enabled action), and its index is written to the
+    list only when a frame is pushed above it. A frame scans its actions
+    from that index in declaration order, with the tests of
+    `Packing.successors`; the first successor to expand is pushed and its
+    scan starts at once, so no successor list is built. A configuration
+    counts as halting, and is checked against the goal, when the scan of
+    its frame ends with no enabled action; that scan runs right after the
     configuration is expanded, before any later expansion, so the stats at
-    any stop are those of counting halting at expansion.
+    any stop are those of counting halting at expansion. A pop resumes the
+    frame below at its stored index, as a frame with an enabled action: the
+    one that entered the popped frame.
 
     `shared` carries what earlier starts of one `explore_grid` call found
-    (see `explore_grid`); without it nothing is known and the search
-    expands every configuration it reaches. Where expanding all known ones
-    too could reach `max_configs`, reuse stops, and a search that has
-    reused any runs again from its start, to end as one without `shared`.
+    (see `explore_grid`), whose starts `grid_states` builds from the
+    policy's declarations, so such a start is not checked again. Without
+    it the start is checked as in `OracleCode.start_max`, nothing is known
+    and the search expands every configuration it reaches. Where expanding
+    all known ones too could reach `max_configs`, reuse stops, and a search
+    that has reused any runs again from its start, to end as one without
+    `shared`.
     """
     caps = caps if caps is not None else ExploreCaps()
-    code = fmp.oracle_code
-    top = code.start_max(s0.values)
+    code, values = fmp.oracle_code, s0.values
+    top = (code.start_max(values) if shared is None
+           else max(values.values(), default=0))
     max_value = (caps.max_value if caps.max_value is not None
                  else code.derived_max_value(top))
     if shared is None:
@@ -337,35 +362,30 @@ def explore(
         p, known = shared.packing, shared.known
     cap_add, cap_bits = p.cap_test(max_value)
     table, qmask, guard, vmask = p.table, p.qmask, p.guard, p.vmask
+    goal = p.goal
     max_configs = caps.max_configs
     # A known configuration stands in for its closure while expanding all
     # of `known` as well could not reach max_configs: while
     # `expanded < spare`.
     reuse, spare = bool(known), max_configs - len(known)
 
-    # depth on the current path while a key is on it, then _DONE
-    depth: dict[int, int] = {}
+    # the current frame: key, action row, next action index, row length,
+    # whether an action of it is enabled
+    key = p.pack(fmp.initial, values)
+    row = table[key & qmask]
+    i, end, live = 0, len(row), False
     # the path, one entry per frame in each list: key, index of the next
     # action to try
-    keys = [p.pack(fmp.initial, s0.values)]
-    nexts = [0]
-    depth[keys[0]] = 0
+    keys, nexts = [key], [0]
+    # depth on the current path while a key is on it, then _DONE
+    depth = {key: 0}
     # whether a known key was marked done in place of its closure
     reused = False
     expanded, halting, value_cap_hits, goal_hits = 1, 0, 0, 0
 
-    def stats(config_cap: int = 0) -> dict[str, int]:
-        return {"expanded": expanded, "halting": halting,
-                "value_cap_hits": value_cap_hits, "config_cap": config_cap}
-
-    while keys:
-        key = keys[-1]
-        row = table[key & qmask]
-        i, end = nexts[-1], len(row)
-        # a frame resumed past its first action has an enabled one
-        live = i > 0
+    while True:
         while i < end:
-            eid, weight, test = row[i]
+            _, weight, test = row[i]
             i += 1
             if test is not None:
                 lo_add, lo_bits, hi_add, hi_bits = test
@@ -388,7 +408,9 @@ def explore(
                 nexts[-1] = i
                 witness = LassoWitness(p.config, [*keys, nkey], map(
                     lambda k, n: table[k & qmask][n - 1][0], keys, nexts), d)
-                return ExploreResult(LASSO_FOUND, witness, stats())
+                return ExploreResult(LASSO_FOUND, witness, {
+                    "expanded": expanded, "halting": halting,
+                    "value_cap_hits": value_cap_hits, "config_cap": 0})
             if reuse:
                 if expanded < spare:
                     c = known.get(nkey)
@@ -410,27 +432,36 @@ def explore(
                         i, end, live = 0, len(row), False
                         continue
             if expanded >= max_configs:
-                return ExploreResult(INCONCLUSIVE, None, stats(1))
+                return ExploreResult(INCONCLUSIVE, None, {
+                    "expanded": expanded, "halting": halting,
+                    "value_cap_hits": value_cap_hits, "config_cap": 1})
+            nexts[-1] = i
+            depth[nkey] = len(keys)
+            keys.append(nkey)
+            nexts.append(0)
+            expanded += 1
+            key = nkey
+            row = table[key & qmask]
+            i, end, live = 0, len(row), False
+        if not live:
+            halting += 1
+            if goal is not None and p.holds(goal, key):
+                goal_hits += 1
+        depth[key] = _DONE
+        keys.pop()
+        nexts.pop()
+        if not keys:
             break
-        else:
-            if not live:
-                halting += 1
-                if p.goal is not None and p.holds(p.goal, key):
-                    goal_hits += 1
-            keys.pop()
-            nexts.pop()
-            depth[key] = _DONE
-            continue
-        nexts[-1] = i
-        depth[nkey] = len(keys)
-        keys.append(nkey)
-        nexts.append(0)
-        expanded += 1
+        key = keys[-1]
+        row = table[key & qmask]
+        i, end, live = nexts[-1], len(row), True
 
+    stats = {"expanded": expanded, "halting": halting,
+             "value_cap_hits": value_cap_hits, "config_cap": 0}
     # Every configuration descends from the start, so any value-cap hit
     # leaves a branch unexplored below it.
     if value_cap_hits:
-        return ExploreResult(INCONCLUSIVE, None, stats())
+        return ExploreResult(INCONCLUSIVE, None, stats)
     if shared is not None:
         # every configuration done here halts within max_value; keep the
         # least cap each is known under
@@ -438,17 +469,22 @@ def explore(
             if known.setdefault(key, max_value) > max_value:
                 known[key] = max_value
     goal_report = None
-    if p.goal is not None:
+    if goal is not None:
         goal_report = goal_hits / halting if halting else 0.0
-    return ExploreResult(ALL_HALT, None, stats(), goal_report)
+    return ExploreResult(ALL_HALT, None, stats, goal_report)
 
 
 def grid_states(fmp: Fmp, grid_max: int) -> Iterator[ConcreteState]:
-    """All start states, values alone, each in [lower_bound, lower_bound+grid_max]."""
+    """All start states, values alone, each in [lower_bound, lower_bound+grid_max].
+
+    Raises ValueError at once for a negative grid_max, whose grid is empty.
+    """
+    if grid_max < 0:
+        raise ValueError("grid_max must be >= 0")
     names = fmp.var_names
     ranges = [range(fmp.bounds[x], fmp.bounds[x] + grid_max + 1) for x in names]
-    for combo in itertools.product(*ranges):
-        yield ConcreteState(dict(zip(names, combo)))
+    return (ConcreteState(dict(zip(names, combo)))
+            for combo in itertools.product(*ranges))
 
 
 def explore_grid(
@@ -470,6 +506,7 @@ def explore_grid(
     on without reuse, and one that has runs again from its start without
     reuse. Either way its result, stats included, is then explore()'s.
     """
+    starts = grid_states(fmp, grid_max)
     caps = caps if caps is not None else ExploreCaps()
     code = fmp.oracle_code
     top = max([fmp.bounds[x] + grid_max for x in fmp.var_names], default=0)
@@ -477,7 +514,7 @@ def explore_grid(
                  else code.derived_max_value(top))
     shared = _Halted(code.packing(max(max_value, top)))
     out = []
-    for s0 in grid_states(fmp, grid_max):
+    for s0 in starts:
         res = explore(fmp, s0, caps, shared=shared)
         out.append((s0, res))
         if res.kind == LASSO_FOUND:
@@ -494,7 +531,10 @@ class SimTrace:
 def run_random(
     fmp: Fmp, s0: ConcreteState, max_steps: int = 1000, seed: int = 0
 ) -> SimTrace:
-    """One uniformly random resolution of nondeterminism, up to max_steps."""
+    """One uniformly random resolution of nondeterminism, up to max_steps;
+    raises ValueError for a negative max_steps, which takes no run."""
+    if max_steps < 0:
+        raise ValueError("max_steps must be >= 0")
     rng = random.Random(seed)
     code = fmp.oracle_code
     top = code.start_max(s0.values)

@@ -61,10 +61,10 @@ class TestStep:
                 call()
             assert str(ei.value) == "value of x below its lower bound"
 
-    def test_start_that_is_not_a_state_of_the_policy_is_rejected(
-            self, monkeypatch):
+    def test_start_that_is_not_a_state_of_the_policy_is_rejected(self):
         # a start built without Fmp.state: each bad value is named, a bool
-        # is no int, and a counter the policy does not declare is refused
+        # is no int, and a counter the policy does not declare is refused;
+        # explore_grid builds its own starts from the declarations
         f = fixture("f2")
         cases = [({"x": 1.0, "y": 0}, "value of x missing or not an int"),
                  ({"x": 1, "y": "3"}, "value of y missing or not an int"),
@@ -73,9 +73,7 @@ class TestStep:
                  ({"x": 1, "y": 0, "xx": 5}, "undeclared variables: ['xx']")]
         for values, message in cases:
             s0 = ConcreteState(values)
-            monkeypatch.setattr(oracle, "grid_states", lambda f, g: [s0])
-            for call in (lambda: explore(f, s0), lambda: explore_grid(f, 1),
-                         lambda: run_random(f, s0),
+            for call in (lambda: explore(f, s0), lambda: run_random(f, s0),
                          lambda: step(f, Configuration("q0", s0))):
                 with pytest.raises(ValueError) as ei:
                     call()
@@ -316,6 +314,14 @@ class TestGrid:
         assert len(results) == 1
         assert results[0][1].kind == LASSO_FOUND
 
+    def test_negative_grid_max_is_rejected(self):
+        # an empty grid would read as all_halt with no start explored
+        f = fixture("f2")
+        for call in (lambda: grid_states(f, -1), lambda: explore_grid(f, -1)):
+            with pytest.raises(ValueError) as ei:
+                call()
+            assert str(ei.value) == "grid_max must be >= 0"
+
 
 class TestRunRandom:
     def test_drain_halts(self):
@@ -337,6 +343,17 @@ class TestRunRandom:
         f = chain_policy()
         tr = run_random(f, f.state({"x": 0}))
         assert tr == type(tr)(steps=(), halted=True)
+
+    def test_negative_step_budget_is_rejected(self):
+        # no run is taken, so there is no halted flag to report; a budget
+        # of 0 is still a run, of the start alone
+        f = fixture("f2")
+        s0 = f.state({"x": 1, "y": 1})
+        with pytest.raises(ValueError) as ei:
+            run_random(f, s0, max_steps=-3)
+        assert str(ei.value) == "max_steps must be >= 0"
+        tr = run_random(f, s0, max_steps=0)
+        assert tr == type(tr)(steps=(), halted=False)
 
     def test_step_budget(self):
         f = up_loop_policy()
