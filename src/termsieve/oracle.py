@@ -14,6 +14,10 @@ lists (keys, next action indices), the frame on top lives in locals and
 scans its qstate's actions in place from its index, a push goes on
 scanning in the new frame, and a configuration counts as halting when the
 scan of its frame ends with no action enabled.
+
+A start is checked by `Fmp.state`, except those `explore_grid` builds from
+the policy's declarations. A policy whose initial qstate or edge endpoint
+is not a declared qstate is refused with ValueError when it is compiled.
 """
 
 from __future__ import annotations
@@ -131,31 +135,18 @@ class OracleCode:
 
     Holds what every field width shares: the policy, each qstate's index,
     the largest |delta| of any action (action sets included: the oracle
-    needs no normalized policy) and one `Packing` per field width.
+    needs no normalized policy) and one `Packing` per field width. Raises
+    ValueError if the initial qstate is not declared.
     """
 
     def __init__(self, fmp: Fmp):
         self.fmp = fmp
         self.qindex = {q: i for i, q in enumerate(fmp.qstates)}
+        if fmp.initial not in self.qindex:
+            raise ValueError(f"initial qstate {fmp.initial} is not declared")
         self.max_abs_delta = max([abs(d) for e in fmp.edges for a in e.actions
                                   for d in a.values()], default=0)
         self._packings: dict[int, Packing] = {}
-
-    def start_max(self, values: Mapping[str, int]) -> int:
-        """The largest value of a start (0 with no counters); raises
-        ValueError if a counter is missing or undeclared, or its value is
-        not an int (bools are not) or lies below its lower bound."""
-        bounds = self.fmp.bounds
-        for name, lb in bounds.items():
-            value = values.get(name)
-            if type(value) is not int:
-                raise ValueError(f"value of {name} missing or not an int")
-            if value < lb:
-                raise ValueError(f"value of {name} below its lower bound")
-        extra = values.keys() - bounds.keys()
-        if extra:
-            raise ValueError(f"undeclared variables: {sorted(extra)}")
-        return max(values.values(), default=0)
 
     def derived_max_value(self, top: int) -> int:
         """The value cap ExploreCaps(max_value=None) stands for, at a start
@@ -190,7 +181,8 @@ class Packing:
     compiles to two addends per field, each clamped to [0, 2**width]:
     adding `2**width - (lo - lb)` sets the guard bit iff the value is at
     least `lo`, and adding `2**width - 1 - (hi - lb)` sets it iff the value
-    exceeds `hi`. The value cap is the second kind on every field.
+    exceeds `hi`. The value cap is the second kind on every field. An edge
+    with an endpoint that is not a declared qstate raises ValueError.
     """
 
     def __init__(self, code: OracleCode, width: int):
@@ -209,10 +201,12 @@ class Packing:
         qindex = code.qindex
         self.table = table = [[] for _ in fmp.qstates]
         for e in fmp.edges:
-            src = qindex.get(e.src)
-            if src is None or not e.actions:
+            src, dst = qindex.get(e.src), qindex.get(e.dst)
+            if src is None or dst is None:
+                raise ValueError(f"edge {e.id}: endpoint outside the qstates")
+            if not e.actions:
                 continue
-            row, base = table[src], qindex[e.dst] - src
+            row, base = table[src], dst - src
             conjuncts = e.guard.conjuncts
             test = self.interval_test(conjuncts) if conjuncts else None
             for action in e.actions:
@@ -262,8 +256,7 @@ class Packing:
         return test
 
     def pack(self, qstate: str, values: Mapping[str, int]) -> int:
-        """The key of (qstate, values), for values that passed
-        `OracleCode.start_max`."""
+        """The key of (qstate, values), for values that `Fmp.state` accepts."""
         key = self.code.qindex[qstate]
         for name, (shift, lb) in self.fields.items():
             key |= (values[name] - lb | self.top) << shift
@@ -291,8 +284,8 @@ class Packing:
 
 def step(fmp: Fmp, cfg: Configuration) -> list[tuple[str, Configuration]]:
     """Enabled successors of a configuration, in edge declaration order."""
-    code, values = fmp.oracle_code, cfg.state.values
-    p = code.packing(code.start_max(values))
+    code, values = fmp.oracle_code, fmp.state(cfg.state.values).values
+    p = code.packing(max(values.values(), default=0))
     return [(eid, p.config(k))
             for eid, k in p.successors(p.pack(cfg.qstate, values))]
 
@@ -341,16 +334,16 @@ def explore(
     `shared` carries what earlier starts of one `explore_grid` call found
     (see `explore_grid`), whose starts `grid_states` builds from the
     policy's declarations, so such a start is not checked again. Without
-    it the start is checked as in `OracleCode.start_max`, nothing is known
-    and the search expands every configuration it reaches. Where expanding
-    all known ones too could reach `max_configs`, reuse stops, and a search
+    it the start is checked by `Fmp.state`, nothing is known and the
+    search expands every configuration it reaches. Where expanding all
+    known ones too could reach `max_configs`, reuse stops, and a search
     that has reused any runs again from its start, to end as one without
     `shared`.
     """
     caps = caps if caps is not None else ExploreCaps()
-    code, values = fmp.oracle_code, s0.values
-    top = (code.start_max(values) if shared is None
-           else max(values.values(), default=0))
+    code = fmp.oracle_code
+    values = s0.values if shared is not None else fmp.state(s0.values).values
+    top = max(values.values(), default=0)
     max_value = (caps.max_value if caps.max_value is not None
                  else code.derived_max_value(top))
     if shared is None:
@@ -536,10 +529,10 @@ def run_random(
     if max_steps < 0:
         raise ValueError("max_steps must be >= 0")
     rng = random.Random(seed)
-    code = fmp.oracle_code
-    top = code.start_max(s0.values)
+    code, values = fmp.oracle_code, fmp.state(s0.values).values
+    top = max(values.values(), default=0)
     p = code.packing(top + max_steps * code.max_abs_delta)
-    key = p.pack(fmp.initial, s0.values)
+    key = p.pack(fmp.initial, values)
     steps: list[tuple[str, Configuration]] = []
     for _ in range(max_steps):
         succ = p.successors(key)

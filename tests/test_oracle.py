@@ -52,32 +52,46 @@ class TestStep:
                     want.append((e.id, Configuration(e.dst, apply_edge(e, cfg.state))))
             assert got == want
 
-    def test_start_below_a_lower_bound_is_rejected(self):
-        f = fixture("f2")
-        s0 = ConcreteState(values={"x": -1, "y": 0})
-        for call in (lambda: explore(f, s0), lambda: run_random(f, s0),
-                     lambda: step(f, Configuration("q0", s0))):
-            with pytest.raises(ValueError) as ei:
-                call()
-            assert str(ei.value) == "value of x below its lower bound"
-
     def test_start_that_is_not_a_state_of_the_policy_is_rejected(self):
-        # a start built without Fmp.state: each bad value is named, a bool
-        # is no int, and a counter the policy does not declare is refused;
-        # explore_grid builds its own starts from the declarations
+        # a start built without Fmp.state: a float, a str and a bool are no
+        # int, a counter is missing or undeclared, or a value lies below its
+        # bound; each entry point raises exactly what Fmp.state raises on the
+        # same values (explore_grid builds its own starts from the
+        # declarations)
         f = fixture("f2")
-        cases = [({"x": 1.0, "y": 0}, "value of x missing or not an int"),
-                 ({"x": 1, "y": "3"}, "value of y missing or not an int"),
-                 ({"x": True, "y": 0}, "value of x missing or not an int"),
-                 ({"x": 1}, "value of y missing or not an int"),
-                 ({"x": 1, "y": 0, "xx": 5}, "undeclared variables: ['xx']")]
-        for values, message in cases:
+        cases = [{"x": 1.0, "y": 0}, {"x": 1, "y": "3"}, {"x": True, "y": 0},
+                 {"x": 1}, {"x": 1, "y": 0, "xx": 5}, {"x": -1, "y": 0}]
+        for values in cases:
+            with pytest.raises(ValueError) as want:
+                f.state(values)
             s0 = ConcreteState(values)
             for call in (lambda: explore(f, s0), lambda: run_random(f, s0),
                          lambda: step(f, Configuration("q0", s0))):
                 with pytest.raises(ValueError) as ei:
                     call()
-                assert str(ei.value) == message
+                assert str(ei.value) == str(want.value)
+
+    def test_policy_naming_an_undeclared_qstate_is_rejected(self):
+        # an edge into or out of a qstate the policy does not declare (one
+        # without actions too), or an undeclared initial qstate: every entry
+        # point raises ValueError naming it, never a KeyError or an answer
+        ok = Edge.single("e1", "q0", "q0", {"x": -1})
+        cases = [
+            ("q0", (ok, Edge.single("e2", "q0", "zz")), "edge e2: "),
+            ("q0", (ok, Edge.single("e2", "zz", "q0")), "edge e2: "),
+            ("q0", (ok, Edge("e2", "zz", "q0", actions=())), "edge e2: "),
+            ("qq", (ok,), "initial qstate qq "),
+        ]
+        for initial, edges, message in cases:
+            f = Fmp(variables=(VarDecl("x"),), qstates=("q0",),
+                    initial=initial, edges=edges)
+            s0 = ConcreteState({"x": 1})
+            for call in (lambda: explore(f, s0), lambda: explore_grid(f, 1),
+                         lambda: run_random(f, s0),
+                         lambda: step(f, Configuration("q0", s0))):
+                with pytest.raises(ValueError) as ei:
+                    call()
+                assert str(ei.value).startswith(message)
 
 
 class TestLasso:
