@@ -52,15 +52,23 @@ class TestStep:
                     want.append((e.id, Configuration(e.dst, apply_edge(e, cfg.state))))
             assert got == want
 
+    def test_start_below_a_lower_bound_is_rejected(self):
+        f = fixture("f2")
+        s0 = ConcreteState(values={"x": -1, "y": 0})
+        for call in (lambda: explore(f, s0), lambda: run_random(f, s0),
+                     lambda: step(f, Configuration("q0", s0))):
+            with pytest.raises(ValueError) as ei:
+                call()
+            assert str(ei.value) == "values below lower bound: ['x']"
+
     def test_start_that_is_not_a_state_of_the_policy_is_rejected(self):
         # a start built without Fmp.state: a float, a str and a bool are no
-        # int, a counter is missing or undeclared, or a value lies below its
-        # bound; each entry point raises exactly what Fmp.state raises on the
-        # same values (explore_grid builds its own starts from the
-        # declarations)
+        # int, or a counter is missing or undeclared; each entry point raises
+        # exactly what Fmp.state raises on the same values (explore_grid
+        # builds its own starts from the declarations)
         f = fixture("f2")
         cases = [{"x": 1.0, "y": 0}, {"x": 1, "y": "3"}, {"x": True, "y": 0},
-                 {"x": 1}, {"x": 1, "y": 0, "xx": 5}, {"x": -1, "y": 0}]
+                 {"x": 1}, {"x": 1, "y": 0, "xx": 5}]
         for values in cases:
             with pytest.raises(ValueError) as want:
                 f.state(values)
