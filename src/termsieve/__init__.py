@@ -49,6 +49,6 @@ from .paths import (
     boxminus,
     var_sets,
 )
-from .policyio import PolicyFormatError, load_policy, parse_policy, save_policy, serialize_policy
+from .policyio import PolicyFormatError, load_policy, parse_policy, serialize_policy
 
 __version__ = "0.1.0"

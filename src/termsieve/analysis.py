@@ -75,6 +75,11 @@ class AnalysisReport:
     # once the first failed on a nonnegative simple cycle (see `hsieve`)
     seeds: tuple[int, ...]
 
+    @property
+    def wall_ms(self) -> float:
+        """Wall time in ms, rounded as the trace and the CLI print it."""
+        return round(self.wall_time * 1000.0, 3)
+
     def to_trace_dict(self) -> dict:
         """The report in trace-file shape (see the JSON schema in the README)."""
         its = []
@@ -100,7 +105,7 @@ class AnalysisReport:
             "detail": self.verdict.detail,
             "seeds": list(self.seeds),
             "iterations": its,
-            "wall_ms": round(self.wall_time * 1000.0, 3),
+            "wall_ms": self.wall_ms,
         }
 
 

@@ -172,10 +172,9 @@ def _cmd_analyze(args) -> int:
         def_samples=args.def_samples, base_seed=args.seed, path_cap=args.path_cap
     )
     report = hsieve(fmp, cfg)
-    trace = report.to_trace_dict()
     if args.trace:
         try:
-            text = json.dumps(trace, indent=2, sort_keys=True)
+            text = json.dumps(report.to_trace_dict(), indent=2, sort_keys=True)
         except RecursionError:
             return _fail("the trace nests too deeply to write as JSON")
         atomic_write(args.trace, text + "\n")
@@ -190,7 +189,7 @@ def _cmd_analyze(args) -> int:
     print(
         f"verdict={report.verdict.kind} iterations={len(report.iterations)} "
         f"detail={report.verdict.detail} samples={len(report.seeds)} "
-        f"wall_ms={trace['wall_ms']}"
+        f"wall_ms={report.wall_ms}"
     )
     if args.strict and report.verdict.kind == UNKNOWN:
         return 1

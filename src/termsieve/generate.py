@@ -54,8 +54,8 @@ def generate_random(spec: GenSpec) -> Fmp:
     that drew the same effect, in this policy or another, hold one
     `actions` tuple and one effect dict, and every policy of a shape holds
     the same name and `VarDecl` tuples. Bounded caches keep these, so a
-    caller that changes an effect must copy it first (`Edge.single`
-    copies); no engine or parser changes one.
+    caller must copy an effect before it changes one; no engine or parser
+    changes one.
 
     Deterministic per seed. Every value is drawn by `below(n)`, uniform on
     0..n-1: `k = n.bit_length()` bits from `Random(seed).getrandbits(k)`,

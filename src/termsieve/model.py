@@ -85,25 +85,6 @@ class Edge:
         _set_actions(self, ({},) if actions is _NO_EFFECT else actions)
         _set_label(self, label)
 
-    @classmethod
-    def single(
-        cls,
-        id: str,
-        src: str,
-        dst: str,
-        effect: Effect | None = None,
-        guard: Guard | None = None,
-        label: str | None = None,
-    ) -> "Edge":
-        return cls(
-            id=id,
-            src=src,
-            dst=dst,
-            guard=guard if guard is not None else EMPTY_GUARD,
-            actions=(dict(effect) if effect else {},),
-            label=label,
-        )
-
     @property
     def effect(self) -> Effect:
         """The edge's single effect vector; only valid once normalized."""
@@ -287,12 +268,12 @@ def _report_edges(edges: tuple[Edge, ...], seen_q: set[str],
                         "non-integer-effect", f"edge {eid} action[{k}] {var}"))
 
 
-def normalize(fmp: Fmp, log: list[str] | None = None) -> Fmp:
+def normalize(fmp: Fmp) -> Fmp:
     """Split action sets into parallel single-action edges.
 
     An edge with k > 1 actions becomes k parallel edges sharing src/dst/guard;
-    an edge with an empty action set is removed. Both events are appended to
-    `log` when given. Idempotent on already-normalized policies.
+    an edge with an empty action set is removed. Idempotent on
+    already-normalized policies.
     """
     if _ONE.issuperset({len(e.actions) for e in fmp.edges}):
         return fmp
@@ -301,10 +282,6 @@ def normalize(fmp: Fmp, log: list[str] | None = None) -> Fmp:
     for e in fmp.edges:
         if len(e.actions) == 1:
             new_edges.append(e)
-            continue
-        if not e.actions:
-            if log is not None:
-                log.append(f"dropped {e.id}: empty action set")
             continue
         for k, action in enumerate(e.actions):
             nid = f"{e.id}#{k}"
@@ -315,9 +292,6 @@ def normalize(fmp: Fmp, log: list[str] | None = None) -> Fmp:
                 Edge(id=nid, src=e.src, dst=e.dst, guard=e.guard,
                      actions=(action,), label=e.label)
             )
-        if log is not None:
-            made = ",".join(d.id for d in new_edges[-len(e.actions):])
-            log.append(f"split {e.id} into {made}")
     return Fmp(
         variables=fmp.variables,
         qstates=fmp.qstates,

@@ -285,6 +285,8 @@ class Packing:
 def step(fmp: Fmp, cfg: Configuration) -> list[tuple[str, Configuration]]:
     """Enabled successors of a configuration, in edge declaration order."""
     code, values = fmp.oracle_code, fmp.state(cfg.state.values).values
+    if cfg.qstate not in code.qindex:
+        raise ValueError(f"qstate {cfg.qstate} is not declared")
     p = code.packing(max(values.values(), default=0))
     return [(eid, p.config(k))
             for eid, k in p.successors(p.pack(cfg.qstate, values))]

@@ -358,7 +358,3 @@ def atomic_write(path: str, text: str) -> None:
         except OSError:
             pass
         raise
-
-
-def save_policy(path: str, fmp: Fmp) -> None:
-    atomic_write(path, serialize_policy(fmp))

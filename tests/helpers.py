@@ -537,7 +537,7 @@ def chain_policy() -> Fmp:
         variables=(VarDecl("x"),),
         qstates=("q0", "q1"),
         initial="q0",
-        edges=(Edge.single("e1", "q0", "q1", effect={"x": -1}),),
+        edges=(Edge("e1", "q0", "q1", actions=({"x": -1},)),),
     )
 
 
@@ -547,7 +547,7 @@ def up_loop_policy() -> Fmp:
         variables=(VarDecl("x"),),
         qstates=("q0",),
         initial="q0",
-        edges=(Edge.single("e1", "q0", "q0", effect={"x": 1}),),
+        edges=(Edge("e1", "q0", "q0", actions=({"x": 1},)),),
     )
 
 
@@ -555,8 +555,8 @@ def ring_policy(n: int) -> Fmp:
     """An n-qstate ring q0 -> q1 -> ... -> q0 whose first edge decrements x."""
     qs = tuple(f"q{i}" for i in range(n))
     edges = tuple(
-        Edge.single(f"e{i}", qs[i], qs[(i + 1) % n],
-                    effect={"x": -1} if i == 0 else {})
+        Edge(f"e{i}", qs[i], qs[(i + 1) % n],
+             actions=({"x": -1} if i == 0 else {},))
         for i in range(n)
     )
     return Fmp(variables=(VarDecl("x"),), qstates=qs, initial="q0",
@@ -573,7 +573,7 @@ def chord_ring_policy(n: int) -> Fmp:
     """
     qs = tuple(f"q{i}" for i in range(n))
     edges = tuple(
-        Edge.single(f"e{i}_{k}", qs[i], qs[(i + k) % n], effect={"x": -1})
+        Edge(f"e{i}_{k}", qs[i], qs[(i + k) % n], actions=({"x": -1},))
         for i in range(n) for k in (1, 2)
     )
     return Fmp(variables=(VarDecl("x"),), qstates=qs, initial="q0",
@@ -586,8 +586,8 @@ def circulant_policy(n: int, steps=(1, 2, 3, 4)) -> Fmp:
     to 4 its elimination trees are deep: 134 levels at n=300, seed 0."""
     qs = tuple(f"q{i}" for i in range(n))
     edges = tuple(
-        Edge.single(f"e{i}_{sign}{s}", qs[i], qs[(i + sign * s) % n],
-                    effect={"x": -1})
+        Edge(f"e{i}_{sign}{s}", qs[i], qs[(i + sign * s) % n],
+             actions=({"x": -1},))
         for i in range(n) for s in steps for sign in (1, -1)
     )
     return Fmp(variables=(VarDecl("x"),), qstates=qs, initial="q0",
@@ -609,13 +609,13 @@ def two_pair_lasso_policy(names=("e", "a_b", "c", "a", "b_c")) -> Fmp:
         qstates=names,
         initial=e,
         edges=(
-            Edge.single("e1", e, ab, effect={"x": -1}),
-            Edge.single("e2", ab, c, effect={"y": -1}),
-            Edge.single("e3", c, ab, effect={"y": -1}),
-            Edge.single("e4", c, a, effect={"x": 1, "y": 2}),
-            Edge.single("e5", a, bc, effect={"y": -1}),
-            Edge.single("e6", bc, a, effect={"y": -1}),
-            Edge.single("e7", bc, e, effect={}),
+            Edge("e1", e, ab, actions=({"x": -1},)),
+            Edge("e2", ab, c, actions=({"y": -1},)),
+            Edge("e3", c, ab, actions=({"y": -1},)),
+            Edge("e4", c, a, actions=({"x": 1, "y": 2},)),
+            Edge("e5", a, bc, actions=({"y": -1},)),
+            Edge("e6", bc, a, actions=({"y": -1},)),
+            Edge("e7", bc, e),
         ),
     )
 

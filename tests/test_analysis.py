@@ -239,8 +239,8 @@ class TestDegenerateGraphs:
         # unvalidated: e1 leaves the declared qstates, and without it the
         # policy drains x on a self-loop
         f = Fmp(variables=(VarDecl("x"),), qstates=("a",), initial="a",
-                edges=(Edge.single("e1", "a", "zz", effect={"x": -1}),
-                       Edge.single("e2", "a", "a", effect={"x": -1})))
+                edges=(Edge("e1", "a", "zz", actions=({"x": -1},)),
+                       Edge("e2", "a", "a", actions=({"x": -1},))))
         for engine in (hsieve, progress_sieve):
             with pytest.raises(ValueError,
                                match="arc e1: endpoint outside vertex set"):
@@ -489,10 +489,10 @@ class TestWhenSamplingStops:
         return Fmp(
             variables=(VarDecl("x"), VarDecl("y")), qstates=("q0", "q1"),
             initial="q0",
-            edges=(Edge.single("pump", "q0", "q0", effect={"x": 1}),
-                   Edge.single("go", "q0", "q1", effect={"x": -1}),
-                   Edge.single("drain", "q1", "q1",
-                               effect={"x": 1, "y": -1})))
+            edges=(Edge("pump", "q0", "q0", actions=({"x": 1},)),
+                   Edge("go", "q0", "q1", actions=({"x": -1},)),
+                   Edge("drain", "q1", "q1",
+                        actions=({"x": 1, "y": -1},))))
 
     def test_self_loops_decided_after_one_sample(self, monkeypatch):
         fmp = self.self_loops()
@@ -523,7 +523,7 @@ class TestWhenSamplingStops:
                 "z": ("q0", "q0", {"x0": 1, "x1": 1, "z": -1})}
         fmp = Fmp(variables=(VarDecl("x0"), VarDecl("x1"), VarDecl("z")),
                   qstates=("q0", "q1", "q2"), initial="q0",
-                  edges=tuple(Edge.single(eid, src, dst, effect=eff)
+                  edges=tuple(Edge(eid, src, dst, actions=(eff,))
                               for eid, (src, dst, eff) in ends.items()))
         cfg = AnalysisConfig(def_samples=20, base_seed=16)
         chosen, seeds, reports = separate_runs(fmp, cfg)
@@ -546,9 +546,9 @@ class TestWhenSamplingStops:
         calls = count_samples(monkeypatch)
         for n in (30, 3):
             ring = ring_policy(n)
-            edges = (Edge.single("e0", "q0", "q1", effect={"x": 1, "y": -1}),
+            edges = (Edge("e0", "q0", "q1", actions=({"x": 1, "y": -1},)),
                      *ring.edges[1:],
-                     Edge.single("loop", "q0", "q0", effect={"x": -1, "y": 1}))
+                     Edge("loop", "q0", "q0", actions=({"x": -1, "y": 1},)))
             fmp = dataclasses.replace(
                 ring, variables=(VarDecl("x"), VarDecl("y")), edges=edges)
             chosen, seeds, reports = separate_runs(fmp, cfg)
@@ -569,7 +569,7 @@ class TestWhenSamplingStops:
         # the ring test's policy before hsieve looked for a nonnegative
         # cycle: the whole ring nets +1
         ring = ring_policy(30)
-        pump = Edge.single("e0", "q0", "q1", effect={"x": 1})
+        pump = Edge("e0", "q0", "q1", actions=({"x": 1},))
         fmp = dataclasses.replace(ring, edges=(pump,) + ring.edges[1:])
         calls = count_samples(monkeypatch)
         rep = hsieve(fmp, AnalysisConfig(def_samples=20))
@@ -647,8 +647,8 @@ class TestProgressSieve:
         # progress variable and its removal breaks the cycle
         f = Fmp(variables=(VarDecl("x"), VarDecl("y")), qstates=("q0", "q1"),
                 initial="q0",
-                edges=(Edge.single("e1", "q0", "q1", effect={"x": -1, "y": 1}),
-                       Edge.single("e2", "q1", "q0", effect={"x": 0, "y": -1})))
+                edges=(Edge("e1", "q0", "q1", actions=({"x": -1, "y": 1},)),
+                       Edge("e2", "q1", "q0", actions=({"x": 0, "y": -1},))))
         assert progress_sieve(f) == Verdict(TERMINATING, "progress")
         assert referee_progress_sieve(f) == Verdict(TERMINATING, "progress")
 
@@ -658,13 +658,13 @@ class TestProgressSieve:
         step down moving its own counter down: every round of melting
         removes only the top step down, so the melting goes k rounds deep.
         With `spin`, q0 also loops on itself, moving x0 up."""
-        edges = [Edge.single("spin", "q0", "q0", effect={"x0": 1})] \
+        edges = [Edge("spin", "q0", "q0", actions=({"x0": 1},))] \
             if spin else []
         for i in range(1, k + 1):
-            edges.append(Edge.single(f"up{i}", f"q{i - 1}", f"q{i}",
-                                     effect={f"x{i - 1}": 1}))
-            edges.append(Edge.single(f"down{i}", f"q{i}", f"q{i - 1}",
-                                     effect={f"x{i}": -1}))
+            edges.append(Edge(f"up{i}", f"q{i - 1}", f"q{i}",
+                              actions=({f"x{i - 1}": 1},)))
+            edges.append(Edge(f"down{i}", f"q{i}", f"q{i - 1}",
+                              actions=({f"x{i}": -1},)))
         return Fmp(variables=tuple(VarDecl(f"x{i}") for i in range(k + 1)),
                    qstates=tuple(f"q{i}" for i in range(k + 1)),
                    initial="q0", edges=tuple(edges))
@@ -735,8 +735,8 @@ class TestGuardBlind:
     def test_a_guard_that_halts_is_not_seen(self):
         # y goes up only from 0, so every run halts after at most one step
         f = Fmp(variables=(VarDecl("y"),), qstates=("q0",), initial="q0",
-                edges=(Edge.single("e1", "q0", "q0", effect={"y": 1},
-                                   guard=Guard({"y": (0, 0)})),))
+                edges=(Edge("e1", "q0", "q0", actions=({"y": 1},),
+                            guard=Guard({"y": (0, 0)})),))
         assert progress_sieve(f) == Verdict(NONTERMINATING_QUALITATIVE,
                                             "no-progress-variable")
         assert hsieve(f).verdict == Verdict(UNKNOWN, "empty-set-persists")

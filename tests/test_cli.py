@@ -12,10 +12,12 @@ import weakref
 import pytest
 
 from termsieve import cli, oracle
-from termsieve.analysis import AnalysisConfig, hsieve
+from termsieve.analysis import AnalysisConfig, AnalysisReport, hsieve
 from termsieve.cli import cli_dispatch
 from termsieve.dot import export_def_dot, export_dot
-from termsieve.policyio import load_policy, parse_policy, save_policy
+from termsieve.policyio import (
+    atomic_write, load_policy, parse_policy, serialize_policy,
+)
 
 from helpers import (
     FIXTURES, TEST_FIXTURES, chord_ring_policy, circulant_policy, draw_forest,
@@ -60,6 +62,27 @@ class TestCheck:
         assert code == 0
         assert "violation code=unknown-initial where=ghost" in out
         assert out.endswith("valid=false\n")
+
+    def test_every_section_reports(self, capsys):
+        # one violation or more in each of validate's six sections, in order
+        p = str(TEST_FIXTURES / "violations.fmp.json")
+        code, out, _ = run(capsys, "check", p)
+        assert code == 0
+        assert out.splitlines() == [
+            "violation code=duplicate-variable where=x",
+            "violation code=duplicate-qstate where=q0",
+            "violation code=unknown-initial where=start",
+            "violation code=guard-empty-interval where=edge e1 guard x",
+            "violation code=duplicate-edge-id where=e1",
+            "violation code=unknown-qstate where=edge e2 dst=ghost",
+            "violation code=undeclared-variable where=edge e2 guard z",
+            "violation code=undeclared-variable where=edge e2 action[0] w",
+            "violation code=unknown-terminal where=halt",
+            "violation code=terminal-has-outgoing where=q1 via e1",
+            "violation code=goal-unknown-variable where=v",
+            "violation code=goal-empty-interval where=x",
+            "valid=false",
+        ]
 
     def test_strict_flips_exit(self, capsys, tmp_path):
         p = write_doc(tmp_path, "bad.json", initial="ghost")
@@ -116,6 +139,20 @@ class TestAnalyze:
     def test_unknown_without_strict(self, capsys):
         code, _, _ = run(capsys, "analyze", F3)
         assert code == 0
+
+    def test_trace_built_only_under_trace(self, capsys, monkeypatch):
+        def mask(result):
+            code, out, err = result
+            return code, re.sub(r"wall_ms=\S+", "wall_ms=*", out), err
+
+        want = mask(run(capsys, "analyze", F2))
+
+        def refuse(report):
+            raise AssertionError("trace built without --trace")
+
+        monkeypatch.setattr(AnalysisReport, "to_trace_dict", refuse)
+        assert mask(run(capsys, "analyze", F2)) == want
+        assert want[0] == 0
 
     def test_trace_file_matches_golden(self, capsys, tmp_path):
         trace = tmp_path / "trace.json"
@@ -177,7 +214,7 @@ class TestAnalyze:
 
     def test_long_ring(self, capsys, tmp_path):
         p = str(tmp_path / "ring.json")
-        save_policy(p, ring_policy(1500))
+        atomic_write(p, serialize_policy(ring_policy(1500)))
         code, out, _ = run(capsys, "analyze", p)
         assert code == 0
         assert out.startswith("verdict=terminating")
@@ -186,7 +223,7 @@ class TestAnalyze:
         # the circulant's trees are 134 levels deep, and the limit allows
         # 100 frames above this one: nothing may recurse once per level
         p = str(tmp_path / "circulant.json")
-        save_policy(p, circulant_policy(300))
+        atomic_write(p, serialize_policy(circulant_policy(300)))
         dots, trace = tmp_path / "dots", tmp_path / "trace.json"
         with recursion_room(100):
             plain = run(capsys, "analyze", "--path-cap", "100",
@@ -208,7 +245,7 @@ class TestAnalyze:
 
     def test_chorded_ring_reaches_cap(self, capsys, tmp_path):
         p = str(tmp_path / "chords.json")
-        save_policy(p, chord_ring_policy(80))
+        atomic_write(p, serialize_policy(chord_ring_policy(80)))
         code, out, _ = run(capsys, "analyze", "--path-cap", "1000", p)
         assert code == 0
         rep = hsieve(load_policy(p), AnalysisConfig(path_cap=1000))

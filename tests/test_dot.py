@@ -22,10 +22,10 @@ def test_guard_and_label_rendering():
         qstates=("q0", "end"),
         initial="q0",
         edges=(
-            Edge.single("e1", "q0", "q0", effect={"x": -1, "y": 2},
-                        guard=Guard({"x": (1, None), "y": (0, 3)}),
-                        label="work"),
-            Edge.single("e2", "q0", "end"),
+            Edge("e1", "q0", "q0", actions=({"x": -1, "y": 2},),
+                 guard=Guard({"x": (1, None), "y": (0, 3)}),
+                 label="work"),
+            Edge("e2", "q0", "end"),
             Edge(id="e3", src="q0", dst="end", actions=()),
             Edge(id="e4", src="q0", dst="q0",
                  actions=({"x": 1}, {"x": -1})),
@@ -53,7 +53,7 @@ def test_def_dot_shape():
 
 def test_def_dot_empty_forest():
     f = Fmp(variables=(VarDecl("x"),), qstates=("q0", "q1"), initial="q0",
-            edges=(Edge.single("e1", "q0", "q1"),))
+            edges=(Edge("e1", "q0", "q1"),))
     text = export_def_dot(draw_forest(policy_graph(f), 0))
     assert text == 'digraph def_forest {\n  node [shape=box];\n}\n'
 

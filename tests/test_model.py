@@ -115,33 +115,33 @@ class TestValidate:
         assert "unknown-initial" in codes(f)
 
     def test_unknown_qstate_endpoints(self):
-        e = Edge.single("e1", "q0", "ghost")
+        e = Edge("e1", "q0", "ghost")
         vs = validate(mk(edges=(e,)))
         assert any(v.code == "unknown-qstate" and "dst=ghost" in v.where
                    for v in vs)
 
     def test_duplicate_edge_id(self):
-        es = (Edge.single("e1", "q0", "q0"), Edge.single("e1", "q0", "q0"))
+        es = (Edge("e1", "q0", "q0"), Edge("e1", "q0", "q0"))
         assert "duplicate-edge-id" in codes(mk(edges=es))
 
     def test_guard_undeclared_variable(self):
-        e = Edge.single("e1", "q0", "q0", guard=Guard({"y": (0, None)}))
+        e = Edge("e1", "q0", "q0", guard=Guard({"y": (0, None)}))
         assert "undeclared-variable" in codes(mk(edges=(e,)))
 
     def test_guard_empty_interval(self):
-        e = Edge.single("e1", "q0", "q0", guard=Guard({"x": (3, 1)}))
+        e = Edge("e1", "q0", "q0", guard=Guard({"x": (3, 1)}))
         assert "guard-empty-interval" in codes(mk(edges=(e,)))
 
     def test_bad_guard_bound(self):
-        e = Edge.single("e1", "q0", "q0", guard=Guard({"x": (0.5, None)}))
+        e = Edge("e1", "q0", "q0", guard=Guard({"x": (0.5, None)}))
         assert "bad-guard-bound" in codes(mk(edges=(e,)))
 
     def test_effect_undeclared_variable(self):
-        e = Edge.single("e1", "q0", "q0", effect={"y": 1})
+        e = Edge("e1", "q0", "q0", actions=({"y": 1},))
         assert "undeclared-variable" in codes(mk(edges=(e,)))
 
     def test_non_integer_effect(self):
-        e = Edge.single("e1", "q0", "q0", effect={"x": 1})
+        e = Edge("e1", "q0", "q0", actions=({"x": 1},))
         e = Edge(id="e1", src="q0", dst="q0", actions=({"x": 1.5},))
         assert "non-integer-effect" in codes(mk(edges=(e,)))
 
@@ -154,7 +154,7 @@ class TestValidate:
         assert "unknown-terminal" in codes(mk(terminal=("halt",)))
 
     def test_terminal_has_outgoing(self):
-        e = Edge.single("e1", "q0", "q0")
+        e = Edge("e1", "q0", "q0")
         assert "terminal-has-outgoing" in codes(mk(edges=(e,), terminal=("q0",)))
 
     def test_goal_unknown_variable(self):
@@ -167,7 +167,7 @@ class TestValidate:
         assert "bad-goal-bound" in codes(mk(goal={"x": (0.1, None)}))
 
     def test_violations_carry_location(self):
-        e = Edge.single("e9", "q0", "q0", guard=Guard({"zz": (0, None)}))
+        e = Edge("e9", "q0", "q0", guard=Guard({"zz": (0, None)}))
         vs = validate(mk(edges=(e,)))
         assert any("e9" in v.where and "zz" in v.where for v in vs)
 
@@ -375,13 +375,12 @@ class TestEmptyGuard:
 
     def test_equal_to_every_empty_guard(self):
         assert Guard() == Guard({}) == EMPTY_GUARD
-        assert Edge.single("e1", "q0", "q0") == Edge.single(
-            "e1", "q0", "q0", guard=EMPTY_GUARD)
+        assert Edge("e1", "q0", "q0") == Edge("e1", "q0", "q0", guard=Guard())
 
     def test_copies_keep_the_shared_guard(self):
-        f = mk(edges=(Edge.single("e1", "q0", "q0", effect={"x": 1}),
-                      Edge.single("e2", "q0", "q0",
-                                  guard=Guard({"x": (1, None)}))))
+        f = mk(edges=(Edge("e1", "q0", "q0", actions=({"x": 1},)),
+                      Edge("e2", "q0", "q0",
+                           guard=Guard({"x": (1, None)}))))
         for g in (pickle.loads(pickle.dumps(f)), copy.deepcopy(f)):
             assert g == f
             assert g.edges[0].guard is EMPTY_GUARD
@@ -423,7 +422,6 @@ class TestCompactObjects:
             assert not hasattr(object.__new__(cls), "__dict__"), cls.__qualname__
 
         assert Edge("e", "a", "b").guard is EMPTY_GUARD
-        assert Edge.single("e", "a", "b").guard is EMPTY_GUARD
 
         a = generate_random(GenSpec(6, 2, 0.4, 2, 1))
         b = generate_random(GenSpec(6, 2, 0.4, 2, 2))
@@ -476,34 +474,25 @@ class TestNormalize:
         e = Edge(id="e1", src="q0", dst="q0",
                  guard=Guard({"x": (1, None)}),
                  actions=({"x": -1}, {"x": 2}), label="branch")
-        f = mk(edges=(e,))
-        log = []
-        g = normalize(f, log=log)
+        g = normalize(mk(edges=(e,)))
         assert [d.id for d in g.edges] == ["e1#0", "e1#1"]
         assert all(d.src == "q0" and d.dst == "q0" for d in g.edges)
         assert all(d.guard == e.guard and d.label == "branch" for d in g.edges)
         assert g.edges[0].effect == {"x": -1}
         assert g.edges[1].effect == {"x": 2}
-        assert log == ["split e1 into e1#0,e1#1"]
 
     def test_drop_empty_action_set(self):
         dead = Edge(id="dead", src="q0", dst="q0", actions=())
-        keep = Edge.single("e1", "q0", "q0", effect={"x": -1})
-        log = []
-        g = normalize(mk(edges=(dead, keep)), log=log)
+        keep = Edge("e1", "q0", "q0", actions=({"x": -1},))
+        g = normalize(mk(edges=(dead, keep)))
         assert [d.id for d in g.edges] == ["e1"]
-        assert log == ["dropped dead: empty action set"]
 
     def test_split_id_collision_gets_tick(self):
-        taken = Edge.single("e1#0", "q0", "q0", effect={"x": -1})
+        taken = Edge("e1#0", "q0", "q0", actions=({"x": -1},))
         multi = Edge(id="e1", src="q0", dst="q0", actions=({"x": -1}, {"x": 1}))
-        log: list[str] = []
-        g = normalize(mk(edges=(taken, multi)), log)
-        ids = [d.id for d in g.edges]
-        assert "e1#0" in ids and "e1#0'" in ids and "e1#1" in ids
-        assert len(ids) == len(set(ids))
-        # the log names the ids made, not the ones first tried
-        assert log == ["split e1 into e1#0',e1#1"]
+        g = normalize(mk(edges=(taken, multi)))
+        # the split takes the first free id for each action
+        assert [d.id for d in g.edges] == ["e1#0", "e1#0'", "e1#1"]
 
     def test_idempotent(self):
         rng = random.Random(7)
@@ -579,10 +568,10 @@ class TestEnablement:
             qstates=("q0",),
             initial="q0",
             edges=(
-                Edge.single("dec", "q0", "q0", effect={"x": -1}),
-                Edge.single("guarded", "q0", "q0", effect={"y": 1},
-                            guard=Guard({"x": (2, 4)})),
-                Edge.single("deep", "q0", "q0", effect={"y": -2}),
+                Edge("dec", "q0", "q0", actions=({"x": -1},)),
+                Edge("guarded", "q0", "q0", actions=({"y": 1},),
+                     guard=Guard({"x": (2, 4)})),
+                Edge("deep", "q0", "q0", actions=({"y": -2},)),
             ),
         )
 

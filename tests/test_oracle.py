@@ -39,6 +39,12 @@ class TestStep:
         succ = step(f, cfg_of(f, "q0", x=1, y=1))
         assert [eid for eid, _ in succ] == ["e1", "e2"]
 
+    def test_undeclared_qstate_is_rejected(self):
+        f = fixture("f2")
+        with pytest.raises(ValueError) as ei:
+            step(f, Configuration("zz", f.state({"x": 1, "y": 0})))
+        assert str(ei.value) == "qstate zz is not declared"
+
     def test_agrees_with_model_level_semantics(self):
         rng = random.Random(77)
         for i in range(40):
@@ -83,10 +89,10 @@ class TestStep:
         # an edge into or out of a qstate the policy does not declare (one
         # without actions too), or an undeclared initial qstate: every entry
         # point raises ValueError naming it, never a KeyError or an answer
-        ok = Edge.single("e1", "q0", "q0", {"x": -1})
+        ok = Edge("e1", "q0", "q0", actions=({"x": -1},))
         cases = [
-            ("q0", (ok, Edge.single("e2", "q0", "zz")), "edge e2: "),
-            ("q0", (ok, Edge.single("e2", "zz", "q0")), "edge e2: "),
+            ("q0", (ok, Edge("e2", "q0", "zz")), "edge e2: "),
+            ("q0", (ok, Edge("e2", "zz", "q0")), "edge e2: "),
             ("q0", (ok, Edge("e2", "zz", "q0", actions=())), "edge e2: "),
             ("qq", (ok,), "initial qstate qq "),
         ]
@@ -137,12 +143,12 @@ class TestLasso:
         # third action, `c`. The first action of `pick` reaches the halting
         # (q4, 0); its second reaches (q4, 1), and `back` closes the lasso.
         f = _policy([VarDecl("x")], [
-            Edge.single("a", "q0", "q1"),
-            Edge.single("b", "q0", "q2", {"x": -1}),
-            Edge.single("c", "q0", "q3"),
-            Edge.single("b2", "q2", "q1"),
+            Edge("a", "q0", "q1"),
+            Edge("b", "q0", "q2", actions=({"x": -1},)),
+            Edge("c", "q0", "q3"),
+            Edge("b2", "q2", "q1"),
             Edge("pick", "q3", "q4", Guard(), ({"x": -1}, {})),
-            Edge.single("back", "q4", "q3", {}, Guard({"x": (1, None)})),
+            Edge("back", "q4", "q3", guard=Guard({"x": (1, None)})),
         ])
         s0 = f.state({"x": 1})
         res = explore(f, s0)
@@ -190,9 +196,9 @@ class TestWitnessDecode:
             qstates=("q0", "q1"),
             initial="q0",
             edges=(
-                Edge.single("up", "q0", "q0", effect={"x": 1}),
-                Edge.single("go", "q0", "q1"),
-                Edge.single("back", "q1", "q0"),
+                Edge("up", "q0", "q0", actions=({"x": 1},)),
+                Edge("go", "q0", "q1"),
+                Edge("back", "q1", "q0"),
             ),
         )
         (_, res), = explore_grid(f, 1, ExploreCaps(max_value=10))
@@ -257,8 +263,8 @@ class TestCaps:
             qstates=("q0", "halt"),
             initial="q0",
             edges=(
-                Edge.single("stop", "q0", "halt"),
-                Edge.single("up", "q0", "q0", effect={"x": 1}),
+                Edge("stop", "q0", "halt"),
+                Edge("up", "q0", "q0", actions=({"x": 1},)),
             ),
         )
         res = explore(f, f.state({"x": 0}), ExploreCaps(max_value=8))
@@ -272,10 +278,10 @@ class TestCaps:
             qstates=("q0", "spin"),
             initial="q0",
             edges=(
-                Edge.single("up", "q0", "q0", effect={"x": 1},
-                            guard=Guard({"x": (1, None)})),
-                Edge.single("go", "q0", "spin"),
-                Edge.single("stay", "spin", "spin"),
+                Edge("up", "q0", "q0", actions=({"x": 1},),
+                     guard=Guard({"x": (1, None)})),
+                Edge("go", "q0", "spin"),
+                Edge("stay", "spin", "spin"),
             ),
         )
         res = explore(f, f.state({"x": 1}), ExploreCaps(max_value=6))
@@ -290,8 +296,8 @@ class TestGoal:
             qstates=("q0",),
             initial="q0",
             edges=(
-                Edge.single("m2", "q0", "q0", effect={"x": -2}),
-                Edge.single("m3", "q0", "q0", effect={"x": -3}),
+                Edge("m2", "q0", "q0", actions=({"x": -2},)),
+                Edge("m3", "q0", "q0", actions=({"x": -3},)),
             ),
             goal={"x": (0, 0)},
         )
@@ -337,12 +343,14 @@ class TestGrid:
         assert results[0][1].kind == LASSO_FOUND
 
     def test_negative_grid_max_is_rejected(self):
-        # an empty grid would read as all_halt with no start explored
+        # an empty grid would read as all_halt with no start explored; a
+        # grid of 0 is still a grid, of the lower bounds alone
         f = fixture("f2")
         for call in (lambda: grid_states(f, -1), lambda: explore_grid(f, -1)):
             with pytest.raises(ValueError) as ei:
                 call()
             assert str(ei.value) == "grid_max must be >= 0"
+        assert list(grid_states(f, 0)) == [f.state({"x": 0, "y": 0})]
 
 
 class TestRunRandom:
@@ -402,18 +410,19 @@ HUGE = 10**4299 - 1  # a 4299-digit delta
 HAND_BUILT = {
     "interval-guards": (
         _policy([VarDecl("x"), VarDecl("y")], [
-            Edge.single("in", "q0", "q1", {"y": 2}, Guard({"x": (2, 4)})),
-            Edge.single("low", "q0", "q0", {"x": 1}, Guard({"x": (0, 3)})),
-            Edge.single("back", "q1", "q0", {"x": -1, "y": -1},
-                        Guard({"y": (1, 6), "x": (1, None)})),
-            Edge.single("over", "q1", "q1", {"y": 1}, Guard({"y": (7, None)})),
+            Edge("in", "q0", "q1", Guard({"x": (2, 4)}), actions=({"y": 2},)),
+            Edge("low", "q0", "q0", Guard({"x": (0, 3)}), actions=({"x": 1},)),
+            Edge("back", "q1", "q0", Guard({"y": (1, 6), "x": (1, None)}),
+                 actions=({"x": -1, "y": -1},)),
+            Edge("over", "q1", "q1", Guard({"y": (7, None)}),
+                 actions=({"y": 1},)),
         ]),
         {"x": 0, "y": 0}, ExploreCaps()),
     "lower-bounds": (
         _policy([VarDecl("x", -3), VarDecl("y", 2)], [
-            Edge.single("dx", "q0", "q0", {"x": -1}),
-            Edge.single("dy", "q0", "q1", {"y": -2, "x": 1}),
-            Edge.single("up", "q1", "q0", {"y": 1}, Guard({"x": (-1, 0)})),
+            Edge("dx", "q0", "q0", actions=({"x": -1},)),
+            Edge("dy", "q0", "q1", actions=({"y": -2, "x": 1},)),
+            Edge("up", "q1", "q0", Guard({"x": (-1, 0)}), actions=({"y": 1},)),
         ]),
         {"x": -1, "y": 5}, ExploreCaps(max_value=9)),
     "action-sets": (
@@ -426,39 +435,40 @@ HAND_BUILT = {
         {"x": 3, "y": 1}, ExploreCaps()),
     "goal": (
         _policy([VarDecl("x"), VarDecl("y", 1)], [
-            Edge.single("m2", "q0", "q0", {"x": -2}),
-            Edge.single("m3", "q0", "q1", {"x": -3, "y": 1}),
+            Edge("m2", "q0", "q0", actions=({"x": -2},)),
+            Edge("m3", "q0", "q1", actions=({"x": -3, "y": 1},)),
         ], goal={"x": (0, 1), "y": (1, None)}),
         {"x": 9, "y": 1}, ExploreCaps()),
     "no-variables": (
-        _policy([], [Edge.single("go", "q0", "q1"),
-                     Edge.single("spin", "q1", "q1")]),
+        _policy([], [Edge("go", "q0", "q1"),
+                     Edge("spin", "q1", "q1")]),
         {}, ExploreCaps()),
     "no-variables-goal": (
-        _policy([], [Edge.single("go", "q0", "q1")], goal={}),
+        _policy([], [Edge("go", "q0", "q1")], goal={}),
         {}, ExploreCaps()),
     "no-variables-negative-cap": (
-        _policy([], [Edge.single("go", "q0", "q1")], goal={}),
+        _policy([], [Edge("go", "q0", "q1")], goal={}),
         {}, ExploreCaps(max_value=-1)),
     "cap-below-lower-bound": (
         _policy([VarDecl("x", 5)], [
-            Edge.single("dec", "q0", "q0", {"x": -1}),
-            Edge.single("stay", "q0", "q1"),
+            Edge("dec", "q0", "q0", actions=({"x": -1},)),
+            Edge("stay", "q0", "q1"),
         ]),
         {"x": 7}, ExploreCaps(max_value=3)),
     "start-above-cap": (
         _policy([VarDecl("x"), VarDecl("y")], [
-            Edge.single("dec", "q0", "q0", {"x": -1}),
-            Edge.single("drop", "q0", "q0", {"x": -10}),
-            Edge.single("swap", "q0", "q1", {"y": 5}),
-            Edge.single("ret", "q1", "q0", {"y": -5}),
+            Edge("dec", "q0", "q0", actions=({"x": -1},)),
+            Edge("drop", "q0", "q0", actions=({"x": -10},)),
+            Edge("swap", "q0", "q1", actions=({"y": 5},)),
+            Edge("ret", "q1", "q0", actions=({"y": -5},)),
         ]),
         {"x": 25, "y": 0}, ExploreCaps(max_value=20)),
     "huge-deltas": (
         _policy([VarDecl("x"), VarDecl("y", -HUGE)], [
-            Edge.single("up", "q0", "q0", {"x": HUGE, "y": -HUGE}),
-            Edge.single("go", "q0", "q1", {"y": HUGE}, Guard({"x": (HUGE, None)})),
-            Edge.single("back", "q1", "q0", {"x": -HUGE}),
+            Edge("up", "q0", "q0", actions=({"x": HUGE, "y": -HUGE},)),
+            Edge("go", "q0", "q1", Guard({"x": (HUGE, None)}),
+                 actions=({"y": HUGE},)),
+            Edge("back", "q1", "q0", actions=({"x": -HUGE},)),
         ]),
         {"x": 0, "y": 0}, ExploreCaps()),
 }
@@ -549,11 +559,11 @@ class TestGridAgainstReferee:
     # x=1, `dec` reaches (qB, 0), known from x=0, and `side` reaches
     # (qC, 0) again through qD.
     TWO_ROUTES = _policy([VarDecl("x")], [
-        Edge.single("skip", "q0", "qB", {}, Guard({"x": (0, 0)})),
-        Edge.single("dec", "q0", "qB", {"x": -1}),
-        Edge.single("side", "q0", "qD", {"x": -1}),
-        Edge.single("bc", "qB", "qC"),
-        Edge.single("dc", "qD", "qC"),
+        Edge("skip", "q0", "qB", guard=Guard({"x": (0, 0)})),
+        Edge("dec", "q0", "qB", actions=({"x": -1},)),
+        Edge("side", "q0", "qD", actions=({"x": -1},)),
+        Edge("bc", "qB", "qC"),
+        Edge("dc", "qD", "qC"),
     ])
 
     @pytest.mark.parametrize("max_configs, kind, expanded", [
@@ -702,39 +712,39 @@ class TestInPlaceScan:
         # expanded 5th and 6th, lie in the goal, (q1, 2) and (q1, 3) do not
         "after-goal": (
             _policy([VarDecl("x")], [
-                Edge.single("dec", "q0", "q0", {"x": -1}),
-                Edge.single("stop", "q0", "q1"),
+                Edge("dec", "q0", "q0", actions=({"x": -1},)),
+                Edge("stop", "q0", "q1"),
             ], goal={"x": (0, 1)}),
             {"x": 3}, None, 5, "halting"),
         # (q3, 0), expanded 9th, halts; (q2, 1), expanded 10th, does not,
         # as its one successor (q3, 0) is done
         "after-halting": (
             _policy([VarDecl("x")], [
-                Edge.single("a", "q0", "q1"),
-                Edge.single("b", "q0", "q2", {"x": 1}),
-                Edge.single("c", "q1", "q3"),
-                Edge.single("d", "q2", "q3", {"x": -1}),
-                Edge.single("e", "q3", "q0", {"x": -1}),
+                Edge("a", "q0", "q1"),
+                Edge("b", "q0", "q2", actions=({"x": 1},)),
+                Edge("c", "q1", "q3"),
+                Edge("d", "q2", "q3", actions=({"x": -1},)),
+                Edge("e", "q3", "q0", actions=({"x": -1},)),
             ]),
             {"x": 2}, None, 9, "halting"),
         # (q0, 3), expanded 4th, has `up` past the cap; (q1, 3), expanded
         # 5th, does not halt, as its one action passes the cap
         "after-value-cap": (
             _policy([VarDecl("x")], [
-                Edge.single("up", "q0", "q0", {"x": 1}),
-                Edge.single("jump", "q0", "q1"),
-                Edge.single("end", "q0", "q2"),
-                Edge.single("over", "q1", "q1", {"x": 5}),
+                Edge("up", "q0", "q0", actions=({"x": 1},)),
+                Edge("jump", "q0", "q1"),
+                Edge("end", "q0", "q2"),
+                Edge("over", "q1", "q1", actions=({"x": 5},)),
             ]),
             {"x": 0}, 3, 4, "value_cap_hits"),
         # the 6th expansion, (q2, 0), closes q1 -> q2 -> q1
         "before-lasso": (
             _policy([VarDecl("x")], [
-                Edge.single("dec", "q0", "q0", {"x": -1}),
-                Edge.single("zero", "q0", "q1", {}, Guard({"x": (0, 0)})),
-                Edge.single("stop", "q0", "q3"),
-                Edge.single("on", "q1", "q2"),
-                Edge.single("back", "q2", "q1"),
+                Edge("dec", "q0", "q0", actions=({"x": -1},)),
+                Edge("zero", "q0", "q1", guard=Guard({"x": (0, 0)})),
+                Edge("stop", "q0", "q3"),
+                Edge("on", "q1", "q2"),
+                Edge("back", "q2", "q1"),
             ]),
             {"x": 3}, None, 5, LASSO_FOUND),
     }
@@ -795,9 +805,9 @@ class TestCompiledOnce:
         monkeypatch.setattr(oracle, "OracleCode", code)
         monkeypatch.setattr(oracle, "Packing", packing)
         f = _policy([VarDecl("x"), VarDecl("y"), VarDecl("z")], [
-            Edge.single("dx", "q0", "q0", {"x": -1}),
-            Edge.single("dy", "q0", "q0", {"y": -1, "z": 1}),
-            Edge.single("dz", "q0", "q0", {"z": -1}),
+            Edge("dx", "q0", "q0", actions=({"x": -1},)),
+            Edge("dy", "q0", "q0", actions=({"y": -1, "z": 1},)),
+            Edge("dz", "q0", "q0", actions=({"z": -1},)),
         ])
         results = explore_grid(f, 3)
         assert len(results) == 64
@@ -878,7 +888,7 @@ class TestMonotoneBox:
         # x += 2 along a chain of 71 qstates: from x = 0 the cap is 128 and
         # the run reaches 140; from x = 1 the cap is 192
         f = _policy([VarDecl("x")], [
-            Edge.single(f"e{i}", f"q{i}", f"q{i + 1}", {"x": 2})
+            Edge(f"e{i}", f"q{i}", f"q{i + 1}", actions=({"x": 2},))
             for i in range(70)])
         box = explore_grid(f, 3)
         assert [res.kind for _, res in box] == [INCONCLUSIVE] + [ALL_HALT] * 3

@@ -23,7 +23,6 @@ from termsieve.policyio import (
     atomic_write,
     load_policy,
     parse_policy,
-    save_policy,
     serialize_policy,
 )
 
@@ -42,9 +41,9 @@ def full_featured():
         qstates=("q0", "q1", "end"),
         initial="q0",
         edges=(
-            Edge.single("e1", "q0", "q1", effect={"x": -1},
-                        guard=Guard({"x": (1, None), "y": (-2, 5)}),
-                        label="drain"),
+            Edge("e1", "q0", "q1", actions=({"x": -1},),
+                 guard=Guard({"x": (1, None), "y": (-2, 5)}),
+                 label="drain"),
             Edge(id="e2", src="q1", dst="q0", guard=Guard(),
                  actions=({"y": 2}, {"x": 1, "y": -1})),
             Edge(id="e3", src="q1", dst="end", actions=()),
@@ -90,7 +89,7 @@ class TestRoundTrip:
 
     def test_disk_round_trip(self, tmp_path):
         p = tmp_path / "pol.fmp.json"
-        save_policy(p, full_featured())
+        atomic_write(p, serialize_policy(full_featured()))
         assert load_policy(p) == full_featured()
 
 
@@ -153,8 +152,8 @@ class TestSerializedBytes:
         cases = [
             Fmp(variables=(VarDecl(odd, lower_bound=-7), x),
                 qstates=(odd, "q0"), initial=odd,
-                edges=(Edge.single("e1", odd, "q0", effect={odd: -1, "x": 2},
-                                   guard=Guard({odd: (0, 9)}), label=odd),),
+                edges=(Edge("e1", odd, "q0", actions=({odd: -1, "x": 2},),
+                            guard=Guard({odd: (0, 9)}), label=odd),),
                 terminal=(odd,), goal={odd: (1, None)}),
             # an edge with {} effects, and an action set holding one
             Fmp(variables=(x,), qstates=("q0",), initial="q0",
@@ -166,14 +165,14 @@ class TestSerializedBytes:
             # a goal with only a min, big deltas and bounds
             Fmp(variables=(VarDecl("x", lower_bound=-2**70),), qstates=("q0",),
                 initial="q0",
-                edges=(Edge.single("e1", "q0", "q0", effect={"x": 2**65},
-                                   guard=Guard({"x": (-2**64, None)})),),
+                edges=(Edge("e1", "q0", "q0", actions=({"x": 2**65},),
+                            guard=Guard({"x": (-2**64, None)})),),
                 goal={"x": (3, None)}),
             # names and values of other types, as json.dumps writes them
             Fmp(variables=(VarDecl(7, lower_bound=True),), qstates=("q0",),
                 initial="q0",
                 edges=(Edge("e1", "q0", "q0", actions=({1: -1}, {None: 2.5})),
-                       Edge.single("e2", "q0", "q0", effect={False: 0}),
+                       Edge("e2", "q0", "q0", actions=({False: 0},)),
                        Edge(3, 1, None)),
                 goal={3.5: (0, None)}),
             # no variables, no edges
@@ -189,7 +188,7 @@ class TestSerializedBytes:
     def test_fixtures_are_their_own_serialization(self):
         paths = sorted(FIXTURES.glob("*")) + sorted(
             TEST_FIXTURES.glob("*.fmp.json"))
-        assert len(paths) == 5
+        assert len(paths) == 6
         for path in paths:
             assert path.read_bytes() == \
                 serialize_policy(load_policy(path)).encode(), path.name

@@ -51,7 +51,7 @@ def effect_paths(draw):
     for i in range(k):
         eff = {v: draw(st.integers(-3, 3)) for v in names
                if draw(st.booleans())}
-        edges.append(Edge.single(f"e{i}", "q0", "q0", effect=eff))
+        edges.append(Edge(f"e{i}", "q0", "q0", actions=(eff,)))
     return edges
 
 
