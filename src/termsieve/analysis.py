@@ -158,6 +158,8 @@ class _Shared:
     """
 
     def __init__(self, fmp: Fmp, path_cap: int):
+        if fmp.initial not in fmp.qstates:
+            raise ValueError(f"initial qstate {fmp.initial} is not declared")
         self.fmp = fmp
         self.path_cap = path_cap
         # raises unless normalized
@@ -180,13 +182,14 @@ class _Shared:
                 {})
         return got
 
-    def outcome(self, edge_ids: frozenset[str],
+    def outcome(self, edge_ids: frozenset[str], graph: _Graph,
                 trees: tuple[DetNode, ...]) -> _Outcome:
-        """The outcome of an iteration on `edge_ids` that drew `trees`."""
-        memo = self.graphs[edge_ids][2]
+        """The outcome of an iteration on `edge_ids` (whose record
+        `graph(edge_ids)` is `graph`) that drew `trees`."""
+        memo = graph[2]
         got = memo.get(trees)
         if got is None:
-            got = memo[trees] = self._iterate(edge_ids, trees)
+            got = memo[trees] = self._iterate(edge_ids, graph[1], trees)
         return got
 
     def pumps(self) -> bool:
@@ -201,11 +204,10 @@ class _Shared:
         return nonnegative_cycle(ctx.graph, self.path_cap,
                                  splits.cyclic_sccs())
 
-    def _iterate(self, edge_ids: frozenset[str],
+    def _iterate(self, edge_ids: frozenset[str], ctx: PathContext,
                  trees: tuple[DetNode, ...]) -> _Outcome:
         if not trees:
             return (), frozenset(), (), Verdict(TERMINATING, "graph-acyclic")
-        ctx = self.graphs[edge_ids][1]
         try:
             per_root = tuple(var_sets(tree, ctx) for tree in trees)
         except PathCapExceeded:
@@ -249,10 +251,10 @@ def hsieve_once(
     iterations: list[IterationTrace] = []
     # each iteration but the last removes an edge
     for i in range(len(fmp.edges) + 2):
-        splits, _, _ = shared.graph(edge_ids)
-        forest = build_def(splits, def_seed_for(seed, i))
+        graph = shared.graph(edge_ids)
+        forest = build_def(graph[0], def_seed_for(seed, i))
         per_root, candidates, removed, verdict = shared.outcome(
-            edge_ids, forest.trees)
+            edge_ids, graph, forest.trees)
         iterations.append(
             IterationTrace(forest, per_root, candidates, removed))
         if verdict is not None:
@@ -270,16 +272,17 @@ def hsieve_once(
 def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
     """Multi-sample driver: try def_samples seed streams, first success wins.
 
-    Sample k runs hsieve_once with seed base_seed + k. The samples share
-    what `_Shared` keeps for each edge set they reach, so a forest drawn
-    again costs its draw and no new split, search or removal scan; the
-    reports are those of separate runs. When the first sample fails and
-    the policy has a simple cycle that nets at least zero on every counter
-    (`_Shared.pumps`, searched once per call, over at most `path_cap`
-    cycles), no forest proves the policy terminating, so the samples left
-    are listed without being run. The returned report carries every seed
-    run or listed; when no sample proves termination, the first sample's
-    verdict and trace are reported.
+    Sample k runs hsieve_once with seed base_seed + k. The first sample
+    runs; if it fails and seeds remain, the policy is searched once
+    (`_Shared.pumps`, over at most `path_cap` cycles) for a simple cycle
+    that nets at least zero on every counter. With one, no forest proves
+    the policy terminating, so the remaining seeds are listed without
+    being run; without one, they run in order until one proves
+    termination. The samples share what `_Shared` keeps for each edge set
+    they reach, so a forest drawn again costs its draw and no new split,
+    search or removal scan; the reports are those of separate runs. The
+    returned report carries every seed run or listed; when no sample
+    proves termination, the first sample's verdict and trace are reported.
 
     Guards are not read: a path counts as taken whatever its guards ask.
     So a policy that halts only because of a guard is not proved. The one
@@ -289,28 +292,23 @@ def hsieve(fmp: Fmp, config: AnalysisConfig | None = None) -> AnalysisReport:
     cfg = config if config is not None else AnalysisConfig()
     start = time.perf_counter()
     shared = _Shared(fmp, cfg.path_cap)
-    seeds: list[int] = []
-    first: AnalysisReport | None = None
-    winner: AnalysisReport | None = None
-    end = cfg.base_seed + max(1, cfg.def_samples)
-    for sample_seed in range(cfg.base_seed, end):
-        seeds.append(sample_seed)
-        rep = hsieve_once(fmp, sample_seed, cfg, shared=shared)
-        if first is None:
-            first = rep
-        if rep.verdict.kind == TERMINATING:
-            winner = rep
-            break
-        if sample_seed + 1 < end and rep is first and shared.pumps():
-            seeds += range(sample_seed + 1, end)
-            break
-    chosen = winner if winner is not None else first
-    assert chosen is not None
+    # the seeds reported are base_seed through `last`, run or listed
+    base = last = cfg.base_seed
+    rep = hsieve_once(fmp, base, cfg, shared=shared)
+    if cfg.def_samples > 1 and rep.verdict.kind != TERMINATING:
+        if shared.pumps():
+            last = base + cfg.def_samples - 1
+        else:
+            for last in range(base + 1, base + cfg.def_samples):
+                other = hsieve_once(fmp, last, cfg, shared=shared)
+                if other.verdict.kind == TERMINATING:
+                    rep = other
+                    break
     return AnalysisReport(
-        verdict=chosen.verdict,
-        iterations=chosen.iterations,
+        verdict=rep.verdict,
+        iterations=rep.iterations,
         wall_time=time.perf_counter() - start,
-        seeds=tuple(seeds),
+        seeds=tuple(range(base, last + 1)),
     )
 
 

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
 from .model import ConcreteState, Fmp, Interval
@@ -113,21 +113,6 @@ class ExploreResult:
     witness: LassoWitness | None
     stats: Mapping[str, int]
     goal_report: float | None = None
-
-    def __init__(self, kind: str, witness: LassoWitness | None,
-                 stats: Mapping[str, int],
-                 goal_report: float | None = None) -> None:
-        # as `model.Edge`: the dataclass's signature, each field stored
-        # through its slot's descriptor; assignment from outside still
-        # raises FrozenInstanceError
-        _set_kind(self, kind)
-        _set_witness(self, witness)
-        _set_stats(self, stats)
-        _set_goal_report(self, goal_report)
-
-
-_set_kind, _set_witness, _set_stats, _set_goal_report = (
-    ExploreResult.__dict__[f.name].__set__ for f in fields(ExploreResult))
 
 
 class OracleCode:

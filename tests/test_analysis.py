@@ -245,6 +245,19 @@ class TestDegenerateGraphs:
             with pytest.raises(ValueError,
                                match="arc e1: endpoint outside vertex set"):
                 engine(f)
+        # an undeclared initial qstate: no path search starts from `zz`,
+        # so unchecked the x-1/x+1 cycle gives unknown(empty-set-persists);
+        # both entry points refuse it as the oracle does
+        f = Fmp(variables=(VarDecl("x"),), qstates=("q0", "q1"),
+                initial="zz",
+                edges=(Edge("e1", "q0", "q1", actions=({"x": -1},)),
+                       Edge("e2", "q1", "q0", actions=({"x": 1},))))
+        for run in (lambda: hsieve(f, AnalysisConfig(def_samples=3)),
+                    lambda: hsieve_once(f, 0),
+                    lambda: explore(f, f.state({"x": 1}))):
+            with pytest.raises(ValueError,
+                               match="initial qstate zz is not declared"):
+                run()
 
 
 class TestResourceCap:
@@ -564,6 +577,37 @@ class TestWhenSamplingStops:
             expected = without_wall(chosen.to_trace_dict())
             expected["seeds"] = seeds
             assert without_wall(rep.to_trace_dict()) == expected
+
+    def test_cycle_searched_once_after_a_failed_first_sample(
+            self, monkeypatch):
+        # `pumps` runs only when seeds remain after a first sample that
+        # proves nothing, and then once; with a nonnegative cycle every
+        # seed is listed, without one the samples run
+        searches = Counter()
+        search = _Shared.pumps
+
+        def counted(shared):
+            searches["pumps"] += 1
+            return search(shared)
+
+        monkeypatch.setattr(_Shared, "pumps", counted)
+        samples = count_samples(monkeypatch)
+        cases = [(pumping_policy(), True), (all_unknown_policy(), False)]
+        for fmp, pumps in cases:
+            for n in (1, 2, 20):
+                searches.clear()
+                samples.clear()
+                rep = hsieve(fmp, AnalysisConfig(def_samples=n, base_seed=5))
+                assert rep.verdict == Verdict(UNKNOWN, "empty-set-persists")
+                assert searches["pumps"] == (n > 1), (pumps, n)
+                assert samples["samples"] == (1 if pumps else n), (pumps, n)
+                assert rep.seeds == tuple(range(5, 5 + n)), (pumps, n)
+        # the first sample proves termination: nothing is searched
+        searches.clear()
+        rep = hsieve(fixture("f2"), AnalysisConfig(def_samples=20))
+        assert rep.verdict == Verdict(TERMINATING, "no-empty-dv")
+        assert rep.seeds == (0,)
+        assert searches["pumps"] == 0
 
     def test_pumping_ring_runs_one_sample(self, monkeypatch):
         # the ring test's policy before hsieve looked for a nonnegative

@@ -12,7 +12,7 @@ import tracemalloc
 import pytest
 
 import termsieve
-from termsieve import model, oracle
+from termsieve import model
 from termsieve.generate import GenSpec, generate_random
 from termsieve.model import (
     EMPTY_GUARD,
@@ -302,25 +302,23 @@ class TestEdgeConstructor:
     """`Edge` writes its own slots; it is built like the dataclass it is."""
 
     def test_signature_is_the_fields(self):
-        # a field added without its __init__ parameter fails here; the
-        # oracle's ExploreResult writes its slots the same way
-        for cls, module in ((Edge, model), (ExploreResult, oracle)):
-            params = list(inspect.signature(cls.__init__).parameters.values())
-            assert params[0].name == "self"
-            want = []
-            for f in dataclasses.fields(cls):
-                if f.default is not dataclasses.MISSING:
-                    want.append((f.name, f.default))
-                elif f.default_factory is not dataclasses.MISSING:
-                    want.append((f.name, f.default_factory()))
-                else:
-                    want.append((f.name, inspect.Parameter.empty))
-            assert [p.name for p in params[1:]] == [n for n, _ in want]
-            for p, (name, default) in zip(params[1:], want):
-                assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, name
-                assert p.default is default, name
-            # the written __init__ is the one the class has
-            assert cls.__init__.__code__.co_filename == module.__file__
+        # a field added without its __init__ parameter fails here
+        params = list(inspect.signature(Edge.__init__).parameters.values())
+        assert params[0].name == "self"
+        want = []
+        for f in dataclasses.fields(Edge):
+            if f.default is not dataclasses.MISSING:
+                want.append((f.name, f.default))
+            elif f.default_factory is not dataclasses.MISSING:
+                want.append((f.name, f.default_factory()))
+            else:
+                want.append((f.name, inspect.Parameter.empty))
+        assert [p.name for p in params[1:]] == [n for n, _ in want]
+        for p, (name, default) in zip(params[1:], want):
+            assert p.kind is inspect.Parameter.POSITIONAL_OR_KEYWORD, name
+            assert p.default is default, name
+        # the written __init__ is the one the class has
+        assert Edge.__init__.__code__.co_filename == model.__file__
 
     def test_frozen(self):
         e = Edge("e", "a", "b")
