@@ -45,7 +45,6 @@ from .paths import (
     NodeVarSets,
     PathCapExceeded,
     PathContext,
-    PathGraph,
     boxminus,
     var_sets,
 )

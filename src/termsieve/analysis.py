@@ -21,14 +21,13 @@ from dataclasses import dataclass
 
 from .decomposition import DefForest, DetNode, Splits, build_def
 from .graphs import SccGraph
-from .model import Fmp
+from .model import Effect, Fmp
 from .paths import (
     DEFAULT_PATH_CAP,
     EffectCode,
     NodeVarSets,
     PathCapExceeded,
     PathContext,
-    PathGraph,
     nonnegative_cycle,
     var_sets,
 )
@@ -125,6 +124,19 @@ def _tree_dict(tree: DetNode) -> dict:
     return out
 
 
+def _effects(fmp: Fmp) -> dict[str, Effect]:
+    """Each edge's effect by its id; raises ValueError unless the policy is
+    normalized and every effect names only declared counters."""
+    declared = {v.name for v in fmp.variables}
+    effects = {}
+    for e in fmp.edges:
+        effects[e.id] = effect = e.effect
+        if not declared.issuperset(effect):
+            var = min(set(effect) - declared)
+            raise ValueError(f"edge {e.id}: counter {var} is not declared")
+    return effects
+
+
 def def_seed_for(base_seed: int, iteration: int) -> int:
     """Seed of the forest built at one loop iteration."""
     return base_seed * _SEED_STRIDE + iteration
@@ -143,10 +155,9 @@ class _Shared:
 
     The edge effects and their `EffectCode`, and for each set of remaining
     edge ids:
-    - the graph on them, compiled once as a `PathGraph` for both SCC splits
-      and path search;
-    - its `Splits`: each (vertex set, elim) split once;
-    - its PathContext;
+    - the graph on them, compiled once as a `PathContext` for both SCC
+      splits and path search;
+    - its `Splits` on that same graph: each (vertex set, elim) split once;
     - for each forest drawn on it, by its trees, the iteration's outcome:
       per-root sets, candidates and removed edges, or the path cap.
 
@@ -162,8 +173,7 @@ class _Shared:
             raise ValueError(f"initial qstate {fmp.initial} is not declared")
         self.fmp = fmp
         self.path_cap = path_cap
-        # raises unless normalized
-        self.effects = {e.id: e.effect for e in fmp.edges}
+        self.effects = _effects(fmp)
         self.code = EffectCode(self.effects, len(fmp.qstates))
         self.edge_ids = frozenset(self.effects)
         self.graphs: dict[frozenset[str], _Graph] = {}
@@ -172,14 +182,11 @@ class _Shared:
         got = self.graphs.get(edge_ids)
         if got is None:
             fmp = self.fmp
-            compiled = PathGraph(
+            ctx = PathContext(
                 fmp.qstates,
                 [(e.id, e.src, e.dst) for e in fmp.edges if e.id in edge_ids],
-                self.code)
-            got = self.graphs[edge_ids] = (
-                Splits(compiled),
-                PathContext(compiled, fmp.initial, self.path_cap),
-                {})
+                self.code, fmp.initial, self.path_cap)
+            got = self.graphs[edge_ids] = (Splits(ctx), ctx, {})
         return got
 
     def outcome(self, edge_ids: frozenset[str], graph: _Graph,
@@ -201,8 +208,7 @@ class _Shared:
         ends `unknown`.
         """
         splits, ctx, _ = self.graph(self.edge_ids)
-        return nonnegative_cycle(ctx.graph, self.path_cap,
-                                 splits.cyclic_sccs())
+        return nonnegative_cycle(ctx, self.path_cap, splits.cyclic_sccs())
 
     def _iterate(self, edge_ids: frozenset[str], ctx: PathContext,
                  trees: tuple[DetNode, ...]) -> _Outcome:
@@ -327,7 +333,7 @@ def progress_sieve(fmp: Fmp) -> Verdict:
     one edge `q0 -> q0` with guard `y in [0, 0]` and effect `y += 1` gives
     `nonterminating_qualitative` although every run of it halts.
     """
-    effects = {e.id: e.effect for e in fmp.edges}  # raises unless normalized
+    effects = _effects(fmp)
     arcs = [(e.id, e.src, e.dst) for e in fmp.edges]
     while arcs:
         g = SccGraph(fmp.qstates, arcs)  # raises on an undeclared qstate

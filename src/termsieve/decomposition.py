@@ -17,7 +17,7 @@ draw builds its own nodes; two trees are the same tree when they are equal,
 by `DetNode`'s structural hash and equality.
 
 `quotient`, on a string-keyed `graphs.DiGraph`, is a test referee for
-`paths.PathGraph.quotient`; it stays here because the bench tracer wraps
+`paths.PathContext.quotient`; it stays here because the bench tracer wraps
 it by name.
 """
 

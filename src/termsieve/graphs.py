@@ -45,7 +45,7 @@ class SccPartition:
 
 class SccGraph:
     """One edge set compiled to bit masks, for the SCCs of its induced
-    subgraphs; `paths.PathGraph` extends it for path search.
+    subgraphs; `paths.PathContext` extends it for path search.
 
     Vertex `i` is the `i`-th vertex in sorted-name order, with bit `1 << i`,
     and `index` maps a name to its `i`; a vertex set is the mask of its
@@ -53,7 +53,7 @@ class SccGraph:
     when it has a self-loop, `pred[i]` that of its predecessors, and
     `loops` the mask of the vertices with a self-loop. Parallel arcs
     compile to one bit. An arc with an endpoint outside `vertices` raises
-    ValueError.
+    the oracle's ValueError for an edge whose endpoint is not a qstate.
     """
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[Arc]):
@@ -72,7 +72,7 @@ class SccGraph:
                     loops |= 1 << s
         except KeyError:
             raise ValueError(
-                f"arc {aid}: endpoint outside vertex set") from None
+                f"edge {aid}: endpoint outside the qstates") from None
         self.loops = loops
 
     def sccs(self, mask: int) -> list[int]:

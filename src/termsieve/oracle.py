@@ -17,7 +17,8 @@ scan of its frame ends with no action enabled.
 
 A start is checked by `Fmp.state`, except those `explore_grid` builds from
 the policy's declarations. A policy whose initial qstate or edge endpoint
-is not a declared qstate is refused with ValueError when it is compiled.
+is not a declared qstate, or whose action, guard or goal names an
+undeclared counter, is refused with ValueError when it is compiled.
 """
 
 from __future__ import annotations
@@ -166,8 +167,9 @@ class Packing:
     compiles to two addends per field, each clamped to [0, 2**width]:
     adding `2**width - (lo - lb)` sets the guard bit iff the value is at
     least `lo`, and adding `2**width - 1 - (hi - lb)` sets it iff the value
-    exceeds `hi`. The value cap is the second kind on every field. An edge
-    with an endpoint that is not a declared qstate raises ValueError.
+    exceeds `hi`. The value cap is the second kind on every field. An
+    undeclared edge endpoint, or counter in a guard, action or goal, raises
+    ValueError.
     """
 
     def __init__(self, code: OracleCode, width: int):
@@ -193,14 +195,22 @@ class Packing:
                 continue
             row, base = table[src], dst - src
             conjuncts = e.guard.conjuncts
-            test = self.interval_test(conjuncts) if conjuncts else None
-            for action in e.actions:
-                weight = base
-                for v, d in action.items():
-                    weight += d << shifts[v]
-                row.append((e.id, weight, test))
-        self.goal = (self.interval_test(fmp.goal)
-                     if fmp.goal is not None else None)
+            try:
+                test = self.interval_test(conjuncts) if conjuncts else None
+                for action in e.actions:
+                    weight = base
+                    for v, d in action.items():
+                        weight += d << shifts[v]
+                    row.append((e.id, weight, test))
+            except KeyError as err:
+                raise ValueError(f"edge {e.id}: counter {err.args[0]} "
+                                 "is not declared") from None
+        try:
+            self.goal = (self.interval_test(fmp.goal)
+                         if fmp.goal is not None else None)
+        except KeyError as err:
+            raise ValueError(f"goal: counter {err.args[0]} "
+                             "is not declared") from None
 
     def _addend(self, shift: int, add: int) -> int:
         """`add` clamped to [0, 2**width], shifted onto the field at `shift`."""

@@ -9,9 +9,10 @@ vertex-simple walks from an entry boundary vertex to an exit boundary vertex
 with at least one edge. Parallel arcs yield distinct paths; a collapsed child
 contributes zero effect (its internal arcs are not traversed at all).
 
-`PathGraph` compiles one edge set once, for the forest's SCC splits and for
-path search: it is a `graphs.SccGraph` (qstates as bits in sorted-name
-order, successor and predecessor masks), and each vertex also gets
+`PathContext` compiles one edge set once, for the forest's SCC splits and
+for path search, and keeps the policy's initial qstate and the path cap: it
+is a `graphs.SccGraph` (qstates as bits in sorted-name order, successor
+and predecessor masks), and each vertex also gets
 its out-arcs as `(dst index, dst bit, weight, dst successor mask, arc id)`
 in `(dst, arc id)` order, the weight coming from the policy's
 `EffectCode`. A node then needs no graph of its own: the path is
@@ -58,7 +59,7 @@ as a whole with `EffectCode.sign_sets`: one AND per key for the decrease
 sets, a slice at a time until every sign pattern has appeared, and per
 variable one scan for `iv` and one for `zv`, each stopping at the first
 key that puts the variable in. `nonnegative_cycle` runs the same DFS over
-a whole `PathGraph`, from each vertex in turn, to find a simple cycle that
+a whole `PathContext`, from each vertex in turn, to find a simple cycle that
 nets at least zero on every variable, unless every arc of each cyclic SCC
 decreases one common variable.
 
@@ -183,19 +184,22 @@ class EffectCode:
         return inc, zero, dec
 
 
-class PathGraph(SccGraph):
-    """One edge set compiled for SCC splits and path search.
+class PathContext(SccGraph):
+    """One edge set compiled for SCC splits and path search, with the
+    policy's initial qstate and the per-node path cap.
 
     On top of `graphs.SccGraph`'s bits, `index`, and successor and
     predecessor masks, `out[i]` holds the out-arcs of vertex `i` (see the
-    module docstring).
+    module docstring). `hsieve` keeps one per set of remaining edges for
+    all its samples. Nothing per node or per tree is kept.
     """
 
     def __init__(self, vertices: Iterable[str],
-                 arcs: Iterable[tuple[str, str, str]], code: EffectCode):
+                 arcs: Iterable[tuple[str, str, str]], code: EffectCode,
+                 q0: str | None = None, path_cap: int = DEFAULT_PATH_CAP):
         arcs = tuple(arcs)
         super().__init__(vertices, arcs)
-        self.code = code
+        self.code, self.q0, self.path_cap = code, q0, path_cap
         index = self.index
         outs: list[list[tuple[int, str]]] = [[] for _ in self.names]
         for aid, src, dst in arcs:
@@ -238,6 +242,51 @@ class PathGraph(SccGraph):
                         succ[s] |= 1 << d
         weight = self.code.weight
         return {s: _arcs(out, weight, succ) for s, out in kept.items()}
+
+    def paths(self, node: DetNode) -> list[int]:
+        """The key of every path of one node, one per path in DFS order:
+        its cycle paths, then its through paths from each entry in name
+        order.
+
+        The through walks share one memo of replayable states (see
+        `_walk`). Each has its entry on the path, so the entry is the only
+        thing that differs between them, and the node's blocked vertices,
+        exits and live set are the same. The cycle walk runs on other arcs
+        towards another target, so it gets a memo of its own.
+
+        Raises PathCapExceeded on the first path past the cap, however
+        many of the paths before it share a key or come from a replay.
+        """
+        if not node.vertices:
+            raise InvalidNodeError("invalid-node: empty vertex set")
+        if node.elim not in node.vertices:
+            raise InvalidNodeError(
+                f"invalid-node: elim {node.elim} outside vertex set")
+        mask = self.mask(node.vertices)
+        outside = self.all ^ mask
+        elim = self.index[node.elim]
+        out = self.quotient(node, mask) if node.children else self.out
+        keys: list[int] = []
+        left = _walk(out, self.succ, elim, outside, 1 << elim, mask,
+                     self.path_cap, keys, {}, self.shift)
+        exits = entries = 0
+        for v in bit_indices(mask):
+            if self.succ[v] & outside:
+                exits |= 1 << v
+            if self.pred[v] & outside:
+                entries |= 1 << v
+        if self.q0 in node.vertices:
+            entries |= 1 << self.index[self.q0]
+        if exits:
+            memo: dict[int, int] = {}
+            for start in bit_indices(entries):
+                if left < 0:
+                    break
+                left = _walk(self.out, self.succ, start, outside | 1 << start,
+                             exits, exits, left, keys, memo, self.shift)
+        if left < 0:
+            raise PathCapExceeded(node, self.path_cap)
+        return keys
 
 
 def _arcs(out: list[tuple[int, str]], weight: Mapping[str, int],
@@ -346,7 +395,7 @@ def _walk(out: Sequence[Sequence[_Arc]] | Mapping[int, Sequence[_Arc]],
     return left
 
 
-def nonnegative_cycle(graph: PathGraph, budget: int,
+def nonnegative_cycle(graph: PathContext, budget: int,
                       cyclic_sccs: Iterable[int]) -> bool:
     """Whether `graph` has a simple cycle whose net is at least zero on
     every counter, found within `budget` cycles.
@@ -377,7 +426,7 @@ def nonnegative_cycle(graph: PathGraph, budget: int,
     return False
 
 
-def every_cycle_decreases(graph: PathGraph,
+def every_cycle_decreases(graph: PathContext,
                           cyclic_sccs: Iterable[int]) -> bool:
     """Whether, in each of the cyclic SCCs of `graph` (as masks), every arc
     decreases one common counter: the AND of the arcs' weights keeps a
@@ -396,71 +445,6 @@ def every_cycle_decreases(graph: PathGraph,
         if not common:
             return False
     return True
-
-
-class PathContext:
-    """Enumeration context for one graph version.
-
-    Holds the current (possibly pruned) policy graph in compiled form, the
-    policy's initial qstate, and the per-node path cap. `hsieve` keeps one
-    context per set of remaining edges for all its samples. Nothing per
-    node or per tree is kept. Only a through search runs the reachability
-    BFS, and on elimination-forest nodes, the only ones `hsieve` and the
-    CLI enumerate, the cap on emitted paths also bounds the work.
-    """
-
-    def __init__(self, graph: PathGraph, q0: str | None,
-                 path_cap: int = DEFAULT_PATH_CAP):
-        self.graph = graph
-        self.q0 = q0
-        self.path_cap = path_cap
-
-    def paths(self, node: DetNode) -> list[int]:
-        """The key of every path of one node, one per path in DFS order:
-        its cycle paths, then its through paths from each entry in name
-        order.
-
-        The through walks share one memo of replayable states (see
-        `_walk`). Each has its entry on the path, so the entry is the only
-        thing that differs between them, and the node's blocked vertices,
-        exits and live set are the same. The cycle walk runs on other arcs
-        towards another target, so it gets a memo of its own.
-
-        Raises PathCapExceeded on the first path past the cap, however
-        many of the paths before it share a key or come from a replay.
-        """
-        g = self.graph
-        if not node.vertices:
-            raise InvalidNodeError("invalid-node: empty vertex set")
-        if node.elim not in node.vertices:
-            raise InvalidNodeError(
-                f"invalid-node: elim {node.elim} outside vertex set"
-            )
-        mask = g.mask(node.vertices)
-        outside = g.all ^ mask
-        elim = g.index[node.elim]
-        out = g.quotient(node, mask) if node.children else g.out
-        keys: list[int] = []
-        left = _walk(out, g.succ, elim, outside, 1 << elim, mask,
-                     self.path_cap, keys, {}, g.shift)
-        exits = entries = 0
-        for v in bit_indices(mask):
-            if g.succ[v] & outside:
-                exits |= 1 << v
-            if g.pred[v] & outside:
-                entries |= 1 << v
-        if self.q0 in node.vertices:
-            entries |= 1 << g.index[self.q0]
-        if exits:
-            memo: dict[int, int] = {}
-            for start in bit_indices(entries):
-                if left < 0:
-                    break
-                left = _walk(g.out, g.succ, start, outside | 1 << start,
-                             exits, exits, left, keys, memo, g.shift)
-        if left < 0:
-            raise PathCapExceeded(node, self.path_cap)
-        return keys
 
 
 def boxminus(family: Iterable[Iterable[str]], iv: Iterable[str]) -> VarSetFamily:
@@ -486,5 +470,5 @@ def var_sets(node: DetNode, ctx: PathContext) -> NodeVarSets:
     keys: list[int] = []
     for n in node.walk():
         keys += ctx.paths(n)
-    iv, zv, pdv = ctx.graph.code.sign_sets(keys)
+    iv, zv, pdv = ctx.code.sign_sets(keys)
     return NodeVarSets(iv=iv, zv=zv, pdv=pdv, dv=boxminus(pdv, iv))

@@ -29,7 +29,7 @@ from termsieve.oracle import (
     ExploreResult, LassoWitness, SimTrace, grid_states,
 )
 from termsieve.paths import (
-    DEFAULT_PATH_CAP, EffectCode, NodeVarSets, PathContext, PathGraph,
+    DEFAULT_PATH_CAP, EffectCode, NodeVarSets, PathContext,
 )
 from termsieve.policyio import FORMAT_VERSION, PolicyFormatError, load_policy
 
@@ -255,7 +255,7 @@ def path_ctx(g: DiGraph, effects, q0, path_cap: int = DEFAULT_PATH_CAP
              ) -> PathContext:
     """A PathContext on `g` with the effect code of `effects`."""
     code = EffectCode(effects, len(g.vertices))
-    return PathContext(PathGraph(g.vertices, g.arcs, code), q0, path_cap)
+    return PathContext(g.vertices, g.arcs, code, q0, path_cap)
 
 
 def key_net(code: EffectCode, key: int) -> dict[str, int]:
@@ -283,7 +283,7 @@ def _arc_keys(g: DiGraph, q0, node, path_cap: int) -> list[frozenset[str]]:
     ctx = path_ctx(g, {aid: {aid: 1} for aid, _, _ in g.arcs}, q0, path_cap)
     out = []
     for key in ctx.paths(node):
-        net = key_net(ctx.graph.code, key)
+        net = key_net(ctx.code, key)
         out.append(frozenset(net) if set(net.values()) == {1}
                    else frozenset())
     return out
@@ -348,9 +348,9 @@ def path_keys(g: DiGraph, effects, q0, node, listed
     i-th key must be the sum of the weights of the i-th path's arcs."""
     ctx = path_ctx(g, effects, q0)
     keys = ctx.paths(node)
-    weight = ctx.graph.code.weight
+    weight = ctx.code.weight
     assert keys == [sum(weight[aid] for aid in seq or ()) for _, seq in listed]
-    return ctx.graph.code, keys
+    return ctx.code, keys
 
 
 def brute_cycle_paths(q: DiGraph, elim: str) -> set[tuple[str, ...]]:

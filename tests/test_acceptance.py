@@ -256,7 +256,7 @@ def _c_path_shapes(target):
         q0 = rng.choice(sorted(g.vertices)) if rng.random() < 0.5 else None
         forest = draw_forest(g, rng.randrange(1 << 16))
         ctx = path_ctx(g, effects, q0)
-        code = ctx.graph.code
+        code = ctx.code
         for node in iter_nodes(forest):
             try:
                 paths = listed_paths(g, node, q0)

@@ -241,10 +241,11 @@ class TestDegenerateGraphs:
         f = Fmp(variables=(VarDecl("x"),), qstates=("a",), initial="a",
                 edges=(Edge("e1", "a", "zz", actions=({"x": -1},)),
                        Edge("e2", "a", "a", actions=({"x": -1},))))
-        for engine in (hsieve, progress_sieve):
-            with pytest.raises(ValueError,
-                               match="arc e1: endpoint outside vertex set"):
-                engine(f)
+        for run in (lambda: hsieve(f), lambda: hsieve_once(f, 0),
+                    lambda: progress_sieve(f)):
+            with pytest.raises(ValueError) as ei:
+                run()
+            assert str(ei.value) == "edge e1: endpoint outside the qstates"
         # an undeclared initial qstate: no path search starts from `zz`,
         # so unchecked the x-1/x+1 cycle gives unknown(empty-set-persists);
         # both entry points refuse it as the oracle does
@@ -258,6 +259,26 @@ class TestDegenerateGraphs:
             with pytest.raises(ValueError,
                                match="initial qstate zz is not declared"):
                 run()
+        # an action naming an undeclared counter: unchecked, the drain of
+        # zz proved termination on a lower bound zz does not have
+        f = Fmp(variables=(VarDecl("x"),), qstates=("a",), initial="a",
+                edges=(Edge("e1", "a", "a", actions=({"zz": -1},)),))
+        for run in (lambda: hsieve(f, AnalysisConfig(def_samples=3)),
+                    lambda: hsieve_once(f, 0), lambda: progress_sieve(f)):
+            with pytest.raises(ValueError) as ei:
+                run()
+            assert str(ei.value) == "edge e1: counter zz is not declared"
+        # the analyses read no guard and no goal, so one that names an
+        # undeclared counter changes nothing
+        drain = Edge("e1", "a", "a", actions=({"x": -1},))
+        plain = Fmp(variables=(VarDecl("x"),), qstates=("a",), initial="a",
+                    edges=(drain,))
+        for f in (dataclasses.replace(plain, edges=(dataclasses.replace(
+                      drain, guard=Guard({"zz": (0, 1)})),)),
+                  dataclasses.replace(plain, goal={"zz": (0, 0)})):
+            assert hsieve(f).verdict == hsieve(plain).verdict == Verdict(
+                TERMINATING, "no-empty-dv")
+            assert progress_sieve(f) == progress_sieve(plain)
 
 
 class TestResourceCap:

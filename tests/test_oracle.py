@@ -87,25 +87,35 @@ class TestStep:
 
     def test_policy_naming_an_undeclared_qstate_is_rejected(self):
         # an edge into or out of a qstate the policy does not declare (one
-        # without actions too), or an undeclared initial qstate: every entry
-        # point raises ValueError naming it, never a KeyError or an answer
+        # without actions too), an undeclared initial qstate, or an action,
+        # guard or goal naming an undeclared counter: every entry point
+        # raises ValueError naming it, never a KeyError or an answer
         ok = Edge("e1", "q0", "q0", actions=({"x": -1},))
+        guarded = Edge("e2", "q0", "q0", guard=Guard({"zz": (0, 1)}))
         cases = [
-            ("q0", (ok, Edge("e2", "q0", "zz")), "edge e2: "),
-            ("q0", (ok, Edge("e2", "zz", "q0")), "edge e2: "),
-            ("q0", (ok, Edge("e2", "zz", "q0", actions=())), "edge e2: "),
-            ("qq", (ok,), "initial qstate qq "),
+            ("q0", (ok, Edge("e2", "q0", "zz")), None,
+             "edge e2: endpoint outside the qstates"),
+            ("q0", (ok, Edge("e2", "zz", "q0")), None,
+             "edge e2: endpoint outside the qstates"),
+            ("q0", (ok, Edge("e2", "zz", "q0", actions=())), None,
+             "edge e2: endpoint outside the qstates"),
+            ("qq", (ok,), None, "initial qstate qq is not declared"),
+            ("q0", (ok, Edge("e2", "q0", "q0", actions=({"zz": -1},))), None,
+             "edge e2: counter zz is not declared"),
+            ("q0", (ok, guarded), None,
+             "edge e2: counter zz is not declared"),
+            ("q0", (ok,), {"zz": (0, 0)}, "goal: counter zz is not declared"),
         ]
-        for initial, edges, message in cases:
+        for initial, edges, goal, message in cases:
             f = Fmp(variables=(VarDecl("x"),), qstates=("q0",),
-                    initial=initial, edges=edges)
+                    initial=initial, edges=edges, goal=goal)
             s0 = ConcreteState({"x": 1})
             for call in (lambda: explore(f, s0), lambda: explore_grid(f, 1),
                          lambda: run_random(f, s0),
                          lambda: step(f, Configuration("q0", s0))):
                 with pytest.raises(ValueError) as ei:
                     call()
-                assert str(ei.value).startswith(message)
+                assert str(ei.value) == message
 
 
 class TestLasso:

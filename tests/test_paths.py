@@ -98,7 +98,7 @@ class TestBoxminus:
 class TestPathGraph:
     def test_out_arcs_sorted_and_complete(self):
         g = g_of(("b", "v", "w"), ("a", "v", "u"), ("c", "v", "u"))
-        pg = path_ctx(g, {"a": {"x": 1}, "b": {}, "c": {"x": -1}}, None).graph
+        pg = path_ctx(g, {"a": {"x": 1}, "b": {}, "c": {"x": -1}}, None)
         u, v, w = (pg.index[x] for x in "uvw")
         assert [(pg.out[v][k][0], pg.out[v][k][4]) for k in range(3)] == [
             (u, "a"), (u, "c"), (w, "b")]
@@ -115,7 +115,7 @@ class TestPathGraph:
             g = random_digraph(rng, max_vertices=6, max_arcs=10)
             g = graph(g.vertices, g.arcs + tuple(
                 (f"l{v}", v, v) for v in sorted(g.vertices)))
-            pg = path_ctx(g, {aid: {} for aid, _, _ in g.arcs}, None).graph
+            pg = path_ctx(g, {aid: {} for aid, _, _ in g.arcs}, None)
             for d, dbit, _, dsucc, _ in (a for out in pg.out for a in out):
                 assert pg.succ[d] & dbit and dsucc == pg.succ[d] ^ dbit
             for node in iter_nodes(draw_forest(g, rng.randint(0, 10**6))):
@@ -684,7 +684,7 @@ class TestSignSets:
                                         edge_density=0.4, max_abs_delta=2,
                                         seed=seed))
             ctx = ctx_for(f)
-            code = ctx.graph.code
+            code = ctx.code
             for tree in draw_forest(policy_graph(f), seed).trees:
                 keys = [k for n in tree.walk() for k in ctx.paths(n)]
                 want = nets_var_sets(key_net(code, k) for k in keys)
@@ -757,7 +757,7 @@ class TestWalkEndsAtItsStart:
         for _ in range(150):
             g = random_digraph(rng, max_vertices=6, max_arcs=12)
             ctx = path_ctx(g, {aid: {} for aid, _, _ in g.arcs}, None)
-            pg = ctx.graph
+            pg = ctx
             for node in iter_nodes(draw_forest(g, rng.randint(0, 10**6))):
                 mask = pg.mask(node.vertices)
                 elim = pg.index[node.elim]
@@ -785,7 +785,7 @@ class TestNonnegativeCycle:
     @staticmethod
     def graph(g, effects):
         """The compiled graph and the masks of its cyclic SCCs."""
-        graph = path_ctx(g, effects, None).graph
+        graph = path_ctx(g, effects, None)
         return graph, list(filter(graph.cyclic, graph.sccs(graph.all)))
 
     def search(self, g, effects, budget=100_000):
@@ -969,7 +969,7 @@ class TestRepeatedStates:
         entries = 0
         for _ in range(150):
             g = random_digraph(rng, max_vertices=6, max_arcs=12)
-            pg = path_ctx(g, {aid: {} for aid, _, _ in g.arcs}, None).graph
+            pg = path_ctx(g, {aid: {} for aid, _, _ in g.arcs}, None)
             for node in iter_nodes(draw_forest(g, rng.randint(0, 10**6))):
                 mask = pg.mask(node.vertices)
                 elim = pg.index[node.elim]
