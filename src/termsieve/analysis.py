@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 from .decomposition import DefForest, DetNode, Splits, build_def
 from .graphs import SccGraph
-from .model import Effect, Fmp
+from .model import Effect, Fmp, check
 from .paths import (
     DEFAULT_PATH_CAP,
     EffectCode,
@@ -125,16 +125,10 @@ def _tree_dict(tree: DetNode) -> dict:
 
 
 def _effects(fmp: Fmp) -> dict[str, Effect]:
-    """Each edge's effect by its id; raises ValueError unless the policy is
-    normalized and every effect names only declared counters."""
-    declared = {v.name for v in fmp.variables}
-    effects = {}
-    for e in fmp.edges:
-        effects[e.id] = effect = e.effect
-        if not declared.issuperset(effect):
-            var = min(set(effect) - declared)
-            raise ValueError(f"edge {e.id}: counter {var} is not declared")
-    return effects
+    """Each edge's effect by its id; raises ValueError unless `model.check`
+    passes the policy and it is normalized."""
+    check(fmp)
+    return {e.id: e.effect for e in fmp.edges}
 
 
 def def_seed_for(base_seed: int, iteration: int) -> int:
@@ -169,8 +163,6 @@ class _Shared:
     """
 
     def __init__(self, fmp: Fmp, path_cap: int):
-        if fmp.initial not in fmp.qstates:
-            raise ValueError(f"initial qstate {fmp.initial} is not declared")
         self.fmp = fmp
         self.path_cap = path_cap
         self.effects = _effects(fmp)
@@ -336,7 +328,7 @@ def progress_sieve(fmp: Fmp) -> Verdict:
     effects = _effects(fmp)
     arcs = [(e.id, e.src, e.dst) for e in fmp.edges]
     while arcs:
-        g = SccGraph(fmp.qstates, arcs)  # raises on an undeclared qstate
+        g = SccGraph(fmp.qstates, arcs)
         comp_of = {v: c for c in g.sccs(g.all) for v in g.vertices(c)}
         inner: dict[int, list[tuple[str, str, str]]] = {}
         for arc in arcs:

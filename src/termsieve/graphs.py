@@ -52,8 +52,7 @@ class SccGraph:
     bits. `succ[i]` is the mask of the successors of `i`, itself included
     when it has a self-loop, `pred[i]` that of its predecessors, and
     `loops` the mask of the vertices with a self-loop. Parallel arcs
-    compile to one bit. An arc with an endpoint outside `vertices` raises
-    the oracle's ValueError for an edge whose endpoint is not a qstate.
+    compile to one bit.
     """
 
     def __init__(self, vertices: Iterable[str], arcs: Iterable[Arc]):
@@ -63,16 +62,12 @@ class SccGraph:
         self.succ = succ = [0] * len(names)
         self.pred = pred = [0] * len(names)
         loops = 0
-        try:
-            for aid, src, dst in arcs:
-                s, d = index[src], index[dst]
-                succ[s] |= 1 << d
-                pred[d] |= 1 << s
-                if s == d:
-                    loops |= 1 << s
-        except KeyError:
-            raise ValueError(
-                f"edge {aid}: endpoint outside the qstates") from None
+        for _, src, dst in arcs:
+            s, d = index[src], index[dst]
+            succ[s] |= 1 << d
+            pred[d] |= 1 << s
+            if s == d:
+                loops |= 1 << s
         self.loops = loops
 
     def sccs(self, mask: int) -> list[int]:

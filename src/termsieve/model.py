@@ -238,6 +238,18 @@ def validate(fmp: Fmp) -> list[Violation]:
     return out
 
 
+def check(fmp: Fmp) -> None:
+    """Raise ValueError with the first violation `validate` reports, if any.
+
+    The engines call it where they compile a policy, `oracle.OracleCode`
+    and analysis's effect table, so no engine answers for a policy that is
+    not one.
+    """
+    violations = validate(fmp)
+    if violations:
+        raise ValueError(str(violations[0]))
+
+
 def _report_edges(edges: tuple[Edge, ...], seen_q: set[str],
                   declared: set[str], out: list[Violation]) -> None:
     """Append each edge's violations, edge by edge, to `out`."""

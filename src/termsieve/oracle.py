@@ -14,11 +14,6 @@ lists (keys, next action indices), the frame on top lives in locals and
 scans its qstate's actions in place from its index, a push goes on
 scanning in the new frame, and a configuration counts as halting when the
 scan of its frame ends with no action enabled.
-
-A start is checked by `Fmp.state`, except those `explore_grid` builds from
-the policy's declarations. A policy whose initial qstate or edge endpoint
-is not a declared qstate, or whose action, guard or goal names an
-undeclared counter, is refused with ValueError when it is compiled.
 """
 
 from __future__ import annotations
@@ -28,7 +23,7 @@ import random
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Iterator, Mapping, Sequence
 
-from .model import ConcreteState, Fmp, Interval
+from .model import ConcreteState, Fmp, Interval, check
 
 _DONE = -1  # depth marker of a configuration whose subtree is explored
 
@@ -122,14 +117,13 @@ class OracleCode:
     Holds what every field width shares: the policy, each qstate's index,
     the largest |delta| of any action (action sets included: the oracle
     needs no normalized policy) and one `Packing` per field width. Raises
-    ValueError if the initial qstate is not declared.
+    `model.check`'s ValueError for a policy that `validate` faults.
     """
 
     def __init__(self, fmp: Fmp):
+        check(fmp)
         self.fmp = fmp
         self.qindex = {q: i for i, q in enumerate(fmp.qstates)}
-        if fmp.initial not in self.qindex:
-            raise ValueError(f"initial qstate {fmp.initial} is not declared")
         self.max_abs_delta = max([abs(d) for e in fmp.edges for a in e.actions
                                   for d in a.values()], default=0)
         self._packings: dict[int, Packing] = {}
@@ -167,9 +161,7 @@ class Packing:
     compiles to two addends per field, each clamped to [0, 2**width]:
     adding `2**width - (lo - lb)` sets the guard bit iff the value is at
     least `lo`, and adding `2**width - 1 - (hi - lb)` sets it iff the value
-    exceeds `hi`. The value cap is the second kind on every field. An
-    undeclared edge endpoint, or counter in a guard, action or goal, raises
-    ValueError.
+    exceeds `hi`. The value cap is the second kind on every field.
     """
 
     def __init__(self, code: OracleCode, width: int):
@@ -188,29 +180,19 @@ class Packing:
         qindex = code.qindex
         self.table = table = [[] for _ in fmp.qstates]
         for e in fmp.edges:
-            src, dst = qindex.get(e.src), qindex.get(e.dst)
-            if src is None or dst is None:
-                raise ValueError(f"edge {e.id}: endpoint outside the qstates")
             if not e.actions:
                 continue
-            row, base = table[src], dst - src
+            src = qindex[e.src]
+            row, base = table[src], qindex[e.dst] - src
             conjuncts = e.guard.conjuncts
-            try:
-                test = self.interval_test(conjuncts) if conjuncts else None
-                for action in e.actions:
-                    weight = base
-                    for v, d in action.items():
-                        weight += d << shifts[v]
-                    row.append((e.id, weight, test))
-            except KeyError as err:
-                raise ValueError(f"edge {e.id}: counter {err.args[0]} "
-                                 "is not declared") from None
-        try:
-            self.goal = (self.interval_test(fmp.goal)
-                         if fmp.goal is not None else None)
-        except KeyError as err:
-            raise ValueError(f"goal: counter {err.args[0]} "
-                             "is not declared") from None
+            test = self.interval_test(conjuncts) if conjuncts else None
+            for action in e.actions:
+                weight = base
+                for v, d in action.items():
+                    weight += d << shifts[v]
+                row.append((e.id, weight, test))
+        self.goal = (self.interval_test(fmp.goal)
+                     if fmp.goal is not None else None)
 
     def _addend(self, shift: int, add: int) -> int:
         """`add` clamped to [0, 2**width], shifted onto the field at `shift`."""
@@ -496,9 +478,9 @@ def explore_grid(
     on without reuse, and one that has runs again from its start without
     reuse. Either way its result, stats included, is then explore()'s.
     """
+    code = fmp.oracle_code  # checks the policy before its bounds are read
     starts = grid_states(fmp, grid_max)
     caps = caps if caps is not None else ExploreCaps()
-    code = fmp.oracle_code
     top = max([fmp.bounds[x] + grid_max for x in fmp.var_names], default=0)
     max_value = (caps.max_value if caps.max_value is not None
                  else code.derived_max_value(top))

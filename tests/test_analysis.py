@@ -245,20 +245,20 @@ class TestDegenerateGraphs:
                     lambda: progress_sieve(f)):
             with pytest.raises(ValueError) as ei:
                 run()
-            assert str(ei.value) == "edge e1: endpoint outside the qstates"
+            assert str(ei.value) == "unknown-qstate: edge e1 dst=zz"
         # an undeclared initial qstate: no path search starts from `zz`,
         # so unchecked the x-1/x+1 cycle gives unknown(empty-set-persists);
-        # both entry points refuse it as the oracle does
+        # every entry point refuses it as the oracle does
         f = Fmp(variables=(VarDecl("x"),), qstates=("q0", "q1"),
                 initial="zz",
                 edges=(Edge("e1", "q0", "q1", actions=({"x": -1},)),
                        Edge("e2", "q1", "q0", actions=({"x": 1},))))
         for run in (lambda: hsieve(f, AnalysisConfig(def_samples=3)),
-                    lambda: hsieve_once(f, 0),
+                    lambda: hsieve_once(f, 0), lambda: progress_sieve(f),
                     lambda: explore(f, f.state({"x": 1}))):
-            with pytest.raises(ValueError,
-                               match="initial qstate zz is not declared"):
+            with pytest.raises(ValueError) as ei:
                 run()
+            assert str(ei.value) == "unknown-initial: zz"
         # an action naming an undeclared counter: unchecked, the drain of
         # zz proved termination on a lower bound zz does not have
         f = Fmp(variables=(VarDecl("x"),), qstates=("a",), initial="a",
@@ -267,18 +267,24 @@ class TestDegenerateGraphs:
                     lambda: hsieve_once(f, 0), lambda: progress_sieve(f)):
             with pytest.raises(ValueError) as ei:
                 run()
-            assert str(ei.value) == "edge e1: counter zz is not declared"
-        # the analyses read no guard and no goal, so one that names an
-        # undeclared counter changes nothing
+            assert str(ei.value) == "undeclared-variable: edge e1 action[0] zz"
+        # a guard or goal naming an undeclared counter is refused too, by
+        # the same check, though the analyses read neither
         drain = Edge("e1", "a", "a", actions=({"x": -1},))
         plain = Fmp(variables=(VarDecl("x"),), qstates=("a",), initial="a",
                     edges=(drain,))
-        for f in (dataclasses.replace(plain, edges=(dataclasses.replace(
-                      drain, guard=Guard({"zz": (0, 1)})),)),
-                  dataclasses.replace(plain, goal={"zz": (0, 0)})):
-            assert hsieve(f).verdict == hsieve(plain).verdict == Verdict(
-                TERMINATING, "no-empty-dv")
-            assert progress_sieve(f) == progress_sieve(plain)
+        assert hsieve(plain).verdict == Verdict(TERMINATING, "no-empty-dv")
+        for f, message in (
+                (dataclasses.replace(plain, edges=(dataclasses.replace(
+                    drain, guard=Guard({"zz": (0, 1)})),)),
+                 "undeclared-variable: edge e1 guard zz"),
+                (dataclasses.replace(plain, goal={"zz": (0, 0)}),
+                 "goal-unknown-variable: zz")):
+            for run in (lambda: hsieve(f), lambda: hsieve_once(f, 0),
+                        lambda: progress_sieve(f)):
+                with pytest.raises(ValueError) as ei:
+                    run()
+                assert str(ei.value) == message
 
 
 class TestResourceCap:

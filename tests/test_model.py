@@ -7,12 +7,17 @@ import inspect
 import pickle
 import pkgutil
 import random
+import re
 import tracemalloc
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import termsieve
 from termsieve import model
+from termsieve.analysis import (
+    AnalysisConfig, hsieve, hsieve_once, progress_sieve,
+)
 from termsieve.generate import GenSpec, generate_random
 from termsieve.model import (
     EMPTY_GUARD,
@@ -26,7 +31,8 @@ from termsieve.model import (
     validate,
 )
 from termsieve.oracle import (
-    ALL_HALT, Configuration, ExploreCaps, ExploreResult, explore, step,
+    ALL_HALT, Configuration, ExploreCaps, ExploreResult, explore,
+    explore_grid, run_random, step,
 )
 
 from helpers import (
@@ -296,6 +302,101 @@ DEFECTS = [
         f, goal={_pick(rng, f.var_names): (3, 1)}),
     lambda f, rng: dataclasses.replace(f, goal={"ghost": (0, None)}),
 ]
+
+
+def one_violation_each():
+    """(code, policy) per `validate` code, each policy with that one
+    violation; some codes come more than once, at other places."""
+    drain = Edge("e1", "q0", "q0", actions=({"x": -1},))
+    base = mk(qstates=("q0", "q1"), edges=(drain, Edge("e2", "q0", "q1")))
+
+    def put(**kw):
+        return dataclasses.replace(base, **kw)
+
+    def add(*edges):
+        return put(edges=(*base.edges, *edges))
+
+    return [
+        ("duplicate-variable", put(variables=(VarDecl("x"), VarDecl("x")))),
+        # a bad bound escaped as range()'s TypeError from explore_grid
+        ("bad-lower-bound", put(variables=(VarDecl("x", 0.5),))),
+        ("duplicate-qstate", put(qstates=("q0", "q1", "q0"))),
+        ("unknown-initial", put(initial="zz")),
+        # the two analyses kept one effect per id, here x-1, and proved
+        # termination for a policy that pumps x on q0
+        ("duplicate-edge-id", put(edges=(
+            Edge("e1", "q0", "q0", actions=({"x": 1},)), drain))),
+        ("unknown-qstate", add(Edge("e3", "q0", "zz"))),
+        ("unknown-qstate", add(Edge("e3", "zz", "q0", actions=()))),
+        ("undeclared-variable", add(Edge("e3", "q0", "q0",
+                                         actions=({"zz": -1},)))),
+        ("undeclared-variable", add(Edge("e3", "q0", "q0",
+                                         guard=Guard({"zz": (0, 1)})))),
+        ("bad-guard-bound", add(Edge("e3", "q0", "q0",
+                                     guard=Guard({"x": (0.5, None)})))),
+        ("guard-empty-interval", add(Edge("e3", "q0", "q0",
+                                          guard=Guard({"x": (3, 1)})))),
+        # a fractional delta escaped as a TypeError
+        ("non-integer-effect", add(Edge("e3", "q0", "q0",
+                                        actions=({"x": -0.5},)))),
+        ("unknown-terminal", put(terminal=("zz",))),
+        ("terminal-has-outgoing", put(terminal=("q1",), edges=(
+            *base.edges, Edge("e3", "q1", "q0")))),
+        ("goal-unknown-variable", put(goal={"zz": (0, None)})),
+        ("bad-goal-bound", put(goal={"x": (0, 0.5)})),
+        ("goal-empty-interval", put(goal={"x": (3, 1)})),
+    ]
+
+
+def assert_refused(fmp):
+    """Each of the seven engine entry points that take a policy raises
+    ValueError with `validate`'s first violation: no other exception, and
+    no answer."""
+    want = str(validate(fmp)[0])
+    s0 = ConcreteState({x: 0 for x in fmp.var_names})
+    calls = {
+        "explore": lambda: explore(fmp, s0),
+        "explore_grid": lambda: explore_grid(fmp, 1),
+        "run_random": lambda: run_random(fmp, s0),
+        "step": lambda: step(fmp, Configuration(fmp.qstates[0], s0)),
+        "hsieve": lambda: hsieve(fmp, AnalysisConfig(def_samples=3)),
+        "hsieve_once": lambda: hsieve_once(fmp, 0),
+        "progress_sieve": lambda: progress_sieve(fmp),
+    }
+    for name, call in calls.items():
+        try:
+            got = call()
+        except ValueError as err:
+            assert (type(err), str(err)) == (ValueError, want), name
+        else:
+            pytest.fail(f"{name} answered {got!r} for a policy with {want}")
+
+
+class TestCheck:
+    """`model.check` is the one policy check of every engine entry point."""
+
+    def test_each_violation_is_refused(self):
+        table = one_violation_each()
+        assert {code for code, _ in table} == set(re.findall(
+            r'Violation\(\s*"([a-z-]+)"', inspect.getsource(model)))
+        for code, fmp in table:
+            assert [v.code for v in validate(fmp)] == [code]
+            with pytest.raises(ValueError) as ei:
+                model.check(fmp)
+            assert str(ei.value) == str(validate(fmp)[0])
+            assert_refused(fmp)
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.randoms(use_true_random=False), st.sampled_from(DEFECTS),
+           st.booleans())
+    def test_every_defect_is_refused(self, rng, defect, generated):
+        if generated:
+            fmp = generate_random(GenSpec(
+                2 + rng.randrange(8), 1 + rng.randrange(4), 0.4, 2,
+                rng.randrange(10**6)))
+        else:
+            fmp = random_small_policy(rng)
+        assert_refused(defect(fmp, rng))
 
 
 class TestEdgeConstructor:

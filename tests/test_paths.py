@@ -95,7 +95,7 @@ class TestBoxminus:
             assert boxminus(once, iv) == once
 
 
-class TestPathGraph:
+class TestPathContext:
     def test_out_arcs_sorted_and_complete(self):
         g = g_of(("b", "v", "w"), ("a", "v", "u"), ("c", "v", "u"))
         pg = path_ctx(g, {"a": {"x": 1}, "b": {}, "c": {"x": -1}}, None)
