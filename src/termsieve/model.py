@@ -9,7 +9,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
 from functools import cached_property
-from itertools import chain
 from types import MappingProxyType
 from typing import TYPE_CHECKING, Mapping
 
@@ -137,6 +136,73 @@ class Fmp:
 
         return OracleCode(self)
 
+    @cached_property
+    def violations(self) -> tuple[Violation, ...]:
+        """Every structural invariant violation, section by section:
+        variables, qstates, initial, edges, terminal, goal. Walked once per
+        policy object; `validate` and `check` read it."""
+        out: list[Violation] = []
+        declared: set[str] = set()
+        for v in self.variables:
+            if v.name in declared:
+                out.append(Violation("duplicate-variable", v.name))
+            declared.add(v.name)
+            if not _is_int(v.lower_bound):
+                out.append(Violation("bad-lower-bound", f"{v.name}={v.lower_bound!r}"))
+
+        seen_q: set[str] = set()
+        for q in self.qstates:
+            if q in seen_q:
+                out.append(Violation("duplicate-qstate", q))
+            seen_q.add(q)
+
+        if self.initial not in seen_q:
+            out.append(Violation("unknown-initial", self.initial))
+
+        seen_ids: set[str] = set()
+        for e in self.edges:
+            eid = e.id
+            if eid in seen_ids:
+                out.append(Violation("duplicate-edge-id", eid))
+            seen_ids.add(eid)
+            if e.src not in seen_q:
+                out.append(Violation("unknown-qstate", f"edge {eid} src={e.src}"))
+            if e.dst not in seen_q:
+                out.append(Violation("unknown-qstate", f"edge {eid} dst={e.dst}"))
+            for var, (lo, hi) in e.guard.conjuncts.items():
+                if var not in declared:
+                    out.append(Violation("undeclared-variable", f"edge {eid} guard {var}"))
+                if not _is_int(lo) or (hi is not None and not _is_int(hi)):
+                    out.append(Violation("bad-guard-bound", f"edge {eid} guard {var}"))
+                elif hi is not None and lo > hi:
+                    out.append(Violation("guard-empty-interval", f"edge {eid} guard {var}"))
+            for k, action in enumerate(e.actions):
+                for var, delta in action.items():
+                    if var not in declared:
+                        out.append(Violation(
+                            "undeclared-variable", f"edge {eid} action[{k}] {var}"))
+                    if not _is_int(delta):
+                        out.append(Violation(
+                            "non-integer-effect", f"edge {eid} action[{k}] {var}"))
+
+        for t in self.terminal:
+            if t not in seen_q:
+                out.append(Violation("unknown-terminal", t))
+        terminal = set(self.terminal)
+        for e in self.edges:
+            if e.src in terminal:
+                out.append(Violation("terminal-has-outgoing", f"{e.src} via {e.id}"))
+
+        if self.goal is not None:
+            for var, (lo, hi) in self.goal.items():
+                if var not in declared:
+                    out.append(Violation("goal-unknown-variable", var))
+                if not _is_int(lo) or (hi is not None and not _is_int(hi)):
+                    out.append(Violation("bad-goal-bound", var))
+                elif hi is not None and lo > hi:
+                    out.append(Violation("goal-empty-interval", var))
+        return tuple(out)
+
     def state(self, values: Mapping[str, int]) -> ConcreteState:
         """The declared variables' state; raises ValueError if a value is
         missing, undeclared, not an int (bools are not) or below its bound."""
@@ -171,113 +237,24 @@ def _is_int(x: object) -> bool:
     return isinstance(x, int) and not isinstance(x, bool)
 
 
-_INT = frozenset((int,))
 _ONE = frozenset((1,))
 
 
 def validate(fmp: Fmp) -> list[Violation]:
-    """Check every structural invariant; returns all violations found.
-
-    Each section is first tested as a whole; its elements are walked one by
-    one, in order, only when that test fails, to report where.
-    """
-    out: list[Violation] = []
-    variables = fmp.variables
-    declared = {v.name for v in variables}
-    if len(declared) != len(variables) or not _INT.issuperset(
-            {type(v.lower_bound) for v in variables}):
-        named: set[str] = set()
-        for v in variables:
-            if v.name in named:
-                out.append(Violation("duplicate-variable", v.name))
-            named.add(v.name)
-            if not _is_int(v.lower_bound):
-                out.append(Violation("bad-lower-bound", f"{v.name}={v.lower_bound!r}"))
-
-    seen_q = set(fmp.qstates)
-    if len(seen_q) != len(fmp.qstates):
-        listed: set[str] = set()
-        for q in fmp.qstates:
-            if q in listed:
-                out.append(Violation("duplicate-qstate", q))
-            listed.add(q)
-
-    if fmp.initial not in seen_q:
-        out.append(Violation("unknown-initial", fmp.initial))
-
-    edges = fmp.edges
-    actions = [a for e in edges for a in e.actions]
-    if not (len({e.id for e in edges}) == len(edges)
-            and seen_q.issuperset({e.src for e in edges})
-            and seen_q.issuperset({e.dst for e in edges})
-            and not any([e.guard.conjuncts for e in edges])
-            and declared.issuperset(chain.from_iterable(actions))
-            and _INT.issuperset({type(d) for a in actions for d in a.values()})):
-        _report_edges(edges, seen_q, declared, out)
-
-    if fmp.terminal:
-        terminal = set(fmp.terminal)
-        if not seen_q.issuperset(terminal):
-            for t in fmp.terminal:
-                if t not in seen_q:
-                    out.append(Violation("unknown-terminal", t))
-        if not terminal.isdisjoint({e.src for e in edges}):
-            for e in edges:
-                if e.src in terminal:
-                    out.append(Violation("terminal-has-outgoing",
-                                         f"{e.src} via {e.id}"))
-
-    if fmp.goal is not None:
-        for var, (lo, hi) in fmp.goal.items():
-            if var not in declared:
-                out.append(Violation("goal-unknown-variable", var))
-            if not _is_int(lo) or (hi is not None and not _is_int(hi)):
-                out.append(Violation("bad-goal-bound", var))
-            elif hi is not None and lo > hi:
-                out.append(Violation("goal-empty-interval", var))
-    return out
+    """Every structural invariant violation of the policy, in section
+    order; a new list of `fmp.violations` on each call."""
+    return list(fmp.violations)
 
 
 def check(fmp: Fmp) -> None:
-    """Raise ValueError with the first violation `validate` reports, if any.
+    """Raise ValueError with the policy's first violation, if any.
 
     The engines call it where they compile a policy, `oracle.OracleCode`
     and analysis's effect table, so no engine answers for a policy that is
     not one.
     """
-    violations = validate(fmp)
-    if violations:
-        raise ValueError(str(violations[0]))
-
-
-def _report_edges(edges: tuple[Edge, ...], seen_q: set[str],
-                  declared: set[str], out: list[Violation]) -> None:
-    """Append each edge's violations, edge by edge, to `out`."""
-    seen_ids: set[str] = set()
-    for e in edges:
-        eid = e.id
-        if eid in seen_ids:
-            out.append(Violation("duplicate-edge-id", eid))
-        seen_ids.add(eid)
-        if e.src not in seen_q:
-            out.append(Violation("unknown-qstate", f"edge {eid} src={e.src}"))
-        if e.dst not in seen_q:
-            out.append(Violation("unknown-qstate", f"edge {eid} dst={e.dst}"))
-        for var, (lo, hi) in e.guard.conjuncts.items():
-            if var not in declared:
-                out.append(Violation("undeclared-variable", f"edge {eid} guard {var}"))
-            if not _is_int(lo) or (hi is not None and not _is_int(hi)):
-                out.append(Violation("bad-guard-bound", f"edge {eid} guard {var}"))
-            elif hi is not None and lo > hi:
-                out.append(Violation("guard-empty-interval", f"edge {eid} guard {var}"))
-        for k, action in enumerate(e.actions):
-            for var, delta in action.items():
-                if var not in declared:
-                    out.append(Violation(
-                        "undeclared-variable", f"edge {eid} action[{k}] {var}"))
-                if not _is_int(delta):
-                    out.append(Violation(
-                        "non-integer-effect", f"edge {eid} action[{k}] {var}"))
+    if fmp.violations:
+        raise ValueError(str(fmp.violations[0]))
 
 
 def normalize(fmp: Fmp) -> Fmp:

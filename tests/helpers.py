@@ -907,8 +907,9 @@ _INT = frozenset((int,))
 
 
 def referee_validate(fmp: Fmp) -> list[Violation]:
-    """`model.validate` as it was before it tested each section as a whole:
-    every element walked, violations in the same order."""
+    """An independent `model.validate`, kept apart from the walk that
+    `Fmp.violations` caches: every element walked, violations in the same
+    order."""
     out: list[Violation] = []
     declared: set[str] = set()
     for v in fmp.variables:

@@ -9,6 +9,7 @@ import pkgutil
 import random
 import re
 import tracemalloc
+from functools import cached_property
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -397,6 +398,42 @@ class TestCheck:
         else:
             fmp = random_small_policy(rng)
         assert_refused(defect(fmp, rng))
+
+    def test_one_walk_per_policy(self, monkeypatch):
+        # validate, check and every engine entry point read the violations
+        # cached on the policy object, so the walk runs once per policy
+        walk = Fmp.__dict__["violations"].func
+        walked = []
+
+        def counted(fmp):
+            walked.append(fmp)
+            return walk(fmp)
+
+        prop = cached_property(counted)
+        prop.__set_name__(Fmp, "violations")
+        monkeypatch.setattr(Fmp, "violations", prop)
+        fmp = generate_random(GenSpec(6, 2, 0.4, 2, 7))
+        assert normalize(fmp) is fmp
+        s0 = ConcreteState({x: 0 for x in fmp.var_names})
+        # a new list each call: changing one changes no later answer
+        validate(fmp).append(model.Violation("duplicate-qstate", fmp.initial))
+        assert validate(fmp) == []
+        model.check(fmp)
+        hsieve(fmp, AnalysisConfig(def_samples=3))
+        hsieve_once(fmp, 0)
+        progress_sieve(fmp)
+        explore_grid(fmp, 1)
+        explore(fmp, s0)
+        run_random(fmp, s0)
+        step(fmp, Configuration(fmp.initial, s0))
+        assert len(walked) == 1 and walked[0] is fmp
+        # a replaced policy is another object, walked again
+        other = dataclasses.replace(fmp, initial="zz")
+        validate(other).clear()
+        assert validate(other) == [model.Violation("unknown-initial", "zz")]
+        with pytest.raises(ValueError, match="^unknown-initial: zz$"):
+            model.check(other)
+        assert len(walked) == 2 and walked[1] is other
 
 
 class TestEdgeConstructor:
